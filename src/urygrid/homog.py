@@ -220,6 +220,10 @@ def nu_truncated(rels: list[PartialIsometryRelation], a: str, b: str,
     return OrbitDistance(best, best_word, searched)
 
 
+# (relations, signs) taken by each case of composition_weight_bound
+_CASE_ARITY = {1: (2, 1), 2: (3, 2), 3: (2, 2)}
+
+
 def composition_weight_bound(case: int, rels, signs) -> bool | None:
     """Weight bounds for short compositions; each should always hold, so a
     False is a bug witness. None signals an empty composition (nothing to
@@ -231,6 +235,12 @@ def composition_weight_bound(case: int, rels, signs) -> bool | None:
     """
     rels = list(rels)
     signs = list(signs)
+    if case not in _CASE_ARITY:
+        raise ValidationError(f"case must be 1, 2 or 3, got {case}")
+    want = _CASE_ARITY[case]
+    if (len(rels), len(signs)) != want:
+        raise ValidationError(f"case {case} takes {want[0]} relations and {want[1]} sign(s), "
+                              f"got {len(rels)} and {len(signs)}")
     for r in rels:
         _require_relation(r)
     space = rels[0].space
@@ -247,12 +257,10 @@ def composition_weight_bound(case: int, rels, signs) -> bool | None:
         (r1, r2, r3), (e, dl) = rels, signs
         comp = compose(compose(signed(r1, e), signed(r2, dl)), signed(r3, -e))
         bound = hausdorff_distance(r1, r3) + weight(r2)
-    elif case == 3:
+    else:
         (r1, r2), (e, dl) = rels, signs
         comp = compose(signed(r1, e), signed(r2, dl))
         bound = weight(r1) + weight(r2)
-    else:
-        raise ValidationError(f"case must be 1, 2 or 3, got {case}")
     if not comp:
         return None
     kval = max(space.dist[x][y] for (x, y) in comp)

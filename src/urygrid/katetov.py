@@ -10,8 +10,10 @@ with a homogeneity check on top.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import GuardError, InvariantError, ValidationError
@@ -43,7 +45,7 @@ class KatetovFunction:
             self.space.index(p)
         q = self.space.denominator
         for p, v in zip(self.support, self.values):
-            if not isinstance(v, int) or not 0 <= v <= q:
+            if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v <= q:
                 raise ValidationError(f"value f({p}) = {v!r} is not an integer in [0, {q}]")
 
     @property
@@ -148,9 +150,19 @@ def realize_one_point(space: FiniteMetricSpace, f: KatetovFunction,
 
 def _katetov_profiles(space: FiniteMetricSpace, idx: tuple[int, ...]):
     """All grid Katetov value tuples on the subset with those indices, in
-    lexicographic order."""
-    q = space.denominator
-    k = len(idx)
+    lexicographic order. They depend only on q and the distances inside the
+    subset, so they are computed once per such pattern."""
+    d = space.dist
+    return _profiles_by_gaps(space.denominator,
+                             tuple(tuple(d[idx[t]][idx[j]] for t in range(j))
+                                   for j in range(len(idx))))
+
+
+@lru_cache(maxsize=256)
+def _profiles_by_gaps(q: int, gaps: tuple[tuple[int, ...], ...]):
+    """_katetov_profiles for a subset whose point j lies at gaps[j][t] from
+    its point t < j."""
+    k = len(gaps)
     out: list[tuple[int, ...]] = []
     prefix: list[int] = []
 
@@ -160,9 +172,7 @@ def _katetov_profiles(space: FiniteMetricSpace, idx: tuple[int, ...]):
             return
         j = len(prefix)
         lo, hi = 0, q
-        for t in range(j):
-            d = space.dist[idx[t]][idx[j]]
-            v = prefix[t]
+        for d, v in zip(gaps[j], prefix):
             lo = max(lo, v - d, d - v)
             hi = min(hi, v + d)
         for v in range(lo, hi + 1):
@@ -171,7 +181,13 @@ def _katetov_profiles(space: FiniteMetricSpace, idx: tuple[int, ...]):
             prefix.pop()
 
     rec()
-    return out
+    return tuple(out)
+
+
+def _realized(space: FiniteMetricSpace, idx: tuple[int, ...]) -> set:
+    """Every point's distances to the subset, as tuples. Column i is row i
+    (the metric is symmetric), so zipping the subset's rows gives them."""
+    return set(zip(*(space.dist[i] for i in idx)))
 
 
 @dataclass(frozen=True)
@@ -184,28 +200,73 @@ class InjectivityReport:
         return not self.unrealized
 
 
+def _require_subset(max_subset: int):
+    if max_subset < 1:
+        raise ValidationError(f"max profile support size must be at least 1, got {max_subset}")
+
+
 def injectivity_check(space: FiniteMetricSpace, max_subset: int) -> InjectivityReport:
     """For every support of size <= max_subset and every grid Katetov profile
     on it, ask whether some point of the space realizes the profile exactly.
-    Lists the profiles no point realizes."""
+    Lists the profiles no point realizes.
+
+    A from-scratch full scan, independent of the builder's frontier: it is
+    the check that a closed build really is closed."""
+    _require_subset(max_subset)
     unrealized = []
     checked = 0
-    n = space.n
     for size in range(1, max_subset + 1):
-        for idx in combinations(range(n), size):
+        for idx in combinations(range(space.n), size):
+            realized = _realized(space, idx)
             for prof in _katetov_profiles(space, idx):
                 checked += 1
-                if not _profile_realized(space, idx, prof):
+                if prof not in realized:
                     unrealized.append((tuple(space.points[i] for i in idx), prof))
     return InjectivityReport(checked, tuple(unrealized))
 
 
-def _profile_realized(space: FiniteMetricSpace, idx, prof) -> bool:
-    for x in range(space.n):
-        row = space.dist[x]
-        if all(row[i] == v for i, v in zip(idx, prof)):
-            return True
-    return False
+class _ProfileFrontier:
+    """The lexicographically first zero-free grid Katetov profile that no
+    point realizes, kept up to date while points are added.
+
+    The heap holds one entry per support of size <= max_subset, keyed
+    (size, idx, start): every profile of the support before `start` is
+    realized or contains a zero. A profile vanishing at point i is realized
+    by i itself (it forces f(j) = d(i, j)), so only zero-free ones can be
+    missing. Adding a point never un-realizes a profile, so an entry only
+    moves forward; it is rechecked when it reaches the top and dropped once
+    its support has nothing left.
+    """
+
+    def __init__(self, space: FiniteMetricSpace, max_subset: int):
+        self.space = space
+        self.max_subset = max_subset
+        # generated in key order, so already a heap
+        self.heap = [(size, idx, ()) for size in range(1, max_subset + 1)
+                     for idx in combinations(range(space.n), size)]
+
+    def grow(self, space: FiniteMetricSpace):
+        """Move to `space`, the current space plus one point at the end:
+        add the supports that contain the new point."""
+        new = space.n - 1
+        self.space = space
+        for size in range(1, self.max_subset + 1):
+            for rest in combinations(range(new), size - 1):
+                heapq.heappush(self.heap, (size, rest + (new,), ()))
+
+    def first(self):
+        """(idx, profile) of the first unrealized zero-free profile, or None."""
+        heap = self.heap
+        space = self.space
+        while heap:
+            size, idx, start = heap[0]
+            realized = _realized(space, idx)
+            for prof in _katetov_profiles(space, idx):
+                if prof >= start and 0 not in prof and prof not in realized:
+                    heapq.heapreplace(heap, (size, idx, prof))
+                    return idx, prof
+            heapq.heappop(heap)
+        return None
 
 
 @dataclass(frozen=True)
@@ -217,12 +278,10 @@ class ApproximantResult:
 
 
 def _circulant_rows(n: int, colors):
-    def col(gap):
-        gap = gap % n
-        gap = min(gap, n - gap)
-        return colors[gap - 1]
-    return tuple(tuple(0 if i == j else col(j - i) for j in range(n))
-                 for i in range(n))
+    # d(i, j) depends only on the cyclic gap j - i, so row i is row 0
+    # rotated right by i
+    row0 = [0] + [colors[min(gap, n - gap) - 1] for gap in range(1, n)]
+    return tuple(tuple(row0[n - i:] + row0[:n - i]) for i in range(n))
 
 
 def _embed_seed(seed: FiniteMetricSpace, target: FiniteMetricSpace):
@@ -256,6 +315,7 @@ def find_transitive_template(seed: FiniteMetricSpace, max_subset: int, q: int,
     seed indices) or None when the bounded search finds nothing."""
     from itertools import product as iproduct
 
+    _require_subset(max_subset)
     tried = 0
     for n in range(max(seed.n, 1), cap + 1):
         half = n // 2
@@ -269,14 +329,15 @@ def find_transitive_template(seed: FiniteMetricSpace, max_subset: int, q: int,
                 return None
             # quick filter: realizing singleton profiles needs every grid
             # value among the gap colors once n is big enough to matter
-            if max_subset >= 1 and set(range(1, q + 1)) - set(colors):
+            if set(range(1, q + 1)) - set(colors):
                 continue
             try:
                 template = FiniteMetricSpace(
                     tuple(f"v{i}" for i in range(n)), q, _circulant_rows(n, colors))
             except ValidationError:
                 continue
-            if not injectivity_check(template, max_subset).ok:
+            # stops at the first missing profile; equals injectivity_check().ok
+            if _ProfileFrontier(template, max_subset).first() is not None:
                 continue
             embedded = _embed_seed(seed, template)
             if embedded is not None:
@@ -289,10 +350,15 @@ def build_approximant(seed: FiniteMetricSpace, max_subset: int, q: int, cap: int
     """Grow a space until every small grid Katetov profile is realized.
 
     Profiles are visited in lexicographic (subset, values) order and each
-    unrealized one gets a fresh realizing point before rescanning; profiles
-    containing a zero are skipped since their own support point already
-    realizes them. A realizing point must carry the profile on its support;
-    its remaining distances are where the strategies differ:
+    unrealized one gets a fresh realizing point; profiles containing a zero
+    are skipped since their own support point already realizes them. One
+    frontier (_ProfileFrontier) serves the whole build: a heap with one small
+    entry per support of size <= max_subset, so at most C(cap, 1) + ... +
+    C(cap, max_subset) of them, each remembering how far its profiles are
+    known to be realized. Adding a point never un-realizes a profile, so no
+    profile is scanned twice once realized. A realizing point must carry the
+    profile on its support; its remaining distances are where the strategies
+    differ:
 
     "transitive" first finds a closed rotation-invariant template containing
     the seed (see find_transitive_template) and copies each realizing point
@@ -304,10 +370,11 @@ def build_approximant(seed: FiniteMetricSpace, max_subset: int, q: int, cap: int
     every new point far from everything and pair-support closure never
     terminates.) "auto" tries the template route and falls back to random.
 
-    Returns the final space, the status ("closed" when a full sweep finds
+    Returns the final space, the status ("closed" when the frontier finds
     nothing unrealized, "capped" when the point budget ran out first), and
     which strategy produced it.
     """
+    _require_subset(max_subset)
     if cap < seed.n:
         raise ValidationError("cap smaller than the seed")
     if strategy not in ("auto", "random", "transitive"):
@@ -329,19 +396,9 @@ def build_approximant(seed: FiniteMetricSpace, max_subset: int, q: int, cap: int
         image = list(embedded)
 
     fresh = 0
-
-    def first_unrealized():
-        for size in range(1, max_subset + 1):
-            for idx in combinations(range(space.n), size):
-                for prof in _katetov_profiles(space, idx):
-                    if 0 in prof:
-                        continue
-                    if not _profile_realized(space, idx, prof):
-                        return idx, prof
-        return None
-
+    frontier = _ProfileFrontier(space, max_subset)
     while True:
-        hit = first_unrealized()
+        hit = frontier.first()
         if hit is None:
             return ApproximantResult(space, "closed", space.n - seed.n, mode)
         if space.n >= cap:
@@ -375,6 +432,7 @@ def build_approximant(seed: FiniteMetricSpace, max_subset: int, q: int, cap: int
         while f"a{fresh}" in space._index:
             fresh += 1
         space = space.with_point(f"a{fresh}", row)
+        frontier.grow(space)
         fresh += 1
 
 

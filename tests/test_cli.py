@@ -91,6 +91,14 @@ class TestKatetov:
         code, out, _ = run(capsys, "katetov", "extend", str(f))
         assert code == 0 and "3/4" in out
 
+    def test_bool_value_exits_one(self, capsys, tmp_path, space_file):
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps({"space": "space.json", "support": ["a"],
+                                 "values": [True]}))
+        code, out, err = run(capsys, "katetov", "check", str(f))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+
     def test_non_katetov_exits_one(self, capsys, tmp_path, space_file):
         f = tmp_path / "f.json"
         f.write_text(json.dumps({"space": "space.json", "support": ["a", "b"],
@@ -181,6 +189,17 @@ class TestHomog:
                            "--names", "s,t", "--signs", "+,+")
         assert code == 0
 
+    @pytest.mark.parametrize("extra", [
+        ("--case", "1", "--names", "s,t", "--signs=+,-"),
+        ("--case", "1"),
+        ("--case", "2", "--names", "s,t,s", "--signs=+"),
+        ("--case", "3", "--names", "s", "--signs=+,+"),
+        ("--case", "3", "--signs=+,+")])
+    def test_lemma43_wrong_arity_exits_one(self, capsys, rel_file, extra):
+        code, out, err = run(capsys, "homog", "lemma43", rel_file, *extra)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and "takes" in err
+
 
 class TestRelationsCommand:
     def test_carrier_size(self, capsys, tmp_path):
@@ -216,6 +235,16 @@ class TestApproximant:
         code, out, _ = run(capsys, "approximant", "verify", str(built),
                            "--subset", "1")
         assert code == 0 and "0 unrealized" in out
+
+    def test_subset_zero_exits_one(self, capsys, tmp_path):
+        p = tmp_path / "seed.json"
+        p.write_text(json.dumps({"points": ["a"], "denominator": 2,
+                                 "dist": [[0]]}))
+        for action in ("build", "verify"):
+            code, out, err = run(capsys, "approximant", action, str(p),
+                                 "--subset", "0", "--cap", "8")
+            assert code == 1 and out == ""
+            assert len(err.splitlines()) == 1
 
 
 class TestErrorChannels:

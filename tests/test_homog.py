@@ -242,6 +242,14 @@ class TestWeightBounds:
             assert composition_weight_bound(2, rels, [e, dl]) in (None, True)
             assert composition_weight_bound(3, rels[:2], [e, dl]) in (None, True)
 
+    def test_wrong_arity_is_a_validation_error(self, space4):
+        rng = random.Random(17)
+        r = random_partial_isometry(space4, rng)
+        for case, rels, signs in ((1, [r, r], [1, 1]), (1, [], []),
+                                  (2, [r, r], [1, 1]), (3, [r, r], [1])):
+            with pytest.raises(ValidationError):
+                composition_weight_bound(case, rels, signs)
+
     def test_bad_case_number(self, space4):
         rng = random.Random(16)
         r = random_partial_isometry(space4, rng)

@@ -1,11 +1,15 @@
+import hashlib
+import json
 import random
 
 import pytest
 
+from urygrid.cli import main
 from urygrid.errors import GuardError, ValidationError
-from urygrid.katetov import (KatetovFunction, build_approximant,
-                             homogeneity_check, injectivity_check, is_katetov,
-                             iso_group, katetov_extension, katetov_witness,
+from urygrid.katetov import (KatetovFunction, _ProfileFrontier,
+                             build_approximant, homogeneity_check,
+                             injectivity_check, is_katetov, iso_group,
+                             katetov_extension, katetov_witness,
                              point_function, realize_one_point, sup_distance)
 from urygrid.spaces import FiniteMetricSpace, random_grid_space, validate_space
 
@@ -41,6 +45,10 @@ class TestIsKatetov:
     def test_out_of_range_value_is_structural(self, two_point_q4):
         with pytest.raises(ValidationError):
             KatetovFunction(two_point_q4, ("a",), (5,))
+
+    def test_bool_value_is_structural(self, two_point_q4):
+        with pytest.raises(ValidationError):
+            KatetovFunction(two_point_q4, ("a",), (True,))
 
 
 class TestExtension:
@@ -171,8 +179,76 @@ class TestInjectivity:
                 for x in space.points:
                     assert tuple(space.distance(x, p) for p in support) != values
 
+    def test_support_size_below_one_is_rejected(self, two_point_q4):
+        with pytest.raises(ValidationError):
+            injectivity_check(two_point_q4, 0)
+
+
+def first_zero_free_unrealized(space, max_subset):
+    """The builder's pick, read off the independent full scan."""
+    for support, values in injectivity_check(space, max_subset).unrealized:
+        if 0 not in values:
+            return tuple(space.index(p) for p in support), values
+    return None
+
+
+class TestProfileFrontier:
+    def test_first_pick_matches_full_scan_on_random_spaces(self):
+        rng = random.Random(20)
+        for _ in range(150):
+            space = random_grid_space(rng.randint(1, 7), rng.randint(1, 4),
+                                      rng.randrange(10 ** 6))
+            k = rng.randint(1, 3)
+            assert (_ProfileFrontier(space, k).first()
+                    == first_zero_free_unrealized(space, k))
+
+    def test_grown_frontier_matches_full_scan_point_by_point(self):
+        # points that realize nothing in particular: the frontier must see
+        # the supports each one opens and what each one realizes
+        rng = random.Random(22)
+        for _ in range(40):
+            space = random_grid_space(rng.randint(2, 9), rng.randint(1, 4),
+                                      rng.randrange(10 ** 6))
+            k = rng.randint(1, 3)
+            frontier = _ProfileFrontier(space.restrict(space.points[:1]), k)
+            for m in range(1, space.n + 1):
+                prefix = space.restrict(space.points[:m])
+                if m > 1:
+                    frontier.grow(prefix)
+                assert frontier.first() == first_zero_free_unrealized(prefix, k)
+
+    # (strategy, max support, q, cap); the template route is kept to q=2
+    # subset 2, where its search is quick
+    @pytest.mark.parametrize("strategy,k,q,cap", [
+        ("random", 1, 3, 20), ("random", 2, 2, 20), ("random", 2, 3, 20),
+        ("random", 3, 2, 20), ("random", 3, 3, 14), ("transitive", 2, 2, 32)])
+    def test_grown_frontier_matches_full_scan_after_each_added_point(self, strategy, k, q, cap):
+        # a build adds points at the end and never moves old distances, so
+        # its prefixes are the spaces it held after each with_point
+        rng = random.Random(24)
+        for _ in range(4):
+            seed = random_grid_space(rng.randint(1, 2), q, rng.randrange(10 ** 6))
+            built = build_approximant(seed, k, q, cap, rng_seed=rng.randrange(10 ** 6),
+                                      strategy=strategy).space
+            frontier = _ProfileFrontier(seed, k)
+            for m in range(seed.n, built.n + 1):
+                prefix = built.restrict(built.points[:m])
+                if m > seed.n:
+                    frontier.grow(prefix)
+                pick = frontier.first()
+                assert pick == first_zero_free_unrealized(prefix, k)
+                if m < built.n:
+                    # the next point is the one the builder added for the pick
+                    idx, values = pick
+                    assert tuple(built.dist[m][i] for i in idx) == values
+
 
 class TestBuildApproximant:
+    def test_support_size_below_one_is_rejected(self):
+        seed = FiniteMetricSpace(("a",), 2, ((0,),))
+        with pytest.raises(ValidationError):
+            build_approximant(seed, 0, 2, 8)
+
     def test_closed_seed_is_unchanged(self):
         # the 1-point seed is trivially closed at subset size 1 and grid 1
         seed = FiniteMetricSpace(("a",), 1, ((0,),))
@@ -270,3 +346,48 @@ class TestHomogeneity:
         report = homogeneity_check(path_q4, 2)
         assert not report.ok
         assert (("a", "b"), ("b", "c")) in report.non_extendable
+
+
+GOLDEN_SEEDS = {
+    "p1q2": {"points": ["a"], "denominator": 2, "dist": [[0]]},
+    "p1q3": {"points": ["a"], "denominator": 3, "dist": [[0]]},
+    "p2q2": {"points": ["a", "b"], "denominator": 2, "dist": [[0, 1], [1, 0]]},
+    "p2q3": {"points": ["a", "b"], "denominator": 3, "dist": [[0, 2], [2, 0]]},
+}
+
+# sha256 of `approximant build --json` stdout, recorded with the builder
+# that rescanned every profile after each added point; the frontier must
+# reproduce the same picks, random draws and bytes
+GOLDEN_BUILDS = [
+    (("p1q2", "--subset", "1", "--cap", "32", "--strategy", "random"),
+     "7181f07028b82b8c113643e3397c2f53811c21665bd281b965fda16bf95d2e14"),
+    (("p1q3", "--subset", "1", "--cap", "32", "--strategy", "transitive"),
+     "0ee2477a64f47be9f9d939f53fd14a9f7d881e5beed8f57a43cc312e29bde0c2"),
+    (("p2q3", "--subset", "1", "--grid", "3", "--cap", "32", "--strategy", "auto"),
+     "fcc284ae1121f51c1ab892f8bee14ac5784b359a350462b682763571b7e29bf9"),
+    (("p1q2", "--subset", "2", "--cap", "64", "--strategy", "auto"),
+     "c71ae8749bc70202e2b032f3a1810b4d739b6e76d47827beb9003dd0a9fcd0ec"),
+    (("p2q2", "--subset", "2", "--cap", "64", "--strategy", "transitive"),
+     "5dfa88d02a700bf6863ccd0b56ca79f7878a30f1e1fcc23f098f07e273e28e8f"),
+    (("p2q2", "--subset", "2", "--cap", "64", "--strategy", "random", "--seed", "5"),
+     "c2850a0fae9526cabe11b4fbaba64ee9ecf66d687fd3722c8cf6259e071d7f31"),
+    (("p2q3", "--subset", "2", "--cap", "10", "--strategy", "auto"),
+     "a9e3f61ea42e0f93928800dd48fffc4f5efe0d5777aa5d62c0bd9b337fa556e9"),
+    (("p1q2", "--subset", "3", "--cap", "24", "--strategy", "random", "--seed", "3"),
+     "cc1ee7c3e94cdfd3fb9ea6bfe8753a2a6dcffd00a0a1bbef5fec37c17bf6924b"),
+    (("p2q3", "--subset", "3", "--cap", "12", "--strategy", "random"),
+     "808a6b9c392de7e4af4ea716092614d9365379ebb63249558bb1409fd13ceb83"),
+    (("p1q3", "--subset", "2", "--cap", "12", "--strategy", "auto", "--seed", "2"),
+     "b86c84b92173afdc68a4ef768012eb461694664fc23736e46db779b2fadec5d7"),
+]
+
+
+@pytest.mark.parametrize("case,digest", GOLDEN_BUILDS,
+                         ids=[" ".join(c) for c, _ in GOLDEN_BUILDS])
+def test_build_json_bytes_are_unchanged(capsys, tmp_path, case, digest):
+    seed = tmp_path / f"{case[0]}.json"
+    seed.write_text(json.dumps(GOLDEN_SEEDS[case[0]]))
+    code = main(["--json", "approximant", "build", str(seed), *case[1:]])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
