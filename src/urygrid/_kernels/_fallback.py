@@ -74,29 +74,44 @@ def floyd_warshall_capped(n: int, w: list[int], cap: int) -> list[int]:
     return dist
 
 
+def graev_dp_step(cols: list[list[int]], letters: list[int],
+                  signs: list[int], nl: int, dist: list[int],
+                  weights: list[int]) -> int:
+    """Append column j = len(cols) of the interval dynamic program over the
+    leftmost position and return P[0][j], the norm of the first j symbols.
+
+    cols[k][i] = P[i][k] = min cost of positions i..k-1: either position i
+    is unpaired and pays its weight, or it arcs to an opposite-sign position
+    m, paying the letter distance plus the nested interior P[i+1][m] (an
+    older column) plus the disjoint tail P[m+1][j] (this column, filled from
+    the bottom). Quadratic in j; letters and signs need only j entries.
+    """
+    j = len(cols)
+    col = [0] * (j + 1)
+    for i in range(j - 1, -1, -1):
+        li = letters[i]
+        row = li * nl
+        opp = -signs[i]
+        i1 = i + 1
+        best = weights[li] + col[i1]
+        for m in range(i1, j):
+            if signs[m] == opp:
+                c = dist[row + letters[m]] + cols[m][i1] + col[m + 1]
+                if c < best:
+                    best = c
+        col[i] = best
+    cols.append(col)
+    return col[0]
+
+
 def graev_norm_dp(letters: list[int], signs: list[int], nl: int,
                   dist: list[int], weights: list[int]) -> int:
-    """Interval dynamic program over the leftmost position.
-
-    P[i][j] = min cost of positions i..j-1: either position i is unpaired
-    and pays its weight, or it arcs to an opposite-sign position m, paying
-    the letter distance plus the nested interior plus the disjoint tail.
-    """
-    n = len(letters)
-    P = [[0] * (n + 1) for _ in range(n + 1)]
-    for span in range(1, n + 1):
-        for i in range(n - span + 1):
-            j = i + span
-            li = letters[i]
-            best = weights[li] + P[i + 1][j]
-            si = signs[i]
-            for m in range(i + 1, j):
-                if signs[m] == -si:
-                    c = dist[li * nl + letters[m]] + P[i + 1][m] + P[m + 1][j]
-                    if c < best:
-                        best = c
-            P[i][j] = best
-    return P[0][n]
+    """Interval dynamic program over the leftmost position, built one
+    column per symbol with graev_dp_step. Cubic in the word length."""
+    cols = [[0]]
+    for _ in letters:
+        graev_dp_step(cols, letters, signs, nl, dist, weights)
+    return cols[-1][0]
 
 
 def iter_pairings(signs: list[int], i: int, j: int):
@@ -113,25 +128,50 @@ def iter_pairings(signs: list[int], i: int, j: int):
                     yield inner + outer + [(i, m)]
 
 
+def graev_pairing_step(states: list, letter: int, sign: int, room: int,
+                       nl: int, dist: list[int], weights: list[int]) -> list:
+    """Extend every partial pairing by one symbol.
+
+    A state is (stack, depth, cost): the open arcs as a linked stack of
+    (letter, sign, below) nodes (None when empty), its depth, and the cost
+    so far. The symbol is left unpaired and pays its weight, closes the top
+    arc if the signs are opposite and pays the letter distance, or opens a
+    new arc. room is how many more symbols the word may still get; a state
+    deeper than that can never close all its arcs and is dropped. No two
+    states are merged, so each complete pairing ends as exactly one state.
+    """
+    w = weights[letter]
+    opp = -sign
+    out = []
+    add = out.append
+    for stack, depth, cost in states:
+        if depth <= room:
+            add((stack, depth, cost + w))
+        if stack is not None and stack[1] == opp:
+            add((stack[2], depth - 1, cost + dist[stack[0] * nl + letter]))
+        if depth < room:
+            add(((letter, sign, stack), depth + 1, cost))
+    return out
+
+
+def _complete_min(states: list) -> int:
+    """Cheapest state with no open arc, i.e. the cheapest complete pairing."""
+    return min([cost for stack, _, cost in states if stack is None])
+
+
 def graev_norm_bruteforce(letters: list[int], signs: list[int], nl: int,
                           dist: list[int], weights: list[int]) -> int:
-    """Minimum Graev sum over all pairings, each pairing summed from scratch:
-    paired positions contribute the letter distance, unpaired ones their
-    weight. Deliberately enumerative; the oracle side of the DP."""
+    """Minimum Graev sum over all pairings, enumerated one symbol at a time
+    with graev_pairing_step: every complete pairing is its own state and
+    carries its own sum of arc distances and unpaired weights; no interval
+    value is shared between pairings. Deliberately enumerative; the oracle
+    side of the DP."""
     n = len(letters)
-    best = INF
-    for pairing in iter_pairings(signs, 0, n):
-        paired = 0
-        total = 0
-        for a, b in pairing:
-            total += dist[letters[a] * nl + letters[b]]
-            paired |= (1 << a) | (1 << b)
-        for p in range(n):
-            if not paired & (1 << p):
-                total += weights[letters[p]]
-        if total < best:
-            best = total
-    return best
+    states = [(None, 0, 0)]
+    for p in range(n):
+        states = graev_pairing_step(states, letters[p], signs[p], n - p - 1,
+                                    nl, dist, weights)
+    return _complete_min(states)
 
 
 def graev_agree_exhaustive(nl: int, dist: list[int], weights: list[int],
@@ -140,27 +180,43 @@ def graev_agree_exhaustive(nl: int, dist: list[int], weights: list[int],
     """Check graev_norm_dp == graev_norm_bruteforce on every (letter, sign)
     sequence of length <= max_len extending the given prefix (the prefix
     itself included). Returns (words checked, mismatches). The prefix lets
-    callers partition the sweep across workers by first symbol."""
-    letters: list[int] = list(prefix_letters)
-    signs: list[int] = list(prefix_signs)
+    callers partition the sweep across workers by first symbol.
+
+    The depth-first walk makes each word its parent plus one symbol, so it
+    carries both routes' prefix state down the tree: one graev_dp_step
+    column and one graev_pairing_step per word, with room counted up to
+    max_len so partial pairings are shared by all their extensions."""
+    letters: list[int] = []
+    signs: list[int] = []
+    cols = [[0]]
+    states = [(None, 0, 0)]
+    for letter, sign in zip(prefix_letters, prefix_signs):
+        letters.append(letter)
+        signs.append(sign)
+        graev_dp_step(cols, letters, signs, nl, dist, weights)
+        states = graev_pairing_step(states, letter, sign,
+                                    max_len - len(letters), nl, dist, weights)
     checked = 0
     mismatches = 0
 
-    def rec() -> None:
+    def rec(states: list) -> None:
         nonlocal checked, mismatches
         checked += 1
-        if graev_norm_dp(letters, signs, nl, dist, weights) != \
-                graev_norm_bruteforce(letters, signs, nl, dist, weights):
+        if cols[-1][0] != _complete_min(states):
             mismatches += 1
-        if len(letters) == max_len:
+        room = max_len - len(letters) - 1
+        if room < 0:
             return
         for letter in range(nl):
             for s in (1, -1):
                 letters.append(letter)
                 signs.append(s)
-                rec()
+                graev_dp_step(cols, letters, signs, nl, dist, weights)
+                rec(graev_pairing_step(states, letter, s, room,
+                                       nl, dist, weights))
+                cols.pop()
                 letters.pop()
                 signs.pop()
 
-    rec()
+    rec(states)
     return checked, mismatches

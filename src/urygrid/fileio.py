@@ -112,6 +112,8 @@ def load_alphabet_word(path: str):
     words: dict[str, Word] = {}
     for key in ("word", "u", "v"):
         if key in obj:
+            if not isinstance(obj[key], str):
+                raise ValidationError(f"word field {key!r} must be a string")
             words[key] = parse_word(alphabet, obj[key])
     if not words:
         raise ValidationError("word object needs a 'word' (or 'u' and 'v') field")

@@ -54,7 +54,7 @@ class WeightedAlphabet:
                 raise ValidationError(f"nonzero self-distance for {self.letters[i]}")
             for j in range(n):
                 e = self.dist[i][j]
-                if not isinstance(e, int) or e < 0:
+                if isinstance(e, bool) or not isinstance(e, int) or e < 0:
                     raise ValidationError(f"distance {e!r} is not a non-negative integer")
                 if self.dist[j][i] != e:
                     raise ValidationError("distance matrix is not symmetric")
@@ -65,7 +65,7 @@ class WeightedAlphabet:
                             f"({self.letters[i]},{self.letters[j]},{self.letters[k]})")
         for i in range(n):
             w = self.weights[i]
-            if not isinstance(w, int) or w < 0:
+            if isinstance(w, bool) or not isinstance(w, int) or w < 0:
                 raise ValidationError(f"weight {w!r} is not a non-negative integer")
         for i in range(n):
             for j in range(n):

@@ -2,7 +2,9 @@
 
 The exhaustive dp-versus-enumeration check partitions cleanly by first
 symbol, so it can fan out over processes. Worker count comes from the
-URYGRID_WORKERS environment variable (default 1: no processes spawned).
+URYGRID_WORKERS environment variable (default 1: no processes spawned) and
+is clamped to the number of jobs and of CPUs, so no setting forks without
+bound.
 """
 
 from __future__ import annotations
@@ -23,6 +25,11 @@ def worker_count() -> int:
     return max(1, n)
 
 
+def clamp_workers(requested: int, jobs: int) -> int:
+    """Processes worth starting: at most one per job and one per CPU."""
+    return max(1, min(requested, jobs, os.cpu_count() or 1))
+
+
 def _job(args):
     nl, dist, weights, max_len, prefix_letters, prefix_signs = args
     return _kernels.graev_agree_exhaustive(nl, dist, weights, max_len,
@@ -35,6 +42,7 @@ def graev_agree_exhaustive(nl: int, dist, weights, max_len: int,
     max_len; exact partition of the same enumeration when workers > 1."""
     if workers is None:
         workers = worker_count()
+    workers = clamp_workers(workers, 2 * nl)
     if workers <= 1 or max_len == 0:
         return _kernels.graev_agree_exhaustive(nl, dist, weights, max_len)
     checked = 1

@@ -119,6 +119,18 @@ class TestGraev:
         code, _, err = run(capsys, "graev", "dist", word_file)
         assert code == 1 and "u" in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("weights", [True, 1]), ("word", 5), ("word", ["x"]), ("u", None)])
+    def test_malformed_field_exits_one(self, capsys, word_file, field, value):
+        with open(word_file) as fh:
+            obj = json.load(fh)
+        obj[field] = value
+        with open(word_file, "w") as fh:
+            json.dump(obj, fh)
+        code, out, err = run(capsys, "graev", "norm", word_file)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+
 
 class TestGh:
     def test_formula_and_oracle_print_identically(self, capsys, instance_file):

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from urygrid import sweep
+from urygrid._kernels import _fallback
 from urygrid.errors import GuardError, ValidationError
 from urygrid.graev import (WeightedAlphabet, concat, enumerate_pairings,
                            format_word, graev_distance, graev_norm,
@@ -66,6 +68,15 @@ class TestAlphabet:
     def test_distances_may_exceed_the_denominator(self):
         # relation alphabets live in diameter 2
         WeightedAlphabet(("x", "y"), 4, ((0, 8), (8, 0)), (4, 4))
+
+    @pytest.mark.parametrize("dist, weights", [
+        (((0, 1), (1, 0)), (True, 1)),
+        (((0, True), (True, 0)), (1, 1)),
+        (((False, 1), (1, False)), (1, 1)),
+    ])
+    def test_bool_entries_are_rejected(self, dist, weights):
+        with pytest.raises(ValidationError):
+            WeightedAlphabet(("x", "y"), 10, dist, weights)
 
 
 class TestPairings:
@@ -147,6 +158,78 @@ class TestNorms:
                     for letter in range(3):
                         for sign in (1, -1):
                             stack.append(w + ((letter, sign),))
+
+
+def sweep_inputs(rng):
+    alphabet = random_alphabet(rng, n=rng.randint(1, 4), q=rng.randint(2, 12))
+    return alphabet.n, alphabet.flat(), list(alphabet.weights)
+
+
+def words_checked(nl, max_len):
+    return sum((2 * nl) ** k for k in range(max_len + 1))
+
+
+class TestSweep:
+    def test_pure_sweep_checks_every_word(self):
+        rng = random.Random(5)
+        for _ in range(5):
+            nl, d, wts = sweep_inputs(rng)
+            assert _fallback.graev_agree_exhaustive(nl, d, wts, 4) == \
+                (words_checked(nl, 4), 0)
+
+    def test_pure_sweep_counts_mismatches(self, monkeypatch):
+        step = _fallback.graev_pairing_step
+
+        def off_by_one(states, letter, sign, *rest):
+            return [(stack, depth, cost + (sign == -1))
+                    for stack, depth, cost in step(states, letter, sign, *rest)]
+
+        monkeypatch.setattr(_fallback, "graev_pairing_step", off_by_one)
+        checked, mismatches = _fallback.graev_agree_exhaustive(
+            2, [0, 3, 3, 0], [2, 4], 3)
+        assert checked == words_checked(2, 3) and mismatches > 0
+
+    def test_pure_prefix_partition_is_exact(self):
+        rng = random.Random(6)
+        nl, d, wts = sweep_inputs(rng)
+        parts = [_fallback.graev_agree_exhaustive(nl, d, wts, 5, [letter], [sign])
+                 for letter in range(nl) for sign in (1, -1)]
+        assert 1 + sum(c for c, _ in parts) == words_checked(nl, 5)
+        assert all(m == 0 for _, m in parts)
+
+    def test_parallel_sweep_matches_serial(self):
+        rng = random.Random(7)
+        nl, d, wts = sweep_inputs(rng)
+        serial = sweep.graev_agree_exhaustive(nl, d, wts, 4, workers=1)
+        parallel = sweep.graev_agree_exhaustive(nl, d, wts, 4, workers=2)
+        assert serial == parallel
+
+    def test_worker_count_is_clamped(self, monkeypatch):
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 4)
+        assert sweep.clamp_workers(10 ** 6, 8) == 4
+        assert sweep.clamp_workers(10 ** 6, 2) == 2
+        assert sweep.clamp_workers(3, 8) == 3
+        assert sweep.clamp_workers(0, 8) == 1
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: None)
+        assert sweep.clamp_workers(10 ** 6, 8) == 1
+
+    def test_complete_states_are_the_pairings(self, xy_alphabet):
+        # one complete state per pairing, carrying that pairing's Graev sum
+        nl, d, wts = 2, xy_alphabet.flat(), list(xy_alphabet.weights)
+        stack = [()]
+        while stack:
+            w = stack.pop()
+            states = [(None, 0, 0)]
+            for pos, (letter, sign) in enumerate(w):
+                states = _fallback.graev_pairing_step(
+                    states, letter, sign, len(w) - pos - 1, nl, d, wts)
+            got = sorted(cost for top, _, cost in states if top is None)
+            want = sorted(graev_sum(w, p, xy_alphabet) for p in enumerate_pairings(w))
+            assert got == want
+            if len(w) < 6:
+                for letter in range(2):
+                    for sign in (1, -1):
+                        stack.append(w + ((letter, sign),))
 
 
 class TestSeminormLaws:

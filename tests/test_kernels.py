@@ -108,11 +108,3 @@ def test_prefix_partition_is_exact():
                                                 [letter], [sign])[0]
     assert parts == total[0]
 
-
-def test_parallel_sweep_matches_serial():
-    from urygrid import sweep
-    rng = random.Random(7)
-    nl, d, wts, _, _ = random_word_inputs(rng, max_len=0)
-    serial = sweep.graev_agree_exhaustive(nl, d, wts, 4, workers=1)
-    parallel = sweep.graev_agree_exhaustive(nl, d, wts, 4, workers=2)
-    assert serial == parallel
