@@ -6,22 +6,38 @@ Set URYGRID_PURE=1 to force the fallback even when the extension is built.
 
 import os
 
+from ..errors import ValidationError
+
 if os.environ.get("URYGRID_PURE") == "1":
     from ._fallback import (BACKEND, INF, floyd_warshall_capped,
-                            graev_agree_exhaustive, graev_norm_bruteforce,
-                            graev_norm_dp, is_bikatetov, iter_pairings,
-                            minplus_product)
+                            graev_agree_exhaustive as _agree_exhaustive,
+                            graev_norm_bruteforce, graev_norm_dp,
+                            is_bikatetov, iter_pairings, minplus_product)
 else:
     try:
         from ._ext import (BACKEND, INF, floyd_warshall_capped,
-                           graev_agree_exhaustive, graev_norm_bruteforce,
-                           graev_norm_dp, is_bikatetov, minplus_product)
+                           graev_agree_exhaustive as _agree_exhaustive,
+                           graev_norm_bruteforce, graev_norm_dp, is_bikatetov, minplus_product)
         from ._fallback import iter_pairings
     except ImportError:
         from ._fallback import (BACKEND, INF, floyd_warshall_capped,
-                                graev_agree_exhaustive, graev_norm_bruteforce,
-                                graev_norm_dp, is_bikatetov, iter_pairings,
-                                minplus_product)
+                                graev_agree_exhaustive as _agree_exhaustive,
+                                graev_norm_bruteforce, graev_norm_dp,
+                                is_bikatetov, iter_pairings, minplus_product)
+
+
+def graev_agree_exhaustive(nl, dist, weights, max_len, prefix_letters=(), prefix_signs=()):
+    """The live backend's exhaustive sweep, after checking the prefix: both
+    backends assume parallel prefix lists no longer than max_len (the
+    compiled one sizes its buffers for max_len symbols)."""
+    if len(prefix_letters) != len(prefix_signs):
+        raise ValidationError(f"prefix has {len(prefix_letters)} letters "
+                              f"but {len(prefix_signs)} signs")
+    if len(prefix_letters) > max_len:
+        raise ValidationError(f"prefix of {len(prefix_letters)} symbols is longer "
+                              f"than max_len {max_len}")
+    return _agree_exhaustive(nl, dist, weights, max_len, prefix_letters, prefix_signs)
+
 
 __all__ = [
     "BACKEND",

@@ -37,7 +37,7 @@ class BiKatetovMatrix:
             raise ValidationError(f"matrix is not {n}x{n}")
         for row in self.entries:
             for e in row:
-                if not isinstance(e, int) or not 0 <= e <= q:
+                if not isinstance(e, int) or isinstance(e, bool) or not 0 <= e <= q:
                     raise ValidationError(f"entry {e!r} is not an integer in [0, {q}]")
         if not _kernels.is_bikatetov(n, [e for r in self.entries for e in r],
                                      self.space.flat(), q):
@@ -125,7 +125,8 @@ def characterization_check(space: FiniteMetricSpace, entries) -> bool:
     n = space.n
     q = space.denominator
     flat = [e for r in entries for e in r]
-    if len(flat) != n * n or any(not isinstance(e, int) or not 0 <= e <= q for e in flat):
+    if len(flat) != n * n or any(not isinstance(e, int) or isinstance(e, bool)
+                                 or not 0 <= e <= q for e in flat):
         raise ValidationError("matrix entries must be integers in [0, q]")
     d = space.flat()
     k = _kernels

@@ -2,8 +2,9 @@
 
 Every numeric output is an exact fraction numerator/denominator. Exit codes:
 0 success, 1 input validation failure, 2 guard refusal, 3 internal
-invariant breach. ``--json`` switches to canonical machine-readable output;
-identical inputs then produce byte-identical bytes.
+invariant breach or any other unexpected exception. ``--json`` switches to
+canonical machine-readable output; identical inputs then produce
+byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -50,9 +51,9 @@ def _matrix_out(args, m, label="matrix"):
 
 
 def cmd_validate(args):
-    obj = fileio.load_json(args.space)
-    report = validate_space(obj.get("points", ()), obj.get("denominator", 0),
-                            obj.get("dist", ()), bool(obj.get("pseudo", False)))
+    obj = fileio.require_object(fileio.load_json(args.space), "space", fileio.SPACE_KEYS)
+    report = validate_space(obj["points"], obj["denominator"], obj["dist"],
+                            bool(obj.get("pseudo", False)))
     machine = {"valid": report.ok,
                "problems": [{"kind": v.kind, "message": v.message} for v in report.problems]}
     human = ["valid"] if report.ok else [f"{v.kind}: {v.message}" for v in report.problems]
@@ -292,10 +293,8 @@ def cmd_relations(args):
                  for m in carrier.members])
         return 0
     if args.action == "h":
-        obj = fileio.load_json(args.input)
-        space = fileio.space_from_obj(obj["space"])
+        space, r = fileio.load_index_relation(args.input)
         carrier = rel.enumerate_carrier(space)
-        r = frozenset((int(a), int(b)) for a, b in obj["pairs"])
         entries = rel.matrix_of_relation(carrier, r)
         q = space.denominator
         _emit(args, {"entries": [list(row) for row in entries]},
@@ -421,6 +420,10 @@ def main(argv=None) -> int:
     except UrygridError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except Exception as e:
+        # anything else is a bug, not bad input: one line, exit 3
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
     return code
 
 

@@ -34,6 +34,45 @@ def load_json(path: str):
         raise ValidationError(f"{path}: not valid JSON ({e})") from None
 
 
+def _strings(v) -> bool:
+    return all(isinstance(x, str) for x in v)
+
+
+# list-valued fields every reader iterates, with what each item must be
+_LIST_FIELDS = {
+    "points": ("a list of strings", _strings),
+    "support": ("a list of strings", _strings),
+    "dist": ("a list of lists", lambda v: all(isinstance(r, list) for r in v)),
+    "entries": ("a list of lists", lambda v: all(isinstance(r, list) for r in v)),
+    "pairs": ("a list of pairs of names or indices",
+              lambda v: all(isinstance(p, list) and len(p) == 2
+                            and all(isinstance(x, (str, int)) for x in p) for p in v)),
+    "values": ("a list", lambda v: True),
+    "weights": ("a list", lambda v: True),
+    "relations": ("a list", lambda v: True),
+}
+
+SPACE_KEYS = ("points", "denominator", "dist")
+
+
+def require_object(obj, kind: str, keys=()) -> dict:
+    """``obj`` if it is a JSON object holding every key in ``keys`` whose
+    list fields have the shapes the readers rely on (``"points"`` a list
+    of strings, matrices lists of rows, ...); a ValidationError naming
+    ``kind`` otherwise."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{kind} must be a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise ValidationError(f"{kind} object lacks {key!r}")
+    for key, value in obj.items():
+        if key in _LIST_FIELDS:
+            what, items_ok = _LIST_FIELDS[key]
+            if not isinstance(value, list) or not items_ok(value):
+                raise ValidationError(f"{kind} field {key!r} must be {what}")
+    return obj
+
+
 def _resolve(obj, base_dir: str):
     """A reference is either an inline object or a path string relative to
     the referring file."""
@@ -43,11 +82,7 @@ def _resolve(obj, base_dir: str):
 
 
 def space_from_obj(obj) -> FiniteMetricSpace:
-    if not isinstance(obj, dict):
-        raise ValidationError("space must be a JSON object")
-    for key in ("points", "denominator", "dist"):
-        if key not in obj:
-            raise ValidationError(f"space object lacks {key!r}")
+    require_object(obj, "space", SPACE_KEYS)
     return FiniteMetricSpace(tuple(obj["points"]), obj["denominator"],
                              tuple(tuple(r) for r in obj["dist"]),
                              bool(obj.get("pseudo", False)))
@@ -70,28 +105,19 @@ def load_space_ref(obj, base_dir: str) -> FiniteMetricSpace:
 
 
 def load_partial(path: str) -> PartialSpec:
-    obj = load_json(path)
-    for key in ("points", "denominator", "entries"):
-        if key not in obj:
-            raise ValidationError(f"partial space object lacks {key!r}")
+    obj = require_object(load_json(path), "partial space", ("points", "denominator", "entries"))
     return PartialSpec(tuple(obj["points"]), obj["denominator"],
                        tuple(tuple(r) for r in obj["entries"]))
 
 
 def load_katetov(path: str) -> KatetovFunction:
-    obj = load_json(path)
-    for key in ("space", "support", "values"):
-        if key not in obj:
-            raise ValidationError(f"katetov function object lacks {key!r}")
+    obj = require_object(load_json(path), "katetov function", ("space", "support", "values"))
     space = load_space_ref(obj["space"], os.path.dirname(path) or ".")
     return KatetovFunction(space, tuple(obj["support"]), tuple(obj["values"]))
 
 
 def load_matrix(path: str) -> BiKatetovMatrix:
-    obj = load_json(path)
-    for key in ("space", "entries"):
-        if key not in obj:
-            raise ValidationError(f"matrix object lacks {key!r}")
+    obj = require_object(load_json(path), "matrix", ("space", "entries"))
     space = load_space_ref(obj["space"], os.path.dirname(path) or ".")
     return BiKatetovMatrix(space, tuple(tuple(r) for r in obj["entries"]))
 
@@ -103,10 +129,7 @@ def matrix_to_obj(m: BiKatetovMatrix) -> dict:
 def load_alphabet_word(path: str):
     """Word file: {"alphabet": <space ref>, "weights": [...], "word": "..."}
     or the two-word variant with "u" and "v" instead of "word"."""
-    obj = load_json(path)
-    for key in ("alphabet", "weights"):
-        if key not in obj:
-            raise ValidationError(f"word object lacks {key!r}")
+    obj = require_object(load_json(path), "word", ("alphabet", "weights"))
     space = load_space_ref(obj["alphabet"], os.path.dirname(path) or ".")
     alphabet = WeightedAlphabet.from_space(space, tuple(obj["weights"]))
     words: dict[str, Word] = {}
@@ -123,36 +146,44 @@ def load_alphabet_word(path: str):
 def load_relations(path: str):
     """Relation stock file: {"space": <ref>, "relations": [{"name": ...,
     "pairs": [[a, b], ...]}, ...]} plus optional "word"."""
-    obj = load_json(path)
-    for key in ("space", "relations"):
-        if key not in obj:
-            raise ValidationError(f"relation object lacks {key!r}")
+    obj = require_object(load_json(path), "relation", ("space", "relations"))
     space = load_space_ref(obj["space"], os.path.dirname(path) or ".")
     names: list[str] = []
     rels: list[PartialIsometryRelation] = []
     for i, r in enumerate(obj["relations"]):
-        names.append(r.get("name", f"r{i}"))
+        require_object(r, "relation", ("pairs",))
+        name = r.get("name", f"r{i}")
+        if not isinstance(name, str):
+            raise ValidationError(f"relation name {name!r} is not a string")
+        names.append(name)
         rels.append(PartialIsometryRelation(
             space, tuple((a, b) for a, b in r["pairs"])))
     if len(set(names)) != len(names):
         raise ValidationError("duplicate relation names")
     word_text = obj.get("word")
+    if word_text is not None and not isinstance(word_text, str):
+        raise ValidationError("relation field 'word' must be a string")
     return space, names, rels, word_text
 
 
 def load_single_relation(path: str) -> PartialIsometryRelation:
-    obj = load_json(path)
-    for key in ("space", "pairs"):
-        if key not in obj:
-            raise ValidationError(f"relation object lacks {key!r}")
+    obj = require_object(load_json(path), "relation", ("space", "pairs"))
     space = load_space_ref(obj["space"], os.path.dirname(path) or ".")
     return PartialIsometryRelation(space, tuple((a, b) for a, b in obj["pairs"]))
 
 
+def load_index_relation(path: str):
+    """Relation on a carrier: {"space": <inline space>, "pairs": [[i, j],
+    ...]} with non-negative integer indices into the carrier's members."""
+    obj = require_object(load_json(path), "relation", ("space", "pairs"))
+    space = space_from_obj(obj["space"])
+    for pair in obj["pairs"]:
+        if any(isinstance(i, bool) or not isinstance(i, int) or i < 0 for i in pair):
+            raise ValidationError(f"pair {pair!r} is not two non-negative integers")
+    return space, frozenset((a, b) for a, b in obj["pairs"])
+
+
 def load_instance(path: str) -> EnumeratedPair:
-    obj = load_json(path)
-    for key in ("X", "Y"):
-        if key not in obj:
-            raise ValidationError(f"instance object lacks {key!r}")
+    obj = require_object(load_json(path), "instance", ("X", "Y"))
     base = os.path.dirname(path) or "."
     return EnumeratedPair(load_space_ref(obj["X"], base), load_space_ref(obj["Y"], base))

@@ -277,11 +277,25 @@ class ApproximantResult:
     strategy: str
 
 
-def _circulant_rows(n: int, colors):
-    # d(i, j) depends only on the cyclic gap j - i, so row i is row 0
-    # rotated right by i
+def _circulant_template(n: int, q: int, colors):
+    """The space on v0..v{n-1} with d(i, j) = colors[g - 1] at cyclic gap
+    g = min(|i - j|, n - |i - j|), or None when that breaks the triangle
+    inequality.
+
+    Colors lie in [1, q], so range, diagonal, symmetry and identity hold by
+    construction. d(i, j) depends only on j - i mod n, so rotating any triple
+    (x, y, z) by -x turns d(x, y) <= d(x, z) + d(z, y) into
+    d(0, a) <= d(0, b) + d(b, a) with a = y - x, b = z - x: checking that
+    over all pairs a, b is the full triangle check, in O(n^2)."""
     row0 = [0] + [colors[min(gap, n - gap) - 1] for gap in range(1, n)]
-    return tuple(tuple(row0[n - i:] + row0[:n - i]) for i in range(n))
+    for a in range(1, n):
+        d0a = row0[a]
+        for b in range(1, n):
+            if d0a > row0[b] + row0[(a - b) % n]:
+                return None
+    # row i is row 0 rotated right by i
+    rows = tuple(tuple(row0[n - i:] + row0[:n - i]) for i in range(n))
+    return FiniteMetricSpace._trusted(tuple(f"v{i}" for i in range(n)), q, rows, False)
 
 
 def _embed_seed(seed: FiniteMetricSpace, target: FiniteMetricSpace):
@@ -311,8 +325,11 @@ def find_transitive_template(seed: FiniteMetricSpace, max_subset: int, q: int,
     closed under small profiles and contains the seed isometrically.
 
     Such a space is vertex-transitive by construction, so every single point
-    maps onto every other by a global isometry. Returns (template, embedded
-    seed indices) or None when the bounded search finds nothing."""
+    maps onto every other by a global isometry. A candidate is kept only if
+    its triangles hold, which the rotation argument of _circulant_template
+    decides in O(n^2) comparisons, stopping at the first failure; only then
+    is it built and asked for closure and for the seed. Returns (template,
+    embedded seed indices) or None when the bounded search finds nothing."""
     from itertools import product as iproduct
 
     _require_subset(max_subset)
@@ -331,10 +348,8 @@ def find_transitive_template(seed: FiniteMetricSpace, max_subset: int, q: int,
             # value among the gap colors once n is big enough to matter
             if set(range(1, q + 1)) - set(colors):
                 continue
-            try:
-                template = FiniteMetricSpace(
-                    tuple(f"v{i}" for i in range(n)), q, _circulant_rows(n, colors))
-            except ValidationError:
+            template = _circulant_template(n, q, colors)
+            if template is None:
                 continue
             # stops at the first missing profile; equals injectivity_check().ok
             if _ProfileFrontier(template, max_subset).first() is not None:

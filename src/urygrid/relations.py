@@ -114,6 +114,8 @@ def matrix_of_relation(carrier: GridFunctionSpace, r: Relation) -> tuple[tuple[i
         raise ValidationError("the empty relation has no matrix")
     n = carrier.space.n
     members = carrier.members
+    if any(not 0 <= i < len(members) for pair in r for i in pair):
+        raise ValidationError(f"relation indices must lie in [0, {len(members)})")
     out = [[0] * n for _ in range(n)]
     for (pi, qi) in r:
         p, q_ = members[pi], members[qi]

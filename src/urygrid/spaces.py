@@ -122,10 +122,21 @@ class FiniteMetricSpace:
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
         object.__setattr__(self, "dist", tuple(tuple(row) for row in self.dist))
-        report = validate_space(self.points, self.denominator, self.dist, self.pseudo)
-        if not report.ok:
-            raise ValidationError(f"invalid space: {report}", report)
+        _raise_unless_ok(validate_space(self.points, self.denominator, self.dist, self.pseudo))
         object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.points)})
+
+    @classmethod
+    def _trusted(cls, points: tuple, denominator: int, dist: tuple,
+                 pseudo: bool) -> "FiniteMetricSpace":
+        """A space from tuple-normalized parts that one of the exact checks
+        (with_point's new-row check, the circulant rotation check in
+        katetov) has already passed; skips revalidation."""
+        space = object.__new__(cls)
+        for key, value in (("points", points), ("denominator", denominator),
+                           ("dist", dist), ("pseudo", pseudo),
+                           ("_index", {p: i for i, p in enumerate(points)})):
+            object.__setattr__(space, key, value)
+        return space
 
     @property
     def n(self) -> int:
@@ -165,15 +176,82 @@ class FiniteMetricSpace:
             tuple(tuple(self.dist[i][j] for j in idx) for i in idx), self.pseudo)
 
     def with_point(self, name: str, row, pseudo: bool | None = None) -> "FiniteMetricSpace":
-        """Extension by one point whose distances to the old points are ``row``."""
+        """Extension by one point whose distances to the old points are ``row``.
+
+        Only what the new point can break is checked: its n entries (range),
+        their zeros (identity, in a metric) and the three triangles through
+        it for every pair of old points, O(n^2) in all. The report, and so
+        the ValidationError message, is the one validate_space gives on the
+        grown matrix. A row of the wrong length, or a pseudometric turned
+        into a metric (old zeros become violations), takes the full check.
+        """
         if name in self._index:
             raise ValidationError(f"point name {name!r} already used")
         row = tuple(row)
-        new_rows = tuple(old + (row[i],) for i, old in enumerate(self.dist))
-        new_rows += (row + (0,),)
         if pseudo is None:
             pseudo = self.pseudo
-        return FiniteMetricSpace(self.points + (name,), self.denominator, new_rows, pseudo)
+        points = self.points + (name,)
+        new_rows = tuple(old + row[i:i + 1] for i, old in enumerate(self.dist))
+        new_rows += (row + (0,),)
+        if len(row) != self.n or (self.pseudo and not pseudo):
+            return FiniteMetricSpace(points, self.denominator, new_rows, pseudo)
+        _raise_unless_ok(_new_row_report(self, name, row, pseudo))
+        return FiniteMetricSpace._trusted(points, self.denominator, new_rows, pseudo)
+
+
+def _raise_unless_ok(report: ValidationReport):
+    if not report.ok:
+        raise ValidationError(f"invalid space: {report}", report)
+
+
+def _new_row_report(space: FiniteMetricSpace, name: str, row: tuple,
+                    pseudo: bool) -> ValidationReport:
+    """validate_space on ``space`` grown by ``name`` at distances ``row``.
+
+    ``space`` is valid, ``row`` has one entry per old point, and ``pseudo``
+    allows every zero ``space`` has, so only entries and triples with the
+    new point (index n, the largest) can fail. They are reported as the
+    full scan reports them: every range problem (entries (i, n), then
+    (n, i)) and nothing else, or the identity problems (i, n) followed by
+    the triangle problems of the triples (i, j, n) in order."""
+    points = space.points
+    n = space.n
+    q = space.denominator
+    bad = [i for i, e in enumerate(row)
+           if not isinstance(e, int) or isinstance(e, bool) or not 0 <= e <= q]
+    if bad:
+        grown = points + (name,)
+
+        def off_grid(a, b, e):
+            return Violation(
+                "range", f"entry ({grown[a]},{grown[b]}) = {e!r} is not an integer in [0, {q}]",
+                (a, b))
+
+        return ValidationReport(tuple([off_grid(i, n, row[i]) for i in bad]
+                                      + [off_grid(n, i, row[i]) for i in bad]))
+    problems: list[Violation] = []
+    if not pseudo:
+        problems += [Violation(
+            "identity", f"distinct points {points[i]}, {name} at distance 0 in a metric space",
+            (i, n)) for i, e in enumerate(row) if e == 0]
+    dist = space.dist
+    for i in range(n):
+        di, ri = dist[i], row[i]
+        for j in range(i + 1, n):
+            dij, rj = di[j], row[j]
+            if dij > ri + rj:
+                problems.append(Violation(
+                    "triangle", f"d({points[i]},{points[j]}) = {dij} > {ri} + {rj} via {name}",
+                    (i, j, n)))
+            if ri > dij + rj:
+                problems.append(Violation(
+                    "triangle", f"d({points[i]},{name}) = {ri} > {dij} + {rj} via {points[j]}",
+                    (i, n, j)))
+            if rj > dij + ri:
+                problems.append(Violation(
+                    "triangle", f"d({points[j]},{name}) = {rj} > {dij} + {ri} via {points[i]}",
+                    (j, n, i)))
+    return ValidationReport(tuple(problems))
 
 
 def common_grid(x: FiniteMetricSpace, y: FiniteMetricSpace):
@@ -200,6 +278,9 @@ class PartialSpec:
         n = len(self.points)
         if len(set(self.points)) != n or n == 0:
             raise ValidationError("points must be nonempty and unique")
+        q = self.denominator
+        if not isinstance(q, int) or isinstance(q, bool) or q < 1:
+            raise ValidationError(f"denominator must be a positive integer, got {q!r}")
         if len(self.entries) != n or any(len(r) != n for r in self.entries):
             raise ValidationError(f"entry matrix is not {n}x{n}")
         for i in range(n):
@@ -209,10 +290,10 @@ class PartialSpec:
                 e = self.entries[i][j]
                 if e is None:
                     continue
-                if not isinstance(e, int) or not 0 <= e <= self.denominator:
+                if not isinstance(e, int) or isinstance(e, bool) or not 0 <= e <= q:
                     raise ValidationError(
                         f"entry ({self.points[i]},{self.points[j]}) = {e!r} "
-                        f"is not an integer in [0, {self.denominator}]")
+                        f"is not an integer in [0, {q}]")
                 if self.entries[j][i] is not None and self.entries[j][i] != e:
                     raise ValidationError(
                         f"asymmetric specification at ({self.points[i]},{self.points[j]})")

@@ -22,6 +22,13 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             BiKatetovMatrix(two_point_q4, ((0, 0), (0, 0)))
 
+    def test_rejects_bool_entries(self, two_point_q2):
+        # True == 1, so the metric with one True entry would pass as bi-Katetov
+        with pytest.raises(ValidationError, match="True"):
+            BiKatetovMatrix(two_point_q2, ((0, True), (1, 0)))
+        with pytest.raises(ValidationError):
+            characterization_check(two_point_q2, ((0, True), (1, 0)))
+
     def test_random_sampler_is_exact(self):
         rng = random.Random(1)
         for _ in range(100):

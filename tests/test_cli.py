@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from urygrid import cli
 from urygrid.cli import main
 
 
@@ -64,6 +65,14 @@ class TestComplete:
         code, out, _ = run(capsys, "--json", "complete", str(p))
         assert code == 0
         assert json.loads(out)["dist"][0][2] == 2
+
+    def test_bool_entry_exits_one(self, capsys, tmp_path):
+        p = tmp_path / "partial.json"
+        p.write_text(json.dumps({"points": ["a", "b"], "denominator": 2,
+                                 "entries": [[0, True], [True, 0]]}))
+        code, out, err = run(capsys, "complete", str(p))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and "True" in err
 
 
 class TestAmalgam:
@@ -152,6 +161,14 @@ class TestTheta:
         code, out, _ = run(capsys, "--json", "theta", "classify", space_file)
         assert code == 0
         assert json.loads(out)["count"] == 4
+
+    def test_bool_entry_exits_one(self, capsys, tmp_path, space_file):
+        m = tmp_path / "m.json"
+        m.write_text(json.dumps({"space": "space.json",
+                                 "entries": [[0, 2], [True, 0]]}))
+        code, out, err = run(capsys, "theta", "star", str(m))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and "True" in err
 
     def test_invert_metric(self, capsys, tmp_path, space_file):
         m = tmp_path / "m.json"
@@ -259,6 +276,35 @@ class TestApproximant:
             assert len(err.splitlines()) == 1
 
 
+class TestFileShape:
+    SPACE = {"points": ["a", "b"], "denominator": 2, "dist": [[0, 1], [1, 0]]}
+
+    @pytest.mark.parametrize("command, content", [
+        (("validate",), [1, 2]),
+        (("relations", "h"), [1, 2]),
+        (("homog", "phi"), {"space": SPACE, "relations": [{"name": "s"}], "word": "s"}),
+        (("isogroup",), dict(SPACE, points="ab")),
+        (("homog", "phi"), {"space": SPACE, "relations": [{"pairs": [["a", "b"]]}],
+                            "word": 5}),
+        (("homog", "phi"), {"space": SPACE, "relations": [{"pairs": [["a", ["b"]]]}],
+                            "word": "r0"}),
+    ], ids=["validate-array", "relations-h-array", "homog-no-pairs", "points-string",
+            "homog-word-number", "homog-pair-list"])
+    def test_malformed_file_exits_one(self, capsys, tmp_path, command, content):
+        p = tmp_path / "in.json"
+        p.write_text(json.dumps(content))
+        code, out, err = run(capsys, *command, str(p))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_relation_index_out_of_range_exits_one(self, capsys, tmp_path):
+        p = tmp_path / "h.json"
+        p.write_text(json.dumps({"space": self.SPACE, "pairs": [[0, 99]]}))
+        code, out, err = run(capsys, "relations", "h", str(p))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+
+
 class TestErrorChannels:
     def test_unknown_flag_rejected(self, capsys, space_file):
         code = main(["validate", space_file, "--frobnicate"])
@@ -272,6 +318,15 @@ class TestErrorChannels:
         p.write_text(json.dumps(fileio.space_to_obj(big)))
         code = main(["isogroup", str(p)])
         assert code == 2
+
+    def test_unexpected_exception_exits_three(self, capsys, monkeypatch, space_file):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_validate", broken)
+        code, out, err = run(capsys, "validate", space_file)
+        assert code == 3 and out == ""
+        assert err == "internal error: RuntimeError: boom\n"
 
     def test_json_output_is_deterministic(self, capsys, word_file):
         _, out1, _ = run(capsys, "--json", "graev", "norm", word_file)

@@ -1,9 +1,14 @@
+import importlib.util
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import urygrid
 from urygrid import sweep
 from urygrid._kernels import _fallback
 from urygrid.errors import GuardError, ValidationError
@@ -169,7 +174,39 @@ def words_checked(nl, max_len):
     return sum((2 * nl) ** k for k in range(max_len + 1))
 
 
+# calls the live sweep with a prefix longer than max_len, then with letters
+# and signs of different lengths, and prints what each raises
+BAD_PREFIX_CALLS = """
+from urygrid import _kernels
+from urygrid.errors import ValidationError
+for prefix in (([0, 1, 0], [1, -1, -1]), ([0, 1], [1])):
+    try:
+        _kernels.graev_agree_exhaustive(2, [0, 3, 3, 0], [2, 4], 1, *prefix)
+    except ValidationError as e:
+        print(_kernels.BACKEND, e)
+"""
+
+
 class TestSweep:
+    # a child interpreter, so an unguarded compiled sweep writing past its
+    # buffers cannot take the test session down with it
+    @pytest.mark.parametrize("backend", ["python", "compiled"])
+    def test_bad_prefix_is_a_validation_error(self, backend):
+        env = dict(os.environ)
+        env.pop("URYGRID_PURE", None)
+        if backend == "python":
+            env["URYGRID_PURE"] = "1"
+        elif importlib.util.find_spec("urygrid._kernels._ext") is None:
+            pytest.skip("compiled extension not built")
+        src = os.path.dirname(os.path.dirname(urygrid.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        child = subprocess.run([sys.executable, "-c", BAD_PREFIX_CALLS], env=env,
+                               capture_output=True, text=True, timeout=60)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.splitlines() == [
+            f"{backend} prefix of 3 symbols is longer than max_len 1",
+            f"{backend} prefix has 2 letters but 1 signs"]
+
     def test_pure_sweep_checks_every_word(self):
         rng = random.Random(5)
         for _ in range(5):

@@ -1,13 +1,14 @@
 import hashlib
 import json
 import random
+from itertools import product
 
 import pytest
 
 from urygrid.cli import main
 from urygrid.errors import GuardError, ValidationError
-from urygrid.katetov import (KatetovFunction, _ProfileFrontier,
-                             build_approximant, homogeneity_check,
+from urygrid.katetov import (KatetovFunction, _circulant_template,
+                             _ProfileFrontier, build_approximant, homogeneity_check,
                              injectivity_check, is_katetov, iso_group,
                              katetov_extension, katetov_witness,
                              point_function, realize_one_point, sup_distance)
@@ -241,6 +242,26 @@ class TestProfileFrontier:
                     # the next point is the one the builder added for the pick
                     idx, values = pick
                     assert tuple(built.dist[m][i] for i in idx) == values
+
+
+class TestCirculantTemplate:
+    def test_rotation_check_matches_full_scan(self):
+        # every candidate the template search can meet for n <= 12, q <= 3
+        outcomes = set()
+        for q in range(1, 4):
+            for n in range(1, 13):
+                points = tuple(f"v{i}" for i in range(n))
+                for colors in product(range(1, q + 1), repeat=n // 2):
+                    rows = [[colors[min((j - i) % n, (i - j) % n) - 1] if i != j else 0
+                             for j in range(n)] for i in range(n)]
+                    template = _circulant_template(n, q, colors)
+                    ok = validate_space(points, q, rows).ok
+                    assert (template is not None) == ok
+                    if ok:
+                        assert template == FiniteMetricSpace(points, q, rows)
+                        assert template.index(points[-1]) == n - 1
+                    outcomes.add(ok)
+        assert outcomes == {True, False}
 
 
 class TestBuildApproximant:

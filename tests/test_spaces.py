@@ -3,7 +3,7 @@ import random
 import pytest
 
 from urygrid.errors import ValidationError
-from urygrid.spaces import (FiniteMetricSpace, PartialSpec, amalgam,
+from urygrid.spaces import (FiniteMetricSpace, PartialSpec, Violation, amalgam,
                             quotient_pseudometric, random_grid_space,
                             shortest_path_completion, validate_space)
 
@@ -62,6 +62,17 @@ class TestCompletion:
                            ((0, 3, None), (3, 0, 3), (None, 3, 0)))
         out = shortest_path_completion(spec)
         assert out.distance("a", "c") == 4
+
+    @pytest.mark.parametrize("entries", [
+        ((0, True), (True, 0)), ((0, 1.5), (1.5, 0)), ((0, None), (5, 0))])
+    def test_off_grid_entry_is_rejected(self, entries):
+        with pytest.raises(ValidationError, match="not an integer"):
+            PartialSpec(("a", "b"), 2, entries)
+
+    @pytest.mark.parametrize("q", [0, True, "2", 1.0])
+    def test_denominator_must_be_a_positive_integer(self, q):
+        with pytest.raises(ValidationError, match="denominator"):
+            PartialSpec(("a", "b"), q, ((0, None), (None, 0)))
 
     def test_disconnected_names_unreachable_pair(self):
         spec = PartialSpec(("a", "b"), 4, ((0, None), (None, 0)))
@@ -226,3 +237,78 @@ class TestRandomGridSpace:
         for seed in range(40):
             space = random_grid_space(6, 11, seed)
             assert validate_space(space.points, 11, space.dist).ok
+
+
+def grown_matrix(space, row):
+    return ([list(old) + [row[i]] for i, old in enumerate(space.dist)]
+            + [list(row) + [0]])
+
+
+def assert_with_point_matches_full_scan(space, row, pseudo):
+    """with_point succeeds exactly when validate_space passes the grown
+    matrix, and otherwise raises with that report and its message."""
+    grown = grown_matrix(space, row)
+    points = space.points + ("new",)
+    effective = space.pseudo if pseudo is None else pseudo
+    expected = validate_space(points, space.denominator, grown, effective)
+    try:
+        out = space.with_point("new", row, pseudo)
+    except ValidationError as e:
+        assert e.witness == expected
+        assert str(e) == f"invalid space: {expected}"
+        return expected
+    assert expected.ok
+    assert out == FiniteMetricSpace(points, space.denominator, grown, effective)
+    assert out.index("new") == space.n
+    return expected
+
+
+class TestWithPoint:
+    def test_report_matches_full_scan_on_random_rows(self):
+        rng = random.Random(30)
+        kinds = {}
+        for _ in range(1500):
+            n, q = rng.randint(1, 10), rng.randint(1, 5)
+            # a valid row: the last point of a random (n+1)-point space
+            big = random_grid_space(n + 1, q, rng.randrange(10 ** 6))
+            space = big.restrict(big.points[:n])
+            row = list(big.dist[n][:n])
+            if rng.random() < 0.3:
+                # a pseudometric with a doubled point to grow from
+                space = FiniteMetricSpace(space.points, q, space.dist, pseudo=True)
+                twin = rng.randrange(n)
+                space = space.with_point("twin", space.dist[twin], pseudo=True)
+                row.append(row[twin])
+            for _ in range(rng.choice((0, 1, 1, 2, 3))):
+                i = rng.randrange(len(row))
+                row[i] = rng.choice((
+                    rng.randint(0, q), 0, rng.randint(-2, -1), q + rng.randint(1, 2),
+                    True, False, 1.5, None, "1"))
+            pseudo = rng.choice((None, None, True, False)) if not space.pseudo \
+                else rng.choice((None, True))
+            report = assert_with_point_matches_full_scan(space, row, pseudo)
+            for v in report.problems or (Violation("ok", ""),):
+                kinds[v.kind] = kinds.get(v.kind, 0) + 1
+        # every outcome the incremental check can report was exercised
+        assert {"ok", "range", "identity", "triangle"} <= set(kinds)
+        assert min(kinds.values()) >= 20
+
+    def test_pseudometric_turned_metric_takes_the_full_check(self):
+        space = FiniteMetricSpace(("a", "b", "c"), 4,
+                                  ((0, 0, 2), (0, 0, 2), (2, 2, 0)), pseudo=True)
+        report = assert_with_point_matches_full_scan(space, (1, 1, 1), False)
+        assert [v.witness for v in report.problems] == [(0, 1)]
+        assert report.problems[0].kind == "identity"
+        # without old zeros the tightened space is a metric
+        metric_as_pseudo = FiniteMetricSpace(("a", "b"), 4, ((0, 2), (2, 0)), pseudo=True)
+        assert_with_point_matches_full_scan(metric_as_pseudo, (1, 1), False)
+
+    @pytest.mark.parametrize("row", [(1,), (1, 1, 1)])
+    def test_row_of_wrong_length_is_a_shape_error(self, two_point_q4, row):
+        with pytest.raises(ValidationError) as e:
+            two_point_q4.with_point("c", row)
+        assert {v.kind for v in e.value.witness.problems} == {"shape"}
+
+    def test_used_name_is_rejected(self, two_point_q4):
+        with pytest.raises(ValidationError, match="already used"):
+            two_point_q4.with_point("a", (1, 1))
