@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import _kernels
 from .errors import GuardError, InvariantError, ValidationError
-from .grid import add_capped
+from .grid import add_capped, is_grid_int
 from .katetov import iso_group
 from .spaces import FiniteMetricSpace, PartialSpec, shortest_path_completion
 
@@ -37,7 +37,7 @@ class BiKatetovMatrix:
             raise ValidationError(f"matrix is not {n}x{n}")
         for row in self.entries:
             for e in row:
-                if not isinstance(e, int) or isinstance(e, bool) or not 0 <= e <= q:
+                if not is_grid_int(e, 0, q):
                     raise ValidationError(f"entry {e!r} is not an integer in [0, {q}]")
         if not _kernels.is_bikatetov(n, [e for r in self.entries for e in r],
                                      self.space.flat(), q):
@@ -125,8 +125,7 @@ def characterization_check(space: FiniteMetricSpace, entries) -> bool:
     n = space.n
     q = space.denominator
     flat = [e for r in entries for e in r]
-    if len(flat) != n * n or any(not isinstance(e, int) or isinstance(e, bool)
-                                 or not 0 <= e <= q for e in flat):
+    if len(flat) != n * n or any(not is_grid_int(e, 0, q) for e in flat):
         raise ValidationError("matrix entries must be integers in [0, q]")
     d = space.flat()
     k = _kernels
@@ -259,39 +258,26 @@ def greatest_idempotent(gens) -> BiKatetovMatrix | None:
     return top
 
 
-def classify_idempotents(space: FiniteMetricSpace,
-                         candidate_guard: int = CLASSIFY_CANDIDATE_GUARD):
-    """Exhaustively enumerate the grid idempotents dominating the metric and
-    pair each with the subset it routes through (the zero set of its
-    diagonal). Uses a depth-first sweep over matrix entries pruned by the
-    row/column constraints; the pruning skips infeasible prefixes only, so
-    the enumeration stays exhaustive."""
+def _bikatetov_dfs(space: FiniteMetricSpace, lower, candidate_guard: int):
+    """Every grid bi-Katetov matrix over the space with each entry (r, c) at
+    least lower[r][c], as a tuple of row tuples, in lexicographic entry
+    order. Depth-first over the entries, row by row; a value is skipped
+    only when it already breaks a row or column condition against the
+    entries before it, so the enumeration stays exhaustive."""
     n = space.n
     q = space.denominator
     if (q + 1) ** (n * n) > candidate_guard:
         raise GuardError(
             f"{(q + 1) ** (n * n)} candidate matrices exceed the guard {candidate_guard}")
     dist = space.dist
-    found: list[BiKatetovMatrix] = []
     entries = [[0] * n for _ in range(n)]
 
     def rec(pos: int):
         if pos == n * n:
-            for x in range(n):
-                for y in range(n):
-                    best = q
-                    for z in range(n):
-                        s = entries[x][z] + entries[z][y]
-                        if s > q:
-                            s = q
-                        if s < best:
-                            best = s
-                    if best != entries[x][y]:
-                        return
-            found.append(BiKatetovMatrix(space, tuple(tuple(r) for r in entries)))
+            yield tuple(tuple(r) for r in entries)
             return
         r, c = divmod(pos, n)
-        for v in range(dist[r][c], q + 1):
+        for v in range(lower[r][c], q + 1):
             ok = True
             for c2 in range(c):
                 w = entries[r][c2]
@@ -306,13 +292,27 @@ def classify_idempotents(space: FiniteMetricSpace,
                         break
             if ok:
                 entries[r][c] = v
-                rec(pos + 1)
+                yield from rec(pos + 1)
         entries[r][c] = 0
 
-    rec(0)
+    return rec(0)
+
+
+def classify_idempotents(space: FiniteMetricSpace,
+                         candidate_guard: int = CLASSIFY_CANDIDATE_GUARD):
+    """Exhaustively enumerate the grid idempotents dominating the metric and
+    pair each with the subset it routes through (the zero set of its
+    diagonal). Sweeps the bi-Katetov matrices above the metric
+    (_bikatetov_dfs) and keeps the idempotent ones."""
+    n = space.n
+    q = space.denominator
     out = []
-    for p in found:
-        subset = tuple(space.points[x] for x in range(n) if p.entries[x][x] == 0)
+    for entries in _bikatetov_dfs(space, space.dist, candidate_guard):
+        if any(min(min(entries[x][z] + entries[z][y] for z in range(n)), q)
+               != entries[x][y] for x in range(n) for y in range(n)):
+            continue
+        p = BiKatetovMatrix(space, entries)
+        subset = tuple(space.points[x] for x in range(n) if entries[x][x] == 0)
         if routing_idempotent(space, subset) != p:
             raise InvariantError(
                 f"idempotent does not route through its diagonal zero set {subset}")
@@ -324,42 +324,11 @@ def classify_idempotents(space: FiniteMetricSpace,
 def enumerate_bikatetov(space: FiniteMetricSpace,
                         candidate_guard: int = CLASSIFY_CANDIDATE_GUARD):
     """Exhaustively enumerate every grid bi-Katetov matrix over the space,
-    in lexicographic entry order. Depth-first with prefix pruning on the
-    row/column constraints; only feasible for small spaces and grids."""
-    n = space.n
-    q = space.denominator
-    if (q + 1) ** (n * n) > candidate_guard:
-        raise GuardError(
-            f"{(q + 1) ** (n * n)} candidate matrices exceed the guard {candidate_guard}")
-    dist = space.dist
-    found: list[BiKatetovMatrix] = []
-    entries = [[0] * n for _ in range(n)]
-
-    def rec(pos: int):
-        if pos == n * n:
-            found.append(BiKatetovMatrix(space, tuple(tuple(r) for r in entries)))
-            return
-        r, c = divmod(pos, n)
-        for v in range(q + 1):
-            ok = True
-            for c2 in range(c):
-                w = entries[r][c2]
-                if abs(v - w) > dist[c][c2] or dist[c][c2] > v + w:
-                    ok = False
-                    break
-            if ok:
-                for r2 in range(r):
-                    w = entries[r2][c]
-                    if abs(v - w) > dist[r][r2] or dist[r][r2] > v + w:
-                        ok = False
-                        break
-            if ok:
-                entries[r][c] = v
-                rec(pos + 1)
-        entries[r][c] = 0
-
-    rec(0)
-    return found
+    in lexicographic entry order (_bikatetov_dfs with no lower bound); only
+    feasible for small spaces and grids."""
+    zero = [[0] * space.n for _ in range(space.n)]
+    return [BiKatetovMatrix(space, entries)
+            for entries in _bikatetov_dfs(space, zero, candidate_guard)]
 
 
 def product_via_amalgam(p: BiKatetovMatrix, q_: BiKatetovMatrix) -> BiKatetovMatrix:
@@ -397,32 +366,39 @@ def product_via_amalgam(p: BiKatetovMatrix, q_: BiKatetovMatrix) -> BiKatetovMat
     return BiKatetovMatrix(space, block)
 
 
+def _gibbs(space: FiniteMetricSpace, start, ceiling, rng: random.Random,
+           sweeps: int) -> BiKatetovMatrix:
+    """Gibbs sampler from the bi-Katetov matrix ``start``: each sweep visits
+    the entries row by row and re-draws each one uniformly inside its
+    feasible interval given all the others, capped entrywise by
+    ``ceiling``. Every intermediate matrix is bi-Katetov."""
+    n = space.n
+    dist = space.dist
+    e = [list(r) for r in start]
+    for _ in range(sweeps):
+        for x in range(n):
+            ex, dx, cx = e[x], dist[x], ceiling[x]
+            for y in range(n):
+                dy = dist[y]
+                lo, hi = 0, cx[y]
+                for z in range(n):
+                    if z != y:
+                        d, w = dy[z], ex[z]
+                        lo = max(lo, abs(w - d))
+                        hi = min(hi, w + d)
+                    if z != x:
+                        d, w = dx[z], e[z][y]
+                        lo = max(lo, abs(w - d))
+                        hi = min(hi, w + d)
+                ex[y] = rng.randint(lo, hi)
+    return BiKatetovMatrix(space, tuple(tuple(r) for r in e))
+
+
 def random_bikatetov_below(upper: BiKatetovMatrix, rng: random.Random,
                            sweeps: int = 2) -> BiKatetovMatrix:
     """Random bi-Katetov matrix entrywise at most ``upper``: the same Gibbs
     sweep started at the ceiling and clamped by it."""
-    space = upper.space
-    n = space.n
-    q = space.denominator
-    e = [list(r) for r in upper.entries]
-    for _ in range(sweeps):
-        for x in range(n):
-            for y in range(n):
-                lo, hi = 0, upper.entries[x][y]
-                for z in range(n):
-                    if z != y:
-                        d = space.dist[y][z]
-                        w = e[x][z]
-                        lo = max(lo, w - d, d - w)
-                        hi = min(hi, w + d)
-                    if z != x:
-                        d = space.dist[x][z]
-                        w = e[z][y]
-                        lo = max(lo, w - d, d - w)
-                        hi = min(hi, w + d)
-                hi = min(hi, upper.entries[x][y])
-                e[x][y] = rng.randint(lo, hi)
-    return BiKatetovMatrix(space, tuple(tuple(r) for r in e))
+    return _gibbs(upper.space, upper.entries, upper.entries, rng, sweeps)
 
 
 def random_bikatetov(space: FiniteMetricSpace, rng: random.Random,
@@ -431,23 +407,5 @@ def random_bikatetov(space: FiniteMetricSpace, rng: random.Random,
     inside their feasible interval given all the others, several sweeps.
     Every intermediate matrix is bi-Katetov, so validity is never repaired
     after the fact."""
-    n = space.n
     q = space.denominator
-    e = [list(r) for r in space.dist]
-    for _ in range(sweeps):
-        for x in range(n):
-            for y in range(n):
-                lo, hi = 0, q
-                for z in range(n):
-                    if z != y:
-                        d = space.dist[y][z]
-                        w = e[x][z]
-                        lo = max(lo, w - d, d - w)
-                        hi = min(hi, w + d)
-                    if z != x:
-                        d = space.dist[x][z]
-                        w = e[z][y]
-                        lo = max(lo, w - d, d - w)
-                        hi = min(hi, w + d)
-                e[x][y] = rng.randint(lo, hi)
-    return BiKatetovMatrix(space, tuple(tuple(r) for r in e))
+    return _gibbs(space, space.dist, [[q] * space.n for _ in space.points], rng, sweeps)

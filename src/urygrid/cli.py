@@ -116,7 +116,7 @@ def cmd_katetov(args):
 def cmd_approximant(args):
     if args.action == "build":
         seed = fileio.load_space(args.space)
-        q = args.grid or seed.denominator
+        q = args.grid if args.grid is not None else seed.denominator
         result = build_approximant(seed, args.subset, q, args.cap,
                                    rng_seed=args.seed, strategy=args.strategy)
         machine = fileio.space_to_obj(result.space)

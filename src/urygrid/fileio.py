@@ -15,6 +15,7 @@ from .bikatetov import BiKatetovMatrix
 from .errors import ValidationError
 from .gh import EnumeratedPair
 from .graev import WeightedAlphabet, Word, parse_word
+from .grid import is_grid_int
 from .homog import PartialIsometryRelation
 from .katetov import KatetovFunction
 from .spaces import FiniteMetricSpace, PartialSpec
@@ -178,7 +179,7 @@ def load_index_relation(path: str):
     obj = require_object(load_json(path), "relation", ("space", "pairs"))
     space = space_from_obj(obj["space"])
     for pair in obj["pairs"]:
-        if any(isinstance(i, bool) or not isinstance(i, int) or i < 0 for i in pair):
+        if any(not is_grid_int(i, 0) for i in pair):
             raise ValidationError(f"pair {pair!r} is not two non-negative integers")
     return space, frozenset((a, b) for a, b in obj["pairs"])
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from . import _kernels
 from .errors import GuardError, ValidationError
+from .grid import is_grid_int
 from .spaces import FiniteMetricSpace
 
 PAIRING_ENUMERATION_MAX_LEN = 14
@@ -54,7 +55,7 @@ class WeightedAlphabet:
                 raise ValidationError(f"nonzero self-distance for {self.letters[i]}")
             for j in range(n):
                 e = self.dist[i][j]
-                if isinstance(e, bool) or not isinstance(e, int) or e < 0:
+                if not is_grid_int(e, 0):
                     raise ValidationError(f"distance {e!r} is not a non-negative integer")
                 if self.dist[j][i] != e:
                     raise ValidationError("distance matrix is not symmetric")
@@ -65,7 +66,7 @@ class WeightedAlphabet:
                             f"({self.letters[i]},{self.letters[j]},{self.letters[k]})")
         for i in range(n):
             w = self.weights[i]
-            if isinstance(w, bool) or not isinstance(w, int) or w < 0:
+            if not is_grid_int(w, 0):
                 raise ValidationError(f"weight {w!r} is not a non-negative integer")
         for i in range(n):
             for j in range(n):

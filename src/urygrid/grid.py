@@ -12,6 +12,15 @@ from __future__ import annotations
 from math import gcd
 
 
+def is_grid_int(x, lo: int | None = None, hi: int | None = None) -> bool:
+    """An int that is not a bool (JSON ``true`` loads as one), inside
+    [lo, hi] for whichever of the two bounds is given."""
+    # exact type first: the common case, and it excludes bool on its own
+    if type(x) is int or (isinstance(x, int) and not isinstance(x, bool)):
+        return (lo is None or lo <= x) and (hi is None or x <= hi)
+    return False
+
+
 def add_capped(a: int, b: int, cap: int) -> int:
     """Bounded addition min(a + b, cap), the truncated sum used wherever a
     construction stays inside diameter 1."""

@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import GuardError, InvariantError, ValidationError
-from .grid import add_capped
+from .grid import add_capped, is_grid_int
 from .spaces import FiniteMetricSpace
 
 ISO_GROUP_MAX_POINTS = 10
@@ -45,7 +45,7 @@ class KatetovFunction:
             self.space.index(p)
         q = self.space.denominator
         for p, v in zip(self.support, self.values):
-            if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v <= q:
+            if not is_grid_int(v, 0, q):
                 raise ValidationError(f"value f({p}) = {v!r} is not an integer in [0, {q}]")
 
     @property
@@ -298,25 +298,41 @@ def _circulant_template(n: int, q: int, colors):
     return FiniteMetricSpace._trusted(tuple(f"v{i}" for i in range(n)), q, rows, False)
 
 
+def _isometric_injections(pattern, target):
+    """Every injective index tuple img into range(len(target)) with
+    target[img[i]][img[j]] == pattern[i][j], for symmetric pattern and
+    target, in lexicographic order.
+
+    Backtracks one position at a time: the candidates for position i are
+    the unused targets, narrowed by the distance to each earlier image in
+    turn, so a prefix is abandoned as soon as no candidate is left."""
+    k = len(pattern)
+    image: list[int] = []
+    used = [False] * len(target)
+
+    def rec():
+        i = len(image)
+        if i == k:
+            yield tuple(image)
+            return
+        cands = [c for c, u in enumerate(used) if not u]
+        for j in range(i):
+            tj, pj = target[image[j]], pattern[j][i]
+            cands = [c for c in cands if tj[c] == pj]
+        for c in cands:
+            used[c] = True
+            image.append(c)
+            yield from rec()
+            image.pop()
+            used[c] = False
+
+    return rec()
+
+
 def _embed_seed(seed: FiniteMetricSpace, target: FiniteMetricSpace):
     """Indices of an isometric copy of the seed inside the target, or None."""
-    chosen: list[int] = []
-
-    def rec() -> bool:
-        if len(chosen) == seed.n:
-            return True
-        i = len(chosen)
-        for c in range(target.n):
-            if c in chosen:
-                continue
-            if all(target.dist[chosen[j]][c] == seed.dist[j][i] for j in range(i)):
-                chosen.append(c)
-                if rec():
-                    return True
-                chosen.pop()
-        return False
-
-    return list(chosen) if rec() else None
+    first = next(_isometric_injections(seed.dist, target.dist), None)
+    return None if first is None else list(first)
 
 
 def find_transitive_template(seed: FiniteMetricSpace, max_subset: int, q: int,
@@ -458,28 +474,7 @@ def iso_group(space: FiniteMetricSpace, max_points: int = ISO_GROUP_MAX_POINTS):
     n = space.n
     if n > max_points:
         raise GuardError(f"isometry search refused for {n} > {max_points} points")
-    dist = space.dist
-    perms: list[tuple[int, ...]] = []
-    image: list[int] = []
-    used = [False] * n
-
-    def rec():
-        if len(image) == n:
-            perms.append(tuple(image))
-            return
-        i = len(image)
-        for cand in range(n):
-            if used[cand]:
-                continue
-            if all(dist[i][j] == dist[cand][image[j]] for j in range(i)):
-                used[cand] = True
-                image.append(cand)
-                rec()
-                image.pop()
-                used[cand] = False
-
-    rec()
-    return tuple(perms)
+    return tuple(_isometric_injections(space.dist, space.dist))
 
 
 @dataclass(frozen=True)
@@ -497,39 +492,15 @@ def homogeneity_check(space: FiniteMetricSpace, max_subset: int,
     """Does every isometry between subsets of size <= max_subset extend to a
     global isometry? Reports the partial isometries that do not."""
     group = iso_group(space, max_points=max_points)
-    n = space.n
     dist = space.dist
     bad = []
     checked = 0
-
-    def partial_isometries(size):
-        # ordered domains against ordered images, both backtracked
-        for dom in combinations(range(n), size):
-            image: list[int] = []
-            used = [False] * n
-
-            def rec():
-                nonlocal checked
-                if len(image) == size:
-                    checked += 1
-                    yield tuple(image)
-                    return
-                i = len(image)
-                for cand in range(n):
-                    if used[cand]:
-                        continue
-                    if all(dist[dom[i]][dom[j]] == dist[cand][image[j]] for j in range(i)):
-                        used[cand] = True
-                        image.append(cand)
-                        yield from rec()
-                        image.pop()
-                        used[cand] = False
-
-            for img in rec():
-                yield dom, img
-
     for size in range(1, max_subset + 1):
-        for dom, img in partial_isometries(size):
-            if not any(all(g[a] == b for a, b in zip(dom, img)) for g in group):
-                bad.append(tuple((space.points[a], space.points[b]) for a, b in zip(dom, img)))
+        for dom in combinations(range(space.n), size):
+            pattern = [[dist[a][b] for b in dom] for a in dom]
+            for img in _isometric_injections(pattern, dist):
+                checked += 1
+                if not any(all(g[a] == b for a, b in zip(dom, img)) for g in group):
+                    bad.append(tuple((space.points[a], space.points[b])
+                                     for a, b in zip(dom, img)))
     return HomogeneityReport(checked, tuple(bad))

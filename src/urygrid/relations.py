@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .bikatetov import BiKatetovMatrix
 from .errors import GuardError, ValidationError
+from .homog import compose, invert
 from .katetov import iso_group
 from .spaces import FiniteMetricSpace
 
@@ -89,22 +90,6 @@ Relation = frozenset  # of (member index, member index) pairs
 def action_graph(carrier: GridFunctionSpace, perm) -> Relation:
     """The graph {(f, perm.f)} of the action of an isometry on the carrier."""
     return frozenset((i, act(carrier, perm, i)) for i in range(carrier.size))
-
-
-def compose(r: Relation, s: Relation) -> Relation:
-    """Same convention as relation composition elsewhere: rightmost first."""
-    by_first: dict[int, list[int]] = {}
-    for (z, y) in r:
-        by_first.setdefault(z, []).append(y)
-    out = set()
-    for (x, z) in s:
-        for y in by_first.get(z, ()):
-            out.add((x, y))
-    return frozenset(out)
-
-
-def invert(r: Relation) -> Relation:
-    return frozenset((y, x) for (x, y) in r)
 
 
 def matrix_of_relation(carrier: GridFunctionSpace, r: Relation) -> tuple[tuple[int, ...], ...]:

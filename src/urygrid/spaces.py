@@ -15,7 +15,7 @@ from itertools import combinations
 
 from ._kernels import INF, floyd_warshall_capped
 from .errors import ValidationError
-from .grid import lcm
+from .grid import is_grid_int, lcm
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def validate_space(points, denominator, dist, pseudo: bool = False) -> Validatio
         problems.append(Violation("shape", "space needs at least one point"))
     if len(set(points)) != n:
         problems.append(Violation("shape", "duplicate point names"))
-    if not isinstance(denominator, int) or denominator < 1:
+    if not is_grid_int(denominator, 1):
         problems.append(Violation("shape", f"denominator must be a positive integer, got {denominator!r}"))
         return ValidationReport(tuple(problems))
     rows = list(dist)
@@ -72,7 +72,7 @@ def validate_space(points, denominator, dist, pseudo: bool = False) -> Validatio
     for i in range(n):
         for j in range(n):
             e = rows[i][j]
-            if not isinstance(e, int) or isinstance(e, bool) or not 0 <= e <= denominator:
+            if not is_grid_int(e, 0, denominator):
                 problems.append(Violation(
                     "range",
                     f"entry ({points[i]},{points[j]}) = {e!r} is not an integer in [0, {denominator}]",
@@ -217,8 +217,7 @@ def _new_row_report(space: FiniteMetricSpace, name: str, row: tuple,
     points = space.points
     n = space.n
     q = space.denominator
-    bad = [i for i, e in enumerate(row)
-           if not isinstance(e, int) or isinstance(e, bool) or not 0 <= e <= q]
+    bad = [i for i, e in enumerate(row) if not is_grid_int(e, 0, q)]
     if bad:
         grown = points + (name,)
 
@@ -279,7 +278,7 @@ class PartialSpec:
         if len(set(self.points)) != n or n == 0:
             raise ValidationError("points must be nonempty and unique")
         q = self.denominator
-        if not isinstance(q, int) or isinstance(q, bool) or q < 1:
+        if not is_grid_int(q, 1):
             raise ValidationError(f"denominator must be a positive integer, got {q!r}")
         if len(self.entries) != n or any(len(r) != n for r in self.entries):
             raise ValidationError(f"entry matrix is not {n}x{n}")
@@ -290,7 +289,7 @@ class PartialSpec:
                 e = self.entries[i][j]
                 if e is None:
                     continue
-                if not isinstance(e, int) or isinstance(e, bool) or not 0 <= e <= q:
+                if not is_grid_int(e, 0, q):
                     raise ValidationError(
                         f"entry ({self.points[i]},{self.points[j]}) = {e!r} "
                         f"is not an integer in [0, {q}]")

@@ -1,8 +1,39 @@
+import importlib.util
+import os
+import shutil
+import subprocess
+import sysconfig
+
 import pytest
 
+import urygrid._kernels
 from urygrid.bikatetov import random_bikatetov
 from urygrid.graev import WeightedAlphabet
 from urygrid.spaces import FiniteMetricSpace, random_grid_space
+
+
+KERNELS_DIR = os.path.dirname(urygrid._kernels.__file__)
+
+
+@pytest.fixture(scope="session")
+def compiled_ext(tmp_path_factory):
+    """The committed _ext.c compiled with the system C compiler and loaded
+    under its own name, urygrid._kernels._ext, but left out of sys.modules:
+    the backend the library picked at import stays the live one. Skips only
+    when there is no C compiler or no Python headers."""
+    cc = shutil.which("cc")
+    paths = sysconfig.get_paths()
+    includes = sorted({paths["include"], paths["platinclude"]})
+    if cc is None or not any(os.path.exists(os.path.join(d, "Python.h")) for d in includes):
+        pytest.skip("no C compiler or no Python headers")
+    out = tmp_path_factory.mktemp("ext") / ("_ext" + sysconfig.get_config_var("EXT_SUFFIX"))
+    subprocess.run([cc, "-O2", "-shared", "-fPIC", *(f"-I{d}" for d in includes),
+                    os.path.join(KERNELS_DIR, "_ext.c"), "-o", str(out)],
+                   check=True, capture_output=True)
+    spec = importlib.util.spec_from_file_location("urygrid._kernels._ext", out)
+    ext = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ext)
+    return ext
 
 
 @pytest.fixture

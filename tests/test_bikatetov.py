@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from urygrid.bikatetov import (BiKatetovMatrix, act_left, act_right,
                                inner_aut, invertible_isometry,
                                is_bikatetov_matrix, metric_unit, product,
                                product_via_amalgam, random_bikatetov,
+                               random_bikatetov_below,
                                routing_idempotent, star)
 from urygrid.errors import ValidationError
 from urygrid.katetov import iso_group
@@ -294,7 +296,17 @@ class TestGreatestIdempotent:
             assert top.entries in routings
 
 
+def digest(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+# digests of repr(entries) (and of the subsets, for the classification),
+# recorded when each enumerator and sampler still had its own search
 class TestClassification:
+    COUNT_DIGESTS = {1: "8a153fc352761891df120068bc7775466d273947c99a93d93c4a256b2e0fd172",
+                     2: "b8b57ce1dbc7f941a228ea614f7c6536531ec0ddb25200afd5573d330d4c15a3",
+                     3: "df6f84a9dcf2a35c75b2c76d13697d761fb644af267ec4412bd9faec618cbffb"}
+
     @pytest.mark.parametrize("n,expected", [(1, 2), (2, 4), (3, 8)])
     def test_counts(self, n, expected):
         space = random_grid_space(n, 4, 17)
@@ -302,6 +314,39 @@ class TestClassification:
         assert len(found) == expected
         subsets = {sub for _, sub in found}
         assert len(subsets) == expected
+        assert digest([(m.entries, sub) for m, sub in found]) == self.COUNT_DIGESTS[n]
+
+    # fixture: (digest of enumerate_bikatetov, digest of classify_idempotents)
+    FIXTURE_DIGESTS = {
+        "two_point_q4": ("4d58f6cd76f5965a2696b721331c76170866e6efbe2af76227a9cdbdd89e0f9b",
+                         "bfc2b419e10e404e77474997c0e6f27758b147d513f158eb78d7e4be491f6b4c"),
+        "two_point_q2": ("7c304f37ab340d0d0554f2c7f9b4c0b620ed948d9cc94ed2abfec2a0f656de91",
+                         "d90030a5aa55e8f4563001cff63c178729977228f51041fd866aeb2eb8043681"),
+        "triangle_q2": ("b18f6f9d9b07c5b32843726492c514931e5352de83971196b4c594285ad00aba",
+                        "177e10312d2169ed3d03ce038e261cab237e3a84af47ee35466515a987986cde")}
+
+    @pytest.mark.parametrize("fixture", ["two_point_q4", "two_point_q2", "triangle_q2"])
+    def test_enumerations_are_unchanged(self, request, fixture):
+        space = request.getfixturevalue(fixture)
+        found = (digest([m.entries for m in enumerate_bikatetov(space)]),
+                 digest([(m.entries, sub) for m, sub in classify_idempotents(space)]))
+        assert found == self.FIXTURE_DIGESTS[fixture]
+
+
+def test_seeded_samples_are_unchanged():
+    drawn, below = [], []
+    for n in range(1, 6):
+        for q in (1, 2, 3, 5, 8):
+            for seed in (0, 1, 2):
+                space = random_grid_space(n, q, 1000 * n + 10 * q + seed)
+                rng = random.Random(seed)
+                m = random_bikatetov(space, rng)
+                drawn.append(m.entries)
+                below.append(random_bikatetov_below(m, rng).entries)
+                below.append(random_bikatetov_below(random_bikatetov(space, rng, sweeps=1),
+                                                    rng, sweeps=3).entries)
+    assert digest(drawn) == "8f47b1f06d58e1f1a25911ec701638738d4210ad3547dfbe2008949153a8248f"
+    assert digest(below) == "1ea6adb048f500b64fcf5000951319fc9a73a60cb1b428c0a8582c56cb185659"
 
 
 class TestAmalgamOracle:

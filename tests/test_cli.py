@@ -265,6 +265,15 @@ class TestApproximant:
                            "--subset", "1")
         assert code == 0 and "0 unrealized" in out
 
+    @pytest.mark.parametrize("grid", ["0", "-2"])
+    def test_bad_grid_exits_one(self, capsys, tmp_path, grid):
+        p = tmp_path / "seed.json"
+        p.write_text(json.dumps({"points": ["a"], "denominator": 2, "dist": [[0]]}))
+        code, out, err = run(capsys, "approximant", "build", str(p), "--grid", grid,
+                             "--subset", "1", "--cap", "8")
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and "denominator" in err
+
     def test_subset_zero_exits_one(self, capsys, tmp_path):
         p = tmp_path / "seed.json"
         p.write_text(json.dumps({"points": ["a"], "denominator": 2,

@@ -1,4 +1,3 @@
-import importlib.util
 import os
 import random
 import subprocess
@@ -174,6 +173,15 @@ def words_checked(nl, max_len):
     return sum((2 * nl) ** k for k in range(max_len + 1))
 
 
+# loads the extension the compiled_ext fixture built under its own name
+# before urygrid is imported, so the library picks it as its backend
+LOAD_EXT = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("urygrid._kernels._ext", sys.argv[1])
+sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(sys.modules[spec.name])
+"""
+
 # calls the live sweep with a prefix longer than max_len, then with letters
 # and signs of different lengths, and prints what each raises
 BAD_PREFIX_CALLS = """
@@ -191,16 +199,18 @@ class TestSweep:
     # a child interpreter, so an unguarded compiled sweep writing past its
     # buffers cannot take the test session down with it
     @pytest.mark.parametrize("backend", ["python", "compiled"])
-    def test_bad_prefix_is_a_validation_error(self, backend):
+    def test_bad_prefix_is_a_validation_error(self, request, backend):
         env = dict(os.environ)
         env.pop("URYGRID_PURE", None)
         if backend == "python":
             env["URYGRID_PURE"] = "1"
-        elif importlib.util.find_spec("urygrid._kernels._ext") is None:
-            pytest.skip("compiled extension not built")
+            argv = ["-c", BAD_PREFIX_CALLS]
+        else:
+            argv = ["-c", LOAD_EXT + BAD_PREFIX_CALLS,
+                    request.getfixturevalue("compiled_ext").__file__]
         src = os.path.dirname(os.path.dirname(urygrid.__file__))
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        child = subprocess.run([sys.executable, "-c", BAD_PREFIX_CALLS], env=env,
+        child = subprocess.run([sys.executable, *argv], env=env,
                                capture_output=True, text=True, timeout=60)
         assert child.returncode == 0, child.stderr
         assert child.stdout.splitlines() == [

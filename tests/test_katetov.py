@@ -1,13 +1,13 @@
 import hashlib
 import json
 import random
-from itertools import product
+from itertools import combinations, permutations, product
 
 import pytest
 
 from urygrid.cli import main
 from urygrid.errors import GuardError, ValidationError
-from urygrid.katetov import (KatetovFunction, _circulant_template,
+from urygrid.katetov import (KatetovFunction, _circulant_template, _embed_seed,
                              _ProfileFrontier, build_approximant, homogeneity_check,
                              injectivity_check, is_katetov, iso_group,
                              katetov_extension, katetov_witness,
@@ -326,7 +326,45 @@ class TestBuildApproximant:
         assert matched > 0
 
 
+def brute_injections(pattern, target):
+    """Every injective index tuple carrying the pattern's distances into the
+    target, by filtering all of them; lexicographic like permutations()."""
+    k = len(pattern)
+    return [img for img in permutations(range(len(target)), k)
+            if all(target[img[i]][img[j]] == pattern[i][j]
+                   for i in range(k) for j in range(k))]
+
+
+def random_spaces(seed, count, max_n=6):
+    """Random grid spaces of up to max_n points, about a third of them
+    pseudometrics with one point doubled, another third of exactly max_n."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        space = random_grid_space(rng.randint(1, max_n - 1), rng.randint(1, 4),
+                                  rng.randrange(10 ** 6))
+        if rng.random() < 0.35:
+            twin = rng.randrange(space.n)
+            space = FiniteMetricSpace(space.points, space.denominator, space.dist,
+                                      pseudo=True).with_point("twin", space.dist[twin],
+                                                              pseudo=True)
+        elif rng.random() < 0.5:
+            space = random_grid_space(max_n, rng.randint(1, 4), rng.randrange(10 ** 6))
+        yield space
+
+
 class TestIsoGroup:
+    def test_matches_permutation_filter(self):
+        for space in random_spaces(31, 60):
+            assert iso_group(space) == tuple(brute_injections(space.dist, space.dist))
+
+    def test_embedding_is_the_first_brute_force_one(self):
+        rng = random.Random(32)
+        for target in random_spaces(33, 60):
+            seed = random_grid_space(rng.randint(1, 3), target.denominator,
+                                     rng.randrange(10 ** 6))
+            found = brute_injections(seed.dist, target.dist)
+            assert _embed_seed(seed, target) == (list(found[0]) if found else None)
+
     def test_two_point_space(self, two_point_q4):
         assert iso_group(two_point_q4) == ((0, 1), (1, 0))
 
@@ -362,6 +400,21 @@ class TestHomogeneity:
 
     def test_equilateral_triangle_is_homogeneous(self, triangle_q2):
         assert homogeneity_check(triangle_q2, 2).ok
+
+    def test_matches_brute_force_count(self):
+        for space in random_spaces(34, 40):
+            group = brute_injections(space.dist, space.dist)
+            checked, bad = 0, []
+            for k in range(1, 4):
+                for dom in combinations(range(space.n), k):
+                    pattern = [[space.dist[a][b] for b in dom] for a in dom]
+                    for img in brute_injections(pattern, space.dist):
+                        checked += 1
+                        if not any(all(g[a] == b for a, b in zip(dom, img)) for g in group):
+                            bad.append(tuple(zip((space.points[a] for a in dom),
+                                                 (space.points[b] for b in img))))
+            report = homogeneity_check(space, 3)
+            assert (report.checked, report.non_extendable) == (checked, tuple(bad))
 
     def test_path_end_pair_to_middle_pair_is_reported(self, path_q4):
         report = homogeneity_check(path_q4, 2)

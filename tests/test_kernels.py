@@ -1,13 +1,14 @@
-"""Backend equivalence: the compiled extension must match the pure fallback
-bit for bit on every kernel. Skipped when the extension is not built."""
+"""Backend equivalence: the compiled extension, built from the committed
+_ext.c, must match the pure fallback bit for bit on every kernel; and _ext.c
+must have been generated from the _ext.pyx beside it."""
 
+import os
 import random
-
-import pytest
+import re
 
 from urygrid._kernels import _fallback
 
-ext = pytest.importorskip("urygrid._kernels._ext")
+from conftest import KERNELS_DIR
 
 
 def random_metric_flat(rng, n, q):
@@ -40,28 +41,28 @@ def random_word_inputs(rng, max_len=10):
     return nl, d, wts, letters, signs
 
 
-def test_minplus_product_matches():
+def test_minplus_product_matches(compiled_ext):
     rng = random.Random(1)
     for _ in range(300):
         n = rng.randint(1, 6)
         cap = rng.randint(1, 15)
         f = [rng.randint(0, cap) for _ in range(n * n)]
         g = [rng.randint(0, cap) for _ in range(n * n)]
-        assert ext.minplus_product(n, f, g, cap) == \
+        assert compiled_ext.minplus_product(n, f, g, cap) == \
             _fallback.minplus_product(n, f, g, cap)
 
 
-def test_is_bikatetov_matches():
+def test_is_bikatetov_matches(compiled_ext):
     rng = random.Random(2)
     for _ in range(300):
         n = rng.randint(1, 5)
         q = rng.randint(1, 10)
         d = random_metric_flat(rng, n, q)
         f = [rng.randint(0, q) for _ in range(n * n)]
-        assert ext.is_bikatetov(n, f, d, q) == _fallback.is_bikatetov(n, f, d, q)
+        assert compiled_ext.is_bikatetov(n, f, d, q) == _fallback.is_bikatetov(n, f, d, q)
 
 
-def test_floyd_warshall_matches():
+def test_floyd_warshall_matches(compiled_ext):
     rng = random.Random(3)
     INF = _fallback.INF
     for _ in range(300):
@@ -72,39 +73,74 @@ def test_floyd_warshall_matches():
             for j in range(i + 1, n):
                 v = rng.choice([INF, rng.randint(0, cap)])
                 w[i * n + j] = w[j * n + i] = v
-        assert ext.floyd_warshall_capped(n, w, cap) == \
+        assert compiled_ext.floyd_warshall_capped(n, w, cap) == \
             _fallback.floyd_warshall_capped(n, w, cap)
 
 
-def test_graev_norms_match():
+def test_graev_norms_match(compiled_ext):
     rng = random.Random(4)
     for _ in range(1500):
         nl, d, wts, letters, signs = random_word_inputs(rng)
-        assert ext.graev_norm_dp(letters, signs, nl, d, wts) == \
+        assert compiled_ext.graev_norm_dp(letters, signs, nl, d, wts) == \
             _fallback.graev_norm_dp(letters, signs, nl, d, wts)
-        assert ext.graev_norm_bruteforce(letters, signs, nl, d, wts) == \
+        assert compiled_ext.graev_norm_bruteforce(letters, signs, nl, d, wts) == \
             _fallback.graev_norm_bruteforce(letters, signs, nl, d, wts)
 
 
-def test_exhaustive_driver_matches():
+def test_exhaustive_driver_matches(compiled_ext):
     rng = random.Random(5)
     for _ in range(5):
         nl, d, wts, _, _ = random_word_inputs(rng, max_len=0)
-        got = ext.graev_agree_exhaustive(nl, d, wts, 4)
+        got = compiled_ext.graev_agree_exhaustive(nl, d, wts, 4)
         want = _fallback.graev_agree_exhaustive(nl, d, wts, 4)
         assert got == want
         assert got[0] == sum((2 * nl) ** k for k in range(5))
         assert got[1] == 0
 
 
-def test_prefix_partition_is_exact():
+def test_prefix_partition_is_exact(compiled_ext):
     rng = random.Random(6)
     nl, d, wts, _, _ = random_word_inputs(rng, max_len=0)
-    total = ext.graev_agree_exhaustive(nl, d, wts, 5)
+    total = compiled_ext.graev_agree_exhaustive(nl, d, wts, 5)
     parts = 1
     for letter in range(nl):
         for sign in (1, -1):
-            parts += ext.graev_agree_exhaustive(nl, d, wts, 5,
+            parts += compiled_ext.graev_agree_exhaustive(nl, d, wts, 5,
                                                 [letter], [sign])[0]
     assert parts == total[0]
 
+
+
+def echoed_pyx_lines(c_source):
+    """(line number, text) of every _ext.pyx line quoted in the C comments.
+
+    Cython quotes up to three source lines ending at the line it compiles
+    (marked with ``# <<<``) and two after, each as " * " plus the rstripped
+    line, with comment delimiters defused and non-ASCII characters dropped."""
+    lines = c_source.splitlines()
+    header = re.compile(r'\s*/\* "urygrid/_kernels/_ext\.pyx":(\d+)$')
+    marker = "             # <<<<<<<<<<<<<<"
+    for at, line in enumerate(lines):
+        m = header.match(line)
+        if not m:
+            continue
+        end = lines.index("*/", at)
+        block = [text[3:] for text in lines[at + 1:end]]
+        mark = next(k for k, text in enumerate(block) if text.endswith(marker))
+        block[mark] = block[mark][:-len(marker)]
+        for k, text in enumerate(block):
+            yield int(m.group(1)) - mark + k, text
+
+
+def test_c_source_echoes_the_pyx():
+    with open(os.path.join(KERNELS_DIR, "_ext.pyx"), encoding="utf-8") as f:
+        pyx = [line.encode("ascii", "ignore").decode().rstrip()
+               .replace("*/", "*[inserted by cython to avoid comment closer]/")
+               .replace("/*", "/[inserted by cython to avoid comment start]*")
+               for line in f.read().splitlines()]
+    with open(os.path.join(KERNELS_DIR, "_ext.c"), encoding="utf-8") as f:
+        echoed = list(echoed_pyx_lines(f.read()))
+    assert len(echoed) > 1000
+    stale = [(number, text) for number, text in echoed
+             if not 1 <= number <= len(pyx) or pyx[number - 1] != text]
+    assert not stale, f"_ext.c is stale against _ext.pyx; regenerate it: {stale[:3]}"

@@ -73,6 +73,10 @@ class TestCompletion:
     def test_denominator_must_be_a_positive_integer(self, q):
         with pytest.raises(ValidationError, match="denominator"):
             PartialSpec(("a", "b"), q, ((0, None), (None, 0)))
+        report = validate_space(["a", "b"], q, [[0, 1], [1, 0]])
+        assert [v.kind for v in report.problems] == ["shape"]
+        with pytest.raises(ValidationError, match="denominator"):
+            FiniteMetricSpace(("a",), q, ((0,),))
 
     def test_disconnected_names_unreachable_pair(self):
         spec = PartialSpec(("a", "b"), 4, ((0, None), (None, 0)))
