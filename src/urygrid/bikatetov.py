@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from . import _kernels
 from .errors import GuardError, InvariantError, ValidationError
 from .grid import add_capped, is_grid_int
-from .katetov import iso_group
 from .spaces import FiniteMetricSpace, PartialSpec, shortest_path_completion
 
 CLASSIFY_CANDIDATE_GUARD = 10 ** 9
@@ -212,6 +211,8 @@ def invertible_isometry(f: BiKatetovMatrix):
     """The isometry whose embedding equals f, if one exists; invertible
     elements are exactly the embedded isometries, so None means f has no
     two-sided inverse."""
+    from .katetov import iso_group  # on call: the semigroup alone never loads katetov
+
     for perm in iso_group(f.space):
         if embed_isometry(f.space, perm) == f:
             return perm

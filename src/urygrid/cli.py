@@ -12,21 +12,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import fileio, selftest as selftest_mod
-from .bikatetov import (classify_idempotents, greatest_idempotent,
-                        invertible_isometry, product, routing_idempotent,
-                        star)
+from . import fileio
 from .errors import GuardError, InvariantError, UrygridError, ValidationError
-from .gh import gh_distance, gh_distance_oracle
-from .graev import (concat, format_word, graev_norm,
-                    graev_norm_bruteforce, inverse_word, parse_word,
-                    reduce_word)
 from .grid import frac_str
-from .homog import (composition_weight_bound, nu_truncated,
-                    relation_alphabet, word_image)
-from .katetov import (build_approximant, injectivity_check, iso_group,
-                      katetov_extension, katetov_witness, realize_one_point)
-from .spaces import amalgam, shortest_path_completion, validate_space
+
+# Each cmd_* imports the library names it uses when it runs, so a process
+# pays only for the modules behind its own subcommand.
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,9 +42,11 @@ def _matrix_out(args, m, label="matrix"):
 
 
 def cmd_validate(args):
+    from .spaces import validate_space
+
     obj = fileio.require_object(fileio.load_json(args.space), "space", fileio.SPACE_KEYS)
     report = validate_space(obj["points"], obj["denominator"], obj["dist"],
-                            bool(obj.get("pseudo", False)))
+                            obj.get("pseudo", False))
     machine = {"valid": report.ok,
                "problems": [{"kind": v.kind, "message": v.message} for v in report.problems]}
     human = ["valid"] if report.ok else [f"{v.kind}: {v.message}" for v in report.problems]
@@ -62,6 +55,8 @@ def cmd_validate(args):
 
 
 def cmd_complete(args):
+    from .spaces import shortest_path_completion
+
     spec = fileio.load_partial(args.partial)
     out = shortest_path_completion(spec)
     _emit(args, fileio.space_to_obj(out),
@@ -71,6 +66,8 @@ def cmd_complete(args):
 
 
 def cmd_amalgam(args):
+    from .spaces import amalgam
+
     x = fileio.load_space(args.x)
     y = fileio.load_space(args.y)
     glue = {}
@@ -78,6 +75,8 @@ def cmd_amalgam(args):
         if "=" not in item:
             raise ValidationError(f"glue entries look like xpoint=ypoint, got {item!r}")
         a, b = item.split("=", 1)
+        if a in glue:
+            raise ValidationError(f"point {a!r} is glued twice ({glue[a]!r} and {b!r})")
         glue[a] = b
     out = amalgam(x, y, glue)
     _emit(args, fileio.space_to_obj(out),
@@ -88,6 +87,8 @@ def cmd_amalgam(args):
 
 
 def cmd_katetov(args):
+    from .katetov import katetov_extension, katetov_witness, realize_one_point
+
     f = fileio.load_katetov(args.function)
     q = f.space.denominator
     if args.action == "check":
@@ -114,6 +115,8 @@ def cmd_katetov(args):
 
 
 def cmd_approximant(args):
+    from .katetov import build_approximant, injectivity_check
+
     if args.action == "build":
         seed = fileio.load_space(args.space)
         q = args.grid if args.grid is not None else seed.denominator
@@ -139,6 +142,8 @@ def cmd_approximant(args):
 
 
 def cmd_isogroup(args):
+    from .katetov import iso_group
+
     space = fileio.load_space(args.space)
     perms = iso_group(space)
     names = [[space.points[p] for p in perm] for perm in perms]
@@ -148,6 +153,9 @@ def cmd_isogroup(args):
 
 
 def cmd_theta(args):
+    from .bikatetov import (classify_idempotents, greatest_idempotent,
+                            invertible_isometry, product, routing_idempotent, star)
+
     if args.action == "product":
         f = fileio.load_matrix(args.inputs[0])
         g = fileio.load_matrix(args.inputs[1])
@@ -191,6 +199,9 @@ def cmd_theta(args):
 
 
 def cmd_graev(args):
+    from .graev import (concat, graev_norm, graev_norm_bruteforce, inverse_word,
+                        reduce_word)
+
     alphabet, words = fileio.load_alphabet_word(args.word)
     q = alphabet.denominator
     norm = graev_norm_bruteforce if args.oracle else graev_norm
@@ -209,6 +220,10 @@ def cmd_graev(args):
 
 
 def cmd_homog(args):
+    from .graev import format_word, graev_norm, parse_word
+    from .homog import (composition_weight_bound, nu_truncated, relation_alphabet,
+                        word_image)
+
     space, names, rels, word_text = fileio.load_relations(args.relations)
     q = space.denominator
     alphabet = relation_alphabet(rels, names)
@@ -275,6 +290,8 @@ def cmd_homog(args):
 
 
 def cmd_gh(args):
+    from .gh import gh_distance, gh_distance_oracle
+
     inst = fileio.load_instance(args.instance)
     num, den = gh_distance_oracle(inst) if args.oracle else gh_distance(inst)
     _emit(args, {"distance": [num, den]}, [frac_str(num, den)])
@@ -316,7 +333,9 @@ def cmd_relations(args):
 
 
 def cmd_selftest(args):
-    return selftest_mod.run(json_mode=args.json)
+    from . import selftest
+
+    return selftest.run(json_mode=args.json)
 
 
 def build_parser() -> _Parser:

@@ -11,14 +11,13 @@ from __future__ import annotations
 import json
 import os
 
-from .bikatetov import BiKatetovMatrix
 from .errors import ValidationError
-from .gh import EnumeratedPair
-from .graev import WeightedAlphabet, Word, parse_word
 from .grid import is_grid_int
-from .homog import PartialIsometryRelation
-from .katetov import KatetovFunction
 from .spaces import FiniteMetricSpace, PartialSpec
+
+# Each reader of another format imports the class it builds when it runs,
+# so loading a space file never pays for the modules behind the others.
+# Annotations stay unevaluated strings naming those classes.
 
 
 def canonical_dumps(obj) -> str:
@@ -59,13 +58,16 @@ SPACE_KEYS = ("points", "denominator", "dist")
 def require_object(obj, kind: str, keys=()) -> dict:
     """``obj`` if it is a JSON object holding every key in ``keys`` whose
     list fields have the shapes the readers rely on (``"points"`` a list
-    of strings, matrices lists of rows, ...); a ValidationError naming
-    ``kind`` otherwise."""
+    of strings, matrices lists of rows, ...) and whose ``"pseudo"``, if
+    present, is JSON true or false; a ValidationError naming ``kind``
+    otherwise."""
     if not isinstance(obj, dict):
         raise ValidationError(f"{kind} must be a JSON object")
     for key in keys:
         if key not in obj:
             raise ValidationError(f"{kind} object lacks {key!r}")
+    if not isinstance(obj.get("pseudo", False), bool):
+        raise ValidationError(f"{kind} field 'pseudo' must be true or false")
     for key, value in obj.items():
         if key in _LIST_FIELDS:
             what, items_ok = _LIST_FIELDS[key]
@@ -86,7 +88,7 @@ def space_from_obj(obj) -> FiniteMetricSpace:
     require_object(obj, "space", SPACE_KEYS)
     return FiniteMetricSpace(tuple(obj["points"]), obj["denominator"],
                              tuple(tuple(r) for r in obj["dist"]),
-                             bool(obj.get("pseudo", False)))
+                             obj.get("pseudo", False))
 
 
 def space_to_obj(space: FiniteMetricSpace) -> dict:
@@ -112,12 +114,16 @@ def load_partial(path: str) -> PartialSpec:
 
 
 def load_katetov(path: str) -> KatetovFunction:
+    from .katetov import KatetovFunction
+
     obj = require_object(load_json(path), "katetov function", ("space", "support", "values"))
     space = load_space_ref(obj["space"], os.path.dirname(path) or ".")
     return KatetovFunction(space, tuple(obj["support"]), tuple(obj["values"]))
 
 
 def load_matrix(path: str) -> BiKatetovMatrix:
+    from .bikatetov import BiKatetovMatrix
+
     obj = require_object(load_json(path), "matrix", ("space", "entries"))
     space = load_space_ref(obj["space"], os.path.dirname(path) or ".")
     return BiKatetovMatrix(space, tuple(tuple(r) for r in obj["entries"]))
@@ -130,6 +136,8 @@ def matrix_to_obj(m: BiKatetovMatrix) -> dict:
 def load_alphabet_word(path: str):
     """Word file: {"alphabet": <space ref>, "weights": [...], "word": "..."}
     or the two-word variant with "u" and "v" instead of "word"."""
+    from .graev import WeightedAlphabet, parse_word
+
     obj = require_object(load_json(path), "word", ("alphabet", "weights"))
     space = load_space_ref(obj["alphabet"], os.path.dirname(path) or ".")
     alphabet = WeightedAlphabet.from_space(space, tuple(obj["weights"]))
@@ -147,6 +155,8 @@ def load_alphabet_word(path: str):
 def load_relations(path: str):
     """Relation stock file: {"space": <ref>, "relations": [{"name": ...,
     "pairs": [[a, b], ...]}, ...]} plus optional "word"."""
+    from .homog import PartialIsometryRelation
+
     obj = require_object(load_json(path), "relation", ("space", "relations"))
     space = load_space_ref(obj["space"], os.path.dirname(path) or ".")
     names: list[str] = []
@@ -168,6 +178,8 @@ def load_relations(path: str):
 
 
 def load_single_relation(path: str) -> PartialIsometryRelation:
+    from .homog import PartialIsometryRelation
+
     obj = require_object(load_json(path), "relation", ("space", "pairs"))
     space = load_space_ref(obj["space"], os.path.dirname(path) or ".")
     return PartialIsometryRelation(space, tuple((a, b) for a, b in obj["pairs"]))
@@ -185,6 +197,8 @@ def load_index_relation(path: str):
 
 
 def load_instance(path: str) -> EnumeratedPair:
+    from .gh import EnumeratedPair
+
     obj = require_object(load_json(path), "instance", ("X", "Y"))
     base = os.path.dirname(path) or "."
     return EnumeratedPair(load_space_ref(obj["X"], base), load_space_ref(obj["Y"], base))

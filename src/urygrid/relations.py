@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from .bikatetov import BiKatetovMatrix
 from .errors import GuardError, ValidationError
 from .homog import compose, invert
-from .katetov import iso_group
 from .spaces import FiniteMetricSpace
 
 CARRIER_GUARD = 200_000
@@ -154,4 +153,6 @@ def is_equivalence(carrier: GridFunctionSpace, r: Relation) -> bool:
 
 def isometry_graphs(carrier: GridFunctionSpace):
     """Action graphs of the whole isometry group, keyed by permutation."""
+    from .katetov import iso_group  # on call, as in bikatetov.invertible_isometry
+
     return {perm: action_graph(carrier, perm) for perm in iso_group(carrier.space)}

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import urygrid
 from urygrid import cli
 from urygrid.cli import main
+
+SRC = os.path.dirname(os.path.dirname(urygrid.__file__))
 
 
 def run(capsys, *argv):
@@ -57,6 +63,42 @@ class TestValidate:
         assert code == 1
 
 
+class TestPseudoFlag:
+    """``"pseudo"`` is JSON true or false; anything else is refused rather
+    than read by truthiness."""
+
+    @pytest.fixture
+    def pseudo_file(self, tmp_path):
+        def write(*value):
+            obj = {"points": ["a", "b"], "denominator": 2, "dist": [[0, 0], [0, 0]]}
+            if value:
+                obj["pseudo"] = value[0]
+            p = tmp_path / "pseudo.json"
+            p.write_text(json.dumps(obj))
+            return str(p)
+        return write
+
+    @pytest.mark.parametrize("command", ["validate", "isogroup"])
+    @pytest.mark.parametrize("value", ["false", 1, [0], None])
+    def test_non_boolean_exits_one(self, capsys, pseudo_file, command, value):
+        code, out, err = run(capsys, command, pseudo_file(value))
+        assert code == 1 and out == ""
+        assert err == "error: space field 'pseudo' must be true or false\n"
+
+    def test_true_admits_zero_distance(self, capsys, pseudo_file):
+        code, out, _ = run(capsys, "--json", "validate", pseudo_file(True))
+        assert code == 0 and json.loads(out)["valid"]
+        code, out, _ = run(capsys, "--json", "isogroup", pseudo_file(True))
+        assert code == 0 and json.loads(out)["order"] == 2
+
+    @pytest.mark.parametrize("value", [(False,), ()], ids=["false", "absent"])
+    def test_false_or_absent_means_metric(self, capsys, pseudo_file, value):
+        code, out, _ = run(capsys, "--json", "validate", pseudo_file(*value))
+        assert code == 1 and json.loads(out)["problems"][0]["kind"] == "identity"
+        code, out, err = run(capsys, "isogroup", pseudo_file(*value))
+        assert code == 1 and out == "" and "distance 0" in err
+
+
 class TestComplete:
     def test_single_chain(self, capsys, tmp_path):
         p = tmp_path / "partial.json"
@@ -88,6 +130,19 @@ class TestAmalgam:
         obj = json.loads(out)
         i, j = obj["points"].index("a"), obj["points"].index("b")
         assert obj["dist"][i][j] == 2
+
+    def test_point_glued_twice_exits_one(self, capsys, tmp_path):
+        x = tmp_path / "x.json"
+        x.write_text(json.dumps({"points": ["a", "m"], "denominator": 4,
+                                 "dist": [[0, 1], [1, 0]]}))
+        y = tmp_path / "y.json"
+        y.write_text(json.dumps({"points": ["p", "r"], "denominator": 4,
+                                 "dist": [[0, 1], [1, 0]]}))
+        # either pair alone is a valid glue; together they must not keep one
+        code, out, err = run(capsys, "amalgam", str(x), str(y),
+                             "--glue", "a=p", "--glue", "a=r")
+        assert code == 1 and out == ""
+        assert err == "error: point 'a' is glued twice ('p' and 'r')\n"
 
 
 class TestKatetov:
@@ -348,3 +403,98 @@ class TestSelftest:
         code, out, _ = run(capsys, "selftest")
         assert code == 0
         assert "all checks passed" in out
+
+
+class TestChildProcess:
+    """The CLI as users start it: one fresh interpreter per command."""
+
+    # what every command may load: the package, the space reader and
+    # either kernel backend
+    BASE = {"urygrid", "urygrid.errors", "urygrid.grid", "urygrid._kernels",
+            "urygrid._kernels._fallback", "urygrid._kernels._ext", "urygrid.spaces",
+            "urygrid.fileio", "urygrid.cli"}
+
+    # prints the loaded urygrid modules as the last stdout line
+    CHILD = ("import json, sys\n"
+             "import urygrid.cli\n"
+             "code = urygrid.cli.main(sys.argv[1:])\n"
+             "print(json.dumps(sorted(m for m in sys.modules"
+             " if m.partition('.')[0] == 'urygrid')))\n"
+             "sys.exit(code)\n")
+
+    @pytest.fixture
+    def corpus(self, tmp_path, space_file, word_file, instance_file):
+        from urygrid import fileio
+        from urygrid.spaces import random_grid_space
+
+        two = {"points": ["a", "b"], "denominator": 4, "dist": [[0, 2], [2, 0]]}
+        files = {
+            "partial.json": {"points": ["a", "b", "c"], "denominator": 4,
+                             "entries": [[0, 1, None], [1, 0, 1], [None, 1, 0]]},
+            "x.json": {"points": ["a", "m"], "denominator": 4, "dist": [[0, 1], [1, 0]]},
+            "y.json": {"points": ["m", "b"], "denominator": 4, "dist": [[0, 1], [1, 0]]},
+            "f.json": {"space": "space.json", "support": ["a"], "values": [1]},
+            "seed.json": {"points": ["a"], "denominator": 2, "dist": [[0]]},
+            "m.json": {"space": "space.json", "entries": [[0, 2], [2, 0]]},
+            "rels.json": {"space": two, "word": "s t^-1",
+                          "relations": [{"name": "s", "pairs": [["a", "b"]]},
+                                        {"name": "t", "pairs": [["a", "a"], ["b", "b"]]}]},
+            "big.json": fileio.space_to_obj(random_grid_space(11, 3, 0)),
+        }
+        for name, obj in files.items():
+            (tmp_path / name).write_text(json.dumps(obj))
+        return tmp_path  # beside space.json, word.json and instance.json
+
+    def child(self, cwd, *argv, module=False):
+        head = ["-m", "urygrid.cli"] if module else ["-c", self.CHILD]
+        return subprocess.run([sys.executable, *head, *argv], cwd=cwd, capture_output=True,
+                              env=dict(os.environ, PYTHONPATH=SRC))
+
+    @pytest.mark.parametrize("argv, extra", [
+        (("validate", "space.json"), ""),
+        (("complete", "partial.json"), ""),
+        (("amalgam", "x.json", "y.json", "--glue", "m=m"), ""),
+        (("katetov", "check", "f.json"), "katetov"),
+        (("approximant", "build", "seed.json", "--subset", "1", "--cap", "8"), "katetov"),
+        (("isogroup", "space.json"), "katetov"),
+        (("theta", "star", "m.json"), "bikatetov"),
+        (("theta", "invert", "m.json"), "bikatetov katetov"),
+        (("graev", "norm", "word.json"), "graev"),
+        (("homog", "phi", "rels.json"), "graev homog"),
+        (("gh", "dist", "instance.json"), "gh"),
+        (("relations", "k", "space.json"), "bikatetov graev homog relations"),
+    ], ids=lambda v: " ".join(v[:2]) if isinstance(v, tuple) else v or "base")
+    def test_command_loads_only_its_modules(self, corpus, argv, extra):
+        proc = self.child(corpus, *argv)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(json.loads(proc.stdout.decode().splitlines()[-1]))
+        allowed = self.BASE | {"urygrid." + m for m in extra.split()}
+        assert loaded <= allowed, sorted(loaded - allowed)
+
+    def test_bare_import_loads_only_errors(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, urygrid; print(sorted(m for m in sys.modules"
+             " if m.partition('.')[0] == 'urygrid'))"],
+            cwd=tmp_path, capture_output=True, env=dict(os.environ, PYTHONPATH=SRC))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.decode().strip() == "['urygrid', 'urygrid.errors']"
+
+    @pytest.mark.parametrize("argv, code", [
+        (("--json", "validate", "space.json"), 0),
+        (("--json", "theta", "star", "m.json"), 0),
+        (("--json", "graev", "norm", "word.json"), 0),
+        (("--json", "graev", "dist", "word.json"), 1),
+        (("validate", "space.json", "--frobnicate"), 1),
+        (("--json", "isogroup", "big.json"), 2),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
+    def test_module_entry_point_matches_main(self, capsys, monkeypatch, corpus, argv, code):
+        monkeypatch.chdir(corpus)
+        assert main(list(argv)) == code
+        expected = capsys.readouterr().out.encode()
+        proc = self.child(corpus, *argv, module=True)
+        assert proc.returncode == code
+        assert proc.stdout == expected
+        if code == 0:
+            assert proc.stderr == b""
+        else:
+            assert len(proc.stderr.decode().splitlines()) == 1, proc.stderr
