@@ -373,24 +373,41 @@ def _gibbs(space: FiniteMetricSpace, start, ceiling, rng: random.Random,
     the entries row by row and re-draws each one uniformly inside its
     feasible interval given all the others, capped entrywise by
     ``ceiling``. Every intermediate matrix is bi-Katetov."""
-    n = space.n
     dist = space.dist
+    rows = range(space.n)
     e = [list(r) for r in start]
+    # lo = max |w - d| and hi = min w + d, by plain comparisons: lo starts at
+    # 0, so a positive t = w - d can only raise it, and a negative one only
+    # through -t
     for _ in range(sweeps):
-        for x in range(n):
+        for x in rows:
             ex, dx, cx = e[x], dist[x], ceiling[x]
-            for y in range(n):
+            for y in rows:
                 dy = dist[y]
                 lo, hi = 0, cx[y]
-                for z in range(n):
+                for z in rows:
                     if z != y:
-                        d, w = dy[z], ex[z]
-                        lo = max(lo, abs(w - d))
-                        hi = min(hi, w + d)
+                        d = dy[z]
+                        w = ex[z]
+                        t = w - d
+                        if t > lo:
+                            lo = t
+                        elif -t > lo:
+                            lo = -t
+                        t = w + d
+                        if t < hi:
+                            hi = t
                     if z != x:
-                        d, w = dx[z], e[z][y]
-                        lo = max(lo, abs(w - d))
-                        hi = min(hi, w + d)
+                        d = dx[z]
+                        w = e[z][y]
+                        t = w - d
+                        if t > lo:
+                            lo = t
+                        elif -t > lo:
+                            lo = -t
+                        t = w + d
+                        if t < hi:
+                            hi = t
                 ex[y] = rng.randint(lo, hi)
     return BiKatetovMatrix(space, tuple(tuple(r) for r in e))
 

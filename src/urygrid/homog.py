@@ -67,21 +67,39 @@ def _require_relation(rel: PartialIsometryRelation):
         raise ValidationError(f"not a partial isometry, witness pairs {w}", w)
 
 
-def pair_distance(space: FiniteMetricSpace, p: tuple[int, int], q: tuple[int, int]) -> int:
-    """Metric on point pairs: sum of the two coordinate distances."""
-    return space.dist[p[0]][q[0]] + space.dist[p[1]][q[1]]
+def _common_space(rels) -> FiniteMetricSpace:
+    """The one space every relation of a nonempty stock lives over."""
+    if not rels:
+        raise ValidationError("need at least one relation")
+    space = rels[0].space
+    for r in rels:
+        if r.space != space:
+            raise ValidationError("relations live over different spaces")
+    return space
+
+
+def _hausdorff(dist, rp, sp) -> int:
+    """Hausdorff distance between two index-pair collections, over the
+    sum-of-coordinates metric on the distance matrix ``dist``."""
+    worst = 0
+    for near, far in ((rp, sp), (sp, rp)):
+        for x, y in near:
+            dx, dy = dist[x], dist[y]
+            closest = None
+            for u, v in far:
+                t = dx[u] + dy[v]
+                if closest is None or t < closest:
+                    closest = t
+            if closest > worst:
+                worst = closest
+    return worst
 
 
 def hausdorff_distance(r: PartialIsometryRelation, s: PartialIsometryRelation) -> int:
     """Two-sided Hausdorff distance between the pair sets, over the
     sum-of-coordinates metric. May exceed the denominator (diameter 2)."""
-    if r.space != s.space:
-        raise ValidationError("relations live over different spaces")
-    rp, sp = list(r.index_pairs()), list(s.index_pairs())
-    space = r.space
-    a = max(min(pair_distance(space, p, q) for q in sp) for p in rp)
-    b = max(min(pair_distance(space, p, q) for p in rp) for q in sp)
-    return max(a, b)
+    space = _common_space((r, s))
+    return _hausdorff(space.dist, r.index_pairs(), s.index_pairs())
 
 
 def weight(rel: PartialIsometryRelation) -> int:
@@ -116,10 +134,7 @@ def word_image(rels: list[PartialIsometryRelation], word: Word) -> frozenset:
     """Image of a relation word: the signed composition of its letters, the
     diagonal for the empty word. May be empty (the empty set is not in the
     stock, but compositions can die)."""
-    if not rels:
-        raise ValidationError("need at least one relation")
-    space = rels[0].space
-    acc = diagonal(space)
+    acc = diagonal(_common_space(rels))
     for idx, sign in word:
         img = rels[idx].index_pairs()
         if sign < 0:
@@ -138,20 +153,17 @@ def relation_alphabet(rels: list[PartialIsometryRelation],
                       names: list[str] | None = None) -> WeightedAlphabet:
     """The weighted alphabet of a relation stock: Hausdorff distances between
     the relations, weights their largest displacements."""
-    if not rels:
-        raise ValidationError("need at least one relation")
-    space = rels[0].space
+    space = _common_space(rels)
     for r in rels:
-        if r.space != space:
-            raise ValidationError("relations live over different spaces")
         _require_relation(r)
     m = len(rels)
     if names is None:
         names = [f"r{i}" for i in range(m)]
+    pairs = [r.index_pairs() for r in rels]
     dist = [[0] * m for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
-            dist[i][j] = dist[j][i] = hausdorff_distance(rels[i], rels[j])
+            dist[i][j] = dist[j][i] = _hausdorff(space.dist, pairs[i], pairs[j])
             if dist[i][j] == 0:
                 raise ValidationError(f"duplicate relations {names[i]} and {names[j]}")
     return WeightedAlphabet(tuple(names), space.denominator,
@@ -172,50 +184,75 @@ def nu_truncated(rels: list[PartialIsometryRelation], a: str, b: str,
     a to b, among words of length <= max_len.
 
     Breadth-first over reduced words (a word is reduced exactly when no
-    letter is followed by its own inverse) with the image carried along
-    incrementally. With every singleton pair relation available this equals
-    the base distance d(a, b) on the nose: the singleton {(a, b)} gives the
-    upper bound and no word can do better.
+    letter is followed by its own inverse). With every singleton pair
+    relation available this equals the base distance d(a, b) on the nose:
+    the singleton {(a, b)} gives the upper bound and no word can do better.
+
+    A word's image is not carried whole, only as two point bitmasks: ``dom``,
+    the domain of the image, and ``onto_b``, the points the image relates to
+    b. The rightmost letter acts first, so appending a letter pulls both
+    masks back through it. The image is empty exactly when ``dom`` is 0, and
+    the word moves a to b exactly when ``onto_b`` has bit a.
     """
     if max_len < 0:
         raise ValidationError("max_len must be >= 0")
     alphabet = relation_alphabet(rels)
     space = rels[0].space
-    target = (space.index(a), space.index(b))
-    images = []
-    for r in rels:
-        img = r.index_pairs()
-        images.append((img, invert(img)))
+    a_bit, b_bit = 1 << space.index(a), 1 << space.index(b)
+    # letter 2 * idx is rels[idx] and 2 * idx + 1 its inverse, so a letter's
+    # inverse is its number xor 1; each letter is kept as the appended word
+    # suffix and, per point z it reaches, (bit of z, mask of points sent to z)
+    letters = []
+    for idx, r in enumerate(rels):
+        onto: dict[int, int] = {}
+        back: dict[int, int] = {}
+        for x, y in r.index_pairs():
+            onto[y] = onto.get(y, 0) | 1 << x
+            back[x] = back.get(x, 0) | 1 << y
+        for sign, pre in ((1, onto), (-1, back)):
+            letters.append((((idx, sign),), tuple((1 << z, m) for z, m in pre.items())))
 
     best: int | None = None
     best_word: Word | None = None
-    searched = 0
-    frontier: list[tuple[Word, frozenset]] = [((), diagonal(space))]
-    for length in range(max_len + 1):
-        for word, img in frontier:
-            searched += 1
-            if searched > word_budget:
-                raise GuardError(
-                    f"word search exceeded the budget {word_budget}",
-                    partial=OrbitDistance(best, best_word, searched))
-            if target in img:
-                norm = graev_norm(word, alphabet)
-                if best is None or norm < best or (norm == best and word < best_word):
-                    best, best_word = norm, word
-        if length == max_len:
-            break
+
+    def over_budget():
+        return GuardError(f"word search exceeded the budget {word_budget}",
+                          partial=OrbitDistance(best, best_word, searched))
+
+    # Each word is checked as it is generated, in breadth-first order; only
+    # words with a nonempty image are kept to be extended (composing an empty
+    # image stays empty forever), and only a word that moves a to b is built.
+    searched = 1
+    if searched > word_budget:
+        raise over_budget()
+    if a_bit == b_bit:
+        best, best_word = graev_norm((), alphabet), ()
+    # (word, number of its last letter or -1, dom, onto_b)
+    frontier: list[tuple[Word, int, int, int]] = [((), -1, (1 << space.n) - 1, b_bit)]
+    for length in range(1, max_len + 1):
+        extend = length < max_len
         nxt = []
-        for word, img in frontier:
-            if not img:
-                continue  # composing an empty image stays empty forever
-            for idx in range(len(rels)):
-                for sign in (1, -1):
-                    if word and word[-1] == (idx, -sign):
-                        continue
-                    step = images[idx][0] if sign == 1 else images[idx][1]
-                    nxt.append((word + ((idx, sign),), compose(img, step)))
-        if not nxt:
-            break
+        for word, last, dom, onto_b in frontier:
+            undo = last ^ 1
+            for k, (suffix, pre) in enumerate(letters):
+                if k == undo:
+                    continue
+                new_dom = new_onto = 0
+                for z_bit, sources in pre:
+                    if dom & z_bit:
+                        new_dom |= sources
+                        if onto_b & z_bit:
+                            new_onto |= sources
+                searched += 1
+                if searched > word_budget:
+                    raise over_budget()
+                if new_onto & a_bit:
+                    child = word + suffix
+                    norm = graev_norm(child, alphabet)
+                    if best is None or norm < best or (norm == best and child < best_word):
+                        best, best_word = norm, child
+                if new_dom and extend:
+                    nxt.append((word + suffix, k, new_dom, new_onto))
         frontier = nxt
     return OrbitDistance(best, best_word, searched)
 
@@ -243,7 +280,7 @@ def composition_weight_bound(case: int, rels, signs) -> bool | None:
                               f"got {len(rels)} and {len(signs)}")
     for r in rels:
         _require_relation(r)
-    space = rels[0].space
+    space = _common_space(rels)
 
     def signed(r, s):
         img = r.index_pairs()

@@ -62,6 +62,8 @@ def validate_space(points, denominator, dist, pseudo: bool = False) -> Validatio
         problems.append(Violation("shape", "space needs at least one point"))
     if len(set(points)) != n:
         problems.append(Violation("shape", "duplicate point names"))
+    if not isinstance(pseudo, bool):
+        problems.append(Violation("shape", f"pseudo must be True or False, got {pseudo!r}"))
     if not is_grid_int(denominator, 1):
         problems.append(Violation("shape", f"denominator must be a positive integer, got {denominator!r}"))
         return ValidationReport(tuple(problems))
@@ -182,8 +184,9 @@ class FiniteMetricSpace:
         their zeros (identity, in a metric) and the three triangles through
         it for every pair of old points, O(n^2) in all. The report, and so
         the ValidationError message, is the one validate_space gives on the
-        grown matrix. A row of the wrong length, or a pseudometric turned
-        into a metric (old zeros become violations), takes the full check.
+        grown matrix. A row of the wrong length, a ``pseudo`` that is not a
+        bool, or a pseudometric turned into a metric (old zeros become
+        violations), takes the full check.
         """
         if name in self._index:
             raise ValidationError(f"point name {name!r} already used")
@@ -193,7 +196,7 @@ class FiniteMetricSpace:
         points = self.points + (name,)
         new_rows = tuple(old + row[i:i + 1] for i, old in enumerate(self.dist))
         new_rows += (row + (0,),)
-        if len(row) != self.n or (self.pseudo and not pseudo):
+        if len(row) != self.n or (self.pseudo and not pseudo) or not isinstance(pseudo, bool):
             return FiniteMetricSpace(points, self.denominator, new_rows, pseudo)
         _raise_unless_ok(_new_row_report(self, name, row, pseudo))
         return FiniteMetricSpace._trusted(points, self.denominator, new_rows, pseudo)

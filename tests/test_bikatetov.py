@@ -333,9 +333,10 @@ class TestClassification:
         assert found == self.FIXTURE_DIGESTS[fixture]
 
 
-def test_seeded_samples_are_unchanged():
+def sample_digests(sizes):
+    """Digests of both samplers' seeded draws over the given space sizes."""
     drawn, below = [], []
-    for n in range(1, 6):
+    for n in sizes:
         for q in (1, 2, 3, 5, 8):
             for seed in (0, 1, 2):
                 space = random_grid_space(n, q, 1000 * n + 10 * q + seed)
@@ -345,8 +346,20 @@ def test_seeded_samples_are_unchanged():
                 below.append(random_bikatetov_below(m, rng).entries)
                 below.append(random_bikatetov_below(random_bikatetov(space, rng, sweeps=1),
                                                     rng, sweeps=3).entries)
-    assert digest(drawn) == "8f47b1f06d58e1f1a25911ec701638738d4210ad3547dfbe2008949153a8248f"
-    assert digest(below) == "1ea6adb048f500b64fcf5000951319fc9a73a60cb1b428c0a8582c56cb185659"
+    return digest(drawn), digest(below)
+
+
+def test_seeded_samples_are_unchanged():
+    drawn, below = sample_digests(range(1, 6))
+    assert drawn == "8f47b1f06d58e1f1a25911ec701638738d4210ad3547dfbe2008949153a8248f"
+    assert below == "1ea6adb048f500b64fcf5000951319fc9a73a60cb1b428c0a8582c56cb185659"
+
+
+def test_seeded_samples_at_larger_sizes_are_unchanged():
+    # the sizes the algebra_mix benchmark draws reach n=6
+    drawn, below = sample_digests(range(6, 9))
+    assert drawn == "38ba52df24db6ed80a2ad5b1a713181f4eff32bafa78246ea32bf837716fab36"
+    assert below == "b47df62784a112a4adab92f6f67c473c0a71f0a89cc679a6bed8183314881d31"
 
 
 class TestAmalgamOracle:

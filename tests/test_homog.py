@@ -9,7 +9,7 @@ from urygrid.homog import (PartialIsometryRelation, composition_weight_bound,
                            nu_truncated, random_partial_isometry,
                            relation_alphabet, relation_witness,
                            validate_relation, weight, word_image, word_relates)
-from urygrid.spaces import random_grid_space
+from urygrid.spaces import FiniteMetricSpace, random_grid_space
 
 from conftest import random_word
 
@@ -116,6 +116,16 @@ class TestWordImage:
         r = random_partial_isometry(space4, rng)
         assert word_image([r], ()) == diagonal(space4)
 
+    def test_relations_over_different_spaces(self, two_point_q4):
+        y = random_grid_space(3, 4, 5)
+        r_x = PartialIsometryRelation(two_point_q4, (("a", "b"),))
+        r_y = PartialIsometryRelation(y, ((y.points[0], y.points[1]),))
+        for call in (lambda: word_image([r_x, r_y], ((0, 1), (1, 1))),
+                     lambda: word_relates([r_x, r_y], ((1, 1),), "a", "b"),
+                     lambda: relation_alphabet([r_x, r_y])):
+            with pytest.raises(ValidationError, match="different spaces"):
+                call()
+
     def test_concatenation_is_composition(self, space4):
         rng = random.Random(7)
         rels = random_stock(space4, rng)
@@ -219,6 +229,99 @@ class TestOrbitDistance:
         assert e.value.partial.words_searched > 0
 
 
+def nu_by_word_images(rels, a, b, max_len):
+    """Twin of nu_truncated: every reduced word up to max_len in
+    breadth-first order, each decided on its own by its frozenset image;
+    like nu_truncated it extends only the words whose image is nonempty.
+    Returns (value, word, words_searched)."""
+    alphabet = relation_alphabet(rels)
+    letters = [(idx, sign) for idx in range(len(rels)) for sign in (1, -1)]
+    best = best_word = None
+    searched = 0
+    level = [()]
+    for _ in range(max_len + 1):
+        alive = []
+        for word in level:
+            searched += 1
+            if word_relates(rels, word, a, b):
+                norm = graev_norm(word, alphabet)
+                if best is None or (norm, word) < (best, best_word):
+                    best, best_word = norm, word
+            if word_image(rels, word):
+                alive.append(word)
+        level = [w + (letter,) for w in alive for letter in letters
+                 if not w or w[-1] != (letter[0], -letter[1])]
+    return best, best_word, searched
+
+
+def with_doubled_point(space, rng):
+    """The pseudometric space with a twin, at distance 0, of a random point."""
+    j = rng.randrange(space.n)
+    rows = [row + (row[j],) for row in space.dist]
+    rows.append(rows[j][:-1] + (0,))
+    return FiniteMetricSpace(space.points + ("twin",), space.denominator,
+                             tuple(rows), pseudo=True)
+
+
+def random_relation_stock(space, rng, size):
+    """Stock relations of up to three random pairs each, pairwise at positive
+    Hausdorff distance; over a pseudometric space these need not be
+    functions."""
+    rels = []
+    for _ in range(50):
+        if len(rels) == size:
+            break
+        r = PartialIsometryRelation(space, tuple(
+            (rng.choice(space.points), rng.choice(space.points))
+            for _ in range(rng.randint(1, 3))))
+        if validate_relation(r) and all(hausdorff_distance(r, s) for s in rels):
+            rels.append(r)
+    return rels
+
+
+class TestOrbitDistanceTwin:
+    def test_non_functional_relation_over_a_pseudometric(self):
+        space = FiniteMetricSpace(("a", "b", "c"), 2, ((0, 0, 1), (0, 0, 1), (1, 1, 0)),
+                                  pseudo=True)
+        fork = PartialIsometryRelation(space, (("a", "a"), ("a", "b")))
+        rels = [fork, PartialIsometryRelation(space, (("c", "c"),))]
+        got = nu_truncated(rels, "a", "b", 2)
+        assert (got.value, got.word, got.words_searched) == (0, ((0, 1),), 17)
+        assert (got.value, got.word, got.words_searched) == nu_by_word_images(rels, "a", "b", 2)
+
+    def test_matches_the_word_image_twin(self):
+        rng = random.Random(23)
+        kinds = set()
+        for case in range(240):
+            space = random_grid_space(rng.randint(1, 4), rng.randint(1, 6),
+                                      rng.randrange(10 ** 6))
+            if case % 2:
+                space = with_doubled_point(space, rng)
+            if case % 3:
+                rels = random_relation_stock(space, rng, rng.randint(1, 3))
+            else:
+                # over a pseudometric, distinct pair sets can still be at
+                # Hausdorff distance 0, which the alphabet refuses
+                rels = []
+                for r in random_stock(space, rng, size=rng.randint(1, 3)):
+                    if all(hausdorff_distance(r, s) for s in rels):
+                        rels.append(r)
+            a, b = rng.choice(space.points), rng.choice(space.points)
+            max_len = case % 4
+            got = nu_truncated(rels, a, b, max_len)
+            assert (got.value, got.word, got.words_searched) == \
+                nu_by_word_images(rels, a, b, max_len)
+            kinds.add((space.pseudo, got.value is None, max_len,
+                       max(len(r.pairs) for r in rels) > 1,
+                       any(len({x for x, _ in r.pairs}) < len(r.pairs) for r in rels)))
+        # both space kinds, reached and unreached targets, every length,
+        # single- and multi-pair relations, and relations that are not
+        # functions all occur
+        for column, values in enumerate(({True, False},) * 2 + ({0, 1, 2, 3},)
+                                        + ({True, False},) * 2):
+            assert {k[column] for k in kinds} == values
+
+
 class TestWeightBounds:
     def test_case3_single_pairs(self, two_point_q4):
         r = PartialIsometryRelation(two_point_q4, (("a", "b"),))
@@ -248,6 +351,15 @@ class TestWeightBounds:
         for case, rels, signs in ((1, [r, r], [1, 1]), (1, [], []),
                                   (2, [r, r], [1, 1]), (3, [r, r], [1])):
             with pytest.raises(ValidationError):
+                composition_weight_bound(case, rels, signs)
+
+    def test_relations_over_different_spaces(self, two_point_q4):
+        y = random_grid_space(3, 4, 5)
+        r_x = PartialIsometryRelation(two_point_q4, (("a", "b"),))
+        r_y = PartialIsometryRelation(y, ((y.points[0], y.points[1]),))
+        for case, rels, signs in ((1, [r_y, r_x], [1]), (2, [r_x, r_y, r_x], [1, 1]),
+                                  (3, [r_y, r_x], [1, 1])):
+            with pytest.raises(ValidationError, match="different spaces"):
                 composition_weight_bound(case, rels, signs)
 
     def test_bad_case_number(self, space4):

@@ -36,6 +36,23 @@ class TestValidate:
         assert not validate_space(["a", "b"], 4, [[0, 0], [0, 0]]).ok
         assert validate_space(["a", "b"], 4, [[0, 0], [0, 0]], pseudo=True).ok
 
+    @pytest.mark.parametrize("pseudo", ["false", 1, [0]], ids=["str", "int", "list"])
+    def test_pseudo_must_be_a_bool(self, pseudo):
+        report = validate_space(["a", "b"], 2, [[0, 0], [0, 0]], pseudo)
+        assert [v.kind for v in report.problems] == ["shape"]
+        assert "pseudo must be True or False" in str(report)
+        with pytest.raises(ValidationError, match="pseudo must be True or False"):
+            FiniteMetricSpace(("a", "b"), 2, ((0, 0), (0, 0)), pseudo)
+        with pytest.raises(ValidationError, match="pseudo must be True or False"):
+            FiniteMetricSpace(("a",), 2, ((0,),)).with_point("b", (1,), pseudo)
+
+    def test_bool_pseudo_is_unchanged(self):
+        assert validate_space(["a", "b"], 2, [[0, 0], [0, 0]], True).ok
+        assert [v.kind for v in validate_space(["a", "b"], 2, [[0, 0], [0, 0]], False).problems] \
+            == ["identity"]
+        assert FiniteMetricSpace(("a", "b"), 2, ((0, 0), (0, 0)), True).pseudo is True
+        assert FiniteMetricSpace(("a", "b"), 2, ((0, 1), (1, 0)), False).pseudo is False
+
     def test_nonzero_diagonal(self):
         report = validate_space(["a"], 4, [[1]])
         assert any(v.kind == "diagonal" for v in report.problems)
