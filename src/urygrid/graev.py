@@ -148,10 +148,32 @@ def enumerate_pairings(word: Word, max_len: int = PAIRING_ENUMERATION_MAX_LEN):
     return [frozenset(p) for p in _kernels.iter_pairings(signs, 0, len(word))]
 
 
+def _letters_and_signs(word: Word, alphabet: WeightedAlphabet) -> tuple[list, list]:
+    """The word as parallel letter and sign lists, the form the kernels
+    take, after checking what they assume: every symbol is a pair of a
+    letter, a non-bool int in [0, alphabet.n), and a sign, the int 1 or -1."""
+    try:
+        letters = [l for l, _ in word]
+        signs = [s for _, s in word]
+    except (TypeError, ValueError):
+        raise ValidationError(f"word {word!r} is not a sequence of (letter, sign) pairs") from None
+    n = alphabet.n
+    for letter in letters:
+        # the exact-int test is the common case; is_grid_int admits int subclasses
+        if (type(letter) is not int or letter < 0 or letter >= n) \
+                and not is_grid_int(letter, 0, n - 1):
+            raise ValidationError(f"letter {letter!r} is not an integer in [0, {n - 1}]")
+    for sign in signs:
+        if type(sign) is not int or (sign != 1 and sign != -1):
+            raise ValidationError(f"sign {sign!r} is not 1 or -1")
+    return letters, signs
+
+
 def graev_sum(word: Word, pairing, alphabet: WeightedAlphabet) -> int:
     """Cost of one pairing: letter distances on arcs, weights off them.
-    Validates that the pairing is a genuine non-crossing opposite-sign
-    matching of the word's positions."""
+    Validates the word and that the pairing is a genuine non-crossing
+    opposite-sign matching of the word's positions."""
+    _letters_and_signs(word, alphabet)
     n = len(word)
     arcs = sorted(tuple(sorted(arc)) for arc in pairing)
     used: set[int] = set()
@@ -179,8 +201,7 @@ def graev_sum(word: Word, pairing, alphabet: WeightedAlphabet) -> int:
 def graev_norm_bruteforce(word: Word, alphabet: WeightedAlphabet,
                           max_len: int = PAIRING_ENUMERATION_MAX_LEN) -> int:
     """Minimum cost over pairings by explicit enumeration; the oracle."""
-    letters = [l for l, _ in word]
-    signs = [s for _, s in word]
+    letters, signs = _letters_and_signs(word, alphabet)
     if len(word) > max_len:
         raise GuardError(
             f"word of length {len(word)} exceeds the enumeration bound {max_len}")
@@ -192,8 +213,7 @@ def graev_norm(word: Word, alphabet: WeightedAlphabet) -> int:
     """Minimum cost over pairings by the interval dynamic program: the
     leftmost position is unpaired, or arcs to an opposite-sign position,
     splitting the word into a nested interior and a disjoint tail. Cubic."""
-    letters = [l for l, _ in word]
-    signs = [s for _, s in word]
+    letters, signs = _letters_and_signs(word, alphabet)
     return _kernels.graev_norm_dp(letters, signs, alphabet.n,
                                   alphabet.flat(), list(alphabet.weights))
 

@@ -21,6 +21,20 @@ def is_grid_int(x, lo: int | None = None, hi: int | None = None) -> bool:
     return False
 
 
+# The kernels mark a missing edge with INF = 2**30 and the GH closure
+# doubles distances, so a denominator must stay below 2**29.
+MAX_DENOMINATOR = (1 << 29) - 1
+
+
+def denominator_problem(q) -> str | None:
+    """Why q cannot be a grid denominator, or None when it can."""
+    if not is_grid_int(q, 1):
+        return f"denominator must be a positive integer, got {q!r}"
+    if q > MAX_DENOMINATOR:
+        return f"denominator {q} is not below 2^29 = {MAX_DENOMINATOR + 1}"
+    return None
+
+
 def add_capped(a: int, b: int, cap: int) -> int:
     """Bounded addition min(a + b, cap), the truncated sum used wherever a
     construction stays inside diameter 1."""

@@ -31,12 +31,15 @@ class PartialIsometryRelation:
     pairs: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
+        index = self.space.index
+        for pair in self.pairs:
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise ValidationError(f"pair {pair!r} is not two point names")
+            index(pair[0])
+            index(pair[1])
         pairs = sorted({(a, b) for a, b in self.pairs})
         if not pairs:
             raise ValidationError("the empty relation is excluded")
-        for a, b in pairs:
-            self.space.index(a)
-            self.space.index(b)
         object.__setattr__(self, "pairs", tuple(pairs))
 
     def index_pairs(self) -> frozenset[tuple[int, int]]:

@@ -21,6 +21,9 @@ from .grid import add_capped, is_grid_int
 from .spaces import FiniteMetricSpace
 
 ISO_GROUP_MAX_POINTS = 10
+# most grid profiles listed for one support: a refused listing holds about
+# 10 MB, and the test suite and the benchmark never list more than 57
+PROFILE_LIMIT = 100_000
 
 
 @dataclass(frozen=True)
@@ -161,13 +164,18 @@ def _katetov_profiles(space: FiniteMetricSpace, idx: tuple[int, ...]):
 @lru_cache(maxsize=256)
 def _profiles_by_gaps(q: int, gaps: tuple[tuple[int, ...], ...]):
     """_katetov_profiles for a subset whose point j lies at gaps[j][t] from
-    its point t < j."""
+    its point t < j. There can be (q+1)^k of them, so listing more than
+    PROFILE_LIMIT is refused."""
     k = len(gaps)
     out: list[tuple[int, ...]] = []
     prefix: list[int] = []
 
     def rec():
         if len(prefix) == k:
+            if len(out) == PROFILE_LIMIT:
+                raise GuardError(f"profile enumeration refused: a {k}-point support at "
+                                 f"q={q} has more than {PROFILE_LIMIT} grid profiles "
+                                 f"(listed {len(out)}, limit {PROFILE_LIMIT})")
             out.append(tuple(prefix))
             return
         j = len(prefix)

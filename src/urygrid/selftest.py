@@ -1,240 +1,20 @@
-"""Compact exhaustive verification suites behind the ``selftest`` command.
-
-Each entry checks one structural law on small cases where exhaustive or
-heavily sampled verification is cheap, and prints a single pass/fail line.
-The pytest suite runs the same laws at full acceptance scale; this is the
-quick in-binary cross-check.
-"""
+"""The ``selftest`` command: every law in ``urygrid.laws`` at quick scale,
+one pass/fail line each. The acceptance suite runs the same laws at full
+scale."""
 
 from __future__ import annotations
 
 import json
-import random
 import sys
 
-from . import _kernels
-from .bikatetov import (characterization_check, classify_idempotents,
-                        constant_zero, embed_isometry, enumerate_bikatetov,
-                        inner_aut, invertible_isometry, metric_unit, product,
-                        product_via_amalgam, random_bikatetov,
-                        routing_idempotent, star)
-from .gh import EnumeratedPair, gh_distance, gh_distance_oracle
-from .graev import (WeightedAlphabet, concat, graev_norm,
-                    graev_norm_bruteforce, inverse_word, reduce_word)
-from .grid import add_capped
-from .homog import (composition_weight_bound, nu_truncated,
-                    random_partial_isometry, PartialIsometryRelation)
-from .katetov import build_approximant, injectivity_check, iso_group
-from .relations import (action_graph, compose, enumerate_carrier, invert,
-                        matrix_of_relation, relation_of_matrix,
-                        restriction_equivalence)
-from .spaces import FiniteMetricSpace, random_grid_space
-
-TWO_POINT = FiniteMetricSpace(("a", "b"), 2, ((0, 1), (1, 0)))
-TRIANGLE = FiniteMetricSpace(("a", "b", "c"), 2, ((0, 1, 1), (1, 0, 1), (1, 1, 0)))
-
-
-def check_capped_addition():
-    q = 5
-    for a in range(q + 1):
-        for b in range(q + 1):
-            assert add_capped(a, b, q) == add_capped(b, a, q)
-            assert add_capped(0, a, q) == a
-            for c in range(q + 1):
-                assert add_capped(add_capped(a, b, q), c, q) \
-                    == add_capped(a, add_capped(b, c, q), q)
-
-
-def check_membership_characterization():
-    space = FiniteMetricSpace(("a", "b"), 3, ((0, 2), (2, 0)))
-    q, n = 3, 2
-    agree = 0
-    for code in range((q + 1) ** (n * n)):
-        c = code
-        entries = []
-        for _ in range(n):
-            row = []
-            for _ in range(n):
-                row.append(c % (q + 1))
-                c //= q + 1
-            entries.append(tuple(row))
-        entries = tuple(entries)
-        direct = _kernels.is_bikatetov(n, [e for r in entries for e in r],
-                                       space.flat(), q)
-        algebraic = characterization_check(space, entries)
-        assert direct == algebraic, entries
-        agree += 1
-    assert agree == 256
-
-
-def check_idempotent_classification():
-    for space in (FiniteMetricSpace(("a",), 2, ((0,),)), TWO_POINT, TRIANGLE):
-        found = classify_idempotents(space)
-        assert len(found) == 2 ** space.n, (space.points, len(found))
-
-
-def check_invertibles():
-    space = TWO_POINT
-    unit = metric_unit(space)
-    elements = enumerate_bikatetov(space)
-    invertibles = set()
-    for f in elements:
-        has_inverse = any(product(f, g) == unit and product(g, f) == unit
-                          for g in elements)
-        found = invertible_isometry(f)
-        assert has_inverse == (found is not None), f.entries
-        if has_inverse:
-            invertibles.add(f.entries)
-            assert star(f) == product(star(f), unit)  # sanity: star stays inside
-    expected = {embed_isometry(space, p).entries for p in iso_group(space)}
-    assert invertibles == expected and len(invertibles) == 2
-
-
-def check_invariant_idempotents():
-    for space in (TWO_POINT, TRIANGLE):
-        group = iso_group(space)
-        fixed = [m for m, _ in classify_idempotents(space)
-                 if all(inner_aut(g, m) == m for g in group)]
-        assert len(fixed) == 2
-        assert metric_unit(space) in fixed and constant_zero(space) in fixed
-
-
-def check_amalgam_product_oracle():
-    rng = random.Random(7)
-    for _ in range(40):
-        space = random_grid_space(rng.randint(2, 3), rng.randint(2, 5), rng.randrange(10 ** 6))
-        p = random_bikatetov(space, rng)
-        q_ = random_bikatetov(space, rng)
-        assert product_via_amalgam(p, q_) == product(p, q_)
-
-
-def check_graev_dp_vs_enumeration():
-    # worked example: two letters at distance 3, weights 4 and 6, q = 10
-    alphabet = WeightedAlphabet(("x", "y"), 10, ((0, 3), (3, 0)), (4, 6))
-    w = ((0, 1), (1, -1))  # x y^-1
-    assert graev_norm(w, alphabet) == 3
-    assert graev_norm_bruteforce(w, alphabet) == 3
-    assert graev_norm(((0, 1),), alphabet) == 4
-    assert graev_norm((), alphabet) == 0
-    rng = random.Random(11)
-    space = random_grid_space(3, 6, 13)
-    alphabet = WeightedAlphabet.from_space(space, _random_weights(space, rng))
-    checked, mism = _kernels.graev_agree_exhaustive(
-        3, [e for r in alphabet.dist for e in r], list(alphabet.weights), 5)
-    assert mism == 0 and checked == sum(6 ** k for k in range(6))
-
-
-def _random_weights(space, rng):
-    q = space.denominator
-    k = [rng.randint(0, q) for _ in range(space.n)]
-    for _ in range(space.n):
-        for i in range(space.n):
-            for j in range(space.n):
-                if k[i] > k[j] + space.dist[i][j]:
-                    k[i] = k[j] + space.dist[i][j]
-    return tuple(k)
-
-
-def _random_word(alphabet, rng, max_len):
-    return tuple((rng.randrange(alphabet.n), rng.choice((1, -1)))
-                 for _ in range(rng.randint(0, max_len)))
-
-
-def check_graev_seminorm_laws():
-    rng = random.Random(17)
-    space = random_grid_space(4, 8, 23)
-    alphabet = WeightedAlphabet.from_space(space, _random_weights(space, rng))
-    for _ in range(400):
-        u = _random_word(alphabet, rng, 7)
-        v = _random_word(alphabet, rng, 7)
-        pu = graev_norm(u, alphabet)
-        assert graev_norm(reduce_word(u), alphabet) == pu
-        assert graev_norm(inverse_word(u), alphabet) == pu
-        pv = graev_norm(v, alphabet)
-        assert graev_norm(reduce_word(concat(u, v)), alphabet) <= pu + pv
-        assert graev_norm(reduce_word(concat(concat(u, v), inverse_word(u))),
-                          alphabet) == pv
-
-
-def check_orbit_distance():
-    space = random_grid_space(4, 5, 31)
-    singles = [PartialIsometryRelation(space, ((a, b),))
-               for a in space.points for b in space.points]
-    for a in space.points:
-        for b in space.points:
-            got = nu_truncated(singles, a, b, 2)
-            assert got.value == space.distance(a, b), (a, b, got.value)
-
-
-def check_weight_bounds():
-    rng = random.Random(41)
-    space = random_grid_space(4, 6, 43)
-    for _ in range(400):
-        rels = [random_partial_isometry(space, rng) for _ in range(3)]
-        signs3 = [rng.choice((1, -1)) for _ in range(2)]
-        assert composition_weight_bound(1, rels[:2], signs3[:1]) in (None, True)
-        assert composition_weight_bound(2, rels, signs3) in (None, True)
-        assert composition_weight_bound(3, rels[:2], signs3) in (None, True)
-
-
-def check_function_space_roundtrip():
-    space = TWO_POINT
-    carrier = enumerate_carrier(space)
-    assert carrier.size == 7
-    for f in enumerate_bikatetov(space):
-        assert matrix_of_relation(carrier, relation_of_matrix(carrier, f)) == f.entries
-    group = iso_group(space)
-    for g in group:
-        jg = action_graph(carrier, g)
-        assert matrix_of_relation(carrier, jg) == embed_isometry(space, g).entries
-        for h in group:
-            gh = tuple(g[h[i]] for i in range(space.n))
-            assert compose(jg, action_graph(carrier, h)) == action_graph(carrier, gh)
-        assert invert(jg) == action_graph(carrier, tuple(sorted(range(space.n), key=g.__getitem__)))
-    for subset in ((), ("a",), ("b",), ("a", "b")):
-        bf = routing_idempotent(space, subset)
-        assert relation_of_matrix(carrier, bf) == restriction_equivalence(carrier, subset)
-
-
-def check_gh_formula_vs_oracle():
-    rng = random.Random(53)
-    for _ in range(60):
-        n = rng.randint(1, 4)
-        q = rng.randint(2, 10)
-        inst = EnumeratedPair(random_grid_space(n, q, rng.randrange(10 ** 6)),
-                              random_grid_space(n, q, rng.randrange(10 ** 6)))
-        assert gh_distance(inst) == gh_distance_oracle(inst)
-
-
-def check_approximant_closure():
-    seed = FiniteMetricSpace(("a",), 2, ((0,),))
-    result = build_approximant(seed, 1, 2, 16)
-    assert result.status == "closed"
-    assert injectivity_check(result.space, 1).ok
-
-
-CHECKS = [
-    ("capped-addition", check_capped_addition),
-    ("membership-characterization", check_membership_characterization),
-    ("idempotent-classification", check_idempotent_classification),
-    ("invertibles", check_invertibles),
-    ("invariant-idempotents", check_invariant_idempotents),
-    ("amalgam-product-oracle", check_amalgam_product_oracle),
-    ("graev-dp-vs-enumeration", check_graev_dp_vs_enumeration),
-    ("graev-seminorm-laws", check_graev_seminorm_laws),
-    ("orbit-distance-exact", check_orbit_distance),
-    ("weight-bounds", check_weight_bounds),
-    ("function-space-roundtrip", check_function_space_roundtrip),
-    ("gh-formula-vs-oracle", check_gh_formula_vs_oracle),
-    ("approximant-closure", check_approximant_closure),
-]
+from .laws import LAWS, QUICK
 
 
 def run(json_mode: bool = False) -> int:
     results = []
-    for name, fn in CHECKS:
+    for name, law in LAWS:
         try:
-            fn()
+            law(QUICK)
             results.append({"name": name, "ok": True, "detail": None})
             if not json_mode:
                 print(f"PASS {name}")

@@ -15,7 +15,7 @@ from itertools import combinations
 
 from ._kernels import INF, floyd_warshall_capped
 from .errors import ValidationError
-from .grid import is_grid_int, lcm
+from .grid import denominator_problem, is_grid_int, lcm
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,9 @@ def validate_space(points, denominator, dist, pseudo: bool = False) -> Validatio
         problems.append(Violation("shape", "duplicate point names"))
     if not isinstance(pseudo, bool):
         problems.append(Violation("shape", f"pseudo must be True or False, got {pseudo!r}"))
-    if not is_grid_int(denominator, 1):
-        problems.append(Violation("shape", f"denominator must be a positive integer, got {denominator!r}"))
+    bad_denominator = denominator_problem(denominator)
+    if bad_denominator:
+        problems.append(Violation("shape", bad_denominator))
         return ValidationReport(tuple(problems))
     rows = list(dist)
     if len(rows) != n or any(len(row) != n for row in rows):
@@ -147,7 +148,7 @@ class FiniteMetricSpace:
     def index(self, name: str) -> int:
         try:
             return self._index[name]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise ValidationError(f"unknown point {name!r}") from None
 
     def d(self, i: int, j: int) -> int:
@@ -281,8 +282,9 @@ class PartialSpec:
         if len(set(self.points)) != n or n == 0:
             raise ValidationError("points must be nonempty and unique")
         q = self.denominator
-        if not is_grid_int(q, 1):
-            raise ValidationError(f"denominator must be a positive integer, got {q!r}")
+        bad_denominator = denominator_problem(q)
+        if bad_denominator:
+            raise ValidationError(bad_denominator)
         if len(self.entries) != n or any(len(r) != n for r in self.entries):
             raise ValidationError(f"entry matrix is not {n}x{n}")
         for i in range(n):
@@ -420,8 +422,11 @@ def random_grid_space(n: int, q: int, seed: int) -> FiniteMetricSpace:
     The second pass undoes the bias toward path-like metrics that closure
     alone would leave.
     """
-    if n < 1 or q < 1:
-        raise ValidationError("need n >= 1 and q >= 1")
+    if not is_grid_int(n, 1):
+        raise ValidationError(f"need an integer n >= 1, got {n!r}")
+    bad_denominator = denominator_problem(q)
+    if bad_denominator:
+        raise ValidationError(bad_denominator)
     rng = random.Random(seed)
     names = tuple(f"p{i}" for i in range(n))
     if n == 1:

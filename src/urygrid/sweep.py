@@ -10,7 +10,6 @@ bound.
 from __future__ import annotations
 
 import os
-from multiprocessing import get_context
 
 from . import _kernels
 from .errors import ValidationError
@@ -50,6 +49,8 @@ def graev_agree_exhaustive(nl: int, dist, weights, max_len: int,
     if _kernels.graev_norm_dp([], [], nl, dist, weights) != \
             _kernels.graev_norm_bruteforce([], [], nl, dist, weights):
         mismatches += 1
+    from multiprocessing import get_context  # only a parallel sweep pays for it
+
     jobs = [(nl, dist, weights, max_len, [letter], [sign])
             for letter in range(nl) for sign in (1, -1)]
     with get_context("fork").Pool(workers) as pool:

@@ -9,6 +9,8 @@ import pytest
 import urygrid._kernels
 from urygrid.bikatetov import random_bikatetov
 from urygrid.graev import WeightedAlphabet
+# the library's one copy of each helper; random_word is for the test modules
+from urygrid.laws import random_space, random_weights, random_word  # noqa: F401
 from urygrid.spaces import FiniteMetricSpace, random_grid_space
 
 
@@ -59,28 +61,11 @@ def path_q4():
         ((0, 1, 2, 3), (1, 0, 1, 2), (2, 1, 0, 1), (3, 2, 1, 0)))
 
 
-def random_weights(space, rng):
-    """Non-expanding non-negative weights: clip random values pairwise."""
-    k = [rng.randint(0, space.denominator) for _ in range(space.n)]
-    for _ in range(space.n):
-        for i in range(space.n):
-            for j in range(space.n):
-                if k[i] > k[j] + space.dist[i][j]:
-                    k[i] = k[j] + space.dist[i][j]
-    return tuple(k)
-
-
 def random_alphabet(rng, n=4, q=12):
     space = random_grid_space(n, q, rng.randrange(10 ** 9))
     return WeightedAlphabet.from_space(space, random_weights(space, rng))
 
 
-def random_word(rng, nletters, max_len, min_len=0):
-    return tuple((rng.randrange(nletters), rng.choice((1, -1)))
-                 for _ in range(rng.randint(min_len, max_len)))
-
-
 def random_matrix_pair(rng, max_n=4, max_q=8):
-    space = random_grid_space(rng.randint(1, max_n), rng.randint(1, max_q),
-                              rng.randrange(10 ** 9))
+    space = random_space(rng, max_n, max_q)
     return random_bikatetov(space, rng), random_bikatetov(space, rng)

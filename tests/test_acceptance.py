@@ -1,6 +1,8 @@
 """Acceptance suite: one test per exit criterion, each printing a PASS line
 with its observed counts. Every identity is checked with exact integer
-equality; there are no tolerances anywhere.
+equality; there are no tolerances anywhere. The laws live in urygrid.laws,
+which ``urygrid selftest`` runs at quick scale; here they run at acceptance
+scale, and each test pins the seeded counts its PASS line reports.
 
 Criterion 1 enumerates all signed words up to a length bound against the
 explicit pairing enumeration. The full stated population (twenty alphabets,
@@ -14,132 +16,57 @@ the order of twenty minutes single-threaded; URYGRID_WORKERS parallelizes).
 
 import os
 import random
+import re
 
-from urygrid import sweep
-from urygrid.bikatetov import (characterization_check, classify_idempotents,
-                               constant_zero, embed_isometry,
-                               enumerate_bikatetov, inner_aut,
-                               invertible_isometry, is_bikatetov_matrix,
-                               metric_unit, product, product_via_amalgam,
-                               random_bikatetov, random_bikatetov_below,
-                               routing_idempotent, star)
-from urygrid.gh import EnumeratedPair, gh_distance, gh_distance_oracle
-from urygrid.graev import (WeightedAlphabet, concat, graev_norm,
-                           inverse_word, reduce_word)
-from urygrid.homog import (PartialIsometryRelation, composition_weight_bound,
-                           nu_truncated, random_partial_isometry,
-                           relation_alphabet, word_image)
-from urygrid.katetov import (build_approximant, homogeneity_check,
-                             injectivity_check, iso_group)
-from urygrid.relations import (action_graph, compose, enumerate_carrier,
-                               matrix_of_relation, relation_of_matrix,
-                               restriction_equivalence)
-from urygrid.spaces import FiniteMetricSpace, random_grid_space
+from urygrid import laws
+from urygrid.bikatetov import (constant_zero, is_bikatetov_matrix,
+                               metric_unit, product, random_bikatetov,
+                               random_bikatetov_below, star)
+
+ACCEPTANCE = laws.ACCEPTANCE
 
 
-def report(num, text):
+def report(num, text, *counts):
+    """Print the PASS line after checking that each seeded count appears in
+    it as a whole number."""
+    for count in counts:
+        assert re.search(rf"(?<![\d,]){count}(?![\d,])", text), (count, text)
     print(f"ACCEPTANCE {num:2d} PASS: {text}")
-
-
-def nonexpanding_weights(space, rng):
-    k = [rng.randint(0, space.denominator) for _ in range(space.n)]
-    for _ in range(space.n):
-        for i in range(space.n):
-            for j in range(space.n):
-                if k[i] > k[j] + space.dist[i][j]:
-                    k[i] = k[j] + space.dist[i][j]
-    return tuple(k)
-
-
-def acceptance_alphabet(i):
-    """The i-th of the twenty random 4-letter weighted alphabets at q=12."""
-    space = random_grid_space(4, 12, 7000 + i)
-    rng = random.Random(8000 + i)
-    return WeightedAlphabet.from_space(space, nonexpanding_weights(space, rng))
-
-
-def random_word(rng, nletters, max_len, min_len=0):
-    return tuple((rng.randrange(nletters), rng.choice((1, -1)))
-                 for _ in range(rng.randint(min_len, max_len)))
 
 
 def test_01_graev_dp_equals_bruteforce():
     from urygrid import KERNEL_BACKEND
-    full = os.environ.get("URYGRID_ACCEPTANCE_FULL") == "1"
-    if full:
-        scope, boundary_len, rest_len = "full", 8, 8
+    if os.environ.get("URYGRID_ACCEPTANCE_FULL") == "1":
+        scope = "full"
     elif KERNEL_BACKEND == "compiled":
-        scope, boundary_len, rest_len = "default", 8, 6
+        scope = "default"
     else:
-        scope, boundary_len, rest_len = "pure-fallback", 6, 5
-    total = 0
-    for i in range(20):
-        alphabet = acceptance_alphabet(i)
-        dist = [e for row in alphabet.dist for e in row]
-        weights = list(alphabet.weights)
-        max_len = boundary_len if i == 0 else rest_len
-        checked, mismatches = sweep.graev_agree_exhaustive(
-            4, dist, weights, max_len)
-        assert mismatches == 0, f"alphabet {i}: {mismatches} mismatches"
-        assert checked == sum(8 ** k for k in range(max_len + 1))
-        total += checked
-    report(1, f"dynamic program equals pairing enumeration on {total:,} words "
-              f"over 20 alphabets ({scope} scope)")
+        scope = "pure-fallback"
+    report(1, laws.graev_dp_vs_enumeration(scope), "20")
 
 
 def test_02_graev_seminorm_laws():
-    per_law = 10_000
-    rng = random.Random(42)
-    alphabets = [acceptance_alphabet(i) for i in range(5)]
-    for a in alphabets:
-        assert graev_norm((), a) == 0
-    for _ in range(per_law):
-        a = alphabets[rng.randrange(5)]
-        w = random_word(rng, 4, 10)
-        assert graev_norm(w, a) == graev_norm(reduce_word(w), a)
-    for _ in range(per_law):
-        a = alphabets[rng.randrange(5)]
-        w = random_word(rng, 4, 10)
-        assert graev_norm(w, a) == graev_norm(inverse_word(w), a)
-    for _ in range(per_law):
-        a = alphabets[rng.randrange(5)]
-        u = random_word(rng, 4, 8)
-        v = random_word(rng, 4, 8)
-        assert graev_norm(reduce_word(concat(u, v)), a) \
-            <= graev_norm(u, a) + graev_norm(v, a)
-    for _ in range(per_law):
-        a = alphabets[rng.randrange(5)]
-        u = random_word(rng, 4, 6)
-        v = random_word(rng, 4, 7)
-        conj = reduce_word(concat(concat(u, v), inverse_word(u)))
-        assert graev_norm(conj, a) == graev_norm(v, a)
-    report(2, f"empty-word, inversion, subadditivity, conjugation and "
-              f"reduction laws on {per_law} random words each, exact")
-
-
-def _random_space(rng, max_n, max_q):
-    return random_grid_space(rng.randint(1, max_n), rng.randint(1, max_q),
-                             rng.randrange(10 ** 9))
+    report(2, laws.graev_seminorm_laws(ACCEPTANCE), "10000")
 
 
 def test_03_bounded_minplus_algebra():
     per_law = 10_000
     rng = random.Random(43)
     for _ in range(per_law):
-        space = _random_space(rng, 4, 8)
+        space = laws.random_space(rng, 4, 8)
         f = random_bikatetov(space, rng)
         g = random_bikatetov(space, rng)
         h = random_bikatetov(space, rng)
         assert product(product(f, g), h) == product(f, product(g, h))
     for _ in range(per_law):
-        space = _random_space(rng, 4, 8)
+        space = laws.random_space(rng, 4, 8)
         f2 = random_bikatetov(space, rng)
         g2 = random_bikatetov(space, rng)
         f1 = random_bikatetov_below(f2, rng)
         g1 = random_bikatetov_below(g2, rng)
         assert product(f1, g1) <= product(f2, g2)
     for _ in range(per_law):
-        space = _random_space(rng, 4, 8)
+        space = laws.random_space(rng, 4, 8)
         f = random_bikatetov(space, rng)
         g = random_bikatetov(space, rng)
         fg = product(f, g)  # constructor revalidates bi-Katetov closure
@@ -150,202 +77,42 @@ def test_03_bounded_minplus_algebra():
         assert product(f, one) == one and product(one, f) == one
         assert star(product(f, g)) == product(star(g), star(f))
         assert star(star(f)) == f
-    space = FiniteMetricSpace(("a", "b"), 3, ((0, 2), (2, 0)))
-    agree = 0
-    for code in range(4 ** 4):
-        c = code
-        vals = []
-        for _ in range(4):
-            vals.append(c % 4)
-            c //= 4
-        entries = ((vals[0], vals[1]), (vals[2], vals[3]))
-        assert characterization_check(space, entries) == \
-            is_bikatetov_matrix(space, entries)
-        agree += 1
     report(3, f"associativity, order, closure, unit/zero and involution laws "
-              f"on {per_law} random samples each; membership characterization "
-              f"agrees with the definition on all {agree} matrices at n=2, q=3")
+              f"on {per_law} random samples each; "
+              + laws.membership_characterization(ACCEPTANCE), "10000", "256")
 
 
 def test_04_idempotent_classification():
-    lines = []
-    for n in (1, 2, 3):
-        for q in (2, 4):
-            space = random_grid_space(n, q, 1234 + 10 * n + q)
-            found = classify_idempotents(space)
-            assert len(found) == 2 ** n, (n, q, len(found))
-            subsets = {sub for _, sub in found}
-            assert len(subsets) == 2 ** n
-            lines.append(f"n={n},q={q}:{len(found)}")
-    report(4, "grid idempotents above the metric are exactly the 2^n subset "
-              "routings (" + " ".join(lines) + ")")
+    report(4, laws.idempotent_classification(ACCEPTANCE))
 
 
 def test_05_invertibles_exhaustive():
-    space = FiniteMetricSpace(("a", "b"), 2, ((0, 1), (1, 0)))
-    unit = metric_unit(space)
-    elements = enumerate_bikatetov(space)
-    with_inverse = set()
-    for f in elements:
-        if any(product(f, g) == unit and product(g, f) == unit for g in elements):
-            with_inverse.add(f.entries)
-        perm = invertible_isometry(f)
-        assert (perm is not None) == (f.entries in with_inverse)
-    embedded = {embed_isometry(space, p).entries for p in iso_group(space)}
-    assert with_inverse == embedded and len(with_inverse) == 2
-    report(5, f"among all {len(elements)} grid elements at n=2, q=2 the "
-              f"invertibles are exactly the 2 embedded isometries")
+    report(5, laws.invertibles(ACCEPTANCE), "26")
 
 
 def test_06_invariant_idempotents():
-    spaces = [FiniteMetricSpace(("a", "b"), 2, ((0, 1), (1, 0))),
-              FiniteMetricSpace(("a", "b"), 4, ((0, 3), (3, 0))),
-              FiniteMetricSpace(("a", "b", "c"), 2,
-                                ((0, 1, 1), (1, 0, 1), (1, 1, 0))),
-              FiniteMetricSpace(("a", "b", "c"), 4,
-                                ((0, 2, 2), (2, 0, 2), (2, 2, 0)))]
-    for space in spaces:
-        group = iso_group(space)
-        fixed = [m for m, _ in classify_idempotents(space)
-                 if all(inner_aut(g, m) == m for g in group)]
-        assert len(fixed) == 2
-        assert metric_unit(space) in fixed and constant_zero(space) in fixed
-    report(6, "on point-transitive spaces the only conjugation-invariant "
-              "idempotents above the metric are the metric and the constant")
+    report(6, laws.invariant_idempotents(ACCEPTANCE))
 
 
 def test_07_amalgam_oracle():
-    rng = random.Random(44)
-    trials = 1000
-    for _ in range(trials):
-        space = _random_space(rng, 4, 8)
-        p = random_bikatetov(space, rng)
-        q_ = random_bikatetov(space, rng)
-        assert product_via_amalgam(p, q_) == product(p, q_)
-    report(7, f"three-copy amalgam block equals the min-plus product on "
-              f"{trials} random pairs, exact")
+    report(7, laws.amalgam_product_oracle(ACCEPTANCE), "1000")
 
 
 def test_08_gh_formula_equals_oracle():
-    rng = random.Random(45)
-    trials = 1000
-    for _ in range(trials):
-        n = rng.randint(1, 6)
-        q = rng.randint(2, 20)
-        x = random_grid_space(n, q, rng.randrange(10 ** 9))
-        y = random_grid_space(n, q, rng.randrange(10 ** 9))
-        y = FiniteMetricSpace(tuple(f"y{i}" for i in range(n)), q, y.dist)
-        inst = EnumeratedPair(x, y)
-        assert gh_distance(inst) == gh_distance_oracle(inst)
-    report(8, f"half-distortion formula equals the feasibility-scan oracle "
-              f"on {trials} random enumerated instances, exact")
+    report(8, laws.gh_formula_vs_oracle(ACCEPTANCE), "1000")
 
 
 def test_09_orbit_distance_exactness():
-    rng = random.Random(46)
-    pairs_checked = 0
-    for i in range(10):
-        space = random_grid_space(2 + i % 4, 5 + i, 4600 + i)
-        stock = [PartialIsometryRelation(space, ((a, b),))
-                 for a in space.points for b in space.points]
-        for a in space.points:
-            for b in space.points:
-                for max_len in (1, 2, 3):
-                    got = nu_truncated(stock, a, b, max_len)
-                    assert got.value == space.distance(a, b), (i, a, b, max_len)
-                pairs_checked += 1
-    norm_checked = 0
-    while norm_checked < 1000:
-        space = _random_space(rng, 5, 6)
-        if space.n < 2:
-            continue
-        rels = []
-        seen = set()
-        for _ in range(rng.randint(1, 3)):
-            r = random_partial_isometry(space, rng)
-            if r.pairs not in seen:
-                seen.add(r.pairs)
-                rels.append(r)
-        alphabet = relation_alphabet(rels)
-        w = random_word(rng, len(rels), 5)
-        img = word_image(rels, w)
-        if not img:
-            continue
-        norm = graev_norm(w, alphabet)
-        for (x, y) in img:
-            assert norm >= space.dist[x][y]
-            norm_checked += 1
-    report(9, f"singleton-stock orbit distance equals the base distance for "
-              f"{pairs_checked} point pairs at every length bound; word "
-              f"seminorm dominates the moved distance on {norm_checked} "
-              f"related pairs")
+    report(9, laws.orbit_distance_exact(ACCEPTANCE), "121", "1000")
 
 
 def test_10_composition_weight_bounds():
-    rng = random.Random(47)
-    trials = 10_000
-    admissible = 0
-    for _ in range(trials):
-        space = _random_space(rng, 5, 8)
-        rels = [random_partial_isometry(space, rng) for _ in range(3)]
-        e, dl = (rng.choice((1, -1)) for _ in range(2))
-        for case, rr, ss in ((1, rels[:2], [e]), (2, rels, [e, dl]),
-                             (3, rels[:2], [e, dl])):
-            verdict = composition_weight_bound(case, rr, ss)
-            if verdict is not None:
-                assert verdict, (case, rr, ss)
-                admissible += 1
-    report(10, f"weight bounds for short compositions hold on {admissible} "
-               f"admissible tuples out of {trials} sampled triples, zero "
-               f"violations")
+    report(10, laws.weight_bounds(ACCEPTANCE), "23642", "10000")
 
 
 def test_11_function_space_round_trip():
-    count = 0
-    for q in (2, 3):
-        for d in range(1, q + 1):
-            space = FiniteMetricSpace(("a", "b"), q, ((0, d), (d, 0)))
-            carrier = enumerate_carrier(space)
-            for f in enumerate_bikatetov(space):
-                assert matrix_of_relation(carrier, relation_of_matrix(carrier, f)) \
-                    == f.entries
-                count += 1
-    spaces = [FiniteMetricSpace(("a", "b"), 2, ((0, 1), (1, 0))),
-              FiniteMetricSpace(("a", "b", "c"), 2,
-                                ((0, 1, 1), (1, 0, 1), (1, 1, 0)))]
-    for space in spaces:
-        carrier = enumerate_carrier(space)
-        group = iso_group(space)
-        for g in group:
-            assert matrix_of_relation(carrier, action_graph(carrier, g)) == \
-                embed_isometry(space, g).entries
-            inv = tuple(sorted(range(space.n), key=g.__getitem__))
-            from urygrid.relations import invert as rel_invert
-            assert rel_invert(action_graph(carrier, g)) == action_graph(carrier, inv)
-            for h in group:
-                gh = tuple(g[h[i]] for i in range(space.n))
-                assert compose(action_graph(carrier, g), action_graph(carrier, h)) \
-                    == action_graph(carrier, gh)
-    space = FiniteMetricSpace(("a", "b"), 2, ((0, 1), (1, 0)))
-    carrier = enumerate_carrier(space)
-    for subset in ((), ("a",), ("b",), ("a", "b")):
-        assert relation_of_matrix(carrier, routing_idempotent(space, subset)) \
-            == restriction_equivalence(carrier, subset)
-    report(11, f"matrix/relation round trip exact on {count} matrices; graph "
-               f"embedding is a monoid-with-involution morphism matching the "
-               f"matrix embedding; routing idempotents map to restriction "
-               f"equivalences")
+    report(11, laws.function_space_roundtrip(ACCEPTANCE), "262")
 
 
 def test_12_approximant_soundness():
-    seed = FiniteMetricSpace(("a",), 2, ((0,),))
-    result = build_approximant(seed, 2, 2, 64)
-    assert result.status == "closed"
-    inj = injectivity_check(result.space, 2)
-    assert inj.ok, f"{len(inj.unrealized)} unrealized profiles"
-    hom = homogeneity_check(result.space, 1, max_points=64)
-    assert hom.ok, f"{len(hom.non_extendable)} non-extendable point maps"
-    report(12, f"1-point seed closes at {result.space.n} points "
-               f"({result.strategy} strategy); injectivity clean over "
-               f"{inj.checked} profiles; every single-point map extends "
-               f"to a global isometry")
+    report(12, laws.approximant_closure(ACCEPTANCE), "12", "432")

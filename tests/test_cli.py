@@ -108,6 +108,14 @@ class TestComplete:
         assert code == 0
         assert json.loads(out)["dist"][0][2] == 2
 
+    def test_denominator_past_the_kernel_sentinel_exits_one(self, capsys, tmp_path):
+        p = tmp_path / "partial.json"
+        p.write_text(json.dumps({"points": ["a", "b"], "denominator": 2 ** 31,
+                                 "entries": [[0, 2 ** 30], [2 ** 30, 0]]}))
+        code, out, err = run(capsys, "complete", str(p))
+        assert code == 1 and out == ""
+        assert err == "error: denominator 2147483648 is not below 2^29 = 536870912\n"
+
     def test_bool_entry_exits_one(self, capsys, tmp_path):
         p = tmp_path / "partial.json"
         p.write_text(json.dumps({"points": ["a", "b"], "denominator": 2,
@@ -264,6 +272,16 @@ class TestHomog:
                            "--to", "b", "--max-len", "2")
         assert code == 0 and out.startswith("2/4")
 
+    def test_mixed_type_pairs_exit_one(self, capsys, tmp_path):
+        p = tmp_path / "rel.json"
+        p.write_text(json.dumps({
+            "space": {"points": ["a", "b"], "denominator": 4, "dist": [[0, 2], [2, 0]]},
+            "relations": [{"name": "s", "pairs": [["a", "b"], [0, "b"]]}],
+            "word": "s"}))
+        code, out, err = run(capsys, "homog", "phi", str(p))
+        assert code == 1 and out == ""
+        assert err == "error: unknown point 0\n"
+
     def test_lemma42(self, capsys, rel_file):
         code, out, _ = run(capsys, "homog", "lemma42", rel_file, "--word", "s")
         assert code == 0 and "all bounded below" in out
@@ -328,6 +346,16 @@ class TestApproximant:
                              "--subset", "1", "--cap", "8")
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and "denominator" in err
+
+    def test_too_many_profiles_exit_two(self, capsys, tmp_path):
+        p = tmp_path / "fine.json"
+        p.write_text(json.dumps({"points": ["a", "b"], "denominator": 10 ** 6,
+                                 "dist": [[0, 1], [1, 0]]}))
+        for action in ("build", "verify"):
+            code, out, err = run(capsys, "approximant", action, str(p), "--subset", "2")
+            assert code == 2 and out == ""
+            assert len(err.splitlines()) == 1
+            assert "more than 100000 grid profiles" in err and "limit 100000" in err
 
     def test_subset_zero_exits_one(self, capsys, tmp_path):
         p = tmp_path / "seed.json"
@@ -399,10 +427,17 @@ class TestErrorChannels:
 
 
 class TestSelftest:
+    NAMES = ["capped-addition", "membership-characterization", "idempotent-classification",
+             "invertibles", "invariant-idempotents", "amalgam-product-oracle",
+             "graev-dp-vs-enumeration", "graev-seminorm-laws", "orbit-distance-exact",
+             "weight-bounds", "function-space-roundtrip", "gh-formula-vs-oracle",
+             "approximant-closure"]
+
     def test_selftest_passes(self, capsys):
         code, out, _ = run(capsys, "selftest")
         assert code == 0
-        assert "all checks passed" in out
+        assert out.splitlines() == [f"PASS {name}" for name in self.NAMES] \
+            + ["all checks passed (13/13)"]
 
 
 class TestChildProcess:

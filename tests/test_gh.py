@@ -46,6 +46,15 @@ class TestFormula:
         with pytest.raises(ValidationError):
             EnumeratedPair(random_grid_space(2, 4, 0), random_grid_space(3, 4, 0))
 
+    def test_common_grid_past_the_kernel_sentinel_is_refused(self):
+        # at q = 2^30 the oracle read the doubled distances as missing edges
+        with pytest.raises(ValidationError, match=r"not below 2\^29"):
+            FiniteMetricSpace(("x1", "x2"), 2 ** 30, ((0, 1), (1, 0)))
+        a = FiniteMetricSpace(("x1", "x2"), 2 ** 15, ((0, 1), (1, 0)))
+        b = FiniteMetricSpace(("y1", "y2"), 2 ** 15 + 1, ((0, 1), (1, 0)))
+        with pytest.raises(ValidationError, match=r"not below 2\^29"):
+            EnumeratedPair(a, b)
+
     def test_mixed_denominators_rescale(self):
         a = FiniteMetricSpace(("x",), 2, ((0,),))
         b = FiniteMetricSpace(("y",), 3, ((0,),))

@@ -133,6 +133,16 @@ class TestGraevSum:
 
 
 class TestNorms:
+    @pytest.mark.parametrize("word", [
+        ((2, 1),), ((-1, 1),), ((True, 1),), ((1.0, 1),), ((0, 2),), ((0, True),),
+        ((0, 1.0),), ((0,),), ((0, 1, 1),), (5,)])
+    def test_malformed_words_are_validation_errors(self, xy_alphabet, word):
+        for norm in (graev_norm, graev_norm_bruteforce):
+            with pytest.raises(ValidationError):
+                norm(word, xy_alphabet)
+        with pytest.raises(ValidationError):
+            graev_sum(word, frozenset(), xy_alphabet)
+
     def test_worked_minimum(self, xy_alphabet):
         w = parse_word(xy_alphabet, "x y^-1")
         assert graev_norm_bruteforce(w, xy_alphabet) == 3

@@ -53,6 +53,15 @@ class TestRelationValidation:
         with pytest.raises(ValidationError):
             PartialIsometryRelation(two_point_q4, ())
 
+    @pytest.mark.parametrize("pairs, message", [
+        ((("a", "b"), (0, "b")), "unknown point 0"),
+        ((("a", "b", "b"),), "is not two point names"),
+        (((["a"], "b"),), r"unknown point \['a'\]"),
+    ], ids=["mixed-types", "three-entries", "list-name"])
+    def test_malformed_pairs_are_validation_errors(self, two_point_q4, pairs, message):
+        with pytest.raises(ValidationError, match=message):
+            PartialIsometryRelation(two_point_q4, pairs)
+
 
 class TestHausdorff:
     def test_zero_on_equal(self, space4):

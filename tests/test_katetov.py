@@ -7,7 +7,7 @@ import pytest
 
 from urygrid.cli import main
 from urygrid.errors import GuardError, ValidationError
-from urygrid.katetov import (KatetovFunction, _circulant_template, _embed_seed,
+from urygrid.katetov import (PROFILE_LIMIT, KatetovFunction, _circulant_template, _embed_seed,
                              _ProfileFrontier, build_approximant, homogeneity_check,
                              injectivity_check, is_katetov, iso_group,
                              katetov_extension, katetov_witness,
@@ -183,6 +183,17 @@ class TestInjectivity:
     def test_support_size_below_one_is_rejected(self, two_point_q4):
         with pytest.raises(ValidationError):
             injectivity_check(two_point_q4, 0)
+
+    def test_profile_listing_stops_at_the_limit(self):
+        # a singleton support at denominator q has q + 1 profiles
+        limit = PROFILE_LIMIT
+        assert injectivity_check(FiniteMetricSpace(("a",), limit - 1, ((0,),)), 1).checked \
+            == limit
+        with pytest.raises(GuardError, match=f"listed {limit}, limit {limit}"):
+            injectivity_check(FiniteMetricSpace(("a",), limit, ((0,),)), 1)
+        with pytest.raises(GuardError):
+            build_approximant(FiniteMetricSpace(("a", "b"), 10 ** 6, ((0, 1), (1, 0))),
+                              2, 10 ** 6, 8)
 
 
 def first_zero_free_unrealized(space, max_subset):

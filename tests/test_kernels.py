@@ -6,6 +6,7 @@ import os
 import random
 import re
 
+from urygrid import _kernels
 from urygrid._kernels import _fallback
 
 from conftest import KERNELS_DIR
@@ -25,6 +26,7 @@ def random_metric_flat(rng, n, q):
     return d
 
 
+# not urygrid.laws.random_word: flat kernel lists, drawn in a different order
 def random_word_inputs(rng, max_len=10):
     nl = rng.randint(1, 4)
     q = rng.randint(2, 12)
@@ -85,6 +87,25 @@ def test_graev_norms_match(compiled_ext):
             _fallback.graev_norm_dp(letters, signs, nl, d, wts)
         assert compiled_ext.graev_norm_bruteforce(letters, signs, nl, d, wts) == \
             _fallback.graev_norm_bruteforce(letters, signs, nl, d, wts)
+
+
+def test_graev_sums_that_could_reach_inf_run_pure(compiled_ext, monkeypatch):
+    # the compiled enumeration starts its minimum at INF = 2**30, so on its
+    # own it answers INF for a word whose cheapest pairing costs 2**36
+    big = 1 << 35
+    nl, d, wts, letters, signs = 2, [0, 1, 1, 0], [big, big], [0, 1], [1, 1]
+    assert compiled_ext.graev_norm_bruteforce(letters, signs, nl, d, wts) == _fallback.INF
+
+    def refuse(*args):
+        raise AssertionError("a call below INF went pure")
+
+    for name in ("graev_norm_dp", "graev_norm_bruteforce"):
+        routed = _kernels._pure_past_inf(getattr(compiled_ext, name), getattr(_fallback, name))
+        assert routed(letters, signs, nl, d, wts) == 2 * big
+        below = _kernels._pure_past_inf(getattr(compiled_ext, name), refuse)
+        assert below(letters, signs, nl, d, [7, 7]) == 14
+    monkeypatch.setattr(_kernels, "_agree_exhaustive", compiled_ext.graev_agree_exhaustive)
+    assert _kernels.graev_agree_exhaustive(nl, d, wts, 3) == (85, 0)
 
 
 def test_exhaustive_driver_matches(compiled_ext):

@@ -95,6 +95,19 @@ class TestCompletion:
         with pytest.raises(ValidationError, match="denominator"):
             FiniteMetricSpace(("a",), q, ((0,),))
 
+    @pytest.mark.parametrize("q", [2 ** 29, 2 ** 30, 2 ** 31])
+    def test_denominator_must_stay_below_the_kernel_sentinel(self, q):
+        with pytest.raises(ValidationError, match=r"not below 2\^29"):
+            PartialSpec(("a", "b"), q, ((0, q // 2), (q // 2, 0)))
+        assert "not below 2^29" in str(validate_space(["a", "b"], q, [[0, 1], [1, 0]]))
+        with pytest.raises(ValidationError, match=r"not below 2\^29"):
+            random_grid_space(2, q, 0)
+
+    def test_largest_denominator_completes_exactly(self):
+        q = 2 ** 29 - 1
+        spec = PartialSpec(("a", "b", "c"), q, ((0, q, None), (q, 0, 1), (None, 1, 0)))
+        assert shortest_path_completion(spec).dist == ((0, q, q), (q, 0, 1), (q, 1, 0))
+
     def test_disconnected_names_unreachable_pair(self):
         spec = PartialSpec(("a", "b"), 4, ((0, None), (None, 0)))
         with pytest.raises(ValidationError) as e:
@@ -253,6 +266,11 @@ class TestRandomGridSpace:
     def test_output_validates(self):
         space = random_grid_space(5, 8, 1)
         assert validate_space(space.points, 8, space.dist).ok
+
+    @pytest.mark.parametrize("n, q", [(True, 4), (0, 4), (2.0, 4), (2, 0), (2, True)])
+    def test_sizes_must_be_positive_integers(self, n, q):
+        with pytest.raises(ValidationError):
+            random_grid_space(n, q, 0)
 
     def test_many_seeds_validate(self):
         for seed in range(40):
