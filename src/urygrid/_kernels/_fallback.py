@@ -51,27 +51,29 @@ def floyd_warshall_capped(n: int, w: list[int], cap: int) -> list[int]:
 
     Missing edges are INF; an entry still INF afterwards is unreachable.
     The result is the largest pseudometric below the specified entries.
+
+    One list per row; for each k the finite entries of row k are listed
+    once and every row relaxes through them. Row k changes during round k
+    only where row k itself relaxes through d(k, k) = 0, which caps entries
+    above cap at cap, and a sum through such an entry saturates at cap
+    either way, so the listing taken before the round gives the same sums.
     """
-    dist = list(w)
+    rows = [w[i:i + n] for i in range(0, n * n, n)]
     for i in range(n):
-        dist[i * n + i] = 0
+        rows[i][i] = 0
     for k in range(n):
-        kn = k * n
-        for i in range(n):
-            dik = dist[i * n + k]
+        through = [(j, dkj) for j, dkj in enumerate(rows[k]) if dkj < INF]
+        for row in rows:
+            dik = row[k]
             if dik >= INF:
                 continue
-            inn = i * n
-            for j in range(n):
-                dkj = dist[kn + j]
-                if dkj >= INF:
-                    continue
+            for j, dkj in through:
                 s = dik + dkj
                 if s > cap:
                     s = cap
-                if s < dist[inn + j]:
-                    dist[inn + j] = s
-    return dist
+                if s < row[j]:
+                    row[j] = s
+    return [e for row in rows for e in row]
 
 
 def graev_dp_step(cols: list[list[int]], letters: list[int],

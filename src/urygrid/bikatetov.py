@@ -43,6 +43,22 @@ class BiKatetovMatrix:
             w = bikatetov_witness(self.space, self.entries)
             raise ValidationError(f"matrix is not bi-Katetov, witness {w}", w)
 
+    @classmethod
+    def _trusted(cls, space: FiniteMetricSpace,
+                 entries: tuple[tuple[int, ...], ...]) -> "BiKatetovMatrix":
+        """A matrix from tuple-normalized entries that are bi-Katetov by
+        theorem (the product, star, Gibbs, unit, zero, isometry and routing
+        routes below); skips revalidation. The independent checks are
+        tests/test_bikatetov.py::TestTrustedRoutes, which runs
+        is_bikatetov_matrix, bikatetov_witness and the validating
+        constructor on every route, and acceptance criterion 3
+        (tests/test_acceptance.py), which asserts is_bikatetov_matrix on
+        every product it draws."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "space", space)
+        object.__setattr__(m, "entries", entries)
+        return m
+
     def flat(self) -> list[int]:
         return [e for row in self.entries for e in row]
 
@@ -87,20 +103,20 @@ def _same_base(f: BiKatetovMatrix, g: BiKatetovMatrix):
 
 def _wrap(space: FiniteMetricSpace, flat: list[int]) -> BiKatetovMatrix:
     n = space.n
-    return BiKatetovMatrix(space, tuple(tuple(flat[i * n + j] for j in range(n))
-                                        for i in range(n)))
+    return BiKatetovMatrix._trusted(space, tuple(tuple(flat[i:i + n])
+                                                 for i in range(0, n * n, n)))
 
 
 def metric_unit(space: FiniteMetricSpace) -> BiKatetovMatrix:
     """The metric itself; the unity of the semigroup."""
-    return BiKatetovMatrix(space, space.dist)
+    return BiKatetovMatrix._trusted(space, space.dist)
 
 
 def constant_zero(space: FiniteMetricSpace) -> BiKatetovMatrix:
     """The constant diameter; absorbs every product."""
     q = space.denominator
-    return BiKatetovMatrix(space, tuple(tuple(q for _ in range(space.n))
-                                        for _ in range(space.n)))
+    row = (q,) * space.n
+    return BiKatetovMatrix._trusted(space, (row,) * space.n)
 
 
 def product(f: BiKatetovMatrix, g: BiKatetovMatrix) -> BiKatetovMatrix:
@@ -114,7 +130,7 @@ def product(f: BiKatetovMatrix, g: BiKatetovMatrix) -> BiKatetovMatrix:
 
 def star(f: BiKatetovMatrix) -> BiKatetovMatrix:
     """Transposition; the involution of the semigroup."""
-    return BiKatetovMatrix(f.space, tuple(zip(*f.entries)))
+    return BiKatetovMatrix._trusted(f.space, tuple(zip(*f.entries)))
 
 
 def characterization_check(space: FiniteMetricSpace, entries) -> bool:
@@ -157,7 +173,7 @@ def embed_isometry(space: FiniteMetricSpace, perm) -> BiKatetovMatrix:
     """The matrix (x, y) -> d(x, perm(y)). A monoid-with-involution morphism
     from the isometry group into the semigroup."""
     perm = _check_isometry(space, perm)
-    return BiKatetovMatrix(space, tuple(
+    return BiKatetovMatrix._trusted(space, tuple(
         tuple(space.dist[x][perm[y]] for y in range(space.n)) for x in range(space.n)))
 
 
@@ -170,7 +186,7 @@ def routing_idempotent(space: FiniteMetricSpace, subset) -> BiKatetovMatrix:
     if not idx:
         return constant_zero(space)
     n = space.n
-    return BiKatetovMatrix(space, tuple(
+    return BiKatetovMatrix._trusted(space, tuple(
         tuple(min(add_capped(space.dist[x][z], space.dist[z][y], q) for z in idx)
               for y in range(n)) for x in range(n)))
 
@@ -182,7 +198,7 @@ def inner_aut(perm, p: BiKatetovMatrix) -> BiKatetovMatrix:
     inv = [0] * n
     for i, t in enumerate(perm):
         inv[t] = i
-    return BiKatetovMatrix(p.space, tuple(
+    return BiKatetovMatrix._trusted(p.space, tuple(
         tuple(p.entries[inv[x]][inv[y]] for y in range(n)) for x in range(n)))
 
 
@@ -194,8 +210,8 @@ def act_left(perm, p: BiKatetovMatrix) -> BiKatetovMatrix:
     inv = [0] * n
     for i, t in enumerate(perm):
         inv[t] = i
-    return BiKatetovMatrix(p.space, tuple(tuple(p.entries[inv[x]][y] for y in range(n))
-                                          for x in range(n)))
+    return BiKatetovMatrix._trusted(p.space, tuple(
+        tuple(p.entries[inv[x]][y] for y in range(n)) for x in range(n)))
 
 
 def act_right(p: BiKatetovMatrix, perm) -> BiKatetovMatrix:
@@ -203,8 +219,8 @@ def act_right(p: BiKatetovMatrix, perm) -> BiKatetovMatrix:
     (x, y) -> p(x, perm(y))."""
     perm = _check_isometry(p.space, perm)
     n = p.space.n
-    return BiKatetovMatrix(p.space, tuple(tuple(p.entries[x][perm[y]] for y in range(n))
-                                          for x in range(n)))
+    return BiKatetovMatrix._trusted(p.space, tuple(
+        tuple(p.entries[x][perm[y]] for y in range(n)) for x in range(n)))
 
 
 def invertible_isometry(f: BiKatetovMatrix):
@@ -409,7 +425,7 @@ def _gibbs(space: FiniteMetricSpace, start, ceiling, rng: random.Random,
                         if t < hi:
                             hi = t
                 ex[y] = rng.randint(lo, hi)
-    return BiKatetovMatrix(space, tuple(tuple(r) for r in e))
+    return BiKatetovMatrix._trusted(space, tuple(tuple(r) for r in e))
 
 
 def random_bikatetov_below(upper: BiKatetovMatrix, rng: random.Random,

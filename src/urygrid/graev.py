@@ -75,6 +75,22 @@ class WeightedAlphabet:
                         f"weights expand: |k({self.letters[i]}) - k({self.letters[j]})| "
                         f"> d", (self.letters[i], self.letters[j]))
 
+    @classmethod
+    def _trusted(cls, letters: tuple, denominator: int, dist: tuple,
+                 weights: tuple) -> "WeightedAlphabet":
+        """An alphabet from tuple-normalized parts that are valid by theorem;
+        skips revalidation. Its one caller, homog.relation_alphabet, checks
+        the letters itself and passes Hausdorff distances, which obey the
+        triangle inequality, and largest displacements, which are 1-Lipschitz
+        for them. The independent check is
+        tests/test_homog.py::TestTrustedAlphabet, which rebuilds every such
+        alphabet with the validating constructor."""
+        alphabet = object.__new__(cls)
+        for key, value in (("letters", letters), ("denominator", denominator),
+                           ("dist", dist), ("weights", weights)):
+            object.__setattr__(alphabet, key, value)
+        return alphabet
+
     @property
     def n(self) -> int:
         return len(self.letters)
@@ -148,21 +164,21 @@ def enumerate_pairings(word: Word, max_len: int = PAIRING_ENUMERATION_MAX_LEN):
     return [frozenset(p) for p in _kernels.iter_pairings(signs, 0, len(word))]
 
 
-def _letters_and_signs(word: Word, alphabet: WeightedAlphabet) -> tuple[list, list]:
+def _letters_and_signs(word: Word, nletters: int) -> tuple[list, list]:
     """The word as parallel letter and sign lists, the form the kernels
     take, after checking what they assume: every symbol is a pair of a
-    letter, a non-bool int in [0, alphabet.n), and a sign, the int 1 or -1."""
+    letter, a non-bool int in [0, nletters), and a sign, the int 1 or -1."""
     try:
         letters = [l for l, _ in word]
         signs = [s for _, s in word]
     except (TypeError, ValueError):
         raise ValidationError(f"word {word!r} is not a sequence of (letter, sign) pairs") from None
-    n = alphabet.n
     for letter in letters:
         # the exact-int test is the common case; is_grid_int admits int subclasses
-        if (type(letter) is not int or letter < 0 or letter >= n) \
-                and not is_grid_int(letter, 0, n - 1):
-            raise ValidationError(f"letter {letter!r} is not an integer in [0, {n - 1}]")
+        if (type(letter) is not int or letter < 0 or letter >= nletters) \
+                and not is_grid_int(letter, 0, nletters - 1):
+            raise ValidationError(
+                f"letter {letter!r} is not an integer in [0, {nletters - 1}]")
     for sign in signs:
         if type(sign) is not int or (sign != 1 and sign != -1):
             raise ValidationError(f"sign {sign!r} is not 1 or -1")
@@ -173,7 +189,7 @@ def graev_sum(word: Word, pairing, alphabet: WeightedAlphabet) -> int:
     """Cost of one pairing: letter distances on arcs, weights off them.
     Validates the word and that the pairing is a genuine non-crossing
     opposite-sign matching of the word's positions."""
-    _letters_and_signs(word, alphabet)
+    _letters_and_signs(word, alphabet.n)
     n = len(word)
     arcs = sorted(tuple(sorted(arc)) for arc in pairing)
     used: set[int] = set()
@@ -201,7 +217,7 @@ def graev_sum(word: Word, pairing, alphabet: WeightedAlphabet) -> int:
 def graev_norm_bruteforce(word: Word, alphabet: WeightedAlphabet,
                           max_len: int = PAIRING_ENUMERATION_MAX_LEN) -> int:
     """Minimum cost over pairings by explicit enumeration; the oracle."""
-    letters, signs = _letters_and_signs(word, alphabet)
+    letters, signs = _letters_and_signs(word, alphabet.n)
     if len(word) > max_len:
         raise GuardError(
             f"word of length {len(word)} exceeds the enumeration bound {max_len}")
@@ -213,12 +229,15 @@ def graev_norm(word: Word, alphabet: WeightedAlphabet) -> int:
     """Minimum cost over pairings by the interval dynamic program: the
     leftmost position is unpaired, or arcs to an opposite-sign position,
     splitting the word into a nested interior and a disjoint tail. Cubic."""
-    letters, signs = _letters_and_signs(word, alphabet)
+    letters, signs = _letters_and_signs(word, alphabet.n)
     return _kernels.graev_norm_dp(letters, signs, alphabet.n,
                                   alphabet.flat(), list(alphabet.weights))
 
 
 def graev_distance(u: Word, v: Word, alphabet: WeightedAlphabet) -> int:
     """Left-invariant pseudometric induced by the seminorm: the norm of
-    u^{-1} v after reduction."""
+    u^{-1} v after reduction. Both words are checked before reduce_word
+    sees them."""
+    _letters_and_signs(u, alphabet.n)
+    _letters_and_signs(v, alphabet.n)
     return graev_norm(reduce_word(concat(inverse_word(u), v)), alphabet)

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import GuardError, ValidationError
-from .graev import WeightedAlphabet, Word, graev_norm
+from .graev import WeightedAlphabet, Word, _letters_and_signs, graev_norm
 from .spaces import FiniteMetricSpace
 
 
@@ -136,9 +136,11 @@ def diagonal(space: FiniteMetricSpace) -> frozenset:
 def word_image(rels: list[PartialIsometryRelation], word: Word) -> frozenset:
     """Image of a relation word: the signed composition of its letters, the
     diagonal for the empty word. May be empty (the empty set is not in the
-    stock, but compositions can die)."""
+    stock, but compositions can die). The word is checked as graev checks
+    words: letters index ``rels``, signs are 1 or -1."""
     acc = diagonal(_common_space(rels))
-    for idx, sign in word:
+    letters, signs = _letters_and_signs(word, len(rels))
+    for idx, sign in zip(letters, signs):
         img = rels[idx].index_pairs()
         if sign < 0:
             img = invert(img)
@@ -148,20 +150,33 @@ def word_image(rels: list[PartialIsometryRelation], word: Word) -> frozenset:
 
 def word_relates(rels: list[PartialIsometryRelation], word: Word, a: str, b: str) -> bool:
     """Does the word's image relate a to b, i.e. move a onto b."""
-    space = rels[0].space
+    space = _common_space(rels)
     return (space.index(a), space.index(b)) in word_image(rels, word)
 
 
 def relation_alphabet(rels: list[PartialIsometryRelation],
                       names: list[str] | None = None) -> WeightedAlphabet:
     """The weighted alphabet of a relation stock: Hausdorff distances between
-    the relations, weights their largest displacements."""
+    the relations, weights their largest displacements.
+
+    Built without the alphabet's own O(m^3) revalidation, because both
+    parts are valid by theorem: the Hausdorff distance over a pseudometric
+    obeys the triangle inequality, and the largest displacement is
+    1-Lipschitz for it. What is checked here is what the theorem assumes:
+    each relation is a partial isometry, no two relations are at distance 0,
+    and ``names`` gives one nonempty, unique string per relation."""
     space = _common_space(rels)
     for r in rels:
         _require_relation(r)
     m = len(rels)
-    if names is None:
-        names = [f"r{i}" for i in range(m)]
+    names = tuple(f"r{i}" for i in range(m)) if names is None else tuple(names)
+    if len(names) != m:
+        raise ValidationError(f"{len(names)} names given for {m} relations")
+    for name in names:
+        if not isinstance(name, str) or not name:
+            raise ValidationError(f"relation name {name!r} is not a nonempty string")
+    if len(set(names)) != m:
+        raise ValidationError("relation names must be unique")
     pairs = [r.index_pairs() for r in rels]
     dist = [[0] * m for _ in range(m)]
     for i in range(m):
@@ -169,9 +184,9 @@ def relation_alphabet(rels: list[PartialIsometryRelation],
             dist[i][j] = dist[j][i] = _hausdorff(space.dist, pairs[i], pairs[j])
             if dist[i][j] == 0:
                 raise ValidationError(f"duplicate relations {names[i]} and {names[j]}")
-    return WeightedAlphabet(tuple(names), space.denominator,
-                            tuple(tuple(r) for r in dist),
-                            tuple(weight(r) for r in rels))
+    return WeightedAlphabet._trusted(names, space.denominator,
+                                     tuple(tuple(r) for r in dist),
+                                     tuple(weight(r) for r in rels))
 
 
 @dataclass(frozen=True)

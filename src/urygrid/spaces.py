@@ -310,6 +310,12 @@ def shortest_path_completion(spec: PartialSpec, unreachable: str = "error") -> F
     This is the largest pseudometric below the specification. A pair with no
     connecting chain raises by default; ``unreachable="cap"`` fills it with
     the diameter cap instead (the diameter-1 amalgamation convention).
+
+    The result is built by the validating constructor, not trusted: a
+    specification that leaves (i, j) open while fixing (j, i) makes the
+    closure asymmetric, e.g. a-b 1, b-c 1, c-a 4 given one way each at
+    q = 4 closes to d(a, c) = 2 but d(c, a) = 4, and validate_space is what
+    refuses it.
     """
     n = len(spec.points)
     q = spec.denominator

@@ -66,6 +66,15 @@ def random_alphabet(rng, n=4, q=12):
     return WeightedAlphabet.from_space(space, random_weights(space, rng))
 
 
+def with_doubled_point(space, rng):
+    """The pseudometric space with a twin, at distance 0, of a random point."""
+    j = rng.randrange(space.n)
+    rows = [row + (row[j],) for row in space.dist]
+    rows.append(rows[j][:-1] + (0,))
+    return FiniteMetricSpace(space.points + ("twin",), space.denominator,
+                             tuple(rows), pseudo=True)
+
+
 def random_matrix_pair(rng, max_n=4, max_q=8):
     space = random_space(rng, max_n, max_q)
     return random_bikatetov(space, rng), random_bikatetov(space, rng)

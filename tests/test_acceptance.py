@@ -69,7 +69,7 @@ def test_03_bounded_minplus_algebra():
         space = laws.random_space(rng, 4, 8)
         f = random_bikatetov(space, rng)
         g = random_bikatetov(space, rng)
-        fg = product(f, g)  # constructor revalidates bi-Katetov closure
+        fg = product(f, g)  # built unvalidated: closure is checked here
         assert is_bikatetov_matrix(space, fg.entries)
         d = metric_unit(space)
         one = constant_zero(space)

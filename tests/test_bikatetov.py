@@ -4,6 +4,7 @@ import random
 import pytest
 
 from urygrid.bikatetov import (BiKatetovMatrix, act_left, act_right,
+                               bikatetov_witness,
                                characterization_check, classify_idempotents,
                                constant_zero, embed_isometry,
                                enumerate_bikatetov, greatest_idempotent,
@@ -16,7 +17,7 @@ from urygrid.errors import ValidationError
 from urygrid.katetov import iso_group
 from urygrid.spaces import FiniteMetricSpace, random_grid_space, validate_space
 
-from conftest import random_matrix_pair
+from conftest import random_matrix_pair, with_doubled_point
 
 
 class TestConstruction:
@@ -360,6 +361,55 @@ def test_seeded_samples_at_larger_sizes_are_unchanged():
     drawn, below = sample_digests(range(6, 9))
     assert drawn == "38ba52df24db6ed80a2ad5b1a713181f4eff32bafa78246ea32bf837716fab36"
     assert below == "b47df62784a112a4adab92f6f67c473c0a71f0a89cc679a6bed8183314881d31"
+
+
+def trusted_route_results(space, rng):
+    """(route, matrix) for every route that builds its matrix without
+    revalidation, on random bi-Katetov inputs and up to three isometries."""
+    f, g = random_bikatetov(space, rng), random_bikatetov(space, rng)
+    subset = [p for p in space.points if rng.random() < 0.5]
+    out = [("random_bikatetov", f),
+           ("random_bikatetov_below", random_bikatetov_below(f, rng)),
+           ("product", product(f, g)), ("star", star(f)),
+           ("metric_unit", metric_unit(space)), ("constant_zero", constant_zero(space)),
+           ("routing_idempotent", routing_idempotent(space, subset))]
+    group = iso_group(space)
+    for perm in rng.sample(group, min(3, len(group))):
+        out += [("embed_isometry", embed_isometry(space, perm)),
+                ("act_left", act_left(perm, f)), ("act_right", act_right(f, perm)),
+                ("inner_aut", inner_aut(perm, f))]
+    return out
+
+
+class TestTrustedRoutes:
+    """Every route that skips revalidation, checked by the three independent
+    judges: the kernel predicate, the Python witness search and the
+    validating constructor."""
+
+    def test_every_trusted_route_is_bikatetov(self):
+        rng = random.Random(41)
+        seen = set()
+        for case in range(150):
+            space = random_grid_space(rng.randint(1, 6), rng.randint(1, 8),
+                                      rng.randrange(10 ** 6))
+            if case % 3 == 0 and space.n < 6:
+                space = with_doubled_point(space, rng)
+            for route, m in trusted_route_results(space, rng):
+                assert m.space is space, route
+                assert type(m.entries) is tuple, route
+                assert all(type(row) is tuple for row in m.entries), route
+                assert is_bikatetov_matrix(space, m.entries), route
+                assert bikatetov_witness(space, m.entries) is None, route
+                rebuilt = BiKatetovMatrix(space, m.entries)
+                assert rebuilt == m and hash(rebuilt) == hash(m), route
+                seen.add((route, space.pseudo))
+                if route == "embed_isometry" and m != metric_unit(space):
+                    seen.add("non-identity isometry")
+        routes = {route for route, _ in trusted_route_results(
+            random_grid_space(3, 1, 0), random.Random(0))}
+        assert len(routes) == 11
+        assert {(route, pseudo) for route in routes for pseudo in (False, True)} \
+            | {"non-identity isometry"} == seen
 
 
 class TestAmalgamOracle:

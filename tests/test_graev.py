@@ -135,13 +135,18 @@ class TestGraevSum:
 class TestNorms:
     @pytest.mark.parametrize("word", [
         ((2, 1),), ((-1, 1),), ((True, 1),), ((1.0, 1),), ((0, 2),), ((0, True),),
-        ((0, 1.0),), ((0,),), ((0, 1, 1),), (5,)])
+        ((0, 1.0),), ((0,),), ((0, 1, 1),), (5,), ((0, "x"),)])
     def test_malformed_words_are_validation_errors(self, xy_alphabet, word):
         for norm in (graev_norm, graev_norm_bruteforce):
             with pytest.raises(ValidationError):
                 norm(word, xy_alphabet)
         with pytest.raises(ValidationError):
             graev_sum(word, frozenset(), xy_alphabet)
+        # graev_distance checks both words before reducing them: a bad
+        # symbol must not fail inside reduce_word or cancel against its twin
+        for u, v in ((word, ()), ((), word), (word, word)):
+            with pytest.raises(ValidationError):
+                graev_distance(u, v, xy_alphabet)
 
     def test_worked_minimum(self, xy_alphabet):
         w = parse_word(xy_alphabet, "x y^-1")

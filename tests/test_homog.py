@@ -3,7 +3,7 @@ import random
 import pytest
 
 from urygrid.errors import GuardError, ValidationError
-from urygrid.graev import graev_norm, reduce_word
+from urygrid.graev import WeightedAlphabet, graev_norm, reduce_word
 from urygrid.homog import (PartialIsometryRelation, composition_weight_bound,
                            compose, diagonal, hausdorff_distance, invert,
                            nu_truncated, random_partial_isometry,
@@ -11,7 +11,7 @@ from urygrid.homog import (PartialIsometryRelation, composition_weight_bound,
                            validate_relation, weight, word_image, word_relates)
 from urygrid.spaces import FiniteMetricSpace, random_grid_space
 
-from conftest import random_word
+from conftest import random_word, with_doubled_point
 
 
 @pytest.fixture
@@ -134,6 +134,18 @@ class TestWordImage:
                      lambda: relation_alphabet([r_x, r_y])):
             with pytest.raises(ValidationError, match="different spaces"):
                 call()
+
+    @pytest.mark.parametrize("word, message", [
+        (((-1, 1),), "letter -1"), (((5, 1),), "letter 5"), (((0, 2),), "sign 2"),
+        (((0, 1, 1),), "not a sequence")])
+    def test_malformed_words_are_validation_errors(self, two_point_q4, word, message):
+        # a negative letter used to index from the end, sign 2 acted as +1
+        # and letter 5 raised IndexError
+        r = PartialIsometryRelation(two_point_q4, (("a", "b"),))
+        with pytest.raises(ValidationError, match=message):
+            word_image([r], word)
+        with pytest.raises(ValidationError, match=message):
+            word_relates([r], word, "a", "b")
 
     def test_concatenation_is_composition(self, space4):
         rng = random.Random(7)
@@ -263,15 +275,6 @@ def nu_by_word_images(rels, a, b, max_len):
     return best, best_word, searched
 
 
-def with_doubled_point(space, rng):
-    """The pseudometric space with a twin, at distance 0, of a random point."""
-    j = rng.randrange(space.n)
-    rows = [row + (row[j],) for row in space.dist]
-    rows.append(rows[j][:-1] + (0,))
-    return FiniteMetricSpace(space.points + ("twin",), space.denominator,
-                             tuple(rows), pseudo=True)
-
-
 def random_relation_stock(space, rng, size):
     """Stock relations of up to three random pairs each, pairwise at positive
     Hausdorff distance; over a pseudometric space these need not be
@@ -329,6 +332,45 @@ class TestOrbitDistanceTwin:
         for column, values in enumerate(({True, False},) * 2 + ({0, 1, 2, 3},)
                                         + ({True, False},) * 2):
             assert {k[column] for k in kinds} == values
+
+
+class TestTrustedAlphabet:
+    """relation_alphabet builds without the alphabet's own revalidation; the
+    validating constructor must accept and reproduce each alphabet."""
+
+    def test_validating_constructor_agrees(self):
+        rng = random.Random(29)
+        pseudo = set()
+        for case in range(200):
+            space = random_grid_space(rng.randint(1, 5), rng.randint(1, 6),
+                                      rng.randrange(10 ** 6))
+            if case % 2:
+                space = with_doubled_point(space, rng)
+            rels = random_relation_stock(space, rng, rng.randint(1, 6))
+            names = None if case % 3 else [f"rel{i}" for i in range(len(rels))]
+            alphabet = relation_alphabet(rels, names)
+            for part in (alphabet.letters, alphabet.dist, alphabet.weights):
+                assert type(part) is tuple
+            assert all(type(row) is tuple for row in alphabet.dist)
+            rebuilt = WeightedAlphabet(alphabet.letters, alphabet.denominator,
+                                       alphabet.dist, alphabet.weights)
+            assert rebuilt == alphabet
+            assert alphabet.weights == tuple(weight(r) for r in rels)
+            assert alphabet.dist == tuple(tuple(hausdorff_distance(r, t) for t in rels)
+                                          for r in rels)
+            pseudo.add(space.pseudo)
+        assert pseudo == {False, True}
+
+    @pytest.mark.parametrize("names, message", [
+        (["x", "x"], "unique"), (["x"], "1 names given for 2 relations"),
+        (["x", "y", "z"], "3 names given"), (["x", ""], "nonempty string"),
+        (["x", 7], "nonempty string")])
+    def test_bad_names_are_validation_errors(self, two_point_q4, names, message):
+        rels = [PartialIsometryRelation(two_point_q4, (("a", "b"),)),
+                PartialIsometryRelation(two_point_q4, (("b", "a"),))]
+        with pytest.raises(ValidationError, match=message):
+            relation_alphabet(rels, names)
+        assert relation_alphabet(rels, ["x", "y"]).letters == ("x", "y")
 
 
 class TestWeightBounds:

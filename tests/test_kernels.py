@@ -79,6 +79,59 @@ def test_floyd_warshall_matches(compiled_ext):
             _fallback.floyd_warshall_capped(n, w, cap)
 
 
+def naive_floyd_warshall(n, w, cap):
+    """The index-based triple loop over one flat list that the row-wise pure
+    kernel replaced; the reference it must equal."""
+    INF = _fallback.INF
+    dist = list(w)
+    for i in range(n):
+        dist[i * n + i] = 0
+    for k in range(n):
+        for i in range(n):
+            dik = dist[i * n + k]
+            if dik >= INF:
+                continue
+            for j in range(n):
+                dkj = dist[k * n + j]
+                if dkj >= INF:
+                    continue
+                s = dik + dkj
+                if s > cap:
+                    s = cap
+                if s < dist[i * n + j]:
+                    dist[i * n + j] = s
+    return dist
+
+
+def hard_floyd_warshall_inputs(count, seed):
+    """Flat edge lists for n up to 18, neither symmetric nor capped: each
+    off-diagonal entry is missing (INF) independently of its mirror, at most
+    cap, or above cap; the diagonal is left random for the kernel to zero."""
+    rng = random.Random(seed)
+    INF = _fallback.INF
+    for t in range(count):
+        n = 18 if t % 10 == 0 else rng.randint(1, 18)
+        cap = rng.randint(1, 12)
+        p_missing = rng.random()
+        w = [INF if rng.random() < p_missing
+             else rng.randint(0, cap) if rng.random() < 0.7
+             else rng.randint(cap + 1, 3 * cap) for _ in range(n * n)]
+        yield n, w, cap
+
+
+def test_floyd_warshall_pure_equals_the_naive_loop():
+    for n, w, cap in hard_floyd_warshall_inputs(600, 31):
+        kept = list(w)
+        assert _fallback.floyd_warshall_capped(n, w, cap) == naive_floyd_warshall(n, w, cap)
+        assert w == kept
+
+
+def test_floyd_warshall_matches_on_hard_inputs(compiled_ext):
+    for n, w, cap in hard_floyd_warshall_inputs(600, 31):
+        assert compiled_ext.floyd_warshall_capped(n, w, cap) == \
+            _fallback.floyd_warshall_capped(n, w, cap)
+
+
 def test_graev_norms_match(compiled_ext):
     rng = random.Random(4)
     for _ in range(1500):

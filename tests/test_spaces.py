@@ -80,6 +80,15 @@ class TestCompletion:
         out = shortest_path_completion(spec)
         assert out.distance("a", "c") == 4
 
+    def test_asymmetric_closure_is_refused(self):
+        # each edge is given one way only, so the closure is not symmetric:
+        # d(a, c) = 2 through b but d(c, a) = 4; the completion must keep
+        # validating its result to refuse this
+        spec = PartialSpec(("a", "b", "c"), 4,
+                           ((0, 1, None), (None, 0, 1), (4, None, 0)))
+        with pytest.raises(ValidationError, match=r"d\(a,c\) = 2 but d\(c,a\) = 4"):
+            shortest_path_completion(spec)
+
     @pytest.mark.parametrize("entries", [
         ((0, True), (True, 0)), ((0, 1.5), (1.5, 0)), ((0, None), (5, 0))])
     def test_off_grid_entry_is_rejected(self, entries):
