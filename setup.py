@@ -1,27 +1,8 @@
-"""Build script. The compiled kernel extension is optional: a failed build
-(no Cython, no C compiler, or URYGRID_PURE=1) leaves the pure-Python
-fallback in charge."""
-
-import os
+"""Build script. The compiled kernel extension, the hand-written C file
+src/urygrid/_kernels/_ext.c, is optional: when it fails to build (no C
+compiler or no Python headers) the pure-Python fallback is in charge."""
 
 from setuptools import Extension, setup
 
-ext_modules = []
-if os.environ.get("URYGRID_PURE") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "urygrid._kernels._ext",
-                    ["src/urygrid/_kernels/_ext.pyx"],
-                    optional=True,
-                )
-            ],
-            compiler_directives={"language_level": "3"},
-        )
-    except ImportError:
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[Extension("urygrid._kernels._ext",
+                             ["src/urygrid/_kernels/_ext.c"], optional=True)])

@@ -1,9 +1,11 @@
 """Pure-Python kernels.
 
-Same contract as the compiled extension in ``_ext.pyx``; matrices come in as
+Same contract as the compiled extension in ``_ext.c``; matrices come in as
 flat row-major lists of non-negative ints, words as parallel letter/sign
 lists. These are the reference implementations the compiled versions are
-tested against.
+tested against. They assume well-formed input, as every caller in the
+library checks it first; the compiled kernels, which would otherwise read
+past their buffers, refuse malformed input themselves.
 """
 
 from __future__ import annotations

@@ -158,7 +158,8 @@ def characterization_check(space: FiniteMetricSpace, entries) -> bool:
 def _check_isometry(space: FiniteMetricSpace, perm) -> tuple[int, ...]:
     perm = tuple(perm)
     n = space.n
-    if sorted(perm) != list(range(n)):
+    # by type first: by value, True == 1 and 1.0 == 1 would pass the sort
+    if not all(is_grid_int(i) for i in perm) or sorted(perm) != list(range(n)):
         raise ValidationError(f"{perm} is not a permutation of {n} points")
     for i in range(n):
         for j in range(n):

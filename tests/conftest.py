@@ -2,6 +2,7 @@ import importlib.util
 import os
 import shutil
 import subprocess
+import sys
 import sysconfig
 
 import pytest
@@ -16,22 +17,48 @@ from urygrid.spaces import FiniteMetricSpace, random_grid_space
 
 KERNELS_DIR = os.path.dirname(urygrid._kernels.__file__)
 
+# loads the extension the compiled_ext fixture built under its own name
+# before urygrid is imported, so the library picks it as its backend
+LOAD_EXT = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("urygrid._kernels._ext", sys.argv[1])
+sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(sys.modules[spec.name])
+"""
+
+
+def run_child(argv, pure, stdin=None, env=None, timeout=60):
+    """Run a Python child on this checkout's source, with the pure backend
+    forced (pure) or left to pick the extension, and env added to its
+    environment; returns the completed process, stdout and stderr as bytes."""
+    env = {**os.environ, **(env or {})}
+    env.pop("URYGRID_PURE", None)
+    if pure:
+        env["URYGRID_PURE"] = "1"
+    src = os.path.dirname(os.path.dirname(urygrid.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], env=env, input=stdin,
+                          capture_output=True, timeout=timeout)
+
 
 @pytest.fixture(scope="session")
 def compiled_ext(tmp_path_factory):
-    """The committed _ext.c compiled with the system C compiler and loaded
-    under its own name, urygrid._kernels._ext, but left out of sys.modules:
-    the backend the library picked at import stays the live one. Skips only
-    when there is no C compiler or no Python headers."""
+    """The committed _ext.c compiled with the system C compiler, warnings
+    as errors, and loaded under its own name, urygrid._kernels._ext, but
+    left out of sys.modules: the backend the library picked at import stays
+    the live one. Skips only when there is no C compiler or no Python
+    headers."""
     cc = shutil.which("cc")
     paths = sysconfig.get_paths()
     includes = sorted({paths["include"], paths["platinclude"]})
     if cc is None or not any(os.path.exists(os.path.join(d, "Python.h")) for d in includes):
         pytest.skip("no C compiler or no Python headers")
     out = tmp_path_factory.mktemp("ext") / ("_ext" + sysconfig.get_config_var("EXT_SUFFIX"))
-    subprocess.run([cc, "-O2", "-shared", "-fPIC", *(f"-I{d}" for d in includes),
-                    os.path.join(KERNELS_DIR, "_ext.c"), "-o", str(out)],
-                   check=True, capture_output=True)
+    build = subprocess.run([cc, "-O2", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC",
+                            *(f"-I{d}" for d in includes),
+                            os.path.join(KERNELS_DIR, "_ext.c"), "-o", str(out)],
+                           capture_output=True, text=True)
+    assert build.returncode == 0, build.stderr
     spec = importlib.util.spec_from_file_location("urygrid._kernels._ext", out)
     ext = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ext)

@@ -164,6 +164,14 @@ class TestEmbedding:
         with pytest.raises(ValidationError):
             embed_isometry(path_q4, (1, 0, 2, 3))
 
+    @pytest.mark.parametrize("perm", [(True, False), (False, True), (1.0, 0.0), (1, 0.0)])
+    def test_bool_and_float_permutations_are_refused(self, two_point_q4, perm):
+        p = metric_unit(two_point_q4)
+        for call in (lambda: embed_isometry(two_point_q4, perm), lambda: act_left(perm, p),
+                     lambda: act_right(p, perm), lambda: inner_aut(perm, p)):
+            with pytest.raises(ValidationError, match="not a permutation"):
+                call()
+
 
 class TestRoutingIdempotent:
     def test_full_subset_gives_the_metric(self, two_point_q4):

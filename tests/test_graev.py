@@ -18,7 +18,7 @@ from urygrid.graev import (WeightedAlphabet, concat, enumerate_pairings,
 from urygrid.katetov import iso_group
 from urygrid.spaces import random_grid_space
 
-from conftest import random_alphabet, random_weights, random_word
+from conftest import LOAD_EXT, random_alphabet, random_weights, random_word
 
 words = st.lists(st.tuples(st.integers(0, 3), st.sampled_from((1, -1))),
                  max_size=12).map(tuple)
@@ -187,15 +187,6 @@ def sweep_inputs(rng):
 def words_checked(nl, max_len):
     return sum((2 * nl) ** k for k in range(max_len + 1))
 
-
-# loads the extension the compiled_ext fixture built under its own name
-# before urygrid is imported, so the library picks it as its backend
-LOAD_EXT = """
-import importlib.util, sys
-spec = importlib.util.spec_from_file_location("urygrid._kernels._ext", sys.argv[1])
-sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(sys.modules[spec.name])
-"""
 
 # calls the live sweep with a prefix longer than max_len, then with letters
 # and signs of different lengths, and prints what each raises

@@ -1,15 +1,15 @@
 """Backend equivalence: the compiled extension, built from the committed
-_ext.c, must match the pure fallback bit for bit on every kernel; and _ext.c
-must have been generated from the _ext.pyx beside it."""
+_ext.c, must match the pure fallback bit for bit on every kernel, refuse
+malformed input instead of reading past its buffers, and leak nothing."""
 
-import os
+import json
 import random
-import re
 
-from urygrid import _kernels
+import pytest
+
 from urygrid._kernels import _fallback
 
-from conftest import KERNELS_DIR
+from conftest import LOAD_EXT, run_child
 
 
 def random_metric_flat(rng, n, q):
@@ -142,23 +142,15 @@ def test_graev_norms_match(compiled_ext):
             _fallback.graev_norm_bruteforce(letters, signs, nl, d, wts)
 
 
-def test_graev_sums_that_could_reach_inf_run_pure(compiled_ext, monkeypatch):
-    # the compiled enumeration starts its minimum at INF = 2**30, so on its
-    # own it answers INF for a word whose cheapest pairing costs 2**36
+def test_graev_sums_past_inf_match(compiled_ext):
+    # the cheapest pairing costs 2**36, far past INF = 2**30, which the
+    # compiled enumeration once started its minimum from
     big = 1 << 35
     nl, d, wts, letters, signs = 2, [0, 1, 1, 0], [big, big], [0, 1], [1, 1]
-    assert compiled_ext.graev_norm_bruteforce(letters, signs, nl, d, wts) == _fallback.INF
-
-    def refuse(*args):
-        raise AssertionError("a call below INF went pure")
-
-    for name in ("graev_norm_dp", "graev_norm_bruteforce"):
-        routed = _kernels._pure_past_inf(getattr(compiled_ext, name), getattr(_fallback, name))
-        assert routed(letters, signs, nl, d, wts) == 2 * big
-        below = _kernels._pure_past_inf(getattr(compiled_ext, name), refuse)
-        assert below(letters, signs, nl, d, [7, 7]) == 14
-    monkeypatch.setattr(_kernels, "_agree_exhaustive", compiled_ext.graev_agree_exhaustive)
-    assert _kernels.graev_agree_exhaustive(nl, d, wts, 3) == (85, 0)
+    for backend in (compiled_ext, _fallback):
+        assert backend.graev_norm_dp(letters, signs, nl, d, wts) == 2 * big
+        assert backend.graev_norm_bruteforce(letters, signs, nl, d, wts) == 2 * big
+        assert backend.graev_agree_exhaustive(nl, d, wts, 3) == (85, 0)
 
 
 def test_exhaustive_driver_matches(compiled_ext):
@@ -185,36 +177,141 @@ def test_prefix_partition_is_exact(compiled_ext):
 
 
 
-def echoed_pyx_lines(c_source):
-    """(line number, text) of every _ext.pyx line quoted in the C comments.
+D2 = [0, 3, 3, 0]
 
-    Cython quotes up to three source lines ending at the line it compiles
-    (marked with ``# <<<``) and two after, each as " * " plus the rstripped
-    line, with comment delimiters defused and non-ASCII characters dropped."""
-    lines = c_source.splitlines()
-    header = re.compile(r'\s*/\* "urygrid/_kernels/_ext\.pyx":(\d+)$')
-    marker = "             # <<<<<<<<<<<<<<"
-    for at, line in enumerate(lines):
-        m = header.match(line)
-        if not m:
-            continue
-        end = lines.index("*/", at)
-        block = [text[3:] for text in lines[at + 1:end]]
-        mark = next(k for k, text in enumerate(block) if text.endswith(marker))
-        block[mark] = block[mark][:-len(marker)]
-        for k, text in enumerate(block):
-            yield int(m.group(1)) - mark + k, text
+# malformed calls on which the pure kernels fail too, by reading past a list
+# or by finding no complete pairing
+MALFORMED = [
+    ("minplus_product", (3, [1], [1], 5)),  # f and g are not n*n
+    ("is_bikatetov", (2, [0], D2, 1)),
+    ("floyd_warshall_capped", (2, [0], 5)),
+    ("graev_norm_dp", ([0, 5], [1, 1], 2, D2, [1, 1])),  # a letter past nl
+    ("graev_norm_bruteforce", ([0, 5], [1, 1], 2, D2, [1, 1])),
+    ("graev_norm_dp", ([0, 1], [1, -1], 2, [0], [1, 1])),  # dist is not nl*nl
+    ("graev_norm_bruteforce", ([0, 1], [1, -1], 2, D2, [1])),  # weights not nl
+    ("graev_agree_exhaustive", (2, D2, [1, 1], 1, [0, 1, 0], [1, -1, -1])),
+]
+
+# malformed calls that the pure kernels answer all the same
+MALFORMED_COMPILED_ONLY = [
+    ("minplus_product", (-1, [], [], 5)),  # n < 0
+    ("minplus_product", (1, [-1], [0], 5)),  # a negative entry
+    ("minplus_product", (1, [1, 1], [0], 5)),  # f longer than n*n
+    ("is_bikatetov", (1, [0], [-2], 1)),
+    ("floyd_warshall_capped", (1, [0], -1)),  # a negative cap
+    ("graev_norm_dp", ([-1], [1], 2, D2, [1, 1])),  # a letter below 0
+    ("graev_norm_dp", ([0], [0], 2, D2, [1, 1])),  # a sign of 0
+    ("graev_norm_bruteforce", ([0], [2], 2, D2, [1, 1])),
+    ("graev_norm_dp", ([0], [1, 1], 2, D2, [1, 1])),  # more signs than letters
+    ("graev_norm_bruteforce", ([0], [1], 2, [0, -3, -3, 0], [1, 1])),
+    ("graev_norm_dp", ([], [], -1, [], [])),  # nl < 0
+    ("graev_agree_exhaustive", (2, D2, [1, 1], 3, [0, 1], [1])),  # prefix lengths differ
+    ("graev_agree_exhaustive", (-1, [], [], 3)),
+    ("graev_agree_exhaustive", (2, D2, [1, 1], -1)),  # the empty prefix past max_len
+]
+
+# calls whose sums could pass 2**63 - 1: exact in the pure kernels, refused
+# by the compiled ones
+OVERFLOWING = [
+    ("minplus_product", (1, [1 << 62], [1 << 62], 5)),
+    ("is_bikatetov", (1, [1 << 62], [0], 1)),
+    ("floyd_warshall_capped", (1, [1 << 63], 5)),
+    ("graev_norm_dp", ([0, 0], [1, -1], 1, [0], [1 << 62])),
+    ("graev_norm_bruteforce", ([0, 0], [1, -1], 1, [0], [1 << 62])),
+    ("graev_agree_exhaustive", (1, [0], [1 << 62], 2)),
+]
 
 
-def test_c_source_echoes_the_pyx():
-    with open(os.path.join(KERNELS_DIR, "_ext.pyx"), encoding="utf-8") as f:
-        pyx = [line.encode("ascii", "ignore").decode().rstrip()
-               .replace("*/", "*[inserted by cython to avoid comment closer]/")
-               .replace("/*", "/[inserted by cython to avoid comment start]*")
-               for line in f.read().splitlines()]
-    with open(os.path.join(KERNELS_DIR, "_ext.c"), encoding="utf-8") as f:
-        echoed = list(echoed_pyx_lines(f.read()))
-    assert len(echoed) > 1000
-    stale = [(number, text) for number, text in echoed
-             if not 1 <= number <= len(pyx) or pyx[number - 1] != text]
-    assert not stale, f"_ext.c is stale against _ext.pyx; regenerate it: {stale[:3]}"
+@pytest.mark.parametrize("name, args", MALFORMED)
+def test_malformed_input_raises_on_both_backends(compiled_ext, name, args):
+    with pytest.raises((IndexError, ValueError)):
+        getattr(_fallback, name)(*args)
+    with pytest.raises(ValueError):
+        getattr(compiled_ext, name)(*args)
+
+
+@pytest.mark.parametrize("name, args", MALFORMED_COMPILED_ONLY)
+def test_compiled_kernels_check_their_inputs(compiled_ext, name, args):
+    with pytest.raises(ValueError):
+        getattr(compiled_ext, name)(*args)
+
+
+@pytest.mark.parametrize("name, args", OVERFLOWING)
+def test_compiled_kernels_refuse_overflowing_sums(compiled_ext, name, args):
+    with pytest.raises(OverflowError):
+        getattr(compiled_ext, name)(*args)
+
+
+def seeded_calls(count, seed):
+    """count (kernel name, args) calls, a few of each kernel, with small
+    inputs drawn as the parity tests draw theirs."""
+    rng = random.Random(seed)
+    calls = []
+    for _ in range(count // 6):
+        n = rng.randint(0, 6)
+        cap = rng.randint(1, 12)
+        f = [rng.randint(0, cap) for _ in range(n * n)]
+        d = random_metric_flat(rng, n, cap)
+        nl, dist, wts, letters, signs = random_word_inputs(rng, max_len=8)
+        calls += [("minplus_product", (n, f, d, cap)),
+                  ("is_bikatetov", (n, f, d, cap)),
+                  ("floyd_warshall_capped", (n, d, cap)),
+                  ("graev_norm_dp", (letters, signs, nl, dist, wts)),
+                  ("graev_norm_bruteforce", (letters, signs, nl, dist, wts)),
+                  ("graev_agree_exhaustive", (nl, dist, wts, rng.randint(0, 3),
+                                              letters[:1], signs[:1]))]
+    return calls
+
+
+# runs the calls given as JSON on stdin once, then 10,000 more in turn, and
+# prints how many more memory blocks are allocated after those; the
+# malformed calls raise, and their error paths must free what they took
+REPEAT_CALLS = """
+import gc, json
+ext = sys.modules["urygrid._kernels._ext"]
+calls = [(getattr(ext, name), json.dumps(args)) for name, args in json.load(sys.stdin)]
+def run(count):
+    for i in range(count):
+        fn, args = calls[i % len(calls)]
+        try:
+            fn(*json.loads(args))  # fresh lists: a reference kept to one leaks it
+        except (ValueError, OverflowError):
+            pass
+run(len(calls))
+gc.collect()
+before = sys.getallocatedblocks()
+run(10_000)
+gc.collect()
+print(sys.getallocatedblocks() - before - 1)  # 1: the int object holding before
+"""
+
+
+def test_compiled_kernels_leak_nothing_under_the_debug_allocator(compiled_ext):
+    calls = seeded_calls(300, 7) + MALFORMED + MALFORMED_COMPILED_ONLY + OVERFLOWING
+    child = run_child(["-X", "dev", "-c", LOAD_EXT + REPEAT_CALLS, compiled_ext.__file__],
+                      pure=False, stdin=json.dumps(calls).encode(),
+                      env={"PYTHONMALLOC": "debug"})
+    assert child.returncode == 0, child.stderr.decode()
+    assert int(child.stdout) <= 0
+
+
+# runs the CLI, given the arguments after the extension's path, as
+# python -m urygrid.cli does, and then names the live backend on stderr
+RUN_CLI = """
+from urygrid import _kernels
+from urygrid.cli import main
+try:
+    sys.exit(main(sys.argv[2:]))
+finally:
+    print(_kernels.BACKEND, file=sys.stderr)
+"""
+
+
+def test_selftest_stdout_is_the_same_on_both_backends(compiled_ext):
+    pure = run_child(["-m", "urygrid.cli", "--json", "selftest"], pure=True)
+    compiled = run_child(["-c", LOAD_EXT + RUN_CLI, compiled_ext.__file__,
+                          "--json", "selftest"], pure=False)
+    assert pure.returncode == compiled.returncode == 0, compiled.stderr.decode()
+    assert compiled.stderr.split()[-1] == b"compiled"
+    assert compiled.stdout == pure.stdout
+    assert json.loads(pure.stdout)["ok"] is True
