@@ -1,31 +1,27 @@
 """Kernel selection: compiled extension when present, pure Python otherwise.
 
 The extension is the hand-written ``_ext.c``; ``_fallback`` is its pure
-twin, and the reference it is tested against. Set URYGRID_PURE=1 to force
-the fallback even when the extension is built. ``BACKEND`` reports which
-implementation is live.
+twin, and the reference it is tested against. The fallback's names are
+bound first and the extension's kernels, when it imports, over them; set
+URYGRID_PURE=1 to keep the fallback even when the extension is built.
+``BACKEND`` reports which implementation is live.
 """
 
 import os
 
 from ..errors import ValidationError
+from ._fallback import (BACKEND, INF, floyd_warshall_capped,
+                        graev_agree_exhaustive as _agree_exhaustive,
+                        graev_norm_bruteforce, graev_norm_dp,
+                        is_bikatetov, iter_pairings, minplus_product)
 
-if os.environ.get("URYGRID_PURE") == "1":
-    from ._fallback import (BACKEND, INF, floyd_warshall_capped,
-                            graev_agree_exhaustive as _agree_exhaustive,
-                            graev_norm_bruteforce, graev_norm_dp,
-                            is_bikatetov, iter_pairings, minplus_product)
-else:
+if os.environ.get("URYGRID_PURE") != "1":
     try:
-        from ._ext import (BACKEND, INF, floyd_warshall_capped,
+        from ._ext import (BACKEND, INF, floyd_warshall_capped,  # noqa: F811
                            graev_agree_exhaustive as _agree_exhaustive,
                            graev_norm_bruteforce, graev_norm_dp, is_bikatetov, minplus_product)
-        from ._fallback import iter_pairings
     except ImportError:
-        from ._fallback import (BACKEND, INF, floyd_warshall_capped,
-                                graev_agree_exhaustive as _agree_exhaustive,
-                                graev_norm_bruteforce, graev_norm_dp,
-                                is_bikatetov, iter_pairings, minplus_product)
+        pass
 
 
 def graev_agree_exhaustive(nl, dist, weights, max_len, prefix_letters=(), prefix_signs=()):

@@ -177,14 +177,6 @@ def load_relations(path: str):
     return space, names, rels, word_text
 
 
-def load_single_relation(path: str) -> PartialIsometryRelation:
-    from .homog import PartialIsometryRelation
-
-    obj = require_object(load_json(path), "relation", ("space", "pairs"))
-    space = load_space_ref(obj["space"], os.path.dirname(path) or ".")
-    return PartialIsometryRelation(space, tuple((a, b) for a, b in obj["pairs"]))
-
-
 def load_index_relation(path: str):
     """Relation on a carrier: {"space": <inline space>, "pairs": [[i, j],
     ...]} with non-negative integer indices into the carrier's members."""

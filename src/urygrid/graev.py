@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import _kernels
 from .errors import GuardError, ValidationError
 from .grid import is_grid_int
-from .spaces import FiniteMetricSpace
+from .spaces import FiniteMetricSpace, _metric_report, _raise_unless_ok
 
 PAIRING_ENUMERATION_MAX_LEN = 14
 
@@ -27,11 +27,11 @@ Word = tuple[tuple[int, int], ...]  # (letter index, sign +1/-1)
 class WeightedAlphabet:
     """Letters with exact pairwise distances and a weight per letter.
 
-    Unlike a diameter-capped space, alphabet distances may exceed the
-    denominator (relation alphabets measured by sum-of-coordinates Hausdorff
-    distances reach twice the base diameter), so the matrix is validated
-    directly: symmetric, zero diagonal, triangle inequality. Weights must be
-    non-negative and change by at most the distance between letters.
+    Unlike a space, an alphabet has diameter up to 2: relation alphabets
+    measured by sum-of-coordinates Hausdorff distances reach twice the base
+    diameter. So the matrix is checked as a pseudometric with entries in
+    [0, 2q], by the same check as a space. Weights must lie in [0, 2q] too
+    and change by at most the distance between letters.
     """
 
     letters: tuple[str, ...]
@@ -43,31 +43,15 @@ class WeightedAlphabet:
         object.__setattr__(self, "letters", tuple(self.letters))
         object.__setattr__(self, "dist", tuple(tuple(r) for r in self.dist))
         object.__setattr__(self, "weights", tuple(self.weights))
+        _raise_unless_ok(_metric_report(self.letters, self.denominator, self.dist,
+                                        True, 2), "alphabet")
         n = len(self.letters)
-        if n == 0 or len(set(self.letters)) != n:
-            raise ValidationError("letters must be nonempty and unique")
-        if len(self.dist) != n or any(len(r) != n for r in self.dist):
-            raise ValidationError(f"distance matrix is not {n}x{n}")
         if len(self.weights) != n:
             raise ValidationError("one weight per letter required")
-        for i in range(n):
-            if self.dist[i][i] != 0:
-                raise ValidationError(f"nonzero self-distance for {self.letters[i]}")
-            for j in range(n):
-                e = self.dist[i][j]
-                if not is_grid_int(e, 0):
-                    raise ValidationError(f"distance {e!r} is not a non-negative integer")
-                if self.dist[j][i] != e:
-                    raise ValidationError("distance matrix is not symmetric")
-                for k in range(n):
-                    if self.dist[i][j] > self.dist[i][k] + self.dist[k][j]:
-                        raise ValidationError(
-                            f"triangle inequality fails on "
-                            f"({self.letters[i]},{self.letters[j]},{self.letters[k]})")
-        for i in range(n):
-            w = self.weights[i]
-            if not is_grid_int(w, 0):
-                raise ValidationError(f"weight {w!r} is not a non-negative integer")
+        cap = 2 * self.denominator
+        for w in self.weights:
+            if not is_grid_int(w, 0, cap):
+                raise ValidationError(f"weight {w!r} is not an integer in [0, {cap}]")
         for i in range(n):
             for j in range(n):
                 if abs(self.weights[i] - self.weights[j]) > self.dist[i][j]:

@@ -55,6 +55,13 @@ def validate_space(points, denominator, dist, pseudo: bool = False) -> Validatio
     """Check a candidate space. Structural problems (bad shape, entries off
     the grid) are reported with kinds distinct from metric axiom violations;
     axioms are only checked once the shape is sound."""
+    return _metric_report(points, denominator, dist, pseudo, 1)
+
+
+def _metric_report(points, denominator, dist, pseudo, diameter: int) -> ValidationReport:
+    """validate_space with entries allowed up to ``diameter`` times the
+    denominator; the one check of the metric axioms (weighted alphabets
+    use it with diameter 2)."""
     problems: list[Violation] = []
     points = list(points)
     n = len(points)
@@ -72,13 +79,14 @@ def validate_space(points, denominator, dist, pseudo: bool = False) -> Validatio
     if len(rows) != n or any(len(row) != n for row in rows):
         problems.append(Violation("shape", f"distance matrix is not {n}x{n}"))
         return ValidationReport(tuple(problems))
+    hi = diameter * denominator
     for i in range(n):
         for j in range(n):
             e = rows[i][j]
-            if not is_grid_int(e, 0, denominator):
+            if not is_grid_int(e, 0, hi):
                 problems.append(Violation(
                     "range",
-                    f"entry ({points[i]},{points[j]}) = {e!r} is not an integer in [0, {denominator}]",
+                    f"entry ({points[i]},{points[j]}) = {e!r} is not an integer in [0, {hi}]",
                     (i, j)))
     if any(v.kind == "range" for v in problems):
         return ValidationReport(tuple(problems))
@@ -181,13 +189,12 @@ class FiniteMetricSpace:
     def with_point(self, name: str, row, pseudo: bool | None = None) -> "FiniteMetricSpace":
         """Extension by one point whose distances to the old points are ``row``.
 
-        Only what the new point can break is checked: its n entries (range),
-        their zeros (identity, in a metric) and the three triangles through
-        it for every pair of old points, O(n^2) in all. The report, and so
-        the ValidationError message, is the one validate_space gives on the
-        grown matrix. A row of the wrong length, a ``pseudo`` that is not a
-        bool, or a pseudometric turned into a metric (old zeros become
-        violations), takes the full check.
+        Only what the new point can break is checked, O(n^2) in all (see
+        _new_row_fits). A row that fails, a row of the wrong length, a
+        ``pseudo`` that is not a bool, or a pseudometric turned into a
+        metric (old zeros become violations) goes through the validating
+        constructor, so every refusal carries validate_space's report on
+        the grown matrix.
         """
         if name in self._index:
             raise ValidationError(f"point name {name!r} already used")
@@ -197,73 +204,42 @@ class FiniteMetricSpace:
         points = self.points + (name,)
         new_rows = tuple(old + row[i:i + 1] for i, old in enumerate(self.dist))
         new_rows += (row + (0,),)
-        if len(row) != self.n or (self.pseudo and not pseudo) or not isinstance(pseudo, bool):
+        if len(row) != self.n or (self.pseudo and not pseudo) or not isinstance(pseudo, bool) \
+                or not _new_row_fits(self, row, pseudo):
             return FiniteMetricSpace(points, self.denominator, new_rows, pseudo)
-        _raise_unless_ok(_new_row_report(self, name, row, pseudo))
         return FiniteMetricSpace._trusted(points, self.denominator, new_rows, pseudo)
 
 
-def _raise_unless_ok(report: ValidationReport):
+def _raise_unless_ok(report: ValidationReport, what: str = "space"):
     if not report.ok:
-        raise ValidationError(f"invalid space: {report}", report)
+        raise ValidationError(f"invalid {what}: {report}", report)
 
 
-def _new_row_report(space: FiniteMetricSpace, name: str, row: tuple,
-                    pseudo: bool) -> ValidationReport:
-    """validate_space on ``space`` grown by ``name`` at distances ``row``.
+def _new_row_fits(space: FiniteMetricSpace, row: tuple, pseudo: bool) -> bool:
+    """Whether ``space`` grown by a point at distances ``row`` is valid.
 
     ``space`` is valid, ``row`` has one entry per old point, and ``pseudo``
-    allows every zero ``space`` has, so only entries and triples with the
-    new point (index n, the largest) can fail. They are reported as the
-    full scan reports them: every range problem (entries (i, n), then
-    (n, i)) and nothing else, or the identity problems (i, n) followed by
-    the triangle problems of the triples (i, j, n) in order."""
-    points = space.points
-    n = space.n
+    allows every zero ``space`` has, so only what involves the new point
+    can fail: its entries (range), their zeros (identity, in a metric) and
+    the three triangles through it for every pair of old points."""
     q = space.denominator
-    bad = [i for i, e in enumerate(row) if not is_grid_int(e, 0, q)]
-    if bad:
-        grown = points + (name,)
-
-        def off_grid(a, b, e):
-            return Violation(
-                "range", f"entry ({grown[a]},{grown[b]}) = {e!r} is not an integer in [0, {q}]",
-                (a, b))
-
-        return ValidationReport(tuple([off_grid(i, n, row[i]) for i in bad]
-                                      + [off_grid(n, i, row[i]) for i in bad]))
-    problems: list[Violation] = []
-    if not pseudo:
-        problems += [Violation(
-            "identity", f"distinct points {points[i]}, {name} at distance 0 in a metric space",
-            (i, n)) for i, e in enumerate(row) if e == 0]
+    if not all(is_grid_int(e, 0, q) for e in row) or (not pseudo and 0 in row):
+        return False
     dist = space.dist
+    n = len(row)
     for i in range(n):
         di, ri = dist[i], row[i]
         for j in range(i + 1, n):
             dij, rj = di[j], row[j]
-            if dij > ri + rj:
-                problems.append(Violation(
-                    "triangle", f"d({points[i]},{points[j]}) = {dij} > {ri} + {rj} via {name}",
-                    (i, j, n)))
-            if ri > dij + rj:
-                problems.append(Violation(
-                    "triangle", f"d({points[i]},{name}) = {ri} > {dij} + {rj} via {points[j]}",
-                    (i, n, j)))
-            if rj > dij + ri:
-                problems.append(Violation(
-                    "triangle", f"d({points[j]},{name}) = {rj} > {dij} + {ri} via {points[i]}",
-                    (j, n, i)))
-    return ValidationReport(tuple(problems))
+            if dij > ri + rj or ri > dij + rj or rj > dij + ri:
+                return False
+    return True
 
 
 def common_grid(x: FiniteMetricSpace, y: FiniteMetricSpace):
     """Rescale two spaces to their least common denominator."""
     q = lcm(x.denominator, y.denominator)
     return x.rescaled(q), y.rescaled(q)
-
-
-UNSPECIFIED = None
 
 
 @dataclass(frozen=True)

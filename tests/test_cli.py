@@ -192,7 +192,8 @@ class TestGraev:
         assert code == 1 and "u" in err
 
     @pytest.mark.parametrize("field, value", [
-        ("weights", [True, 1]), ("word", 5), ("word", ["x"]), ("u", None)])
+        ("weights", [True, 1]), ("word", 5), ("word", ["x"]), ("u", None),
+        ("weights", [1 << 62, 1 << 62])])
     def test_malformed_field_exits_one(self, capsys, word_file, field, value):
         with open(word_file) as fh:
             obj = json.load(fh)

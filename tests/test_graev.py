@@ -1,13 +1,9 @@
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import urygrid
 from urygrid import sweep
 from urygrid._kernels import _fallback
 from urygrid.errors import GuardError, ValidationError
@@ -18,7 +14,7 @@ from urygrid.graev import (WeightedAlphabet, concat, enumerate_pairings,
 from urygrid.katetov import iso_group
 from urygrid.spaces import random_grid_space
 
-from conftest import LOAD_EXT, random_alphabet, random_weights, random_word
+from conftest import LOAD_EXT, random_alphabet, random_weights, random_word, run_child
 
 words = st.lists(st.tuples(st.integers(0, 3), st.sampled_from((1, -1))),
                  max_size=12).map(tuple)
@@ -72,6 +68,22 @@ class TestAlphabet:
     def test_distances_may_exceed_the_denominator(self):
         # relation alphabets live in diameter 2
         WeightedAlphabet(("x", "y"), 4, ((0, 8), (8, 0)), (4, 4))
+
+    @pytest.mark.parametrize("q", [-3, 0, True])
+    def test_bad_denominators_are_rejected(self, q):
+        with pytest.raises(ValidationError, match="denominator"):
+            WeightedAlphabet(("x", "y"), q, ((0, 1), (1, 0)), (1, 1))
+
+    def test_weight_of_twice_the_denominator_is_accepted(self):
+        # a distance of 2q is accepted above
+        WeightedAlphabet(("x", "y"), 4, ((0, 8), (8, 0)), (0, 8))
+
+    @pytest.mark.parametrize("dist, weights, message", [
+        (((0, 9), (9, 0)), (4, 4), r"entry \(x,y\) = 9 is not an integer in \[0, 8\]"),
+        (((0, 8), (8, 0)), (8, 9), r"weight 9 is not an integer in \[0, 8\]")])
+    def test_values_past_twice_the_denominator_are_rejected(self, dist, weights, message):
+        with pytest.raises(ValidationError, match=message):
+            WeightedAlphabet(("x", "y"), 4, dist, weights)
 
     @pytest.mark.parametrize("dist, weights", [
         (((0, 1), (1, 0)), (True, 1)),
@@ -206,20 +218,14 @@ class TestSweep:
     # buffers cannot take the test session down with it
     @pytest.mark.parametrize("backend", ["python", "compiled"])
     def test_bad_prefix_is_a_validation_error(self, request, backend):
-        env = dict(os.environ)
-        env.pop("URYGRID_PURE", None)
         if backend == "python":
-            env["URYGRID_PURE"] = "1"
             argv = ["-c", BAD_PREFIX_CALLS]
         else:
             argv = ["-c", LOAD_EXT + BAD_PREFIX_CALLS,
                     request.getfixturevalue("compiled_ext").__file__]
-        src = os.path.dirname(os.path.dirname(urygrid.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        child = subprocess.run([sys.executable, *argv], env=env,
-                               capture_output=True, text=True, timeout=60)
-        assert child.returncode == 0, child.stderr
-        assert child.stdout.splitlines() == [
+        child = run_child(argv, pure=backend == "python")
+        assert child.returncode == 0, child.stderr.decode()
+        assert child.stdout.decode().splitlines() == [
             f"{backend} prefix of 3 symbols is longer than max_len 1",
             f"{backend} prefix has 2 letters but 1 signs"]
 
