@@ -13,7 +13,7 @@ from ..errors import ValidationError
 from ._fallback import (BACKEND, INF, floyd_warshall_capped,
                         graev_agree_exhaustive as _agree_exhaustive,
                         graev_norm_bruteforce, graev_norm_dp,
-                        is_bikatetov, iter_pairings, minplus_product)
+                        is_bikatetov, minplus_product)
 
 if os.environ.get("URYGRID_PURE") != "1":
     try:
@@ -46,6 +46,5 @@ __all__ = [
     "graev_norm_bruteforce",
     "graev_norm_dp",
     "is_bikatetov",
-    "iter_pairings",
     "minplus_product",
 ]

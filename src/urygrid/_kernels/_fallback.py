@@ -118,20 +118,6 @@ def graev_norm_dp(letters: list[int], signs: list[int], nl: int,
     return cols[-1][0]
 
 
-def iter_pairings(signs: list[int], i: int, j: int):
-    """Yield every non-crossing opposite-sign pairing of positions i..j-1,
-    each as a list of (a, b) arcs, each pairing exactly once."""
-    if i >= j:
-        yield []
-        return
-    yield from iter_pairings(signs, i + 1, j)
-    for m in range(i + 1, j):
-        if signs[m] == -signs[i]:
-            for inner in iter_pairings(signs, i + 1, m):
-                for outer in iter_pairings(signs, m + 1, j):
-                    yield inner + outer + [(i, m)]
-
-
 def graev_pairing_step(states: list, letter: int, sign: int, room: int,
                        nl: int, dist: list[int], weights: list[int]) -> list:
     """Extend every partial pairing by one symbol.

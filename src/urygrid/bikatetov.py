@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 from . import _kernels
 from .errors import GuardError, InvariantError, ValidationError
-from .grid import add_capped, is_grid_int
-from .spaces import FiniteMetricSpace, PartialSpec, shortest_path_completion
+from .grid import add_capped, is_grid_int, katetov_bounds, lex_tuples
+from .spaces import FiniteMetricSpace, PartialSpec, _as_tuple, shortest_path_completion
 
 CLASSIFY_CANDIDATE_GUARD = 10 ** 9
 SATURATION_GUARD = 100_000
@@ -29,7 +29,7 @@ class BiKatetovMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(tuple(r) for r in self.entries))
+        object.__setattr__(self, "entries", _as_tuple(self.entries, "entries", rows=True))
         n = self.space.n
         q = self.space.denominator
         if len(self.entries) != n or any(len(r) != n for r in self.entries):
@@ -156,7 +156,7 @@ def characterization_check(space: FiniteMetricSpace, entries) -> bool:
 
 
 def _check_isometry(space: FiniteMetricSpace, perm) -> tuple[int, ...]:
-    perm = tuple(perm)
+    perm = _as_tuple(perm, "permutation")
     n = space.n
     # by type first: by value, True == 1 and 1.0 == 1 would pass the sort
     if not all(is_grid_int(i) for i in perm) or sorted(perm) != list(range(n)):
@@ -168,6 +168,14 @@ def _check_isometry(space: FiniteMetricSpace, perm) -> tuple[int, ...]:
                     f"permutation does not preserve d({space.points[i]},{space.points[j]})",
                     (i, j))
     return perm
+
+
+def _inverse(perm: tuple[int, ...]) -> list[int]:
+    """inv with inv[perm[i]] = i, for a checked permutation."""
+    inv = [0] * len(perm)
+    for i, t in enumerate(perm):
+        inv[t] = i
+    return inv
 
 
 def embed_isometry(space: FiniteMetricSpace, perm) -> BiKatetovMatrix:
@@ -194,11 +202,8 @@ def routing_idempotent(space: FiniteMetricSpace, subset) -> BiKatetovMatrix:
 
 def inner_aut(perm, p: BiKatetovMatrix) -> BiKatetovMatrix:
     """Conjugation by an isometry: relabel both coordinates."""
-    perm = _check_isometry(p.space, perm)
+    inv = _inverse(_check_isometry(p.space, perm))
     n = p.space.n
-    inv = [0] * n
-    for i, t in enumerate(perm):
-        inv[t] = i
     return BiKatetovMatrix._trusted(p.space, tuple(
         tuple(p.entries[inv[x]][inv[y]] for y in range(n)) for x in range(n)))
 
@@ -206,11 +211,8 @@ def inner_aut(perm, p: BiKatetovMatrix) -> BiKatetovMatrix:
 def act_left(perm, p: BiKatetovMatrix) -> BiKatetovMatrix:
     """Closed form of multiplying by an embedded isometry on the left:
     (x, y) -> p(perm^{-1}(x), y). Equals product(embed_isometry(perm), p)."""
-    perm = _check_isometry(p.space, perm)
+    inv = _inverse(_check_isometry(p.space, perm))
     n = p.space.n
-    inv = [0] * n
-    for i, t in enumerate(perm):
-        inv[t] = i
     return BiKatetovMatrix._trusted(p.space, tuple(
         tuple(p.entries[inv[x]][y] for y in range(n)) for x in range(n)))
 
@@ -279,41 +281,24 @@ def greatest_idempotent(gens) -> BiKatetovMatrix | None:
 def _bikatetov_dfs(space: FiniteMetricSpace, lower, candidate_guard: int):
     """Every grid bi-Katetov matrix over the space with each entry (r, c) at
     least lower[r][c], as a tuple of row tuples, in lexicographic entry
-    order. Depth-first over the entries, row by row; a value is skipped
-    only when it already breaks a row or column condition against the
-    entries before it, so the enumeration stays exhaustive."""
+    order. Depth-first over the entries, row by row; each entry ranges over
+    the Katetov interval left by the earlier entries of its row and of its
+    column, so the enumeration stays exhaustive."""
     n = space.n
     q = space.denominator
     if (q + 1) ** (n * n) > candidate_guard:
         raise GuardError(
             f"{(q + 1) ** (n * n)} candidate matrices exceed the guard {candidate_guard}")
     dist = space.dist
-    entries = [[0] * n for _ in range(n)]
 
-    def rec(pos: int):
-        if pos == n * n:
-            yield tuple(tuple(r) for r in entries)
-            return
-        r, c = divmod(pos, n)
-        for v in range(lower[r][c], q + 1):
-            ok = True
-            for c2 in range(c):
-                w = entries[r][c2]
-                if abs(v - w) > dist[c][c2] or dist[c][c2] > v + w:
-                    ok = False
-                    break
-            if ok:
-                for r2 in range(r):
-                    w = entries[r2][c]
-                    if abs(v - w) > dist[r][r2] or dist[r][r2] > v + w:
-                        ok = False
-                        break
-            if ok:
-                entries[r][c] = v
-                yield from rec(pos + 1)
-        entries[r][c] = 0
+    def values(prefix):
+        r, c = divmod(len(prefix), n)
+        lo, hi = katetov_bounds(zip(prefix[r * n:], dist[c]), lower[r][c], q)
+        lo, hi = katetov_bounds(zip(prefix[c::n], dist[r]), lo, hi)
+        return range(lo, hi + 1)
 
-    return rec(0)
+    return (tuple(flat[i:i + n] for i in range(0, n * n, n))
+            for flat in lex_tuples(n * n, values))
 
 
 def classify_idempotents(space: FiniteMetricSpace,
@@ -395,7 +380,8 @@ def _gibbs(space: FiniteMetricSpace, start, ceiling, rng: random.Random,
     e = [list(r) for r in start]
     # lo = max |w - d| and hi = min w + d, by plain comparisons: lo starts at
     # 0, so a positive t = w - d can only raise it, and a negative one only
-    # through -t
+    # through -t. That is grid.katetov_bounds written out: building 2n pairs
+    # and a call per entry would slow this hot path of the semigroup laws
     for _ in range(sweeps):
         for x in rows:
             ex, dx, cx = e[x], dist[x], ceiling[x]

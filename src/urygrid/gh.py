@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from ._kernels import INF, floyd_warshall_capped
 from .errors import ValidationError
-from .grid import half_grid_value
+from .grid import half_grid_value, lex_tuples
 from .spaces import FiniteMetricSpace, common_grid
 
 
@@ -118,22 +118,14 @@ def realize_in_space(space: FiniteMetricSpace, anchors, target: FiniteMetricSpac
             if gap > 2 * eps:
                 raise ValidationError(
                     f"anchors distort the target by {gap} > 2*{eps} at ({i},{j})")
-    chosen: list[int] = []
+    dist = space.dist
 
-    def rec() -> bool:
-        if len(chosen) == n:
-            return True
+    def points(chosen):
+        # not injective: a pseudometric target may put two indices on one point
         i = len(chosen)
-        for c in range(space.n):
-            if space.dist[anchors_idx[i]][c] > eps:
-                continue
-            if all(space.dist[chosen[j]][c] == target.dist[j][i] for j in range(i)):
-                chosen.append(c)
-                if rec():
-                    return True
-                chosen.pop()
-        return False
+        near = dist[anchors_idx[i]]
+        return [c for c in range(space.n) if near[c] <= eps
+                and all(dist[cj][c] == target.dist[j][i] for j, cj in enumerate(chosen))]
 
-    if rec():
-        return tuple(space.points[c] for c in chosen)
-    return None
+    found = next(lex_tuples(n, points), None)
+    return None if found is None else tuple(space.points[c] for c in found)

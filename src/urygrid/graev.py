@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import _kernels
 from .errors import GuardError, ValidationError
 from .grid import is_grid_int
-from .spaces import FiniteMetricSpace, _metric_report, _raise_unless_ok
+from .spaces import FiniteMetricSpace, _as_tuple, _metric_report, _raise_unless_ok
 
 PAIRING_ENUMERATION_MAX_LEN = 14
 
@@ -40,9 +40,9 @@ class WeightedAlphabet:
     weights: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(self.letters))
-        object.__setattr__(self, "dist", tuple(tuple(r) for r in self.dist))
-        object.__setattr__(self, "weights", tuple(self.weights))
+        object.__setattr__(self, "letters", _as_tuple(self.letters, "letters"))
+        object.__setattr__(self, "dist", _as_tuple(self.dist, "dist", rows=True))
+        object.__setattr__(self, "weights", _as_tuple(self.weights, "weights"))
         _raise_unless_ok(_metric_report(self.letters, self.denominator, self.dist,
                                         True, 2), "alphabet")
         n = len(self.letters)
@@ -145,7 +145,26 @@ def enumerate_pairings(word: Word, max_len: int = PAIRING_ENUMERATION_MAX_LEN):
             f"word of length {len(word)} exceeds the enumeration bound {max_len}; "
             f"use the dynamic program")
     signs = [s for _, s in word]
-    return [frozenset(p) for p in _kernels.iter_pairings(signs, 0, len(word))]
+    return [frozenset(p) for p in _iter_pairings(signs, 0, len(word))]
+
+
+def _iter_pairings(signs: list[int], i: int, j: int):
+    """Yield every non-crossing opposite-sign pairing of positions i..j-1,
+    each as a list of (a, b) arcs, each pairing exactly once.
+
+    Not a fold over the kernels' graev_pairing_step, though that step also
+    lists every pairing: its states carry open arcs and a cost but no
+    positions, and adding the closed arcs would touch every state of the
+    exhaustive sweep for a listing only this function needs."""
+    if i >= j:
+        yield []
+        return
+    yield from _iter_pairings(signs, i + 1, j)
+    for m in range(i + 1, j):
+        if signs[m] == -signs[i]:
+            for inner in _iter_pairings(signs, i + 1, m):
+                for outer in _iter_pairings(signs, m + 1, j):
+                    yield inner + outer + [(i, m)]
 
 
 def _letters_and_signs(word: Word, nletters: int) -> tuple[list, list]:

@@ -5,6 +5,12 @@ denominator q, so a value x stands for the rational x/q and all identities
 are checked with exact integer equality. Distances inside a space live in
 [0, q] (diameter at most 1); derived quantities such as Graev seminorms are
 plain non-negative integers over the same q and are never capped.
+
+Every exhaustive listing runs on ``lex_tuples``, the one depth-first
+enumerator: each search states only the candidates for the next entry
+given the ones before it. Listings and draws under Katetov conditions
+narrow their range with ``katetov_bounds``, the one interval
+|w - d| <= v <= w + d of a value v at distance d from a value w.
 """
 
 from __future__ import annotations
@@ -57,3 +63,43 @@ def half_grid_value(num2: int, q: int) -> tuple[int, int]:
 def frac_str(num: int, den: int) -> str:
     """Exact fraction rendering, numerator over the governing grid verbatim."""
     return f"{num}/{den}"
+
+
+def lex_tuples(k: int, choices):
+    """Every k-tuple whose entry j is one of ``choices(prefix)``, prefix being
+    the entries before j as a list the callee must not change, in the order
+    of the candidate lists. Lazy and without recursion: a caller that wants
+    only the first tuple stops the search there."""
+    if k == 0:
+        yield ()
+        return
+    last = k - 1
+    prefix: list = []
+    levels = [iter(choices(prefix))]
+    while levels:
+        for v in levels[-1]:
+            if len(prefix) == last:
+                yield (*prefix, v)
+            else:
+                prefix.append(v)
+                levels.append(iter(choices(prefix)))
+                break
+        else:
+            levels.pop()
+            if prefix:
+                prefix.pop()
+
+
+def katetov_bounds(pairs, lo: int, hi: int) -> tuple[int, int]:
+    """[lo, hi] narrowed to the values v with |v - w| <= d <= v + w for each
+    (w, d) pair, i.e. |w - d| <= v <= w + d; empty when lo > hi."""
+    for w, d in pairs:
+        t = w - d
+        if t > lo:
+            lo = t
+        elif -t > lo:
+            lo = -t
+        t = w + d
+        if t < hi:
+            hi = t
+    return lo, hi

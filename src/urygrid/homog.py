@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import GuardError, ValidationError
 from .graev import WeightedAlphabet, Word, _letters_and_signs, graev_norm
-from .spaces import FiniteMetricSpace
+from .spaces import FiniteMetricSpace, _as_tuple
 
 
 @dataclass(frozen=True)
@@ -32,12 +32,13 @@ class PartialIsometryRelation:
 
     def __post_init__(self):
         index = self.space.index
-        for pair in self.pairs:
+        given = _as_tuple(self.pairs, "pairs")
+        for pair in given:
             if not isinstance(pair, (tuple, list)) or len(pair) != 2:
                 raise ValidationError(f"pair {pair!r} is not two point names")
             index(pair[0])
             index(pair[1])
-        pairs = sorted({(a, b) for a, b in self.pairs})
+        pairs = sorted({(a, b) for a, b in given})
         if not pairs:
             raise ValidationError("the empty relation is excluded")
         object.__setattr__(self, "pairs", tuple(pairs))

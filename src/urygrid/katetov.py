@@ -17,8 +17,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import GuardError, InvariantError, ValidationError
-from .grid import add_capped, is_grid_int
-from .spaces import FiniteMetricSpace
+from .grid import add_capped, is_grid_int, katetov_bounds, lex_tuples
+from .spaces import FiniteMetricSpace, _as_tuple
 
 ISO_GROUP_MAX_POINTS = 10
 # most grid profiles listed for one support: a refused listing holds about
@@ -36,8 +36,8 @@ class KatetovFunction:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "support", tuple(self.support))
-        object.__setattr__(self, "values", tuple(self.values))
+        object.__setattr__(self, "support", _as_tuple(self.support, "support"))
+        object.__setattr__(self, "values", _as_tuple(self.values, "values"))
         if len(self.support) != len(set(self.support)):
             raise ValidationError("duplicate support points")
         if len(self.support) != len(self.values):
@@ -166,29 +166,18 @@ def _profiles_by_gaps(q: int, gaps: tuple[tuple[int, ...], ...]):
     """_katetov_profiles for a subset whose point j lies at gaps[j][t] from
     its point t < j. There can be (q+1)^k of them, so listing more than
     PROFILE_LIMIT is refused."""
+    def values(prefix):
+        lo, hi = katetov_bounds(zip(prefix, gaps[len(prefix)]), 0, q)
+        return range(lo, hi + 1)
+
     k = len(gaps)
     out: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-
-    def rec():
-        if len(prefix) == k:
-            if len(out) == PROFILE_LIMIT:
-                raise GuardError(f"profile enumeration refused: a {k}-point support at "
-                                 f"q={q} has more than {PROFILE_LIMIT} grid profiles "
-                                 f"(listed {len(out)}, limit {PROFILE_LIMIT})")
-            out.append(tuple(prefix))
-            return
-        j = len(prefix)
-        lo, hi = 0, q
-        for d, v in zip(gaps[j], prefix):
-            lo = max(lo, v - d, d - v)
-            hi = min(hi, v + d)
-        for v in range(lo, hi + 1):
-            prefix.append(v)
-            rec()
-            prefix.pop()
-
-    rec()
+    for prof in lex_tuples(k, values):
+        if len(out) == PROFILE_LIMIT:
+            raise GuardError(f"profile enumeration refused: a {k}-point support at "
+                             f"q={q} has more than {PROFILE_LIMIT} grid profiles "
+                             f"(listed {len(out)}, limit {PROFILE_LIMIT})")
+        out.append(prof)
     return tuple(out)
 
 
@@ -311,30 +300,19 @@ def _isometric_injections(pattern, target):
     target[img[i]][img[j]] == pattern[i][j], for symmetric pattern and
     target, in lexicographic order.
 
-    Backtracks one position at a time: the candidates for position i are
-    the unused targets, narrowed by the distance to each earlier image in
-    turn, so a prefix is abandoned as soon as no candidate is left."""
-    k = len(pattern)
-    image: list[int] = []
-    used = [False] * len(target)
-
-    def rec():
+    The candidates for position i are the targets at the right distance
+    from each earlier image in turn, and then the unused ones among them:
+    the distance filters usually leave few, so the used targets are
+    dropped last."""
+    def images(image):
         i = len(image)
-        if i == k:
-            yield tuple(image)
-            return
-        cands = [c for c, u in enumerate(used) if not u]
-        for j in range(i):
-            tj, pj = target[image[j]], pattern[j][i]
+        cands = range(len(target))
+        for j, t in enumerate(image):
+            tj, pj = target[t], pattern[j][i]
             cands = [c for c in cands if tj[c] == pj]
-        for c in cands:
-            used[c] = True
-            image.append(c)
-            yield from rec()
-            image.pop()
-            used[c] = False
+        return [c for c in cands if c not in image]
 
-    return rec()
+    return lex_tuples(len(pattern), images)
 
 
 def _embed_seed(seed: FiniteMetricSpace, target: FiniteMetricSpace):
@@ -460,14 +438,9 @@ def build_approximant(seed: FiniteMetricSpace, max_subset: int, q: int, cap: int
             for z in range(space.n):
                 if row[z] is not None:
                     continue
-                lo, hi = 1, q
-                for y in range(space.n):
-                    if row[y] is None:
-                        continue
-                    d = space.dist[z][y]
-                    lo = max(lo, row[y] - d, d - row[y])
-                    hi = min(hi, row[y] + d)
-                row[z] = rng.randint(lo, hi)
+                dz = space.dist[z]
+                row[z] = rng.randint(*katetov_bounds(
+                    [(w, dz[y]) for y, w in enumerate(row) if w is not None], 1, q))
         while f"a{fresh}" in space._index:
             fresh += 1
         space = space.with_point(f"a{fresh}", row)

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bikatetov import BiKatetovMatrix
+from .bikatetov import BiKatetovMatrix, _check_isometry, _inverse
 from .errors import GuardError, ValidationError
+from .grid import lex_tuples
 from .homog import compose, invert
 from .spaces import FiniteMetricSpace
 
@@ -49,38 +50,25 @@ def enumerate_carrier(space: FiniteMetricSpace, guard: int = CARRIER_GUARD) -> G
     q = space.denominator
     if (q + 1) ** n > guard:
         raise GuardError(f"{(q + 1) ** n} candidate functions exceed the guard {guard}")
-    out: list[tuple[int, ...]] = []
-    prefix: list[int] = []
 
-    def rec():
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        j = len(prefix)
+    def values(prefix):
+        # |v - w| <= d for each earlier value w: non-expanding, not Katetov
+        dj = space.dist[len(prefix)]
         lo, hi = 0, q
-        for t in range(j):
-            d = space.dist[t][j]
-            lo = max(lo, prefix[t] - d)
-            hi = min(hi, prefix[t] + d)
-        for v in range(lo, hi + 1):
-            prefix.append(v)
-            rec()
-            prefix.pop()
+        for w, d in zip(prefix, dj):
+            lo = max(lo, w - d)
+            hi = min(hi, w + d)
+        return range(lo, hi + 1)
 
-    rec()
-    return GridFunctionSpace(space, tuple(out))
+    return GridFunctionSpace(space, tuple(lex_tuples(n, values)))
 
 
 def act(carrier: GridFunctionSpace, perm, member_idx: int) -> int:
     """Index of the function x -> f(perm^{-1}(x)); the left action of an
-    isometry on the carrier."""
-    n = carrier.space.n
-    perm = tuple(perm)
-    inv = [0] * n
-    for i, t in enumerate(perm):
-        inv[t] = i
+    isometry on the carrier. perm must be an isometry of the base."""
+    inv = _inverse(_check_isometry(carrier.space, perm))
     f = carrier.members[member_idx]
-    return carrier.index(tuple(f[inv[x]] for x in range(n)))
+    return carrier.index(tuple(f[i] for i in inv))
 
 
 Relation = frozenset  # of (member index, member index) pairs

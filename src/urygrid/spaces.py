@@ -10,12 +10,13 @@ so identities are checked exactly rather than within tolerances.
 from __future__ import annotations
 
 import random
+import reprlib
 from dataclasses import dataclass, field
 from itertools import combinations
 
 from ._kernels import INF, floyd_warshall_capped
 from .errors import ValidationError
-from .grid import denominator_problem, is_grid_int, lcm
+from .grid import denominator_problem, is_grid_int, katetov_bounds, lcm
 
 
 @dataclass(frozen=True)
@@ -131,8 +132,8 @@ class FiniteMetricSpace:
     _index: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        object.__setattr__(self, "dist", tuple(tuple(row) for row in self.dist))
+        object.__setattr__(self, "points", _as_tuple(self.points, "points"))
+        object.__setattr__(self, "dist", _as_tuple(self.dist, "dist", rows=True))
         _raise_unless_ok(validate_space(self.points, self.denominator, self.dist, self.pseudo))
         object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.points)})
 
@@ -198,7 +199,7 @@ class FiniteMetricSpace:
         """
         if name in self._index:
             raise ValidationError(f"point name {name!r} already used")
-        row = tuple(row)
+        row = _as_tuple(row, "row")
         if pseudo is None:
             pseudo = self.pseudo
         points = self.points + (name,)
@@ -208,6 +209,16 @@ class FiniteMetricSpace:
                 or not _new_row_fits(self, row, pseudo):
             return FiniteMetricSpace(points, self.denominator, new_rows, pseudo)
         return FiniteMetricSpace._trusted(points, self.denominator, new_rows, pseudo)
+
+
+def _as_tuple(value, what: str, rows: bool = False) -> tuple:
+    """value as a tuple, of row tuples with ``rows``; the constructors' one
+    normalization, so a part that is not a sequence is a ValidationError."""
+    try:
+        return tuple(map(tuple, value)) if rows else tuple(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be a sequence{' of rows' if rows else ''}, "
+                              f"got {reprlib.repr(value)}") from None
 
 
 def _raise_unless_ok(report: ValidationReport, what: str = "space"):
@@ -252,8 +263,8 @@ class PartialSpec:
     entries: tuple[tuple[int | None, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        object.__setattr__(self, "entries", tuple(tuple(row) for row in self.entries))
+        object.__setattr__(self, "points", _as_tuple(self.points, "points"))
+        object.__setattr__(self, "entries", _as_tuple(self.entries, "entries", rows=True))
         n = len(self.points)
         if len(set(self.points)) != n or n == 0:
             raise ValidationError("points must be nonempty and unique")
@@ -421,11 +432,6 @@ def random_grid_space(n: int, q: int, seed: int) -> FiniteMetricSpace:
     d = [[flat[i * n + j] for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            lo, hi = 1, q
-            for k in range(n):
-                if k in (i, j):
-                    continue
-                lo = max(lo, abs(d[i][k] - d[k][j]))
-                hi = min(hi, d[i][k] + d[k][j])
-            d[i][j] = d[j][i] = rng.randint(lo, hi)
+            d[i][j] = d[j][i] = rng.randint(*katetov_bounds(
+                [(d[i][k], d[k][j]) for k in range(n) if k != i and k != j], 1, q))
     return FiniteMetricSpace(names, q, tuple(tuple(row) for row in d))

@@ -64,6 +64,24 @@ class TestAction:
                 for i in range(carrier.size):
                     assert act(carrier, gh, i) == act(carrier, g, act(carrier, h, i))
 
+    @pytest.mark.parametrize("perm", [(0, 0), (1, 1), (0,), (True, False), (5, 0),
+                                      (0.0, 1.0), 5])
+    def test_non_permutations_are_refused(self, two_point_q2, perm):
+        carrier = enumerate_carrier(two_point_q2)
+        with pytest.raises(ValidationError):
+            act(carrier, perm, 0)
+        with pytest.raises(ValidationError):
+            action_graph(carrier, perm)
+
+    def test_permutations_that_are_not_isometries_are_refused(self):
+        space = FiniteMetricSpace(("a", "b", "c"), 2, ((0, 1, 2), (1, 0, 2), (2, 2, 0)))
+        carrier = enumerate_carrier(space)
+        assert action_graph(carrier, (1, 0, 2)) != action_graph(carrier, (0, 1, 2))
+        with pytest.raises(ValidationError, match="does not preserve"):
+            act(carrier, (2, 1, 0), 0)
+        with pytest.raises(ValidationError, match="does not preserve"):
+            action_graph(carrier, (2, 1, 0))
+
 
 class TestGraphEmbedding:
     def test_identity_graph_is_the_diagonal(self, two_point_q2):

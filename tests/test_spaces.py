@@ -2,7 +2,11 @@ import random
 
 import pytest
 
+from urygrid.bikatetov import BiKatetovMatrix
 from urygrid.errors import ValidationError
+from urygrid.graev import WeightedAlphabet
+from urygrid.homog import PartialIsometryRelation
+from urygrid.katetov import KatetovFunction
 from urygrid.spaces import (FiniteMetricSpace, PartialSpec, Violation, amalgam,
                             quotient_pseudometric, random_grid_space,
                             shortest_path_completion, validate_space)
@@ -360,3 +364,23 @@ class TestWithPoint:
     def test_used_name_is_rejected(self, two_point_q4):
         with pytest.raises(ValidationError, match="already used"):
             two_point_q4.with_point("a", (1, 1))
+
+
+TWO = FiniteMetricSpace(("a", "b"), 2, ((0, 1), (1, 0)))
+
+
+@pytest.mark.parametrize("build, part", [
+    (lambda: FiniteMetricSpace(("a",), 1, 5), "dist"),
+    (lambda: FiniteMetricSpace(("a",), 1, (5,)), "dist"),
+    (lambda: FiniteMetricSpace(5, 1, ((0,),)), "points"),
+    (lambda: WeightedAlphabet(("x",), 1, ((0,),), None), "weights"),
+    (lambda: BiKatetovMatrix(TWO, 5), "entries"),
+    (lambda: PartialSpec(("a",), 1, 5), "entries"),
+    (lambda: KatetovFunction(TWO, 5, (1,)), "support"),
+    (lambda: PartialIsometryRelation(TWO, 5), "pairs"),
+    (lambda: TWO.with_point("c", 5), "row"),
+], ids=["space-dist", "space-row", "space-points", "alphabet-weights", "bikatetov",
+        "partial-spec", "katetov-support", "relation-pairs", "with-point"])
+def test_parts_that_are_not_sequences_are_validation_errors(build, part):
+    with pytest.raises(ValidationError, match=f"^{part} must be a sequence"):
+        build()
