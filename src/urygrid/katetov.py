@@ -14,7 +14,9 @@ import heapq
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
+from math import gcd
+from operator import itemgetter
 
 from .errors import GuardError, InvariantError, ValidationError
 from .grid import add_capped, is_grid_int, katetov_bounds, lex_tuples
@@ -321,28 +323,65 @@ def _embed_seed(seed: FiniteMetricSpace, target: FiniteMetricSpace):
     return None if first is None else list(first)
 
 
+def _closed_through_zero(template: FiniteMetricSpace, max_subset: int) -> bool:
+    """Whether a circulant realizes every zero-free grid Katetov profile on
+    its supports of size <= max_subset, checking only the supports that
+    contain vertex 0.
+
+    Rotating by r maps the realizers of a profile on a support onto the
+    realizers of the same profile on the support moved by r, and keeps the
+    distances inside it, so every support can be moved to one through 0.
+    A profile with a zero is realized by its own support point."""
+    for size in range(1, max_subset + 1):
+        for rest in combinations(range(1, template.n), size - 1):
+            idx = (0, *rest)
+            realized = _realized(template, idx)
+            for prof in _katetov_profiles(template, idx):
+                if 0 not in prof and prof not in realized:
+                    return False
+    return True
+
+
+def _multiplier_maps(n: int):
+    """One itemgetter per unit u of Z_n modulo +-1, u != +-1: it turns the
+    gap colors c of a circulant into the colors g -> c(u g) of an isometric
+    one (i -> u i mod n is the isometry), folding u g onto 1 .. n // 2."""
+    half = n // 2
+    return [itemgetter(*(min(u * g % n, n - u * g % n) - 1 for g in range(1, half + 1)))
+            for u in range(2, half + 1) if gcd(u, n) == 1]
+
+
 def find_transitive_template(seed: FiniteMetricSpace, max_subset: int, q: int,
                              cap: int, candidate_budget: int = 20_000):
     """Search rotation-invariant spaces over cyclic groups for one that is
     closed under small profiles and contains the seed isometrically.
 
     Such a space is vertex-transitive by construction, so every single point
-    maps onto every other by a global isometry. A candidate is kept only if
-    its triangles hold, which the rotation argument of _circulant_template
+    maps onto every other by a global isometry. The gap colorings are walked
+    in lexicographic order, one per orbit of the units of Z_n modulo +-1:
+    multiplying every gap by a unit gives an isometric circulant, and closure
+    and the seed are both invariant under isometry, so the first hit is the
+    least of its orbit and skipping the others changes nothing. The budget
+    counts these canonical colorings. A candidate is kept only if its
+    triangles hold, which the rotation argument of _circulant_template
     decides in O(n^2) comparisons, stopping at the first failure; only then
-    is it built and asked for closure and for the seed. Returns (template,
-    embedded seed indices) or None when the bounded search finds nothing."""
-    from itertools import product as iproduct
-
+    is it built and asked for closure, on the supports through vertex 0
+    (_closed_through_zero), and for the seed. Returns (template, embedded
+    seed indices) or None when the bounded search finds nothing."""
     _require_subset(max_subset)
     tried = 0
     for n in range(max(seed.n, 1), cap + 1):
         half = n // 2
         if half == 0:
             continue
-        if q ** half > candidate_budget - tried:
+        maps = _multiplier_maps(n)
+        # an orbit holds at most 1 + len(maps) colorings, so past this bound
+        # n has more canonical ones than the budget has left
+        if q ** half > (candidate_budget - tried) * (1 + len(maps)):
             break
-        for colors in iproduct(range(1, q + 1), repeat=half):
+        for colors in product(range(1, q + 1), repeat=half):
+            if any(m(colors) < colors for m in maps):
+                continue
             tried += 1
             if tried > candidate_budget:
                 return None
@@ -354,7 +393,7 @@ def find_transitive_template(seed: FiniteMetricSpace, max_subset: int, q: int,
             if template is None:
                 continue
             # stops at the first missing profile; equals injectivity_check().ok
-            if _ProfileFrontier(template, max_subset).first() is not None:
+            if not _closed_through_zero(template, max_subset):
                 continue
             embedded = _embed_seed(seed, template)
             if embedded is not None:
@@ -471,17 +510,22 @@ class HomogeneityReport:
 def homogeneity_check(space: FiniteMetricSpace, max_subset: int,
                       max_points: int = ISO_GROUP_MAX_POINTS) -> HomogeneityReport:
     """Does every isometry between subsets of size <= max_subset extend to a
-    global isometry? Reports the partial isometries that do not."""
+    global isometry? Reports the partial isometries that do not.
+
+    A partial isometry dom -> img extends exactly when img is the restriction
+    to dom of some global isometry, so each domain's restrictions are
+    collected once and every image is looked up among them."""
     group = iso_group(space, max_points=max_points)
     dist = space.dist
     bad = []
     checked = 0
     for size in range(1, max_subset + 1):
         for dom in combinations(range(space.n), size):
+            restrictions = {tuple(g[a] for a in dom) for g in group}
             pattern = [[dist[a][b] for b in dom] for a in dom]
             for img in _isometric_injections(pattern, dist):
                 checked += 1
-                if not any(all(g[a] == b for a, b in zip(dom, img)) for g in group):
+                if img not in restrictions:
                     bad.append(tuple((space.points[a], space.points[b])
                                      for a, b in zip(dom, img)))
     return HomogeneityReport(checked, tuple(bad))

@@ -11,11 +11,11 @@ On the grid these two maps invert each other exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .bikatetov import BiKatetovMatrix, _check_isometry, _inverse
 from .errors import GuardError, ValidationError
-from .grid import lex_tuples
+from .grid import is_grid_int, lex_tuples
 from .homog import compose, invert
 from .spaces import FiniteMetricSpace
 
@@ -30,12 +30,17 @@ class GridFunctionSpace:
 
     space: FiniteMetricSpace
     members: tuple[tuple[int, ...], ...]
+    # member -> its index, built once
+    _position: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_position", {m: i for i, m in enumerate(self.members)})
 
     def index(self, values) -> int:
         values = tuple(values)
         try:
-            return self.members.index(values)
-        except ValueError:
+            return self._position[values]
+        except (KeyError, TypeError):  # TypeError: an unhashable entry
             raise ValidationError(f"{values} is not non-expanding here") from None
 
     @property
@@ -63,12 +68,22 @@ def enumerate_carrier(space: FiniteMetricSpace, guard: int = CARRIER_GUARD) -> G
     return GridFunctionSpace(space, tuple(lex_tuples(n, values)))
 
 
+def _mover(carrier: GridFunctionSpace, perm):
+    """f -> index of x -> f(perm^{-1}(x)) over the carrier, with perm checked
+    once to be an isometry of the base."""
+    inv = _inverse(_check_isometry(carrier.space, perm))
+    return lambda f: carrier.index(tuple(f[i] for i in inv))
+
+
 def act(carrier: GridFunctionSpace, perm, member_idx: int) -> int:
     """Index of the function x -> f(perm^{-1}(x)); the left action of an
-    isometry on the carrier. perm must be an isometry of the base."""
-    inv = _inverse(_check_isometry(carrier.space, perm))
-    f = carrier.members[member_idx]
-    return carrier.index(tuple(f[i] for i in inv))
+    isometry on the carrier. perm must be an isometry of the base and
+    member_idx an index into the carrier's members."""
+    move = _mover(carrier, perm)
+    if not is_grid_int(member_idx, 0, carrier.size - 1):
+        raise ValidationError(f"member index must be an integer in [0, {carrier.size}), "
+                              f"got {member_idx!r}")
+    return move(carrier.members[member_idx])
 
 
 Relation = frozenset  # of (member index, member index) pairs
@@ -76,7 +91,8 @@ Relation = frozenset  # of (member index, member index) pairs
 
 def action_graph(carrier: GridFunctionSpace, perm) -> Relation:
     """The graph {(f, perm.f)} of the action of an isometry on the carrier."""
-    return frozenset((i, act(carrier, perm, i)) for i in range(carrier.size))
+    move = _mover(carrier, perm)
+    return frozenset((i, move(f)) for i, f in enumerate(carrier.members))
 
 
 def matrix_of_relation(carrier: GridFunctionSpace, r: Relation) -> tuple[tuple[int, ...], ...]:

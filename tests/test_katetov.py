@@ -1,15 +1,17 @@
 import hashlib
 import json
 import random
+from functools import lru_cache
 from itertools import combinations, permutations, product
 
 import pytest
 
 from urygrid.cli import main
 from urygrid.errors import GuardError, ValidationError
-from urygrid.katetov import (PROFILE_LIMIT, KatetovFunction, _circulant_template, _embed_seed,
-                             _ProfileFrontier, build_approximant, homogeneity_check,
-                             injectivity_check, is_katetov, iso_group,
+from urygrid.katetov import (PROFILE_LIMIT, KatetovFunction, _circulant_template,
+                             _closed_through_zero, _embed_seed, _ProfileFrontier,
+                             build_approximant, find_transitive_template,
+                             homogeneity_check, injectivity_check, is_katetov, iso_group,
                              katetov_extension, katetov_witness,
                              point_function, realize_one_point, sup_distance)
 from urygrid.spaces import FiniteMetricSpace, random_grid_space, validate_space
@@ -476,3 +478,84 @@ def test_build_json_bytes_are_unchanged(capsys, tmp_path, case, digest):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def circulant_rows(n, colors):
+    """Distance rows of Z_n with d(i, j) = colors[g - 1] at cyclic gap g."""
+    return [[colors[min((j - i) % n, (i - j) % n) - 1] if i != j else 0
+             for j in range(n)] for i in range(n)]
+
+
+@lru_cache(maxsize=None)
+def brute_closed_circulants(n, q, k):
+    """Every gap coloring of Z_n in lexicographic order whose circulant is a
+    metric space realizing every profile on every support of up to k
+    points, by the full checks and nothing else."""
+    points = tuple(f"v{i}" for i in range(n))
+    out = []
+    for colors in product(range(1, q + 1), repeat=n // 2):
+        rows = circulant_rows(n, colors)
+        if validate_space(points, q, rows).ok:
+            space = FiniteMetricSpace(points, q, rows)
+            if injectivity_check(space, k).ok:
+                out.append(space)
+    return tuple(out)
+
+
+def brute_template(seed, k, q, cap):
+    """find_transitive_template without a budget: the first closed
+    circulant holding the seed, n by n and every coloring in turn."""
+    for n in range(max(seed.n, 1), cap + 1):
+        for space in brute_closed_circulants(n, q, k):
+            found = brute_injections(seed.dist, space.dist)
+            if found:
+                return space, list(found[0])
+    return None
+
+
+class TestTemplateSearch:
+    def test_closure_through_zero_matches_full_scan(self):
+        # every candidate circulant the search can meet for n <= 12
+        outcomes = set()
+        for q, k in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]:
+            for n in range(1, 13):
+                for colors in product(range(1, q + 1), repeat=n // 2):
+                    template = _circulant_template(n, q, colors)
+                    if template is not None:
+                        closed = _closed_through_zero(template, k)
+                        assert closed == injectivity_check(template, k).ok
+                        outcomes.add(closed)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("q,k", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_search_matches_brute_force_twin(self, q, k):
+        # q^(n // 2) summed over n <= 14 stays under the default budget, so
+        # the budgeted search and the exhaustive twin must agree exactly
+        rng = random.Random(40 + 10 * q + k)
+        seeds = [FiniteMetricSpace(**spec).rescaled(q) for spec in GOLDEN_SEEDS.values()
+                 if q % spec["denominator"] == 0]
+        seeds += [random_grid_space(rng.randint(1, 3), q, rng.randrange(10 ** 6))
+                  for _ in range(20)]
+        for seed in seeds:
+            for cap in (8, 14):
+                assert find_transitive_template(seed, k, q, cap) == \
+                    brute_template(seed, k, q, cap)
+
+    def test_subset_three_on_grid_two_finds_paley_29(self):
+        seed = FiniteMetricSpace(("a",), 2, ((0,),))
+        template, embedded = find_transitive_template(seed, 3, 2, 64)
+        squares = {g * g % 29 for g in range(1, 29)}
+        assert template.dist[0] == tuple([0] + [1 if g in squares else 2
+                                                for g in range(1, 29)])
+        assert embedded == [0]
+        assert injectivity_check(template, 3).ok
+        assert len(iso_group(template, max_points=29)) == 406
+        assert homogeneity_check(template, 1, max_points=29).ok
+
+    def test_subset_three_on_grid_two_builds_closed(self, capsys, tmp_path):
+        seed = tmp_path / "seed.json"
+        seed.write_text(json.dumps(GOLDEN_SEEDS["p1q2"]))
+        code = main(["approximant", "build", str(seed), "--subset", "3", "--grid", "2",
+                     "--cap", "64", "--strategy", "transitive"])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("status closed, 28 points")

@@ -8,8 +8,9 @@ from urygrid.bikatetov import (constant_zero, embed_isometry,
 from urygrid.errors import GuardError, ValidationError
 from urygrid.katetov import iso_group, point_function
 from urygrid.relations import (action_graph, act, compose, enumerate_carrier,
-                               invert, is_equivalence, matrix_of_relation,
-                               relation_of_matrix, restriction_equivalence)
+                               invert, is_equivalence, isometry_graphs,
+                               matrix_of_relation, relation_of_matrix,
+                               restriction_equivalence)
 from urygrid.spaces import FiniteMetricSpace, random_grid_space
 
 
@@ -73,6 +74,12 @@ class TestAction:
         with pytest.raises(ValidationError):
             action_graph(carrier, perm)
 
+    @pytest.mark.parametrize("member_idx", [1.0, True, -1, 7])
+    def test_member_indices_outside_the_carrier_are_refused(self, two_point_q2, member_idx):
+        carrier = enumerate_carrier(two_point_q2)  # 7 members
+        with pytest.raises(ValidationError, match="member index"):
+            act(carrier, (1, 0), member_idx)
+
     def test_permutations_that_are_not_isometries_are_refused(self):
         space = FiniteMetricSpace(("a", "b", "c"), 2, ((0, 1, 2), (1, 0, 2), (2, 2, 0)))
         carrier = enumerate_carrier(space)
@@ -99,6 +106,22 @@ class TestGraphEmbedding:
         for g in iso_group(triangle_q2):
             assert invert(action_graph(carrier, g)) == \
                 action_graph(carrier, inverse_perm(g))
+
+
+    def test_isometry_graphs_match_a_list_scan(self):
+        # 4-point equilateral at the diameter: all 7^4 functions are members
+        space = FiniteMetricSpace(tuple("abcd"), 6, tuple(
+            tuple(0 if i == j else 6 for j in range(4)) for i in range(4)))
+        carrier = enumerate_carrier(space)
+        members = carrier.members
+        assert carrier.size == 2401
+        twin = {}
+        for g in iso_group(space):
+            inv = inverse_perm(g)
+            twin[g] = frozenset((i, members.index(tuple(f[x] for x in inv)))
+                                for i, f in enumerate(members))
+        assert len(twin) == 24
+        assert isometry_graphs(carrier) == twin
 
 
 class TestMatrixOfRelation:
