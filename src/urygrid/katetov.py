@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -20,9 +21,12 @@ from operator import itemgetter
 
 from .errors import GuardError, InvariantError, ValidationError
 from .grid import add_capped, is_grid_int, katetov_bounds, lex_tuples
-from .spaces import FiniteMetricSpace, _as_tuple
+from .spaces import (FiniteMetricSpace, _as_tuple, _new_row_fits, _raise_unless_ok,
+                     validate_space)
 
 ISO_GROUP_MAX_POINTS = 10
+# canonical gap colorings the transitive template search may try
+TEMPLATE_BUDGET = 20_000
 # most grid profiles listed for one support: a refused listing holds about
 # 10 MB, and the test suite and the benchmark never list more than 57
 PROFILE_LIMIT = 100_000
@@ -153,14 +157,46 @@ def realize_one_point(space: FiniteMetricSpace, f: KatetovFunction,
     return OnePointExtension(space.with_point(name, vals, pseudo=pseudo), name, identified)
 
 
+def _spheres(dist) -> list[dict[int, int]]:
+    """The sphere index of a distance matrix: sph[t][v] is the int bitmask
+    of the points at distance v from point t (bit j for point j), absent
+    when there are none. A point at distances (v_0, ..., v_k) from points
+    t_0, ..., t_k lies in the AND of their spheres."""
+    sph = []
+    for row in dist:
+        s: dict[int, int] = {}
+        bit = 1
+        for v in row:
+            s[v] = s.get(v, 0) | bit
+            bit <<= 1
+        sph.append(s)
+    return sph
+
+
+def _bits(mask: int) -> list[int]:
+    """The indices of the set bits of a nonnegative mask, low to high."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _support_gaps(dist, idx: tuple[int, ...]):
+    """The distances inside a support, as _profiles_by_gaps takes them."""
+    gaps = [()]
+    for j in range(1, len(idx)):
+        col = idx[j]
+        gaps.append(tuple([dist[t][col] for t in idx[:j]]))
+    return tuple(gaps)
+
+
 def _katetov_profiles(space: FiniteMetricSpace, idx: tuple[int, ...]):
     """All grid Katetov value tuples on the subset with those indices, in
     lexicographic order. They depend only on q and the distances inside the
     subset, so they are computed once per such pattern."""
-    d = space.dist
-    return _profiles_by_gaps(space.denominator,
-                             tuple(tuple(d[idx[t]][idx[j]] for t in range(j))
-                                   for j in range(len(idx))))
+    return _profiles_by_gaps(space.denominator, _support_gaps(space.dist, idx))
 
 
 @lru_cache(maxsize=256)
@@ -228,43 +264,81 @@ class _ProfileFrontier:
     """The lexicographically first zero-free grid Katetov profile that no
     point realizes, kept up to date while points are added.
 
-    The heap holds one entry per support of size <= max_subset, keyed
-    (size, idx, start): every profile of the support before `start` is
-    realized or contains a zero. A profile vanishing at point i is realized
-    by i itself (it forces f(j) = d(i, j)), so only zero-free ones can be
-    missing. Adding a point never un-realizes a profile, so an entry only
-    moves forward; it is rechecked when it reaches the top and dropped once
-    its support has nothing left.
+    The frontier owns the growing distance matrix (``dist``, rows as lists)
+    and its sphere index (``sph``, see _spheres): a profile on support idx
+    is realized exactly when the AND of the spheres sph[i][v] over its
+    entries is nonzero. A profile vanishing at point i is realized by i
+    itself (it forces f(j) = d(i, j)), so only zero-free ones can be
+    missing.
+
+    The supports of size <= max_subset come in streams, each in
+    lexicographic order: the seed's combinations of each size, and for each
+    added point the supports of each size that end in it. The heap holds
+    one entry per stream, keyed (size, idx, start) on the stream's current
+    support: every profile of that support before `start` is realized or
+    contains a zero. A stream's later supports sort after its current one,
+    so the heap minimum is the least unfinished support over all of them,
+    as if every support had been pushed. Adding a point never un-realizes
+    a profile, so an entry only moves forward; it is rechecked when it
+    reaches the top, and once its support has nothing left the next
+    support of its stream takes its place.
     """
 
     def __init__(self, space: FiniteMetricSpace, max_subset: int):
-        self.space = space
+        self.q = space.denominator
         self.max_subset = max_subset
-        # generated in key order, so already a heap
-        self.heap = [(size, idx, ()) for size in range(1, max_subset + 1)
-                     for idx in combinations(range(space.n), size)]
+        self.dist = [list(row) for row in space.dist]
+        self.sph = _spheres(space.dist)
+        # entries (size, idx, start, stream): (size, idx) differs between
+        # streams, so the stream iterator is never compared
+        self.heap = []
+        for size in range(1, max_subset + 1):
+            self._push(size, combinations(range(space.n), size))
 
-    def grow(self, space: FiniteMetricSpace):
-        """Move to `space`, the current space plus one point at the end:
-        add the supports that contain the new point."""
-        new = space.n - 1
-        self.space = space
+    def _push(self, size: int, stream):
+        idx = next(stream, None)
+        if idx is not None:
+            heapq.heappush(self.heap, (size, idx, (), stream))
+
+    def grow(self, row):
+        """Add a point at the end, at distances ``row`` from the current
+        points: its column, row and spheres, and its streams of supports."""
+        dist, sph = self.dist, self.sph
+        new = len(dist)
+        bit = 1 << new
+        own = {0: bit}
+        for t, v in enumerate(row):
+            dist[t].append(v)
+            s = sph[t]
+            s[v] = s.get(v, 0) | bit
+            own[v] = own.get(v, 0) | (1 << t)
+        dist.append([*row, 0])
+        sph.append(own)
         for size in range(1, self.max_subset + 1):
-            for rest in combinations(range(new), size - 1):
-                heapq.heappush(self.heap, (size, rest + (new,), ()))
+            self._push(size, (rest + (new,) for rest in combinations(range(new), size - 1)))
 
     def first(self):
         """(idx, profile) of the first unrealized zero-free profile, or None."""
-        heap = self.heap
-        space = self.space
+        heap, dist, sph, q = self.heap, self.dist, self.sph, self.q
         while heap:
-            size, idx, start = heap[0]
-            realized = _realized(space, idx)
-            for prof in _katetov_profiles(space, idx):
-                if prof >= start and 0 not in prof and prof not in realized:
-                    heapq.heapreplace(heap, (size, idx, prof))
+            size, idx, start, stream = heap[0]
+            profiles = _profiles_by_gaps(q, _support_gaps(dist, idx))
+            spheres = [sph[i] for i in idx]
+            for pos in range(bisect_left(profiles, start), len(profiles)):
+                prof = profiles[pos]
+                if 0 in prof:
+                    continue
+                m = -1
+                for s, v in zip(spheres, prof):
+                    m &= s.get(v, 0)
+                if not m:
+                    heapq.heapreplace(heap, (size, idx, prof, stream))
                     return idx, prof
-            heapq.heappop(heap)
+            idx = next(stream, None)
+            if idx is None:
+                heapq.heappop(heap)
+            else:
+                heapq.heapreplace(heap, (size, idx, (), stream))
         return None
 
 
@@ -276,43 +350,51 @@ class ApproximantResult:
     strategy: str
 
 
-def _circulant_template(n: int, q: int, colors):
-    """The space on v0..v{n-1} with d(i, j) = colors[g - 1] at cyclic gap
+def _circulant_row(n: int, colors):
+    """Row 0 of the space on Z_n with d(i, j) = colors[g - 1] at cyclic gap
     g = min(|i - j|, n - |i - j|), or None when that breaks the triangle
-    inequality.
+    inequality. Row i is row 0 rotated right by i: d(i, j) = row[(j - i) % n].
 
     Colors lie in [1, q], so range, diagonal, symmetry and identity hold by
     construction. d(i, j) depends only on j - i mod n, so rotating any triple
     (x, y, z) by -x turns d(x, y) <= d(x, z) + d(z, y) into
     d(0, a) <= d(0, b) + d(b, a) with a = y - x, b = z - x: checking that
     over all pairs a, b is the full triangle check, in O(n^2)."""
-    row0 = [0] + [colors[min(gap, n - gap) - 1] for gap in range(1, n)]
+    row = [0] + [colors[min(gap, n - gap) - 1] for gap in range(1, n)]
     for a in range(1, n):
-        d0a = row0[a]
+        d0a = row[a]
         for b in range(1, n):
-            if d0a > row0[b] + row0[(a - b) % n]:
+            if d0a > row[b] + row[(a - b) % n]:
                 return None
-    # row i is row 0 rotated right by i
-    rows = tuple(tuple(row0[n - i:] + row0[:n - i]) for i in range(n))
+    return row
+
+
+def _circulant_space(q: int, row) -> FiniteMetricSpace:
+    """The circulant on v0..v{n-1} with row 0 ``row``, which
+    _circulant_row has checked."""
+    n = len(row)
+    rows = tuple(tuple(row[n - i:] + row[:n - i]) for i in range(n))
     return FiniteMetricSpace._trusted(tuple(f"v{i}" for i in range(n)), q, rows, False)
 
 
-def _isometric_injections(pattern, target):
+def _isometric_injections(pattern, target, spheres=None):
     """Every injective index tuple img into range(len(target)) with
     target[img[i]][img[j]] == pattern[i][j], for symmetric pattern and
     target, in lexicographic order.
 
-    The candidates for position i are the targets at the right distance
-    from each earlier image in turn, and then the unused ones among them:
-    the distance filters usually leave few, so the used targets are
-    dropped last."""
+    The candidates for position i are the AND of the spheres (see
+    _spheres; ``spheres`` is the target's, when the caller has it) of the
+    earlier images at the pattern's distances, minus the used points,
+    listed low to high."""
+    sph = _spheres(target) if spheres is None else spheres
+    everything = (1 << len(target)) - 1
+
     def images(image):
         i = len(image)
-        cands = range(len(target))
+        cands = everything
         for j, t in enumerate(image):
-            tj, pj = target[t], pattern[j][i]
-            cands = [c for c in cands if tj[c] == pj]
-        return [c for c in cands if c not in image]
+            cands &= sph[t].get(pattern[j][i], 0) & ~(1 << t)
+        return _bits(cands)
 
     return lex_tuples(len(pattern), images)
 
@@ -323,21 +405,39 @@ def _embed_seed(seed: FiniteMetricSpace, target: FiniteMetricSpace):
     return None if first is None else list(first)
 
 
-def _closed_through_zero(template: FiniteMetricSpace, max_subset: int) -> bool:
-    """Whether a circulant realizes every zero-free grid Katetov profile on
-    its supports of size <= max_subset, checking only the supports that
-    contain vertex 0.
+def _closed_through_zero(row, q: int, max_subset: int) -> bool:
+    """Whether the circulant with row 0 ``row`` (see _circulant_row)
+    realizes every zero-free grid Katetov profile on its supports of size
+    <= max_subset, checking only the supports that contain vertex 0, on row
+    0 alone.
 
     Rotating by r maps the realizers of a profile on a support onto the
     realizers of the same profile on the support moved by r, and keeps the
     distances inside it, so every support can be moved to one through 0.
-    A profile with a zero is realized by its own support point."""
+    A profile with a zero is realized by its own support point. Vertex s's
+    spheres are row 0's rotated by s, so a profile on idx is realized when
+    the AND of the rotated spheres at its values is nonzero."""
+    n = len(row)
+    full = (1 << n) - 1
+    sph0 = [0] * (q + 1)
+    for j, v in enumerate(row):
+        sph0[v] |= 1 << j
+    rotated = [sph0] + [None] * (n - 1)  # filled as supports reach vertex s
     for size in range(1, max_subset + 1):
-        for rest in combinations(range(1, template.n), size - 1):
+        for rest in combinations(range(1, n), size - 1):
             idx = (0, *rest)
-            realized = _realized(template, idx)
-            for prof in _katetov_profiles(template, idx):
-                if 0 not in prof and prof not in realized:
+            for s in rest:
+                if rotated[s] is None:
+                    rotated[s] = [((m << s) | (m >> (n - s))) & full for m in sph0]
+            spheres = [rotated[s] for s in idx]
+            gaps = tuple(tuple(row[idx[j] - idx[t]] for t in range(j)) for j in range(size))
+            for prof in _profiles_by_gaps(q, gaps):
+                if 0 in prof:
+                    continue
+                m = full
+                for sp, v in zip(spheres, prof):
+                    m &= sp[v]
+                if not m:
                     return False
     return True
 
@@ -351,8 +451,18 @@ def _multiplier_maps(n: int):
             for u in range(2, half + 1) if gcd(u, n) == 1]
 
 
+@dataclass
+class TemplateTally:
+    """How far one find_transitive_template call got: the canonical
+    colorings it tried, and the largest n whose canonical colorings it
+    tried every one of (0 when there is none)."""
+    tried: int = 0
+    complete_n: int = 0
+
+
 def find_transitive_template(seed: FiniteMetricSpace, max_subset: int, q: int,
-                             cap: int, candidate_budget: int = 20_000):
+                             cap: int, candidate_budget: int = TEMPLATE_BUDGET,
+                             tally: TemplateTally | None = None):
     """Search rotation-invariant spaces over cyclic groups for one that is
     closed under small profiles and contains the seed isometrically.
 
@@ -363,13 +473,16 @@ def find_transitive_template(seed: FiniteMetricSpace, max_subset: int, q: int,
     and the seed are both invariant under isometry, so the first hit is the
     least of its orbit and skipping the others changes nothing. The budget
     counts these canonical colorings. A candidate is kept only if its
-    triangles hold, which the rotation argument of _circulant_template
-    decides in O(n^2) comparisons, stopping at the first failure; only then
-    is it built and asked for closure, on the supports through vertex 0
-    (_closed_through_zero), and for the seed. Returns (template, embedded
-    seed indices) or None when the bounded search finds nothing."""
+    triangles hold, which _circulant_row decides on row 0 in O(n^2)
+    comparisons, stopping at the first failure; then its closure is asked
+    of row 0 too, on the supports through vertex 0 (_closed_through_zero).
+    Only a closed candidate is built as a space and searched for the seed.
+    Returns (template, embedded seed indices) or None when the bounded
+    search finds nothing; ``tally``, when given, records how far it got."""
     _require_subset(max_subset)
-    tried = 0
+    if tally is None:
+        tally = TemplateTally()
+    grid = set(range(1, q + 1))
     for n in range(max(seed.n, 1), cap + 1):
         half = n // 2
         if half == 0:
@@ -377,27 +490,27 @@ def find_transitive_template(seed: FiniteMetricSpace, max_subset: int, q: int,
         maps = _multiplier_maps(n)
         # an orbit holds at most 1 + len(maps) colorings, so past this bound
         # n has more canonical ones than the budget has left
-        if q ** half > (candidate_budget - tried) * (1 + len(maps)):
+        if q ** half > (candidate_budget - tally.tried) * (1 + len(maps)):
             break
         for colors in product(range(1, q + 1), repeat=half):
             if any(m(colors) < colors for m in maps):
                 continue
-            tried += 1
-            if tried > candidate_budget:
+            if tally.tried == candidate_budget:
                 return None
+            tally.tried += 1
             # quick filter: realizing singleton profiles needs every grid
             # value among the gap colors once n is big enough to matter
-            if set(range(1, q + 1)) - set(colors):
+            if not grid.issubset(colors):
                 continue
-            template = _circulant_template(n, q, colors)
-            if template is None:
-                continue
+            row = _circulant_row(n, colors)
             # stops at the first missing profile; equals injectivity_check().ok
-            if not _closed_through_zero(template, max_subset):
+            if row is None or not _closed_through_zero(row, q, max_subset):
                 continue
+            template = _circulant_space(q, row)
             embedded = _embed_seed(seed, template)
             if embedded is not None:
                 return template, embedded
+        tally.complete_n = n
     return None
 
 
@@ -408,17 +521,23 @@ def build_approximant(seed: FiniteMetricSpace, max_subset: int, q: int, cap: int
     Profiles are visited in lexicographic (subset, values) order and each
     unrealized one gets a fresh realizing point; profiles containing a zero
     are skipped since their own support point already realizes them. One
-    frontier (_ProfileFrontier) serves the whole build: a heap with one small
-    entry per support of size <= max_subset, so at most C(cap, 1) + ... +
-    C(cap, max_subset) of them, each remembering how far its profiles are
-    known to be realized. Adding a point never un-realizes a profile, so no
-    profile is scanned twice once realized. A realizing point must carry the
-    profile on its support; its remaining distances are where the strategies
-    differ:
+    frontier (_ProfileFrontier) serves the whole build and holds its
+    distance rows as lists: a heap with one small entry per stream of
+    supports (the seed's supports of each size, and for each added point
+    the supports that end in it), each remembering how far its current
+    support's profiles are known to be realized. Adding a point never
+    un-realizes a profile, so no profile is scanned twice once realized.
+    Each new row is checked with _new_row_fits (range, identity and the
+    triangles through the new point, O(n^2)); a row that fails is refused
+    with validate_space's report on the grown matrix. The space is built
+    once, on return. A realizing point must carry the profile on its
+    support; its remaining distances are where the strategies differ:
 
     "transitive" first finds a closed rotation-invariant template containing
     the seed (see find_transitive_template) and copies each realizing point
-    out of it, so the closure inherits the template's point-transitivity.
+    out of it, so the closure inherits the template's point-transitivity:
+    the least unused template vertex in the AND of the spheres of the
+    support's images at the profile's values.
     "random" draws each free distance uniformly from its exact feasibility
     interval with the seeded generator; this mixes the space and closes it
     quickly, but the result has no symmetry to speak of. (The deterministic
@@ -440,50 +559,68 @@ def build_approximant(seed: FiniteMetricSpace, max_subset: int, q: int, cap: int
 
     template = None
     if strategy in ("auto", "transitive"):
-        found = find_transitive_template(space, max_subset, q, cap)
+        tally = TemplateTally()
+        found = find_transitive_template(space, max_subset, q, cap,
+                                         candidate_budget=TEMPLATE_BUDGET, tally=tally)
         if found is not None:
             template, embedded = found
         elif strategy == "transitive":
-            raise GuardError("no transitive template within the search budget; "
-                             "use strategy='random'")
+            searched = (f"every n <= {tally.complete_n} searched in full"
+                        if tally.complete_n else "no n searched in full")
+            raise GuardError(f"no transitive template within the search budget: "
+                             f"{tally.tried} of {TEMPLATE_BUDGET} canonical colorings "
+                             f"tried, {searched}; use strategy='random'")
     mode = "transitive" if template is not None else "random"
     if template is not None:
         # image[i] = template vertex realizing point i of the grown space
         image = list(embedded)
+        used = sum(1 << t for t in image)
+        tsph = _spheres(template.dist)
 
-    fresh = 0
     frontier = _ProfileFrontier(space, max_subset)
+    dist = frontier.dist
+    points = list(space.points)
+    taken = set(points)
+    pseudo = space.pseudo
+    fresh = 0
     while True:
         hit = frontier.first()
-        if hit is None:
-            return ApproximantResult(space, "closed", space.n - seed.n, mode)
-        if space.n >= cap:
-            return ApproximantResult(space, "capped", space.n - seed.n, mode)
+        if hit is None or len(points) >= cap:
+            status = "closed" if hit is None else "capped"
+            grown = FiniteMetricSpace._trusted(tuple(points), q, tuple(map(tuple, dist)), pseudo)
+            return ApproximantResult(grown, status, grown.n - seed.n, mode)
         idx, prof = hit
         if template is not None:
-            cands = [t for t in range(template.n)
-                     if t not in image
-                     and all(template.dist[t][image[i]] == v
-                             for i, v in zip(idx, prof))]
+            cands = ~used
+            for i, v in zip(idx, prof):
+                cands &= tsph[image[i]].get(v, 0)
             if not cands:
                 raise InvariantError("closed template misses a profile it must realize")
-            target = cands[0]
-            row = [template.dist[target][image[z]] for z in range(space.n)]
+            target = (cands & -cands).bit_length() - 1
+            trow = template.dist[target]
+            row = [trow[t] for t in image]
             image.append(target)
+            used |= 1 << target
         else:
-            row = [None] * space.n
+            row = [None] * len(points)
             for i, v in zip(idx, prof):
                 row[i] = v
-            for z in range(space.n):
+            for z, dz in enumerate(dist):
                 if row[z] is not None:
                     continue
-                dz = space.dist[z]
                 row[z] = rng.randint(*katetov_bounds(
                     [(w, dz[y]) for y, w in enumerate(row) if w is not None], 1, q))
-        while f"a{fresh}" in space._index:
+        while f"a{fresh}" in taken:
             fresh += 1
-        space = space.with_point(f"a{fresh}", row)
-        frontier.grow(space)
+        name = f"a{fresh}"
+        if not _new_row_fits(dist, q, row, pseudo):
+            _raise_unless_ok(validate_space(
+                points + [name], q, [r + [e] for r, e in zip(dist, row)] + [row + [0]],
+                pseudo))
+            raise InvariantError(f"row of {name} refused by the row check only")
+        frontier.grow(row)
+        points.append(name)
+        taken.add(name)
         fresh += 1
 
 
@@ -517,13 +654,14 @@ def homogeneity_check(space: FiniteMetricSpace, max_subset: int,
     collected once and every image is looked up among them."""
     group = iso_group(space, max_points=max_points)
     dist = space.dist
+    sph = _spheres(dist)
     bad = []
     checked = 0
     for size in range(1, max_subset + 1):
         for dom in combinations(range(space.n), size):
             restrictions = {tuple(g[a] for a in dom) for g in group}
             pattern = [[dist[a][b] for b in dom] for a in dom]
-            for img in _isometric_injections(pattern, dist):
+            for img in _isometric_injections(pattern, dist, sph):
                 checked += 1
                 if img not in restrictions:
                     bad.append(tuple((space.points[a], space.points[b])

@@ -141,8 +141,9 @@ class FiniteMetricSpace:
     def _trusted(cls, points: tuple, denominator: int, dist: tuple,
                  pseudo: bool) -> "FiniteMetricSpace":
         """A space from tuple-normalized parts that one of the exact checks
-        (with_point's new-row check, the circulant rotation check in
-        katetov) has already passed; skips revalidation."""
+        (the new-row check of with_point and of katetov's builder, the
+        circulant rotation check in katetov) has already passed; skips
+        revalidation."""
         space = object.__new__(cls)
         for key, value in (("points", points), ("denominator", denominator),
                            ("dist", dist), ("pseudo", pseudo),
@@ -206,7 +207,7 @@ class FiniteMetricSpace:
         new_rows = tuple(old + row[i:i + 1] for i, old in enumerate(self.dist))
         new_rows += (row + (0,),)
         if len(row) != self.n or (self.pseudo and not pseudo) or not isinstance(pseudo, bool) \
-                or not _new_row_fits(self, row, pseudo):
+                or not _new_row_fits(self.dist, self.denominator, row, pseudo):
             return FiniteMetricSpace(points, self.denominator, new_rows, pseudo)
         return FiniteMetricSpace._trusted(points, self.denominator, new_rows, pseudo)
 
@@ -226,17 +227,16 @@ def _raise_unless_ok(report: ValidationReport, what: str = "space"):
         raise ValidationError(f"invalid {what}: {report}", report)
 
 
-def _new_row_fits(space: FiniteMetricSpace, row: tuple, pseudo: bool) -> bool:
-    """Whether ``space`` grown by a point at distances ``row`` is valid.
+def _new_row_fits(dist, q: int, row, pseudo: bool) -> bool:
+    """Whether the space with distance rows ``dist`` over denominator ``q``,
+    grown by a point at distances ``row``, is valid.
 
-    ``space`` is valid, ``row`` has one entry per old point, and ``pseudo``
-    allows every zero ``space`` has, so only what involves the new point
+    That space is valid, ``row`` has one entry per old point, and ``pseudo``
+    allows every zero the space has, so only what involves the new point
     can fail: its entries (range), their zeros (identity, in a metric) and
     the three triangles through it for every pair of old points."""
-    q = space.denominator
     if not all(is_grid_int(e, 0, q) for e in row) or (not pseudo and 0 in row):
         return False
-    dist = space.dist
     n = len(row)
     for i in range(n):
         di, ri = dist[i], row[i]

@@ -6,10 +6,12 @@ from itertools import combinations, permutations, product
 
 import pytest
 
+from urygrid import katetov
 from urygrid.cli import main
 from urygrid.errors import GuardError, ValidationError
-from urygrid.katetov import (PROFILE_LIMIT, KatetovFunction, _circulant_template,
-                             _closed_through_zero, _embed_seed, _ProfileFrontier,
+from urygrid.katetov import (PROFILE_LIMIT, KatetovFunction, _circulant_row,
+                             _circulant_space, _closed_through_zero, _embed_seed,
+                             _isometric_injections, _ProfileFrontier, _spheres,
                              build_approximant, find_transitive_template,
                              homogeneity_check, injectivity_check, is_katetov, iso_group,
                              katetov_extension, katetov_witness,
@@ -228,7 +230,10 @@ class TestProfileFrontier:
             for m in range(1, space.n + 1):
                 prefix = space.restrict(space.points[:m])
                 if m > 1:
-                    frontier.grow(prefix)
+                    frontier.grow(space.dist[m - 1][:m - 1])
+                # the grown matrix and sphere index are the prefix's own
+                assert frontier.dist == [list(row) for row in prefix.dist]
+                assert frontier.sph == _spheres(prefix.dist)
                 assert frontier.first() == first_zero_free_unrealized(prefix, k)
 
     # (strategy, max support, q, cap); the template route is kept to q=2
@@ -238,7 +243,7 @@ class TestProfileFrontier:
         ("random", 3, 2, 20), ("random", 3, 3, 14), ("transitive", 2, 2, 32)])
     def test_grown_frontier_matches_full_scan_after_each_added_point(self, strategy, k, q, cap):
         # a build adds points at the end and never moves old distances, so
-        # its prefixes are the spaces it held after each with_point
+        # its prefixes are the spaces it held after each added row
         rng = random.Random(24)
         for _ in range(4):
             seed = random_grid_space(rng.randint(1, 2), q, rng.randrange(10 ** 6))
@@ -248,7 +253,7 @@ class TestProfileFrontier:
             for m in range(seed.n, built.n + 1):
                 prefix = built.restrict(built.points[:m])
                 if m > seed.n:
-                    frontier.grow(prefix)
+                    frontier.grow(built.dist[m - 1][:m - 1])
                 pick = frontier.first()
                 assert pick == first_zero_free_unrealized(prefix, k)
                 if m < built.n:
@@ -267,10 +272,11 @@ class TestCirculantTemplate:
                 for colors in product(range(1, q + 1), repeat=n // 2):
                     rows = [[colors[min((j - i) % n, (i - j) % n) - 1] if i != j else 0
                              for j in range(n)] for i in range(n)]
-                    template = _circulant_template(n, q, colors)
+                    row = _circulant_row(n, colors)
                     ok = validate_space(points, q, rows).ok
-                    assert (template is not None) == ok
+                    assert (row is not None) == ok
                     if ok:
+                        template = _circulant_space(q, row)
                         assert template == FiniteMetricSpace(points, q, rows)
                         assert template.index(points[-1]) == n - 1
                     outcomes.add(ok)
@@ -311,6 +317,39 @@ class TestBuildApproximant:
         for p in seed.points:
             for q_ in seed.points:
                 assert result.space.distance(p, q_) == seed.distance(p, q_)
+
+    def test_row_that_breaks_a_triangle_is_refused_with_the_report(self, monkeypatch):
+        # a free distance forced to the top of [1, q], outside its exact
+        # interval: the new row's check fails and validate_space reports it
+        bounds = katetov.katetov_bounds
+        monkeypatch.setattr(katetov, "katetov_bounds",
+                            lambda pairs, lo, hi: (hi, hi) if lo == 1 else bounds(pairs, lo, hi))
+        seed = FiniteMetricSpace(("a", "b"), 4, ((0, 1), (1, 0)))
+        with pytest.raises(ValidationError, match=r"d\(b,a0\) = 4 > 1 \+ 2 via a") as caught:
+            build_approximant(seed, 1, 4, 8, strategy="random")
+        assert [v.kind for v in caught.value.witness.problems] == ["triangle"]
+
+    def test_benchmark_transitive_build_is_the_rook_complement(self):
+        # the benchmark's ("auto", 2, 2, 64) recipe on a 1-point seed
+        seed = FiniteMetricSpace(("a",), 2, ((0,),))
+        result = build_approximant(seed, 2, 2, 64)
+        space = result.space
+        assert (result.status, result.strategy, space.n) == ("closed", "transitive", 12)
+        # (row, column) in a 3 x 4 grid: points at distance 1/2 are the ones
+        # in different rows and different columns
+        cell = {"a": (0, 0), "a0": (1, 1), "a1": (0, 2), "a2": (1, 0), "a3": (2, 3),
+                "a4": (2, 1), "a5": (1, 2), "a6": (0, 3), "a7": (2, 0), "a8": (0, 1),
+                "a9": (2, 2), "a10": (1, 3)}
+        assert sorted(cell.values()) == list(product(range(3), range(4)))
+        for x, y in combinations(space.points, 2):
+            (r, c), (s, t) = cell[x], cell[y]
+            assert space.distance(x, y) == (1 if r != s and c != t else 2), (x, y)
+        near = [[y for y in space.points if space.distance(x, y) == 1] for x in space.points]
+        assert {len(ys) for ys in near} == {6}
+        assert sum(all(space.distance(x, y) == 1 for x, y in combinations(tri, 2))
+                   for tri in combinations(space.points, 3)) == 24
+        # S3 x S4 permutes the rows and columns
+        assert len(iso_group(space, max_points=12)) == 144
 
     def test_external_one_point_extensions_match_inside_a_closed_space(self):
         # embed a small subspace of the closed space as an abstract space K,
@@ -377,6 +416,38 @@ class TestIsoGroup:
                                      rng.randrange(10 ** 6))
             found = brute_injections(seed.dist, target.dist)
             assert _embed_seed(seed, target) == (list(found[0]) if found else None)
+
+    def test_injections_match_brute_force_listing(self):
+        # every injection, in order, of 1- to 3-point patterns; the wide
+        # targets give masks of several int digits, the twins zero distances
+        rng = random.Random(35)
+        targets = list(random_spaces(36, 30))
+        for _ in range(6):
+            wide = random_grid_space(rng.randint(31, 36), rng.randint(1, 3),
+                                     rng.randrange(10 ** 6))
+            if rng.random() < 0.5:
+                twin = rng.randrange(wide.n)
+                wide = FiniteMetricSpace(wide.points, wide.denominator, wide.dist,
+                                         pseudo=True).with_point("twin", wide.dist[twin],
+                                                                 pseudo=True)
+            targets.append(wide)
+        outcomes = set()
+        for target in targets:
+            d = target.dist
+            for _ in range(3):
+                k = rng.randint(1, min(3, target.n))
+                if rng.random() < 0.7:
+                    dom = rng.sample(range(target.n), k)
+                    pattern = [[d[a][b] for b in dom] for a in dom]
+                else:
+                    pattern = random_grid_space(k, target.denominator,
+                                                rng.randrange(10 ** 6)).dist
+                want = brute_injections(pattern, d)
+                assert list(_isometric_injections(pattern, d)) == want
+                assert list(_isometric_injections(pattern, d, _spheres(d))) == want
+                outcomes.add((target.n > 30, target.pseudo, bool(want)))
+        assert {(True, True, True), (True, False, True), (False, True, True),
+                (False, False, False)} <= outcomes
 
     def test_two_point_space(self, two_point_q4):
         assert iso_group(two_point_q4) == ((0, 1), (1, 0))
@@ -480,6 +551,39 @@ def test_build_json_bytes_are_unchanged(capsys, tmp_path, case, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# the four recipes of the approximant_grow benchmark workload:
+# (strategy, max support, q, cap)
+BENCHMARK_RECIPES = [("random", 2, 2, 64), ("random", 3, 2, 32),
+                     ("auto", 2, 2, 64), ("auto", 2, 3, 10)]
+
+
+def golden_build(case):
+    """build_approximant on a GOLDEN_BUILDS case, with the CLI's defaults."""
+    opts = dict(zip(case[1::2], case[2::2]))
+    seed = FiniteMetricSpace(**GOLDEN_SEEDS[case[0]])
+    return build_approximant(seed, int(opts["--subset"]),
+                             int(opts.get("--grid", seed.denominator)),
+                             int(opts.get("--cap", 64)), rng_seed=int(opts.get("--seed", 0)),
+                             strategy=opts.get("--strategy", "auto"))
+
+
+def test_built_spaces_revalidate():
+    # the builder checks each row on its own and trusts the final space:
+    # the validating constructor must accept it as it stands
+    results = [golden_build(case) for case, _ in GOLDEN_BUILDS]
+    rng = random.Random(26)
+    for points in (1, 2):
+        for strategy, k, q, cap in BENCHMARK_RECIPES:
+            seed = random_grid_space(points, q, rng.randrange(10 ** 6))
+            results.append(build_approximant(seed, k, q, cap, rng_seed=rng.randrange(10 ** 6),
+                                             strategy=strategy))
+    assert {r.strategy for r in results} == {"random", "transitive"}
+    for r in results:
+        space = r.space
+        assert FiniteMetricSpace(space.points, space.denominator, space.dist,
+                                 space.pseudo) == space
+
+
 def circulant_rows(n, colors):
     """Distance rows of Z_n with d(i, j) = colors[g - 1] at cyclic gap g."""
     return [[colors[min((j - i) % n, (i - j) % n) - 1] if i != j else 0
@@ -520,10 +624,10 @@ class TestTemplateSearch:
         for q, k in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]:
             for n in range(1, 13):
                 for colors in product(range(1, q + 1), repeat=n // 2):
-                    template = _circulant_template(n, q, colors)
-                    if template is not None:
-                        closed = _closed_through_zero(template, k)
-                        assert closed == injectivity_check(template, k).ok
+                    row = _circulant_row(n, colors)
+                    if row is not None:
+                        closed = _closed_through_zero(row, q, k)
+                        assert closed == injectivity_check(_circulant_space(q, row), k).ok
                         outcomes.add(closed)
         assert outcomes == {True, False}
 
@@ -551,6 +655,20 @@ class TestTemplateSearch:
         assert injectivity_check(template, 3).ok
         assert len(iso_group(template, max_points=29)) == 406
         assert homogeneity_check(template, 1, max_points=29).ok
+
+    def test_transitive_refusal_reports_its_budget(self, capsys, tmp_path):
+        # (q, k) = (3, 2) has no closed circulant within the budget; the
+        # pre-check stops the search before n = 20
+        seed = tmp_path / "seed.json"
+        seed.write_text(json.dumps(GOLDEN_SEEDS["p1q3"]))
+        code = main(["approximant", "build", str(seed), "--subset", "2", "--grid", "3",
+                     "--cap", "24", "--strategy", "transitive"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == ("refused: no transitive template within the search budget: "
+                                "13931 of 20000 canonical colorings tried, every n <= 19 "
+                                "searched in full; use strategy='random'\n")
 
     def test_subset_three_on_grid_two_builds_closed(self, capsys, tmp_path):
         seed = tmp_path / "seed.json"
