@@ -25,10 +25,10 @@ if os.environ.get("URYGRID_PURE") != "1":
 
 
 def graev_agree_exhaustive(nl, dist, weights, max_len, prefix_letters=(), prefix_signs=()):
-    """The live backend's exhaustive sweep, after checking the prefix: the
-    pure sweep would pair a longer prefix list with a shorter one by zip,
-    so both backends see only parallel prefix lists no longer than
-    max_len."""
+    """The live backend's exhaustive sweep, after checking the prefix, so
+    that a prefix of unequal lists or longer than max_len is the library's
+    ValidationError on either backend rather than the kernel's
+    ValueError."""
     if len(prefix_letters) != len(prefix_signs):
         raise ValidationError(f"prefix has {len(prefix_letters)} letters "
                               f"but {len(prefix_signs)} signs")

@@ -3,9 +3,11 @@
 Same contract as the compiled extension in ``_ext.c``; matrices come in as
 flat row-major lists of non-negative ints, words as parallel letter/sign
 lists. These are the reference implementations the compiled versions are
-tested against. They assume well-formed input, as every caller in the
-library checks it first; the compiled kernels, which would otherwise read
-past their buffers, refuse malformed input themselves.
+tested against. The per-word kernels assume well-formed input, as every
+caller in the library checks it first; the compiled kernels, which would
+otherwise read past their buffers, refuse malformed input themselves. The
+exhaustive sweep checks its input once per call and raises ValueError on
+what the compiled sweep refuses.
 """
 
 from __future__ import annotations
@@ -78,44 +80,71 @@ def floyd_warshall_capped(n: int, w: list[int], cap: int) -> list[int]:
     return [e for row in rows for e in row]
 
 
-def graev_dp_step(cols: list[list[int]], letters: list[int],
-                  signs: list[int], nl: int, dist: list[int],
-                  weights: list[int]) -> int:
-    """Append column j = len(cols) of the interval dynamic program over the
-    leftmost position and return P[0][j], the norm of the first j symbols.
-
-    cols[k][i] = P[i][k] = min cost of positions i..k-1: either position i
-    is unpaired and pays its weight, or it arcs to an opposite-sign position
-    m, paying the letter distance plus the nested interior P[i+1][m] (an
-    older column) plus the disjoint tail P[m+1][j] (this column, filled from
-    the bottom). Quadratic in j; letters and signs need only j entries.
-    """
-    j = len(cols)
-    col = [0] * (j + 1)
-    for i in range(j - 1, -1, -1):
-        li = letters[i]
-        row = li * nl
-        opp = -signs[i]
-        i1 = i + 1
-        best = weights[li] + col[i1]
-        for m in range(i1, j):
-            if signs[m] == opp:
-                c = dist[row + letters[m]] + cols[m][i1] + col[m + 1]
-                if c < best:
-                    best = c
+def _dp_column(plan: list, letter: int, sign: int, weight: int) -> list[int]:
+    """The next column of the interval dynamic program: P[i][n+1] for every
+    i, for the word of n = len(plan) symbols extended by one symbol of the
+    given letter, sign and weight. Filled from the bottom: position i is
+    unpaired and pays its weight on top of P[i+1][n+1], or arcs to an
+    opposite-sign position m of the word (a planned arc plus the tail
+    P[m+1][n+1]), or arcs to the new symbol itself (the letter distance
+    plus P[i+1][n])."""
+    n = len(plan)
+    col = [0] * (n + 2)
+    best = col[n] = weight
+    for i, w, row, opp, pin, arcs in plan:
+        best += w
+        for a, k in arcs:
+            c = a + col[k]
+            if c < best:
+                best = c
+        if sign == opp:
+            c = row[letter] + pin
+            if c < best:
+                best = c
         col[i] = best
-    cols.append(col)
-    return col[0]
+    return col
+
+
+def graev_dp_step(plan: list, letter: int, sign: int, nl: int,
+                  dist: list[int], weights: list[int]) -> tuple[list[int], list]:
+    """Extend a word by one symbol in the interval dynamic program over the
+    leftmost position. Returns the longer word's column, whose entry 0 is
+    its norm, and its plan.
+
+    P[i][k] = min cost of positions i..k-1: either position i is unpaired
+    and pays its weight, or it arcs to an opposite-sign position m, paying
+    the letter distance plus the nested interior P[i+1][m] plus the
+    disjoint tail P[m+1][k]. The plan of a word of n symbols holds, for
+    each position i from n - 1 down to 0, the terms of the next column that
+    do not involve the next symbol: (i, weight, letter row, opposite sign,
+    P[i+1][n], arcs), arcs being (dist[l_i][l_m] + P[i+1][m], m + 1) for
+    each opposite-sign position m in (i, n). Every one-symbol extension of
+    a word reads the same plan, so its column is one _dp_column pass; the
+    empty word's plan is []. Quadratic in the length.
+    """
+    weight = weights[letter]
+    col = _dp_column(plan, letter, sign, weight)
+    n = len(plan)
+    longer = [(n, weight, dist[letter * nl:letter * nl + nl], -sign, 0, ())]
+    for i, w, row, opp, pin, arcs in plan:
+        if opp == sign:
+            arcs += ((row[letter] + pin, n + 1),)
+        longer.append((i, w, row, opp, col[i + 1], arcs))
+    return col, longer
 
 
 def graev_norm_dp(letters: list[int], signs: list[int], nl: int,
                   dist: list[int], weights: list[int]) -> int:
-    """Interval dynamic program over the leftmost position, built one
-    column per symbol with graev_dp_step. Cubic in the word length."""
-    cols = [[0]]
-    for _ in letters:
-        graev_dp_step(cols, letters, signs, nl, dist, weights)
-    return cols[-1][0]
+    """Interval dynamic program over the leftmost position: the plan of all
+    but the last symbol, built one symbol at a time with graev_dp_step, and
+    one last column over it. Cubic in the word length."""
+    if not letters:
+        return 0
+    plan: list = []
+    for p in range(len(letters) - 1):
+        plan = graev_dp_step(plan, letters[p], signs[p], nl, dist, weights)[1]
+    letter = letters[-1]
+    return _dp_column(plan, letter, signs[len(letters) - 1], weights[letter])[0]
 
 
 def graev_pairing_step(states: list, letter: int, sign: int, room: int,
@@ -149,6 +178,33 @@ def _complete_min(states: list) -> int:
     return min([cost for stack, _, cost in states if stack is None])
 
 
+def _leaf_minima(states: list, nl: int, dist: list[int],
+                 weights: list[int]) -> list[int]:
+    """_complete_min(graev_pairing_step(states, letter, sign, 0, ...)) for
+    every (letter, sign), letters ascending and +1 before -1, with no state
+    list built. A one-symbol extension completes a pairing in two ways only:
+    a complete state leaves the symbol unpaired and pays its weight (the
+    same weight on every such state, so it is added to their minimum), or a
+    state with one open arc closes it when the signs are opposite and pays
+    the letter distance, costed state by state."""
+    complete = _complete_min(states)
+    closers = {1: [], -1: []}
+    for stack, depth, cost in states:
+        if depth == 1:
+            closers[-stack[1]].append((stack[0] * nl, cost))
+    out = []
+    for letter in range(nl):
+        unpaired = complete + weights[letter]
+        for sign in (1, -1):
+            best = unpaired
+            for base, cost in closers[sign]:
+                c = dist[base + letter] + cost
+                if c < best:
+                    best = c
+            out.append(best)
+    return out
+
+
 def graev_norm_bruteforce(letters: list[int], signs: list[int], nl: int,
                           dist: list[int], weights: list[int]) -> int:
     """Minimum Graev sum over all pairings, enumerated one symbol at a time
@@ -164,49 +220,83 @@ def graev_norm_bruteforce(letters: list[int], signs: list[int], nl: int,
     return _complete_min(states)
 
 
+def _check_sweep_input(nl, dist, weights, max_len, prefix_letters,
+                       prefix_signs) -> None:
+    """Raise ValueError on what the compiled sweep refuses as malformed, in
+    its order and words; once per sweep, O(nl^2)."""
+    if nl < 0:
+        raise ValueError(f"nl must be non-negative, got {nl}")
+    for name, values, want in (("dist", dist, nl * nl), ("weights", weights, nl)):
+        if len(values) != want:
+            raise ValueError(f"{name} has {len(values)} entries, expected {want}")
+        for i, v in enumerate(values):
+            if v < 0:
+                raise ValueError(f"{name} entry {i} is {v}, below 0")
+    if max_len < 0:
+        raise ValueError(f"max_len must be non-negative, got {max_len}")
+    if len(prefix_letters) != len(prefix_signs):
+        raise ValueError(f"prefix has {len(prefix_letters)} letters "
+                         f"but {len(prefix_signs)} signs")
+    if len(prefix_letters) > max_len:
+        raise ValueError(f"prefix of {len(prefix_letters)} symbols is longer "
+                         f"than max_len {max_len}")
+    for i, v in enumerate(prefix_letters):
+        if not 0 <= v < nl:
+            raise ValueError(f"prefix_letters entry {i} is {v}, outside [0, {nl - 1}]")
+    for i, v in enumerate(prefix_signs):
+        if v != 1 and v != -1:
+            raise ValueError(f"prefix_signs entry {i} is {v}, not +1 or -1")
+
+
 def graev_agree_exhaustive(nl: int, dist: list[int], weights: list[int],
                            max_len: int, prefix_letters=(), prefix_signs=()
                            ) -> tuple[int, int]:
     """Check graev_norm_dp == graev_norm_bruteforce on every (letter, sign)
     sequence of length <= max_len extending the given prefix (the prefix
     itself included). Returns (words checked, mismatches). The prefix lets
-    callers partition the sweep across workers by first symbol.
+    callers partition the sweep across workers by first symbol. Malformed
+    input raises ValueError, as in the compiled sweep.
 
     The depth-first walk makes each word its parent plus one symbol, so it
-    carries both routes' prefix state down the tree: one graev_dp_step
-    column and one graev_pairing_step per word, with room counted up to
-    max_len so partial pairings are shared by all their extensions."""
-    letters: list[int] = []
-    signs: list[int] = []
-    cols = [[0]]
+    carries both routes' prefix state down the tree. A word with children
+    has one graev_dp_step plan, and each child's column is one _dp_column
+    pass over it; each inner child advances the partial pairings by one
+    graev_pairing_step, with room counted up to max_len so they are shared
+    by all their extensions. Children of length max_len, seven in eight of
+    the words when nl is 4, are leaves: their minima come from one
+    _leaf_minima pass over the parent's states, with no state list and no
+    call per leaf."""
+    _check_sweep_input(nl, dist, weights, max_len, prefix_letters, prefix_signs)
+    plan: list = []
+    col = [0]
     states = [(None, 0, 0)]
-    for letter, sign in zip(prefix_letters, prefix_signs):
-        letters.append(letter)
-        signs.append(sign)
-        graev_dp_step(cols, letters, signs, nl, dist, weights)
-        states = graev_pairing_step(states, letter, sign,
-                                    max_len - len(letters), nl, dist, weights)
+    for p, (letter, sign) in enumerate(zip(prefix_letters, prefix_signs)):
+        col, plan = graev_dp_step(plan, letter, sign, nl, dist, weights)
+        states = graev_pairing_step(states, letter, sign, max_len - p - 1,
+                                    nl, dist, weights)
     checked = 0
     mismatches = 0
+    children = [(letter, sign) for letter in range(nl) for sign in (1, -1)]
 
-    def rec(states: list) -> None:
+    def rec(plan: list, norm: int, states: list) -> None:
         nonlocal checked, mismatches
+        n = len(plan)
         checked += 1
-        if cols[-1][0] != _complete_min(states):
+        if norm != _complete_min(states):
             mismatches += 1
-        room = max_len - len(letters) - 1
-        if room < 0:
+        if n == max_len:
             return
-        for letter in range(nl):
-            for s in (1, -1):
-                letters.append(letter)
-                signs.append(s)
-                graev_dp_step(cols, letters, signs, nl, dist, weights)
-                rec(graev_pairing_step(states, letter, s, room,
-                                       nl, dist, weights))
-                cols.pop()
-                letters.pop()
-                signs.pop()
+        if n + 1 == max_len:
+            checked += len(children)
+            for (letter, sign), bf in zip(children, _leaf_minima(states, nl, dist, weights)):
+                if _dp_column(plan, letter, sign, weights[letter])[0] != bf:
+                    mismatches += 1
+            return
+        room = max_len - n - 1
+        for letter, sign in children:
+            col, longer = graev_dp_step(plan, letter, sign, nl, dist, weights)
+            rec(longer, col[0],
+                graev_pairing_step(states, letter, sign, room, nl, dist, weights))
 
-    rec(states)
+    rec(plan, col[0], states)
     return checked, mismatches

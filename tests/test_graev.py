@@ -237,16 +237,63 @@ class TestSweep:
                 (words_checked(nl, 4), 0)
 
     def test_pure_sweep_counts_mismatches(self, monkeypatch):
+        # every inverse symbol costs one more on the pairing side, in the
+        # step (inner words) and in the leaf minima (words of length
+        # max_len), so exactly the words with a -1 sign mismatch
         step = _fallback.graev_pairing_step
+        leaves = _fallback._leaf_minima
 
         def off_by_one(states, letter, sign, *rest):
             return [(stack, depth, cost + (sign == -1))
                     for stack, depth, cost in step(states, letter, sign, *rest)]
 
+        def leaves_off_by_one(*args):
+            # _leaf_minima lists +1 before -1 for each letter
+            return [m + k % 2 for k, m in enumerate(leaves(*args))]
+
         monkeypatch.setattr(_fallback, "graev_pairing_step", off_by_one)
-        checked, mismatches = _fallback.graev_agree_exhaustive(
-            2, [0, 3, 3, 0], [2, 4], 3)
-        assert checked == words_checked(2, 3) and mismatches > 0
+        monkeypatch.setattr(_fallback, "_leaf_minima", leaves_off_by_one)
+        got = _fallback.graev_agree_exhaustive(2, [0, 3, 3, 0], [2, 4], 3)
+        assert got == (words_checked(2, 3), words_checked(2, 3) - words_checked(1, 3))
+
+    def test_pure_sweep_counts_dp_mismatches(self, monkeypatch):
+        # P[0][n+1] one more after an inverse symbol: no plan reads row 0,
+        # so exactly the words ending in a -1 sign mismatch
+        column = _fallback._dp_column
+
+        def off_by_one(plan, letter, sign, weight):
+            col = column(plan, letter, sign, weight)
+            col[0] += sign == -1
+            return col
+
+        monkeypatch.setattr(_fallback, "_dp_column", off_by_one)
+        got = _fallback.graev_agree_exhaustive(2, [0, 3, 3, 0], [2, 4], 3)
+        assert got == (words_checked(2, 3), (words_checked(2, 3) - 1) // 2)
+
+    @pytest.mark.parametrize("alphabet_seed", [None, 1, 2])
+    def test_leaf_minima_equal_the_step(self, xy_alphabet, alphabet_seed):
+        # every state list the sweep holds at a parent of leaves, for each
+        # max_len up to 6: the parents are the words of length <= 5
+        if alphabet_seed is None:
+            nl, d, wts = 2, xy_alphabet.flat(), list(xy_alphabet.weights)
+        else:
+            alphabet = random_alphabet(random.Random(alphabet_seed), n=4, q=12)
+            nl, d, wts = 4, alphabet.flat(), list(alphabet.weights)
+        step = _fallback.graev_pairing_step
+        for max_len in range(1, 7):
+            stack = [((), [(None, 0, 0)])]
+            while stack:
+                w, states = stack.pop()
+                if len(w) + 1 == max_len:
+                    want = [_fallback._complete_min(step(states, letter, sign, 0, nl, d, wts))
+                            for letter in range(nl) for sign in (1, -1)]
+                    assert _fallback._leaf_minima(states, nl, d, wts) == want
+                    continue
+                room = max_len - len(w) - 1
+                for letter in range(nl):
+                    for sign in (1, -1):
+                        stack.append((w + ((letter, sign),),
+                                      step(states, letter, sign, room, nl, d, wts)))
 
     def test_pure_prefix_partition_is_exact(self):
         rng = random.Random(6)

@@ -164,6 +164,24 @@ def test_exhaustive_driver_matches(compiled_ext):
         assert got[1] == 0
 
 
+def test_exhaustive_driver_matches_at_the_edges(compiled_ext):
+    # short sweeps, prefixes of length max_len and max_len - 1, and every
+    # one-symbol prefix at max_len 5
+    rng = random.Random(8)
+    for _ in range(3):
+        nl, d, wts, _, _ = random_word_inputs(rng, max_len=0)
+        calls = [(max_len, [], []) for max_len in (0, 1, 2)]
+        for max_len in (1, 2, 4):
+            for plen in (max_len, max_len - 1):
+                calls.append((max_len, [rng.randrange(nl) for _ in range(plen)],
+                              [rng.choice((1, -1)) for _ in range(plen)]))
+        calls += [(5, [letter], [sign]) for letter in range(nl) for sign in (1, -1)]
+        for max_len, pl, ps in calls:
+            got = compiled_ext.graev_agree_exhaustive(nl, d, wts, max_len, pl, ps)
+            assert got == _fallback.graev_agree_exhaustive(nl, d, wts, max_len, pl, ps)
+            assert got == (sum((2 * nl) ** k for k in range(max_len - len(pl) + 1)), 0)
+
+
 def test_prefix_partition_is_exact(compiled_ext):
     rng = random.Random(6)
     nl, d, wts, _, _ = random_word_inputs(rng, max_len=0)
@@ -180,7 +198,7 @@ def test_prefix_partition_is_exact(compiled_ext):
 D2 = [0, 3, 3, 0]
 
 # malformed calls on which the pure kernels fail too, by reading past a list
-# or by finding no complete pairing
+# or by finding no complete pairing; the pure sweep checks its input itself
 MALFORMED = [
     ("minplus_product", (3, [1], [1], 5)),  # f and g are not n*n
     ("is_bikatetov", (2, [0], D2, 1)),
@@ -190,6 +208,17 @@ MALFORMED = [
     ("graev_norm_dp", ([0, 1], [1, -1], 2, [0], [1, 1])),  # dist is not nl*nl
     ("graev_norm_bruteforce", ([0, 1], [1, -1], 2, D2, [1])),  # weights not nl
     ("graev_agree_exhaustive", (2, D2, [1, 1], 1, [0, 1, 0], [1, -1, -1])),
+    ("graev_agree_exhaustive", (2, D2, [1, 1], 3, [0, 1], [1])),  # prefix lengths differ
+    ("graev_agree_exhaustive", (-1, [], [], 3)),  # nl < 0
+    ("graev_agree_exhaustive", (2, D2, [1, 1], -1)),  # the empty prefix past max_len
+    ("graev_agree_exhaustive", (2, [0, 3, 3], [1, 1], 2)),  # dist is not nl*nl
+    ("graev_agree_exhaustive", (2, D2, [1, 1, 1], 2)),  # weights not nl
+    ("graev_agree_exhaustive", (2, [0, -3, -3, 0], [1, 1], 2)),  # a negative entry
+    ("graev_agree_exhaustive", (2, D2, [1, -1], 2)),
+    ("graev_agree_exhaustive", (2, D2, [1, 1], 2, [2], [1])),  # a prefix letter past nl
+    ("graev_agree_exhaustive", (2, D2, [1, 1], 2, [-1], [1])),
+    ("graev_agree_exhaustive", (2, D2, [1, 1], 2, [0], [0])),  # a prefix sign of 0
+    ("graev_agree_exhaustive", (2, D2, [1, 1], 2, [0, 1], [1, 2])),
 ]
 
 # malformed calls that the pure kernels answer all the same
@@ -205,9 +234,6 @@ MALFORMED_COMPILED_ONLY = [
     ("graev_norm_dp", ([0], [1, 1], 2, D2, [1, 1])),  # more signs than letters
     ("graev_norm_bruteforce", ([0], [1], 2, [0, -3, -3, 0], [1, 1])),
     ("graev_norm_dp", ([], [], -1, [], [])),  # nl < 0
-    ("graev_agree_exhaustive", (2, D2, [1, 1], 3, [0, 1], [1])),  # prefix lengths differ
-    ("graev_agree_exhaustive", (-1, [], [], 3)),
-    ("graev_agree_exhaustive", (2, D2, [1, 1], -1)),  # the empty prefix past max_len
 ]
 
 # calls whose sums could pass 2**63 - 1: exact in the pure kernels, refused
@@ -228,6 +254,13 @@ def test_malformed_input_raises_on_both_backends(compiled_ext, name, args):
         getattr(_fallback, name)(*args)
     with pytest.raises(ValueError):
         getattr(compiled_ext, name)(*args)
+
+
+@pytest.mark.parametrize("args", [args for name, args in MALFORMED
+                                  if name == "graev_agree_exhaustive"])
+def test_pure_sweep_checks_its_input(args):
+    with pytest.raises(ValueError):
+        _fallback.graev_agree_exhaustive(*args)
 
 
 @pytest.mark.parametrize("name, args", MALFORMED_COMPILED_ONLY)
