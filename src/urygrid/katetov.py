@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -219,6 +218,50 @@ def _profiles_by_gaps(q: int, gaps: tuple[tuple[int, ...], ...]):
     return tuple(out)
 
 
+@lru_cache(maxsize=256)
+def _zero_free_profiles(q: int, gaps: tuple[tuple[int, ...], ...]):
+    """The profiles of _profiles_by_gaps(q, gaps) without a zero, in the same
+    order, and for each the length of the prefix it shares with the next
+    one (0 for the last). Listed through _profiles_by_gaps, so its
+    PROFILE_LIMIT refusal comes first."""
+    profiles = tuple(p for p in _profiles_by_gaps(q, gaps) if 0 not in p)
+    shared = []
+    for a, b in zip(profiles, profiles[1:]):
+        c = 0
+        while a[c] == b[c]:
+            c += 1
+        shared.append(c)
+    shared.append(0)
+    return profiles, tuple(shared)
+
+
+def _first_unrealized(profiles, spheres, start: int):
+    """The position of the first profile at or after ``start`` in
+    ``profiles`` (a _zero_free_profiles listing) that no point realizes, or
+    None. spheres[j][v] is the bitmask of the points at distance v from the
+    support's point j, for every v in 1..q; a profile is realized exactly
+    when the AND of its entries' spheres is nonzero.
+
+    acc[j] holds the AND over the first j entries of the current profile.
+    Consecutive profiles share a prefix, so only the entries past it are
+    ANDed again: one AND per profile when only the last entry moved. Once a
+    prefix AND is 0, the first profile carrying that prefix is returned."""
+    profs, shared = profiles
+    last = len(spheres) - 1
+    tail = spheres[last]
+    acc = [-1] * (last + 1)
+    c = 0
+    for pos in range(start, len(profs)):
+        prof = profs[pos]
+        while c < last:
+            acc[c + 1] = acc[c] & spheres[c][prof[c]]
+            c += 1
+        if not acc[last] & tail[prof[last]]:
+            return pos
+        c = shared[pos]
+    return None
+
+
 def _realized(space: FiniteMetricSpace, idx: tuple[int, ...]) -> set:
     """Every point's distances to the subset, as tuples. Column i is row i
     (the metric is symmetric), so zipping the subset's rows gives them."""
@@ -265,18 +308,20 @@ class _ProfileFrontier:
     point realizes, kept up to date while points are added.
 
     The frontier owns the growing distance matrix (``dist``, rows as lists)
-    and its sphere index (``sph``, see _spheres): a profile on support idx
-    is realized exactly when the AND of the spheres sph[i][v] over its
-    entries is nonzero. A profile vanishing at point i is realized by i
-    itself (it forces f(j) = d(i, j)), so only zero-free ones can be
-    missing.
+    and its sphere index by value (``sph``: sph[i][v] for v in 0..q is the
+    bitmask of the points at distance v from point i, as in _spheres). A
+    profile vanishing at point i is realized by i itself (it forces
+    f(j) = d(i, j)), so only zero-free ones can be missing, and each
+    support's scan is one _first_unrealized call over its zero-free
+    profiles. The singleton listing is made first, so a q past
+    PROFILE_LIMIT is refused before any q + 1 list is built.
 
     The supports of size <= max_subset come in streams, each in
     lexicographic order: the seed's combinations of each size, and for each
     added point the supports of each size that end in it. The heap holds
     one entry per stream, keyed (size, idx, start) on the stream's current
-    support: every profile of that support before `start` is realized or
-    contains a zero. A stream's later supports sort after its current one,
+    support: every zero-free profile of that support before position
+    `start` is realized. A stream's later supports sort after its current one,
     so the heap minimum is the least unfinished support over all of them,
     as if every support had been pushed. Adding a point never un-realizes
     a profile, so an entry only moves forward; it is rechecked when it
@@ -285,10 +330,11 @@ class _ProfileFrontier:
     """
 
     def __init__(self, space: FiniteMetricSpace, max_subset: int):
-        self.q = space.denominator
+        self.q = q = space.denominator
+        _zero_free_profiles(q, ((),))
         self.max_subset = max_subset
         self.dist = [list(row) for row in space.dist]
-        self.sph = _spheres(space.dist)
+        self.sph = [[s.get(v, 0) for v in range(q + 1)] for s in _spheres(space.dist)]
         # entries (size, idx, start, stream): (size, idx) differs between
         # streams, so the stream iterator is never compared
         self.heap = []
@@ -298,7 +344,7 @@ class _ProfileFrontier:
     def _push(self, size: int, stream):
         idx = next(stream, None)
         if idx is not None:
-            heapq.heappush(self.heap, (size, idx, (), stream))
+            heapq.heappush(self.heap, (size, idx, 0, stream))
 
     def grow(self, row):
         """Add a point at the end, at distances ``row`` from the current
@@ -306,12 +352,12 @@ class _ProfileFrontier:
         dist, sph = self.dist, self.sph
         new = len(dist)
         bit = 1 << new
-        own = {0: bit}
+        own = [0] * (self.q + 1)
+        own[0] = bit
         for t, v in enumerate(row):
             dist[t].append(v)
-            s = sph[t]
-            s[v] = s.get(v, 0) | bit
-            own[v] = own.get(v, 0) | (1 << t)
+            sph[t][v] |= bit
+            own[v] |= 1 << t
         dist.append([*row, 0])
         sph.append(own)
         for size in range(1, self.max_subset + 1):
@@ -322,23 +368,16 @@ class _ProfileFrontier:
         heap, dist, sph, q = self.heap, self.dist, self.sph, self.q
         while heap:
             size, idx, start, stream = heap[0]
-            profiles = _profiles_by_gaps(q, _support_gaps(dist, idx))
-            spheres = [sph[i] for i in idx]
-            for pos in range(bisect_left(profiles, start), len(profiles)):
-                prof = profiles[pos]
-                if 0 in prof:
-                    continue
-                m = -1
-                for s, v in zip(spheres, prof):
-                    m &= s.get(v, 0)
-                if not m:
-                    heapq.heapreplace(heap, (size, idx, prof, stream))
-                    return idx, prof
+            profiles = _zero_free_profiles(q, _support_gaps(dist, idx))
+            pos = _first_unrealized(profiles, [sph[i] for i in idx], start)
+            if pos is not None:
+                heapq.heapreplace(heap, (size, idx, pos, stream))
+                return idx, profiles[0][pos]
             idx = next(stream, None)
             if idx is None:
                 heapq.heappop(heap)
             else:
-                heapq.heapreplace(heap, (size, idx, (), stream))
+                heapq.heapreplace(heap, (size, idx, 0, stream))
         return None
 
 
@@ -359,8 +398,12 @@ def _circulant_row(n: int, colors):
     construction. d(i, j) depends only on j - i mod n, so rotating any triple
     (x, y, z) by -x turns d(x, y) <= d(x, z) + d(z, y) into
     d(0, a) <= d(0, b) + d(b, a) with a = y - x, b = z - x: checking that
-    over all pairs a, b is the full triangle check, in O(n^2)."""
+    over all pairs a, b is the full triangle check, in O(n^2). It is skipped
+    when no color is more than twice another (always so at q <= 2): then
+    any two nonzero distances sum to at least the largest."""
     row = [0] + [colors[min(gap, n - gap) - 1] for gap in range(1, n)]
+    if n == 1 or max(colors) <= 2 * min(colors):
+        return row
     for a in range(1, n):
         d0a = row[a]
         for b in range(1, n):
@@ -377,10 +420,11 @@ def _circulant_space(q: int, row) -> FiniteMetricSpace:
     return FiniteMetricSpace._trusted(tuple(f"v{i}" for i in range(n)), q, rows, False)
 
 
-def _isometric_injections(pattern, target, spheres=None):
+def _isometric_injections(pattern, target, spheres=None, prefix=()):
     """Every injective index tuple img into range(len(target)) with
     target[img[i]][img[j]] == pattern[i][j], for symmetric pattern and
-    target, in lexicographic order.
+    target, in lexicographic order; only those that start with ``prefix``
+    when one is given (it must carry the pattern's first points itself).
 
     The candidates for position i are the AND of the spheres (see
     _spheres; ``spheres`` is the target's, when the caller has it) of the
@@ -388,9 +432,12 @@ def _isometric_injections(pattern, target, spheres=None):
     listed low to high."""
     sph = _spheres(target) if spheres is None else spheres
     everything = (1 << len(target)) - 1
+    pinned = len(prefix)
 
     def images(image):
         i = len(image)
+        if i < pinned:
+            return (prefix[i],)
         cands = everything
         for j, t in enumerate(image):
             cands &= sph[t].get(pattern[j][i], 0) & ~(1 << t)
@@ -415,8 +462,8 @@ def _closed_through_zero(row, q: int, max_subset: int) -> bool:
     realizers of the same profile on the support moved by r, and keeps the
     distances inside it, so every support can be moved to one through 0.
     A profile with a zero is realized by its own support point. Vertex s's
-    spheres are row 0's rotated by s, so a profile on idx is realized when
-    the AND of the rotated spheres at its values is nonzero."""
+    spheres are row 0's rotated by s, so each support's zero-free profiles
+    go through one _first_unrealized scan over the rotated spheres."""
     n = len(row)
     full = (1 << n) - 1
     sph0 = [0] * (q + 1)
@@ -429,16 +476,10 @@ def _closed_through_zero(row, q: int, max_subset: int) -> bool:
             for s in rest:
                 if rotated[s] is None:
                     rotated[s] = [((m << s) | (m >> (n - s))) & full for m in sph0]
-            spheres = [rotated[s] for s in idx]
             gaps = tuple(tuple(row[idx[j] - idx[t]] for t in range(j)) for j in range(size))
-            for prof in _profiles_by_gaps(q, gaps):
-                if 0 in prof:
-                    continue
-                m = full
-                for sp, v in zip(spheres, prof):
-                    m &= sp[v]
-                if not m:
-                    return False
+            if _first_unrealized(_zero_free_profiles(q, gaps),
+                                 [rotated[s] for s in idx], 0) is not None:
+                return False
     return True
 
 
@@ -624,14 +665,63 @@ def build_approximant(seed: FiniteMetricSpace, max_subset: int, q: int, cap: int
         fresh += 1
 
 
+def _stabilizer_chain(dist, sph):
+    """The isometry group of the matrix ``dist`` (sphere index ``sph``) as a
+    stabilizer chain (Sims): entry i maps each image t of point i under the
+    isometries that fix 0..i-1 to one of them sending i to t, the identity
+    for t = i. Every isometry is exactly one product c[0][t_0] o ... o
+    c[n-1][t_{n-1}], one factor per level.
+
+    The levels are filled from the last one up, so every isometry found so
+    far fixes 0..i-1. An image t must lie at d(j, i) from each fixed j, an
+    AND of spheres. The orbit is closed under the isometries found so far
+    by composing them, and only a candidate it has not reached is searched:
+    the first isometry starting (0, ..., i-1, t), or none."""
+    n = len(dist)
+    chain = [None] * n
+    found = []
+    for i in range(n - 1, -1, -1):
+        cands = ((1 << n) - 1) ^ ((2 << i) - 1)  # the points after i
+        for j in range(i):
+            cands &= sph[j][dist[j][i]]
+        orbit = {i: tuple(range(n))}
+        for t in _bits(cands):
+            if t in orbit:
+                continue
+            rep = next(_isometric_injections(dist, dist, sph, (*range(i), t)), None)
+            if rep is None:
+                continue
+            found.append(rep)
+            orbit[t] = rep
+            todo = list(orbit)
+            while todo:
+                x = todo.pop()
+                g = orbit[x]
+                for h in found:
+                    y = h[x]
+                    if y not in orbit:
+                        orbit[y] = itemgetter(*g)(h)
+                        todo.append(y)
+        chain[i] = orbit
+    return chain
+
+
 def iso_group(space: FiniteMetricSpace, max_points: int = ISO_GROUP_MAX_POINTS):
-    """Every distance-preserving permutation, found by backtracking, as
-    index tuples in lexicographic order. Refuses outright beyond the size
-    guard; factorial search is not something to time out on."""
+    """Every distance-preserving permutation, as index tuples in
+    lexicographic order: the products of a stabilizer chain
+    (_stabilizer_chain), sorted. The chain's searches are cheap, but the
+    group itself can have n! elements, so it refuses outright beyond the
+    size guard; a factorial listing is not something to time out on."""
     n = space.n
     if n > max_points:
         raise GuardError(f"isometry search refused for {n} > {max_points} points")
-    return tuple(_isometric_injections(space.dist, space.dist))
+    # the products of the levels after i, with each of level i's on the
+    # left: itemgetter(*h)(g) is g o h
+    group = [tuple(range(n))]
+    for level in reversed(_stabilizer_chain(space.dist, _spheres(space.dist))):
+        if len(level) > 1:
+            group = [itemgetter(*h)(g) for h in group for g in level.values()]
+    return tuple(sorted(group))
 
 
 @dataclass(frozen=True)
@@ -652,6 +742,7 @@ def homogeneity_check(space: FiniteMetricSpace, max_subset: int,
     A partial isometry dom -> img extends exactly when img is the restriction
     to dom of some global isometry, so each domain's restrictions are
     collected once and every image is looked up among them."""
+    _require_subset(max_subset)
     group = iso_group(space, max_points=max_points)
     dist = space.dist
     sph = _spheres(dist)

@@ -12,6 +12,7 @@ from urygrid.errors import GuardError, ValidationError
 from urygrid.katetov import (PROFILE_LIMIT, KatetovFunction, _circulant_row,
                              _circulant_space, _closed_through_zero, _embed_seed,
                              _isometric_injections, _ProfileFrontier, _spheres,
+                             _stabilizer_chain,
                              build_approximant, find_transitive_template,
                              homogeneity_check, injectivity_check, is_katetov, iso_group,
                              katetov_extension, katetov_witness,
@@ -231,9 +232,11 @@ class TestProfileFrontier:
                 prefix = space.restrict(space.points[:m])
                 if m > 1:
                     frontier.grow(space.dist[m - 1][:m - 1])
-                # the grown matrix and sphere index are the prefix's own
+                # the grown matrix and sphere index are the prefix's own; the
+                # frontier indexes its spheres by value, 0..q
                 assert frontier.dist == [list(row) for row in prefix.dist]
-                assert frontier.sph == _spheres(prefix.dist)
+                assert frontier.sph == [[s.get(v, 0) for v in range(space.denominator + 1)]
+                                        for s in _spheres(prefix.dist)]
                 assert frontier.first() == first_zero_free_unrealized(prefix, k)
 
     # (strategy, max support, q, cap); the template route is kept to q=2
@@ -281,6 +284,25 @@ class TestCirculantTemplate:
                         assert template.index(points[-1]) == n - 1
                     outcomes.add(ok)
         assert outcomes == {True, False}
+
+    def test_quick_accept_matches_full_triangle_check(self):
+        # no color more than twice another skips the scan; every coloring
+        # for n <= 12, q <= 4 against the full check over all triples: for
+        # each pair x, y, the least d(x, z) + d(z, y) over z is d(x, y)
+        outcomes = set()
+        for q in range(1, 5):
+            for n in range(1, 13):
+                for colors in product(range(1, q + 1), repeat=n // 2):
+                    rows = circulant_rows(n, colors)
+                    ok = all(min(map(int.__add__, rows[x], rows[y])) == rows[x][y]
+                             for x in range(n) for y in range(x + 1, n))
+                    row = _circulant_row(n, colors)
+                    assert (row is not None) == ok, (n, colors)
+                    if ok:
+                        assert row == rows[0]
+                    quick = n == 1 or max(colors) <= 2 * min(colors)
+                    outcomes.add((quick, ok))
+        assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 class TestBuildApproximant:
@@ -376,6 +398,14 @@ class TestBuildApproximant:
                     assert hit, (names, values)
                     matched += 1
         assert matched > 0
+
+
+def paley_29():
+    """The circulant on Z_29 with gap g at distance 1/2 exactly when g is a
+    nonzero square mod 29."""
+    squares = {g * g % 29 for g in range(1, 29)}
+    return _circulant_space(2, _circulant_row(29, [1 if g in squares else 2
+                                                   for g in range(1, 15)]))
 
 
 def brute_injections(pattern, target):
@@ -477,10 +507,62 @@ class TestIsoGroup:
         with pytest.raises(GuardError):
             iso_group(space)
 
+    def test_chain_matches_permutation_filter_on_symmetric_spaces(self):
+        # metric circulants on 7 and 8 points and an equilateral space have
+        # chains with several nontrivial levels
+        spaces = [FiniteMetricSpace(tuple("abcdefg"), 1, tuple(
+            tuple(int(i != j) for j in range(7)) for i in range(7)))]
+        for n, q in [(7, 2), (7, 3), (8, 2)]:
+            for colors in product(range(1, q + 1), repeat=n // 2):
+                row = _circulant_row(n, colors)
+                if row is not None and (n == 7 or colors[0] == 1):
+                    spaces.append(_circulant_space(q, row))
+        sizes = set()
+        for space in spaces:
+            group = iso_group(space)
+            assert group == tuple(brute_injections(space.dist, space.dist))
+            sizes.add(len(group))
+        assert {14, 16, 5040} <= sizes
+
+    def test_chain_matches_plain_listing_on_transitive_builds(self):
+        rng = random.Random(37)
+        spaces = [paley_29()]
+        for points in (1, 2):
+            for _ in range(3):
+                for strategy, k, q, cap in BENCHMARK_RECIPES:
+                    seed = random_grid_space(points, q, rng.randrange(10 ** 6))
+                    r = build_approximant(seed, k, q, cap, rng_seed=rng.randrange(10 ** 6),
+                                          strategy=strategy)
+                    if r.strategy == "transitive":
+                        spaces.append(r.space)
+        assert len(spaces) > 4
+        for space in spaces:
+            d = space.dist
+            assert iso_group(space, max_points=space.n) == tuple(_isometric_injections(d, d))
+
+    def test_chain_levels_fix_the_earlier_points(self):
+        spaces = list(random_spaces(38, 40))
+        spaces.append(paley_29())
+        spaces.append(build_approximant(FiniteMetricSpace(("a",), 2, ((0,),)), 2, 2, 64).space)
+        for space in spaces:
+            d, n = space.dist, space.n
+            chain = _stabilizer_chain(d, _spheres(d))
+            order = 1
+            for i, level in enumerate(chain):
+                assert level[i] == tuple(range(n))
+                for t, g in level.items():
+                    assert g[:i + 1] == (*range(i), t)
+                    assert sorted(g) == list(range(n))
+                    assert all(d[g[a]][g[b]] == d[a][b] for a in range(n) for b in range(n))
+                order *= len(level)
+            assert order == len(iso_group(space, max_points=n))
+
 
 class TestHomogeneity:
-    def test_size_zero_is_vacuously_homogeneous(self, two_point_q4):
-        assert homogeneity_check(two_point_q4, 0).ok
+    def test_support_size_below_one_is_rejected(self, two_point_q4):
+        for size in (0, -3):
+            with pytest.raises(ValidationError, match="at least 1"):
+                homogeneity_check(two_point_q4, size)
 
     def test_equilateral_triangle_is_homogeneous(self, triangle_q2):
         assert homogeneity_check(triangle_q2, 2).ok
@@ -655,6 +737,8 @@ class TestTemplateSearch:
         assert injectivity_check(template, 3).ok
         assert len(iso_group(template, max_points=29)) == 406
         assert homogeneity_check(template, 1, max_points=29).ok
+        report = homogeneity_check(template, 2, max_points=29)
+        assert (report.ok, report.checked) == (True, 165677)
 
     def test_transitive_refusal_reports_its_budget(self, capsys, tmp_path):
         # (q, k) = (3, 2) has no closed circulant within the budget; the
