@@ -3,11 +3,11 @@
 Same contract as the compiled extension in ``_ext.c``; matrices come in as
 flat row-major lists of non-negative ints, words as parallel letter/sign
 lists. These are the reference implementations the compiled versions are
-tested against. The per-word kernels assume well-formed input, as every
-caller in the library checks it first; the compiled kernels, which would
-otherwise read past their buffers, refuse malformed input themselves. The
-exhaustive sweep checks its input once per call and raises ValueError on
-what the compiled sweep refuses.
+tested against. The Graev kernels check their input, once per call, and
+raise ValueError on what the compiled kernels refuse as malformed. The
+matrix kernels assume well-formed input, as every caller in the library
+checks it first; the compiled kernels, which would otherwise read past
+their buffers, refuse malformed input themselves.
 """
 
 from __future__ import annotations
@@ -133,18 +133,61 @@ def graev_dp_step(plan: list, letter: int, sign: int, nl: int,
     return col, longer
 
 
+def _split_norm(entries, norms: list[int], norm: int, letter: int, sign: int,
+                weight: int) -> int:
+    """The norm of a word of the given norm extended by one symbol of the
+    given letter, sign and weight, split at that symbol: it stays unpaired
+    and pays its weight, or it arcs to an opposite-sign position m, which
+    parts the rest into [0, m) and (m, n), each paired on its own. P[0][m]
+    is norms[m], the norm of the first m symbols, and P[m+1][n] is the pin
+    of the word's plan entry m. One pass over the entries, the word's plan
+    or its entries of one sign; linear in the length."""
+    best = norm + weight
+    for i, w, row, opp, pin, arcs in entries:
+        if opp == sign:
+            c = norms[i] + pin + row[letter]
+            if c < best:
+                best = c
+    return best
+
+
+def _leaf_norms(plan: list, norms: list[int], nl: int, weights: list[int]) -> list[int]:
+    """_dp_column(plan, letter, sign, weights[letter])[0] for every (letter,
+    sign), letters ascending and +1 before -1, as _leaf_minima lists them.
+    The plan's entries are grouped by sign once, and each extension takes
+    one _split_norm over the entries it can arc to. norms[k] is the norm of
+    the word's first k symbols, for k up to its length."""
+    groups = {1: [], -1: []}
+    for entry in plan:
+        groups[entry[3]].append(entry)
+    plus, minus = groups[1], groups[-1]
+    norm = norms[len(plan)]
+    out = []
+    for letter in range(nl):
+        weight = weights[letter]
+        out.append(_split_norm(plus, norms, norm, letter, 1, weight))
+        out.append(_split_norm(minus, norms, norm, letter, -1, weight))
+    return out
+
+
 def graev_norm_dp(letters: list[int], signs: list[int], nl: int,
                   dist: list[int], weights: list[int]) -> int:
     """Interval dynamic program over the leftmost position: the plan of all
-    but the last symbol, built one symbol at a time with graev_dp_step, and
-    one last column over it. Cubic in the word length."""
+    but the last symbol, built one symbol at a time with graev_dp_step,
+    whose columns give the norm of every prefix, then the split at the last
+    symbol. Cubic in the word length. Malformed input raises ValueError, as
+    in the compiled kernel."""
+    _check_alphabet(nl, dist, weights)
+    _check_word(letters, signs, nl, "letters", "signs")
     if not letters:
         return 0
     plan: list = []
+    norms = [0]
     for p in range(len(letters) - 1):
-        plan = graev_dp_step(plan, letters[p], signs[p], nl, dist, weights)[1]
+        col, plan = graev_dp_step(plan, letters[p], signs[p], nl, dist, weights)
+        norms.append(col[0])
     letter = letters[-1]
-    return _dp_column(plan, letter, signs[len(letters) - 1], weights[letter])[0]
+    return _split_norm(plan, norms, norms[-1], letter, signs[-1], weights[letter])
 
 
 def graev_pairing_step(states: list, letter: int, sign: int, room: int,
@@ -211,7 +254,10 @@ def graev_norm_bruteforce(letters: list[int], signs: list[int], nl: int,
     with graev_pairing_step: every complete pairing is its own state and
     carries its own sum of arc distances and unpaired weights; no interval
     value is shared between pairings. Deliberately enumerative; the oracle
-    side of the DP."""
+    side of the DP. Malformed input raises ValueError, as in the compiled
+    kernel."""
+    _check_alphabet(nl, dist, weights)
+    _check_word(letters, signs, nl, "letters", "signs")
     n = len(letters)
     states = [(None, 0, 0)]
     for p in range(n):
@@ -220,18 +266,39 @@ def graev_norm_bruteforce(letters: list[int], signs: list[int], nl: int,
     return _complete_min(states)
 
 
-def _check_sweep_input(nl, dist, weights, max_len, prefix_letters,
-                       prefix_signs) -> None:
-    """Raise ValueError on what the compiled sweep refuses as malformed, in
-    its order and words; once per sweep, O(nl^2)."""
+def _check_alphabet(nl, dist, weights) -> None:
+    """Raise ValueError on what the compiled kernels refuse in an alphabet,
+    in their order and words: nl below 0, dist not nl*nl entries or weights
+    not nl, a negative entry. O(nl^2), in builtins unless it raises."""
     if nl < 0:
         raise ValueError(f"nl must be non-negative, got {nl}")
     for name, values, want in (("dist", dist, nl * nl), ("weights", weights, nl)):
         if len(values) != want:
             raise ValueError(f"{name} has {len(values)} entries, expected {want}")
-        for i, v in enumerate(values):
-            if v < 0:
-                raise ValueError(f"{name} entry {i} is {v}, below 0")
+        if values and min(values) < 0:
+            i = next(i for i, v in enumerate(values) if v < 0)
+            raise ValueError(f"{name} entry {i} is {values[i]}, below 0")
+
+
+def _check_word(letters, signs, nl, lname, sname) -> None:
+    """Raise ValueError unless signs has as many entries as letters, every
+    letter lies in [0, nl) and every sign is +1 or -1; in builtins unless
+    it raises."""
+    if len(signs) != len(letters):
+        raise ValueError(f"{sname} has {len(signs)} entries, expected {len(letters)}")
+    if letters and not 0 <= min(letters) <= max(letters) < nl:
+        i = next(i for i, v in enumerate(letters) if not 0 <= v < nl)
+        raise ValueError(f"{lname} entry {i} is {letters[i]}, outside [0, {nl - 1}]")
+    if signs.count(1) + signs.count(-1) != len(signs):
+        i = next(i for i, v in enumerate(signs) if v != 1 and v != -1)
+        raise ValueError(f"{sname} entry {i} is {signs[i]}, not +1 or -1")
+
+
+def _check_sweep_input(nl, dist, weights, max_len, prefix_letters,
+                       prefix_signs) -> None:
+    """Raise ValueError on what the compiled sweep refuses as malformed, in
+    its order and words; once per sweep, O(nl^2)."""
+    _check_alphabet(nl, dist, weights)
     if max_len < 0:
         raise ValueError(f"max_len must be non-negative, got {max_len}")
     if len(prefix_letters) != len(prefix_signs):
@@ -240,12 +307,7 @@ def _check_sweep_input(nl, dist, weights, max_len, prefix_letters,
     if len(prefix_letters) > max_len:
         raise ValueError(f"prefix of {len(prefix_letters)} symbols is longer "
                          f"than max_len {max_len}")
-    for i, v in enumerate(prefix_letters):
-        if not 0 <= v < nl:
-            raise ValueError(f"prefix_letters entry {i} is {v}, outside [0, {nl - 1}]")
-    for i, v in enumerate(prefix_signs):
-        if v != 1 and v != -1:
-            raise ValueError(f"prefix_signs entry {i} is {v}, not +1 or -1")
+    _check_word(prefix_letters, prefix_signs, nl, "prefix_letters", "prefix_signs")
 
 
 def graev_agree_exhaustive(nl: int, dist: list[int], weights: list[int],
@@ -259,44 +321,50 @@ def graev_agree_exhaustive(nl: int, dist: list[int], weights: list[int],
 
     The depth-first walk makes each word its parent plus one symbol, so it
     carries both routes' prefix state down the tree. A word with children
-    has one graev_dp_step plan, and each child's column is one _dp_column
-    pass over it; each inner child advances the partial pairings by one
+    has one graev_dp_step plan, whose column gives each inner child its
+    norm and plan; the norms of the current word's prefixes are carried
+    along with it. Each inner child advances the partial pairings by one
     graev_pairing_step, with room counted up to max_len so they are shared
     by all their extensions. Children of length max_len, seven in eight of
-    the words when nl is 4, are leaves: their minima come from one
-    _leaf_minima pass over the parent's states, with no state list and no
-    call per leaf."""
+    the words when nl is 4, are leaves, finished from their parent on both
+    sides: their norms come from one _leaf_norms pass, which splits each
+    leaf at its last symbol over the parent's plan and prefix norms in time
+    linear in the length, and their minima from one _leaf_minima pass over
+    the parent's states, with no state list and no call per leaf."""
     _check_sweep_input(nl, dist, weights, max_len, prefix_letters, prefix_signs)
     plan: list = []
-    col = [0]
+    # norms[k] is the norm of the current word's first k symbols
+    norms = [0] * (max_len + 1)
     states = [(None, 0, 0)]
     for p, (letter, sign) in enumerate(zip(prefix_letters, prefix_signs)):
         col, plan = graev_dp_step(plan, letter, sign, nl, dist, weights)
+        norms[p + 1] = col[0]
         states = graev_pairing_step(states, letter, sign, max_len - p - 1,
                                     nl, dist, weights)
     checked = 0
     mismatches = 0
     children = [(letter, sign) for letter in range(nl) for sign in (1, -1)]
 
-    def rec(plan: list, norm: int, states: list) -> None:
+    def rec(plan: list, states: list) -> None:
         nonlocal checked, mismatches
         n = len(plan)
         checked += 1
-        if norm != _complete_min(states):
+        if norms[n] != _complete_min(states):
             mismatches += 1
         if n == max_len:
             return
         if n + 1 == max_len:
             checked += len(children)
-            for (letter, sign), bf in zip(children, _leaf_minima(states, nl, dist, weights)):
-                if _dp_column(plan, letter, sign, weights[letter])[0] != bf:
-                    mismatches += 1
+            dp = _leaf_norms(plan, norms, nl, weights)
+            bf = _leaf_minima(states, nl, dist, weights)
+            if dp != bf:
+                mismatches += sum(a != b for a, b in zip(dp, bf))
             return
         room = max_len - n - 1
         for letter, sign in children:
             col, longer = graev_dp_step(plan, letter, sign, nl, dist, weights)
-            rec(longer, col[0],
-                graev_pairing_step(states, letter, sign, room, nl, dist, weights))
+            norms[n + 1] = col[0]
+            rec(longer, graev_pairing_step(states, letter, sign, room, nl, dist, weights))
 
-    rec(plan, col[0], states)
+    rec(plan, states)
     return checked, mismatches

@@ -231,7 +231,9 @@ def graev_norm_bruteforce(word: Word, alphabet: WeightedAlphabet,
 def graev_norm(word: Word, alphabet: WeightedAlphabet) -> int:
     """Minimum cost over pairings by the interval dynamic program: the
     leftmost position is unpaired, or arcs to an opposite-sign position,
-    splitting the word into a nested interior and a disjoint tail. Cubic."""
+    splitting the word into a nested interior and a disjoint tail. The
+    last symbol is split off the same way, in one linear pass over the
+    plan of the rest and the norms of its prefixes. Cubic."""
     letters, signs = _letters_and_signs(word, alphabet.n)
     return _kernels.graev_norm_dp(letters, signs, alphabet.n,
                                   alphabet.flat(), list(alphabet.weights))

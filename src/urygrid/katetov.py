@@ -644,13 +644,15 @@ def build_approximant(seed: FiniteMetricSpace, max_subset: int, q: int, cap: int
             used |= 1 << target
         else:
             row = [None] * len(points)
-            for i, v in zip(idx, prof):
+            # (point, distance) for each entry set so far, one more as each
+            # free entry is drawn
+            pairs = list(zip(idx, prof))
+            for i, v in pairs:
                 row[i] = v
             for z, dz in enumerate(dist):
-                if row[z] is not None:
-                    continue
-                row[z] = rng.randint(*katetov_bounds(
-                    [(w, dz[y]) for y, w in enumerate(row) if w is not None], 1, q))
+                if row[z] is None:
+                    row[z] = v = rng.randint(*katetov_bounds([(w, dz[y]) for y, w in pairs], 1, q))
+                    pairs.append((z, v))
         while f"a{fresh}" in taken:
             fresh += 1
         name = f"a{fresh}"

@@ -257,8 +257,16 @@ class TestSweep:
         assert got == (words_checked(2, 3), words_checked(2, 3) - words_checked(1, 3))
 
     def test_pure_sweep_counts_dp_mismatches(self, monkeypatch):
-        # P[0][n+1] one more after an inverse symbol: no plan reads row 0,
-        # so exactly the words ending in a -1 sign mismatch
+        # P[0][n+1] one more after an inverse symbol. No plan reads row 0,
+        # so the inner words mismatch exactly when they end in -1: 2 of
+        # length 1 and 8 of length 2. The 64 leaves abc read row 0 through
+        # the split, as the least of three terms:
+        #   c unpaired:     norm(ab) + wt(c), one more when b is -1;
+        #   c arcs to b:    norm(a) + d(b, c), one more when a is -1;
+        #   c arcs to a:    d(a, c) + wt(b), never more.
+        # A leaf mismatches when every least term is one more. With
+        # d(x, y) = 3 and weights 2 and 4 that is 16 leaves: 14 with b = -1,
+        # and x^-1 y y^-1 and y^-1 x x^-1, where only c arcs to b is least.
         column = _fallback._dp_column
 
         def off_by_one(plan, letter, sign, weight):
@@ -268,7 +276,63 @@ class TestSweep:
 
         monkeypatch.setattr(_fallback, "_dp_column", off_by_one)
         got = _fallback.graev_agree_exhaustive(2, [0, 3, 3, 0], [2, 4], 3)
-        assert got == (words_checked(2, 3), (words_checked(2, 3) - 1) // 2)
+        assert got == (words_checked(2, 3), 2 + 8 + 16)
+
+    def test_pure_sweep_counts_leaf_split_mismatches(self, monkeypatch):
+        # every leaf norm one more when the leaf ends in -1; only the
+        # leaves read the split, so exactly the 32 leaves of length 3 that
+        # end in -1 mismatch
+        leaves = _fallback._leaf_norms
+
+        def off_by_one(*args):
+            # _leaf_norms lists +1 before -1 for each letter
+            return [m + k % 2 for k, m in enumerate(leaves(*args))]
+
+        monkeypatch.setattr(_fallback, "_leaf_norms", off_by_one)
+        got = _fallback.graev_agree_exhaustive(2, [0, 3, 3, 0], [2, 4], 3)
+        assert got == (words_checked(2, 3), 32)
+
+    @pytest.mark.parametrize("alphabet_seed", [None, 1, 2])
+    def test_leaf_norms_equal_the_column(self, xy_alphabet, alphabet_seed):
+        # every plan the sweep holds at a parent of leaves, for each
+        # max_len up to 6: the plans of the words of length <= 5, which do
+        # not depend on max_len, with the norms of their prefixes
+        if alphabet_seed is None:
+            nl, d, wts = 2, xy_alphabet.flat(), list(xy_alphabet.weights)
+        else:
+            alphabet = random_alphabet(random.Random(alphabet_seed), n=4, q=12)
+            nl, d, wts = 4, alphabet.flat(), list(alphabet.weights)
+        stack = [([], [0])]
+        while stack:
+            plan, norms = stack.pop()
+            want = [_fallback._dp_column(plan, letter, sign, wts[letter])[0]
+                    for letter in range(nl) for sign in (1, -1)]
+            assert _fallback._leaf_norms(plan, norms, nl, wts) == want
+            if len(plan) < 5:
+                for letter in range(nl):
+                    for sign in (1, -1):
+                        col, longer = _fallback.graev_dp_step(plan, letter, sign, nl, d, wts)
+                        stack.append((longer, norms + [col[0]]))
+
+    def test_split_equals_the_full_column_fold(self):
+        # graev_norm_dp ends in the split; the fold it replaced ends in one
+        # more full column
+        def full_column_fold(letters, signs, nl, d, wts):
+            if not letters:
+                return 0
+            plan = []
+            for letter, sign in zip(letters[:-1], signs[:-1]):
+                plan = _fallback.graev_dp_step(plan, letter, sign, nl, d, wts)[1]
+            return _fallback._dp_column(plan, letters[-1], signs[-1], wts[letters[-1]])[0]
+
+        rng = random.Random(9)
+        for _ in range(400):
+            nl, d, wts = sweep_inputs(rng)
+            n = rng.randint(0, 14)
+            letters = [rng.randrange(nl) for _ in range(n)]
+            signs = [rng.choice((1, -1)) for _ in range(n)]
+            assert _fallback.graev_norm_dp(letters, signs, nl, d, wts) == \
+                full_column_fold(letters, signs, nl, d, wts)
 
     @pytest.mark.parametrize("alphabet_seed", [None, 1, 2])
     def test_leaf_minima_equal_the_step(self, xy_alphabet, alphabet_seed):
