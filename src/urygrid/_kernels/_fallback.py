@@ -151,22 +151,33 @@ def _split_norm(entries, norms: list[int], norm: int, letter: int, sign: int,
     return best
 
 
-def _leaf_norms(plan: list, norms: list[int], nl: int, weights: list[int]) -> list[int]:
-    """_dp_column(plan, letter, sign, weights[letter])[0] for every (letter,
-    sign), letters ascending and +1 before -1, as _leaf_minima lists them.
-    The plan's entries are grouped by sign once, and each extension takes
-    one _split_norm over the entries it can arc to. norms[k] is the norm of
-    the word's first k symbols, for k up to its length."""
-    groups = {1: [], -1: []}
-    for entry in plan:
-        groups[entry[3]].append(entry)
-    plus, minus = groups[1], groups[-1]
-    norm = norms[len(plan)]
+def _child_terms(plan, norms, letter, sign, nl, dist, weights):
+    """The norm of a word's one-symbol extension and the extension's split
+    terms, from one _dp_column and no plan of its own: (P[0][m] + P[m+1][n+1],
+    row of l_m) for every position m, the new one with pin 0, in the list of
+    the sign that arcs to m, +1 first."""
+    n = len(plan)
+    col = _dp_column(plan, letter, sign, weights[letter])
+    terms = ([], [])
+    terms[sign > 0].append((norms[n], dist[letter * nl:letter * nl + nl]))
+    for i, _, row, opp, _, _ in plan:
+        terms[opp < 0].append((norms[i] + col[i + 1], row))
+    return col[0], terms
+
+
+def _finish_norms(norm, terms, nl, weights):
+    """_split_norm for each one-symbol extension of a word of the given norm
+    and split terms, over the terms of its sign; letters ascending, +1 first."""
     out = []
     for letter in range(nl):
-        weight = weights[letter]
-        out.append(_split_norm(plus, norms, norm, letter, 1, weight))
-        out.append(_split_norm(minus, norms, norm, letter, -1, weight))
+        unpaired = norm + weights[letter]
+        for group in terms:
+            best = unpaired
+            for t, row in group:
+                c = t + row[letter]
+                if c < best:
+                    best = c
+            out.append(best)
     return out
 
 
@@ -221,26 +232,43 @@ def _complete_min(states: list) -> int:
     return min([cost for stack, _, cost in states if stack is None])
 
 
-def _leaf_minima(states: list, nl: int, dist: list[int],
-                 weights: list[int]) -> list[int]:
-    """_complete_min(graev_pairing_step(states, letter, sign, 0, ...)) for
-    every (letter, sign), letters ascending and +1 before -1, with no state
-    list built. A one-symbol extension completes a pairing in two ways only:
-    a complete state leaves the symbol unpaired and pays its weight (the
-    same weight on every such state, so it is added to their minimum), or a
-    state with one open arc closes it when the signs are opposite and pays
-    the letter distance, costed state by state."""
-    complete = _complete_min(states)
-    closers = {1: [], -1: []}
+def _child_closers(states, complete, letter, sign, nl, dist, weights):
+    """The cheapest complete pairing of a word's one-symbol extension, from
+    the word's states (none deeper than 2) and cheapest complete pairing,
+    and the extension's closers: (l * nl, cost) for each of its states with
+    one open arc, of letter l, in the list of the sign that closes it, +1
+    first. Those states come from three moves: the symbol left unpaired at
+    depth 1, closing an arc at depth 2, or opening one at depth 0, costed on
+    the cheapest complete state, as all of them open the same arc. No
+    state list is built."""
+    w = weights[letter]
+    least = complete + w
+    closers = ([], [])
+    closers[sign > 0].append((letter * nl, complete))
     for stack, depth, cost in states:
         if depth == 1:
-            closers[-stack[1]].append((stack[0] * nl, cost))
+            top, s, _ = stack
+            closers[s > 0].append((top * nl, cost + w))
+            if s != sign:
+                c = cost + dist[top * nl + letter]
+                if c < least:
+                    least = c
+        elif depth == 2 and stack[1] != sign:
+            top, s, _ = stack[2]
+            closers[s > 0].append((top * nl, cost + dist[stack[0] * nl + letter]))
+    return least, closers
+
+
+def _finish_minima(least, closers, nl, dist, weights):
+    """The cheapest complete pairing of each one-symbol extension of a word
+    with the given cheapest one and closers: the symbol is unpaired or
+    closes one closer, each costed on its own; letters ascending, +1 first."""
     out = []
     for letter in range(nl):
-        unpaired = complete + weights[letter]
-        for sign in (1, -1):
+        unpaired = least + weights[letter]
+        for group in closers:
             best = unpaired
-            for base, cost in closers[sign]:
+            for base, cost in group:
                 c = dist[base + letter] + cost
                 if c < best:
                     best = c
@@ -319,52 +347,69 @@ def graev_agree_exhaustive(nl: int, dist: list[int], weights: list[int],
     callers partition the sweep across workers by first symbol. Malformed
     input raises ValueError, as in the compiled sweep.
 
-    The depth-first walk makes each word its parent plus one symbol, so it
-    carries both routes' prefix state down the tree. A word with children
-    has one graev_dp_step plan, whose column gives each inner child its
-    norm and plan; the norms of the current word's prefixes are carried
-    along with it. Each inner child advances the partial pairings by one
-    graev_pairing_step, with room counted up to max_len so they are shared
-    by all their extensions. Children of length max_len, seven in eight of
-    the words when nl is 4, are leaves, finished from their parent on both
-    sides: their norms come from one _leaf_norms pass, which splits each
-    leaf at its last symbol over the parent's plan and prefix norms in time
-    linear in the length, and their minima from one _leaf_minima pass over
-    the parent's states, with no state list and no call per leaf."""
+    The depth-first walk carries both routes' prefix state down the tree,
+    with the norms of the current word's prefixes. A word shorter than
+    max_len - 2 builds one graev_dp_step plan for all its children and
+    takes one graev_pairing_step per child, with room counted up to max_len.
+    A word of length max_len - 2 finishes each child and its leaves with no
+    plan or state list for them: _child_terms and _child_closers fold its
+    plan and its states into the child's norm and split terms and into its
+    cheapest pairing and closers, and _finish_norms and _finish_minima take
+    the leaves' from those. A prefix of length max_len - 1 is finished as
+    the one child of its first max_len - 2 symbols."""
     _check_sweep_input(nl, dist, weights, max_len, prefix_letters, prefix_signs)
+    plen = len(prefix_letters)
+    walked = plen - 1 if 0 < plen == max_len - 1 else plen
     plan: list = []
     # norms[k] is the norm of the current word's first k symbols
     norms = [0] * (max_len + 1)
     states = [(None, 0, 0)]
-    for p, (letter, sign) in enumerate(zip(prefix_letters, prefix_signs)):
+    for p, (letter, sign) in enumerate(zip(prefix_letters[:walked], prefix_signs[:walked])):
         col, plan = graev_dp_step(plan, letter, sign, nl, dist, weights)
         norms[p + 1] = col[0]
         states = graev_pairing_step(states, letter, sign, max_len - p - 1,
                                     nl, dist, weights)
-    checked = 0
-    mismatches = 0
+    checked = mismatches = 0
     children = [(letter, sign) for letter in range(nl) for sign in (1, -1)]
+    family = 1 + len(children)  # a parent of leaves and its leaves
 
-    def rec(plan: list, states: list) -> None:
+    def finish(plan, states, complete, symbols):
+        # each child of the given grandparent of leaves, with its leaves
         nonlocal checked, mismatches
-        n = len(plan)
-        checked += 1
-        if norms[n] != _complete_min(states):
-            mismatches += 1
-        if n == max_len:
-            return
-        if n + 1 == max_len:
-            checked += len(children)
-            dp = _leaf_norms(plan, norms, nl, weights)
-            bf = _leaf_minima(states, nl, dist, weights)
+        for letter, sign in symbols:
+            norm, terms = _child_terms(plan, norms, letter, sign, nl, dist, weights)
+            least, closers = _child_closers(states, complete, letter, sign, nl, dist, weights)
+            checked += family
+            if norm != least:
+                mismatches += 1
+            dp = _finish_norms(norm, terms, nl, weights)
+            bf = _finish_minima(least, closers, nl, dist, weights)
             if dp != bf:
                 mismatches += sum(a != b for a, b in zip(dp, bf))
-            return
-        room = max_len - n - 1
-        for letter, sign in children:
-            col, longer = graev_dp_step(plan, letter, sign, nl, dist, weights)
-            norms[n + 1] = col[0]
-            rec(longer, graev_pairing_step(states, letter, sign, room, nl, dist, weights))
 
-    rec(plan, states)
+    def rec(plan, states):
+        nonlocal checked, mismatches
+        n = len(plan)
+        complete = _complete_min(states)
+        checked += 1
+        if norms[n] != complete:
+            mismatches += 1
+        if n + 2 == max_len:
+            finish(plan, states, complete, children)
+        elif n < max_len:
+            for letter, sign in children:
+                col, longer = graev_dp_step(plan, letter, sign, nl, dist, weights)
+                norms[n + 1] = col[0]
+                rec(longer, graev_pairing_step(states, letter, sign, max_len - n - 1,
+                                               nl, dist, weights))
+
+    if walked < plen:
+        finish(plan, states, _complete_min(states), [(prefix_letters[-1], prefix_signs[-1])])
+    elif plen + 1 == max_len:
+        # max_len 1: the empty word has no split term and no open arc
+        dp = _finish_norms(0, ([], []), nl, weights)
+        bf = _finish_minima(0, ([], []), nl, dist, weights)
+        return family, sum(a != b for a, b in zip(dp, bf))
+    else:
+        rec(plan, states)
     return checked, mismatches

@@ -31,7 +31,8 @@ class WeightedAlphabet:
     measured by sum-of-coordinates Hausdorff distances reach twice the base
     diameter. So the matrix is checked as a pseudometric with entries in
     [0, 2q], by the same check as a space. Weights must lie in [0, 2q] too
-    and change by at most the distance between letters.
+    and change by at most the distance between letters. The row-major flat
+    distance tuple the kernels take is built once, outside the fields.
     """
 
     letters: tuple[str, ...]
@@ -58,6 +59,7 @@ class WeightedAlphabet:
                     raise ValidationError(
                         f"weights expand: |k({self.letters[i]}) - k({self.letters[j]})| "
                         f"> d", (self.letters[i], self.letters[j]))
+        object.__setattr__(self, "_flat", tuple(e for row in self.dist for e in row))
 
     @classmethod
     def _trusted(cls, letters: tuple, denominator: int, dist: tuple,
@@ -71,7 +73,8 @@ class WeightedAlphabet:
         alphabet with the validating constructor."""
         alphabet = object.__new__(cls)
         for key, value in (("letters", letters), ("denominator", denominator),
-                           ("dist", dist), ("weights", weights)):
+                           ("dist", dist), ("weights", weights),
+                           ("_flat", tuple(e for row in dist for e in row))):
             object.__setattr__(alphabet, key, value)
         return alphabet
 
@@ -85,8 +88,8 @@ class WeightedAlphabet:
         except ValueError:
             raise ValidationError(f"unknown letter {name!r}") from None
 
-    def flat(self) -> list[int]:
-        return [e for row in self.dist for e in row]
+    def flat(self) -> tuple[int, ...]:
+        return self._flat
 
     @classmethod
     def from_space(cls, space: FiniteMetricSpace, weights) -> "WeightedAlphabet":
@@ -225,7 +228,7 @@ def graev_norm_bruteforce(word: Word, alphabet: WeightedAlphabet,
         raise GuardError(
             f"word of length {len(word)} exceeds the enumeration bound {max_len}")
     return _kernels.graev_norm_bruteforce(letters, signs, alphabet.n,
-                                          alphabet.flat(), list(alphabet.weights))
+                                          alphabet.flat(), alphabet.weights)
 
 
 def graev_norm(word: Word, alphabet: WeightedAlphabet) -> int:
@@ -236,7 +239,7 @@ def graev_norm(word: Word, alphabet: WeightedAlphabet) -> int:
     plan of the rest and the norms of its prefixes. Cubic."""
     letters, signs = _letters_and_signs(word, alphabet.n)
     return _kernels.graev_norm_dp(letters, signs, alphabet.n,
-                                  alphabet.flat(), list(alphabet.weights))
+                                  alphabet.flat(), alphabet.weights)
 
 
 def graev_distance(u: Word, v: Word, alphabet: WeightedAlphabet) -> int:

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -93,6 +95,20 @@ class TestAlphabet:
     def test_bool_entries_are_rejected(self, dist, weights):
         with pytest.raises(ValidationError):
             WeightedAlphabet(("x", "y"), 10, dist, weights)
+
+
+    def test_flat_distances_are_held_outside_the_fields(self, xy_alphabet):
+        # built once, row-major; equality, hashing and repr see the fields only
+        assert xy_alphabet.flat() == (0, 3, 3, 0)
+        assert xy_alphabet.flat() is xy_alphabet.flat()
+        assert "_flat" not in repr(xy_alphabet)
+        trusted = WeightedAlphabet._trusted(xy_alphabet.letters, 10, xy_alphabet.dist,
+                                            xy_alphabet.weights)
+        assert trusted == xy_alphabet and hash(trusted) == hash(xy_alphabet)
+        assert trusted.flat() == xy_alphabet.flat()
+        assert pickle.loads(pickle.dumps(xy_alphabet)).flat() == (0, 3, 3, 0)
+        moved = dataclasses.replace(xy_alphabet, dist=((0, 5), (5, 0)))
+        assert moved.flat() == (0, 5, 5, 0)
 
 
 class TestPairings:
@@ -237,30 +253,44 @@ class TestSweep:
                 (words_checked(nl, 4), 0)
 
     def test_pure_sweep_counts_mismatches(self, monkeypatch):
-        # every inverse symbol costs one more on the pairing side, in the
-        # step (inner words) and in the leaf minima (words of length
-        # max_len), so exactly the words with a -1 sign mismatch
+        # every inverse symbol costs one more on the pairing side: in the
+        # step (inner words, of length 1 at max_len 3), in the fold of the
+        # grandparent's states (parents of leaves, of length 2: their least
+        # pairing and every closer) and in the leaf minima (leaves, of
+        # length max_len). Every candidate of a word with a -1 sign carries
+        # at least one extra, so exactly those words mismatch
         step = _fallback.graev_pairing_step
-        leaves = _fallback._leaf_minima
+        fold = _fallback._child_closers
+        leaves = _fallback._finish_minima
 
         def off_by_one(states, letter, sign, *rest):
             return [(stack, depth, cost + (sign == -1))
                     for stack, depth, cost in step(states, letter, sign, *rest)]
 
+        def fold_off_by_one(states, complete, letter, sign, *rest):
+            least, closers = fold(states, complete, letter, sign, *rest)
+            k = sign == -1
+            return least + k, tuple([(base, cost + k) for base, cost in group]
+                                    for group in closers)
+
         def leaves_off_by_one(*args):
-            # _leaf_minima lists +1 before -1 for each letter
+            # _finish_minima lists +1 before -1 for each letter
             return [m + k % 2 for k, m in enumerate(leaves(*args))]
 
         monkeypatch.setattr(_fallback, "graev_pairing_step", off_by_one)
-        monkeypatch.setattr(_fallback, "_leaf_minima", leaves_off_by_one)
+        monkeypatch.setattr(_fallback, "_child_closers", fold_off_by_one)
+        monkeypatch.setattr(_fallback, "_finish_minima", leaves_off_by_one)
         got = _fallback.graev_agree_exhaustive(2, [0, 3, 3, 0], [2, 4], 3)
         assert got == (words_checked(2, 3), words_checked(2, 3) - words_checked(1, 3))
 
     def test_pure_sweep_counts_dp_mismatches(self, monkeypatch):
-        # P[0][n+1] one more after an inverse symbol. No plan reads row 0,
-        # so the inner words mismatch exactly when they end in -1: 2 of
-        # length 1 and 8 of length 2. The 64 leaves abc read row 0 through
-        # the split, as the least of three terms:
+        # P[0][n+1] one more after an inverse symbol. Inner words (length 1,
+        # from graev_dp_step) and parents of leaves (length 2, from
+        # _child_terms) take their norms from row 0, and no split term
+        # reads it, so those words mismatch exactly when they end in -1: 2
+        # of length 1 and 8 of length 2. The 64 leaves abc read row 0
+        # through the parent's norm and the prefix norms, as the least of
+        # three terms:
         #   c unpaired:     norm(ab) + wt(c), one more when b is -1;
         #   c arcs to b:    norm(a) + d(b, c), one more when a is -1;
         #   c arcs to a:    d(a, c) + wt(b), never more.
@@ -280,39 +310,68 @@ class TestSweep:
 
     def test_pure_sweep_counts_leaf_split_mismatches(self, monkeypatch):
         # every leaf norm one more when the leaf ends in -1; only the
-        # leaves read the split, so exactly the 32 leaves of length 3 that
-        # end in -1 mismatch
-        leaves = _fallback._leaf_norms
+        # leaves read _finish_norms, so exactly the 32 leaves of length 3
+        # that end in -1 mismatch
+        leaves = _fallback._finish_norms
 
         def off_by_one(*args):
-            # _leaf_norms lists +1 before -1 for each letter
+            # _finish_norms lists +1 before -1 for each letter
             return [m + k % 2 for k, m in enumerate(leaves(*args))]
 
-        monkeypatch.setattr(_fallback, "_leaf_norms", off_by_one)
+        monkeypatch.setattr(_fallback, "_finish_norms", off_by_one)
         got = _fallback.graev_agree_exhaustive(2, [0, 3, 3, 0], [2, 4], 3)
         assert got == (words_checked(2, 3), 32)
 
+    def test_pure_sweep_counts_split_term_mismatches(self, monkeypatch):
+        # every split term of a parent of leaves one more when the parent
+        # ends in -1; only leaves read the terms. A leaf abc with b = -1
+        # then mismatches when some term is below leaving c unpaired,
+        # norm(ab) + wt(c). With d(x, y) = 3 and weights 2 and 4:
+        #   a and b both -1: c = x or y arcs to b at wt(a) + d(b, c), below
+        #     wt(a) + wt(b) + wt(c): 8 leaves;
+        #   x y^-1 (norm 3): c = y arcs to b (2 < 7), c = x^-1 to a (4 < 5);
+        #   y x^-1 (norm 3): c = x arcs to b (4 < 5), c = y^-1 to a (2 < 7);
+        #   x x^-1 and y y^-1 (norm 0): no term is below;
+        # 12 in all
+        terms = _fallback._child_terms
+
+        def off_by_one(plan, norms, letter, sign, *rest):
+            norm, groups = terms(plan, norms, letter, sign, *rest)
+            k = sign == -1
+            return norm, tuple([(t + k, row) for t, row in group] for group in groups)
+
+        monkeypatch.setattr(_fallback, "_child_terms", off_by_one)
+        got = _fallback.graev_agree_exhaustive(2, [0, 3, 3, 0], [2, 4], 3)
+        assert got == (words_checked(2, 3), 12)
+
     @pytest.mark.parametrize("alphabet_seed", [None, 1, 2])
-    def test_leaf_norms_equal_the_column(self, xy_alphabet, alphabet_seed):
-        # every plan the sweep holds at a parent of leaves, for each
-        # max_len up to 6: the plans of the words of length <= 5, which do
-        # not depend on max_len, with the norms of their prefixes
+    def test_child_terms_equal_the_column(self, xy_alphabet, alphabet_seed):
+        # every grandparent of leaves for each max_len up to 6 (the words of
+        # length <= 4, whose plans do not depend on max_len) and each of
+        # its children: the child's norm, and each leaf's split, against
+        # the full column; then max_len 1, which splits over no term
         if alphabet_seed is None:
             nl, d, wts = 2, xy_alphabet.flat(), list(xy_alphabet.weights)
         else:
             alphabet = random_alphabet(random.Random(alphabet_seed), n=4, q=12)
             nl, d, wts = 4, alphabet.flat(), list(alphabet.weights)
+        symbols = [(letter, sign) for letter in range(nl) for sign in (1, -1)]
+
+        def columns(plan):
+            return [_fallback._dp_column(plan, letter, sign, wts[letter])[0]
+                    for letter, sign in symbols]
+
+        assert _fallback._finish_norms(0, ([], []), nl, wts) == columns([])
         stack = [([], [0])]
         while stack:
             plan, norms = stack.pop()
-            want = [_fallback._dp_column(plan, letter, sign, wts[letter])[0]
-                    for letter in range(nl) for sign in (1, -1)]
-            assert _fallback._leaf_norms(plan, norms, nl, wts) == want
-            if len(plan) < 5:
-                for letter in range(nl):
-                    for sign in (1, -1):
-                        col, longer = _fallback.graev_dp_step(plan, letter, sign, nl, d, wts)
-                        stack.append((longer, norms + [col[0]]))
+            for letter, sign in symbols:
+                norm, terms = _fallback._child_terms(plan, norms, letter, sign, nl, d, wts)
+                col, longer = _fallback.graev_dp_step(plan, letter, sign, nl, d, wts)
+                assert norm == col[0]
+                assert _fallback._finish_norms(norm, terms, nl, wts) == columns(longer)
+                if len(plan) < 4:
+                    stack.append((longer, norms + [col[0]]))
 
     def test_split_equals_the_full_column_fold(self):
         # graev_norm_dp ends in the split; the fold it replaced ends in one
@@ -335,29 +394,67 @@ class TestSweep:
                 full_column_fold(letters, signs, nl, d, wts)
 
     @pytest.mark.parametrize("alphabet_seed", [None, 1, 2])
-    def test_leaf_minima_equal_the_step(self, xy_alphabet, alphabet_seed):
-        # every state list the sweep holds at a parent of leaves, for each
-        # max_len up to 6: the parents are the words of length <= 5
+    def test_child_closers_equal_the_step(self, xy_alphabet, alphabet_seed):
+        # every state list the sweep holds at a grandparent of leaves, for
+        # each max_len up to 6, and each of its children: the child's least
+        # pairing, and each leaf's, against the steps' complete states;
+        # then max_len 1, whose parent has no open arc
         if alphabet_seed is None:
             nl, d, wts = 2, xy_alphabet.flat(), list(xy_alphabet.weights)
         else:
             alphabet = random_alphabet(random.Random(alphabet_seed), n=4, q=12)
             nl, d, wts = 4, alphabet.flat(), list(alphabet.weights)
         step = _fallback.graev_pairing_step
-        for max_len in range(1, 7):
+        symbols = [(letter, sign) for letter in range(nl) for sign in (1, -1)]
+
+        def leaf_minima(states):
+            return [_fallback._complete_min(step(states, letter, sign, 0, nl, d, wts))
+                    for letter, sign in symbols]
+
+        assert _fallback._finish_minima(0, ([], []), nl, d, wts) == leaf_minima([(None, 0, 0)])
+        for max_len in range(2, 7):
             stack = [((), [(None, 0, 0)])]
             while stack:
                 w, states = stack.pop()
-                if len(w) + 1 == max_len:
-                    want = [_fallback._complete_min(step(states, letter, sign, 0, nl, d, wts))
-                            for letter in range(nl) for sign in (1, -1)]
-                    assert _fallback._leaf_minima(states, nl, d, wts) == want
+                if len(w) + 2 == max_len:
+                    complete = _fallback._complete_min(states)
+                    for letter, sign in symbols:
+                        least, closers = _fallback._child_closers(
+                            states, complete, letter, sign, nl, d, wts)
+                        child = step(states, letter, sign, 1, nl, d, wts)
+                        assert least == _fallback._complete_min(child)
+                        assert _fallback._finish_minima(least, closers, nl, d, wts) == \
+                            leaf_minima(child)
                     continue
                 room = max_len - len(w) - 1
-                for letter in range(nl):
-                    for sign in (1, -1):
-                        stack.append((w + ((letter, sign),),
-                                      step(states, letter, sign, room, nl, d, wts)))
+                for letter, sign in symbols:
+                    stack.append((w + ((letter, sign),),
+                                  step(states, letter, sign, room, nl, d, wts)))
+
+    @pytest.mark.parametrize("nl, max_len, plen", [
+        (1, 6, 0), (2, 0, 0), (2, 1, 0), (2, 2, 0), (2, 3, 0), (2, 5, 0), (4, 4, 0),
+        (2, 2, 1), (2, 4, 3), (2, 4, 2), (2, 5, 1), (2, 3, 3)])
+    def test_pure_sweep_steps_only_inner_words(self, monkeypatch, nl, max_len, plen):
+        # one graev_dp_step and one graev_pairing_step per word of length 1
+        # to max_len - 2; parents of leaves and leaves are finished from
+        # their grandparent with no plan or state list of their own. The
+        # walk steps through the prefix, and stops one symbol short of a
+        # prefix of length max_len - 1, which it finishes as a child
+        calls = {"graev_dp_step": 0, "graev_pairing_step": 0}
+        for name in calls:
+            def counted(*args, name=name, real=getattr(_fallback, name)):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(_fallback, name, counted)
+        rng = random.Random(nl)
+        alphabet = random_alphabet(rng, n=nl, q=9)
+        prefix = [rng.randrange(nl) for _ in range(plen)], [rng.choice((1, -1)) for _ in range(plen)]
+        got = _fallback.graev_agree_exhaustive(nl, alphabet.flat(), alphabet.weights, max_len,
+                                               *prefix)
+        assert got == (words_checked(nl, max_len - plen), 0)
+        walked = plen - 1 if 0 < plen == max_len - 1 else plen
+        inner = walked + sum((2 * nl) ** k for k in range(1, max_len - plen - 1))
+        assert calls == {"graev_dp_step": inner, "graev_pairing_step": inner}
 
     def test_pure_prefix_partition_is_exact(self):
         rng = random.Random(6)

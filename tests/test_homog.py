@@ -355,6 +355,7 @@ class TestTrustedAlphabet:
             rebuilt = WeightedAlphabet(alphabet.letters, alphabet.denominator,
                                        alphabet.dist, alphabet.weights)
             assert rebuilt == alphabet
+            assert alphabet.flat() == rebuilt.flat() == sum(alphabet.dist, ())
             assert alphabet.weights == tuple(weight(r) for r in rels)
             assert alphabet.dist == tuple(tuple(hausdorff_distance(r, t) for t in rels)
                                           for r in rels)

@@ -27,8 +27,8 @@ def random_metric_flat(rng, n, q):
 
 
 # not urygrid.laws.random_word: flat kernel lists, drawn in a different order
-def random_word_inputs(rng, max_len=10):
-    nl = rng.randint(1, 4)
+def random_word_inputs(rng, max_len=10, nl=None):
+    nl = nl or rng.randint(1, 4)
     q = rng.randint(2, 12)
     d = random_metric_flat(rng, nl, q)
     wts = [rng.randint(0, q) for _ in range(nl)]
@@ -164,22 +164,51 @@ def test_exhaustive_driver_matches(compiled_ext):
         assert got[1] == 0
 
 
+def edge_sweeps(rng, nl):
+    # short unprefixed sweeps, prefixes of length max_len, max_len - 1 and
+    # max_len - 2 (the walk starts at a leaf, a parent of leaves and a
+    # grandparent of leaves), and every one-symbol prefix at max_len 5
+    calls = [(max_len, [], []) for max_len in (0, 1, 2, 3)]
+    for max_len in (1, 2, 3, 4):
+        for plen in range(max(max_len - 2, 0), max_len + 1):
+            calls.append((max_len, [rng.randrange(nl) for _ in range(plen)],
+                          [rng.choice((1, -1)) for _ in range(plen)]))
+    return calls + [(5, [letter], [sign]) for letter in range(nl) for sign in (1, -1)]
+
+
 def test_exhaustive_driver_matches_at_the_edges(compiled_ext):
-    # short sweeps, prefixes of length max_len and max_len - 1, and every
-    # one-symbol prefix at max_len 5
     rng = random.Random(8)
     for _ in range(3):
         nl, d, wts, _, _ = random_word_inputs(rng, max_len=0)
-        calls = [(max_len, [], []) for max_len in (0, 1, 2)]
-        for max_len in (1, 2, 4):
-            for plen in (max_len, max_len - 1):
-                calls.append((max_len, [rng.randrange(nl) for _ in range(plen)],
-                              [rng.choice((1, -1)) for _ in range(plen)]))
-        calls += [(5, [letter], [sign]) for letter in range(nl) for sign in (1, -1)]
-        for max_len, pl, ps in calls:
+        for max_len, pl, ps in edge_sweeps(rng, nl):
             got = compiled_ext.graev_agree_exhaustive(nl, d, wts, max_len, pl, ps)
             assert got == _fallback.graev_agree_exhaustive(nl, d, wts, max_len, pl, ps)
             assert got == (sum((2 * nl) ** k for k in range(max_len - len(pl) + 1)), 0)
+
+
+@pytest.mark.parametrize("nl", [1, 2, 4])
+def test_pure_sweep_is_exact_at_the_edges(nl):
+    rng = random.Random(20 + nl)
+    for _ in range(2):
+        _, d, wts, _, _ = random_word_inputs(rng, max_len=0, nl=nl)
+        for max_len, pl, ps in edge_sweeps(rng, nl):
+            got = _fallback.graev_agree_exhaustive(nl, d, wts, max_len, pl, ps)
+            assert got == (sum((2 * nl) ** k for k in range(max_len - len(pl) + 1)), 0)
+
+
+def test_graev_kernels_take_tuples(compiled_ext):
+    # WeightedAlphabet hands the kernels its flat distance tuple and its
+    # weight tuple as they are
+    rng = random.Random(12)
+    for _ in range(100):
+        nl, d, wts, letters, signs = random_word_inputs(rng, max_len=8)
+        for kernels in (compiled_ext, _fallback):
+            for name in ("graev_norm_dp", "graev_norm_bruteforce"):
+                kernel = getattr(kernels, name)
+                assert kernel(letters, signs, nl, tuple(d), tuple(wts)) == \
+                    kernel(letters, signs, nl, d, wts)
+        assert compiled_ext.graev_agree_exhaustive(nl, tuple(d), tuple(wts), 2) == \
+            _fallback.graev_agree_exhaustive(nl, tuple(d), tuple(wts), 2)
 
 
 def test_prefix_partition_is_exact(compiled_ext):
