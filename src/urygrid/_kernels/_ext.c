@@ -4,10 +4,11 @@
    as parallel letter/sign sequences; every value is held as an int64_t.
    Each kernel checks its inputs before it reads them: a sequence of the
    wrong length, a negative size or entry, a letter outside [0, nl), a sign
-   other than +1 or -1, or a prefix that does not fit max_len raises
-   ValueError, and an input whose sums could overflow int64_t raises
-   OverflowError. The interval DP and the pairing enumeration share no
-   values, so the enumeration stays the oracle of the DP. */
+   other than +1 or -1, or a sweep's first symbol outside [0, 2*nl) or
+   given with max_len 0 raises ValueError, and an input whose sums could
+   overflow int64_t raises OverflowError. The interval DP and the pairing
+   enumeration share no values, so the enumeration stays the oracle of the
+   DP. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -547,50 +548,57 @@ graev_norm_bruteforce(PyObject *Py_UNUSED(self), PyObject *const *args,
 }
 
 PyDoc_STRVAR(graev_agree_exhaustive_doc,
-"graev_agree_exhaustive($module, /, nl, dist, weights, max_len,\n"
-"                       prefix_letters=(), prefix_signs=())\n--\n\n"
+"graev_agree_exhaustive($module, /, nl, dist, weights, max_len, first=None)\n--\n\n"
 "Check dp == bruteforce on every (letter, sign) sequence of length\n"
-"<= max_len extending the prefix (prefix included). Returns\n"
+"<= max_len; given first, only on those of length >= 1 that start with\n"
+"symbol first (letter first // 2, sign +1 when first is even). Returns\n"
 "(words checked, mismatches).");
 
 static PyObject *
 graev_agree_exhaustive(PyObject *Py_UNUSED(self), PyObject *const *args,
                        Py_ssize_t nargs, PyObject *kwnames)
 {
-    static const char *const names[] = {"nl", "dist", "weights", "max_len",
-                                        "prefix_letters", "prefix_signs"};
-    PyObject *a[6], *out = NULL;
-    Py_ssize_t nl, max_len, plen = 0, slen = 0, depth, nsym;
+    static const char *const names[] = {"nl", "dist", "weights", "max_len", "first"};
+    PyObject *a[5], *out = NULL;
+    Py_ssize_t nl, max_len, first = -1, base, depth, nsym;
     int64_t *dist = NULL, *weights = NULL, *sym = NULL, max;
     int64_t checked = 0, mismatches = 0;
     int descending = 1;
     Word w;
     w.table = NULL;
-    if (bind_args("graev_agree_exhaustive", names, 4, 6, args, nargs, kwnames, a) < 0 ||
+    if (bind_args("graev_agree_exhaustive", names, 4, 5, args, nargs, kwnames, a) < 0 ||
             size_arg(a[0], "nl", &nl) < 0 ||
             read_alphabet(nl, a[1], a[2], &dist, &weights, &max) < 0 ||
-            size_arg(a[3], "max_len", &max_len) < 0 ||
-            (a[4] != NULL && (plen = PyObject_Length(a[4])) < 0) ||
-            (a[5] != NULL && (slen = PyObject_Length(a[5])) < 0))
+            size_arg(a[3], "max_len", &max_len) < 0)
         goto done;
-    if (plen != slen) {
-        PyErr_Format(PyExc_ValueError, "prefix has %zd letters but %zd signs", plen, slen);
-        goto done;
-    }
-    if (plen > max_len) {
-        PyErr_Format(PyExc_ValueError, "prefix of %zd symbols is longer than max_len %zd",
-                     plen, max_len);
-        goto done;
+    nsym = 2 * nl;
+    if (a[4] != NULL && a[4] != Py_None) {
+        /* clipped, not refused, past the Py_ssize_t range: still out of range */
+        first = PyNumber_AsSsize_t(a[4], NULL);
+        if (first == -1 && PyErr_Occurred())
+            goto done;
+        if (first < 0 || first >= nsym) {
+            PyErr_Format(PyExc_ValueError, "first must lie in [0, %zd), got %R", nsym, a[4]);
+            goto done;
+        }
+        if (max_len < 1) {
+            PyErr_Format(PyExc_ValueError, "first needs max_len >= 1, got %zd", max_len);
+            goto done;
+        }
     }
     if (check_sums(max, max_len) < 0 || alloc_word(&w, max_len) < 0 ||
-            (sym = alloc_ints(max_len + 2)) == NULL ||
-            (plen > 0 && read_word(a[4], a[5], plen, nl, &w, "prefix_letters",
-                                   "prefix_signs") < 0))
+            (sym = alloc_ints(max_len + 2)) == NULL)
         goto done;
-    /* sym[i] encodes the choice at depth i >= plen: letter = sym >> 1,
-       sign = +1 for even, -1 for odd */
-    nsym = 2 * nl;
-    depth = plen;
+    /* sym[i] encodes the choice at depth i: letter = sym >> 1, sign = +1
+       for even, -1 for odd; a given first is fixed at depth 0, and the
+       walk starts below it */
+    base = first >= 0;
+    if (base) {
+        sym[0] = first;
+        w.letters[0] = first >> 1;
+        w.signs[0] = (first & 1) == 0 ? 1 : -1;
+    }
+    depth = base;
     Py_BEGIN_ALLOW_THREADS
     for (;;) {
         if (descending) {
@@ -607,7 +615,7 @@ graev_agree_exhaustive(PyObject *Py_UNUSED(self), PyObject *const *args,
             descending = 0;
             continue;
         }
-        if (depth == plen)
+        if (depth == base)
             break;
         depth--;
         sym[depth]++;

@@ -133,24 +133,6 @@ def graev_dp_step(plan: list, letter: int, sign: int, nl: int,
     return col, longer
 
 
-def _split_norm(entries, norms: list[int], norm: int, letter: int, sign: int,
-                weight: int) -> int:
-    """The norm of a word of the given norm extended by one symbol of the
-    given letter, sign and weight, split at that symbol: it stays unpaired
-    and pays its weight, or it arcs to an opposite-sign position m, which
-    parts the rest into [0, m) and (m, n), each paired on its own. P[0][m]
-    is norms[m], the norm of the first m symbols, and P[m+1][n] is the pin
-    of the word's plan entry m. One pass over the entries, the word's plan
-    or its entries of one sign; linear in the length."""
-    best = norm + weight
-    for i, w, row, opp, pin, arcs in entries:
-        if opp == sign:
-            c = norms[i] + pin + row[letter]
-            if c < best:
-                best = c
-    return best
-
-
 def _child_terms(plan, norms, letter, sign, nl, dist, weights):
     """The norm of a word's one-symbol extension and the extension's split
     terms, from one _dp_column and no plan of its own: (P[0][m] + P[m+1][n+1],
@@ -166,8 +148,11 @@ def _child_terms(plan, norms, letter, sign, nl, dist, weights):
 
 
 def _finish_norms(norm, terms, nl, weights):
-    """_split_norm for each one-symbol extension of a word of the given norm
-    and split terms, over the terms of its sign; letters ascending, +1 first."""
+    """The norm of each one-symbol extension of a word of the given norm and
+    split terms, split at the new symbol: it stays unpaired and pays its
+    weight on the word's norm, or it arcs to an opposite-sign position m,
+    which parts the rest into [0, m) and (m, n), each paired on its own,
+    and pays the letter distance on that term. Letters ascending, +1 first."""
     out = []
     for letter in range(nl):
         unpaired = norm + weights[letter]
@@ -184,21 +169,19 @@ def _finish_norms(norm, terms, nl, weights):
 def graev_norm_dp(letters: list[int], signs: list[int], nl: int,
                   dist: list[int], weights: list[int]) -> int:
     """Interval dynamic program over the leftmost position: the plan of all
-    but the last symbol, built one symbol at a time with graev_dp_step,
-    whose columns give the norm of every prefix, then the split at the last
-    symbol. Cubic in the word length. Malformed input raises ValueError, as
-    in the compiled kernel."""
+    but the last symbol, built one symbol at a time with graev_dp_step, then
+    the column of the last symbol, whose entry 0 is the norm. Cubic in the
+    word length. Malformed input raises ValueError, as in the compiled
+    kernel."""
     _check_alphabet(nl, dist, weights)
     _check_word(letters, signs, nl, "letters", "signs")
     if not letters:
         return 0
     plan: list = []
-    norms = [0]
     for p in range(len(letters) - 1):
-        col, plan = graev_dp_step(plan, letters[p], signs[p], nl, dist, weights)
-        norms.append(col[0])
+        plan = graev_dp_step(plan, letters[p], signs[p], nl, dist, weights)[1]
     letter = letters[-1]
-    return _split_norm(plan, norms, norms[-1], letter, signs[-1], weights[letter])
+    return _dp_column(plan, letter, signs[-1], weights[letter])[0]
 
 
 def graev_pairing_step(states: list, letter: int, sign: int, room: int,
@@ -322,30 +305,15 @@ def _check_word(letters, signs, nl, lname, sname) -> None:
         raise ValueError(f"{sname} entry {i} is {signs[i]}, not +1 or -1")
 
 
-def _check_sweep_input(nl, dist, weights, max_len, prefix_letters,
-                       prefix_signs) -> None:
-    """Raise ValueError on what the compiled sweep refuses as malformed, in
-    its order and words; once per sweep, O(nl^2)."""
-    _check_alphabet(nl, dist, weights)
-    if max_len < 0:
-        raise ValueError(f"max_len must be non-negative, got {max_len}")
-    if len(prefix_letters) != len(prefix_signs):
-        raise ValueError(f"prefix has {len(prefix_letters)} letters "
-                         f"but {len(prefix_signs)} signs")
-    if len(prefix_letters) > max_len:
-        raise ValueError(f"prefix of {len(prefix_letters)} symbols is longer "
-                         f"than max_len {max_len}")
-    _check_word(prefix_letters, prefix_signs, nl, "prefix_letters", "prefix_signs")
-
-
 def graev_agree_exhaustive(nl: int, dist: list[int], weights: list[int],
-                           max_len: int, prefix_letters=(), prefix_signs=()
-                           ) -> tuple[int, int]:
+                           max_len: int, first=None) -> tuple[int, int]:
     """Check graev_norm_dp == graev_norm_bruteforce on every (letter, sign)
-    sequence of length <= max_len extending the given prefix (the prefix
-    itself included). Returns (words checked, mismatches). The prefix lets
-    callers partition the sweep across workers by first symbol. Malformed
-    input raises ValueError, as in the compiled sweep.
+    sequence of length <= max_len. Returns (words checked, mismatches).
+    Symbol k of the sweep is letter k // 2, with sign +1 when k is even.
+    Given first, only the words of length 1 to max_len that start with
+    symbol first are checked, so that callers can partition the sweep
+    across workers by first symbol. Malformed input raises ValueError, in
+    the compiled sweep's order and words.
 
     The depth-first walk carries both routes' prefix state down the tree,
     with the norms of the current word's prefixes. A word shorter than
@@ -355,61 +323,57 @@ def graev_agree_exhaustive(nl: int, dist: list[int], weights: list[int],
     plan or state list for them: _child_terms and _child_closers fold its
     plan and its states into the child's norm and split terms and into its
     cheapest pairing and closers, and _finish_norms and _finish_minima take
-    the leaves' from those. A prefix of length max_len - 1 is finished as
-    the one child of its first max_len - 2 symbols."""
-    _check_sweep_input(nl, dist, weights, max_len, prefix_letters, prefix_signs)
-    plen = len(prefix_letters)
-    walked = plen - 1 if 0 < plen == max_len - 1 else plen
-    plan: list = []
+    the leaves' from those."""
+    _check_alphabet(nl, dist, weights)
+    if max_len < 0:
+        raise ValueError(f"max_len must be non-negative, got {max_len}")
+    children = [(letter, sign) for letter in range(nl) for sign in (1, -1)]
+    if first is not None:
+        if not 0 <= first < len(children):
+            raise ValueError(f"first must lie in [0, {len(children)}), got {first}")
+        if max_len < 1:
+            raise ValueError(f"first needs max_len >= 1, got {max_len}")
+    # the empty word's children that the sweep takes, in the order of children
+    lo, hi = (0, len(children)) if first is None else (first, first + 1)
+    # the empty word, checked unless first is given, has norm 0 both ways
+    checked = int(first is None)
+    mismatches = 0
+    if max_len == 1:
+        # the empty word's leaves: no split term and no open arc
+        dp = _finish_norms(0, ([], []), nl, weights)[lo:hi]
+        bf = _finish_minima(0, ([], []), nl, dist, weights)[lo:hi]
+        return checked + len(dp), sum(a != b for a, b in zip(dp, bf))
+    family = 1 + len(children)  # a parent of leaves and its leaves
     # norms[k] is the norm of the current word's first k symbols
     norms = [0] * (max_len + 1)
-    states = [(None, 0, 0)]
-    for p, (letter, sign) in enumerate(zip(prefix_letters[:walked], prefix_signs[:walked])):
-        col, plan = graev_dp_step(plan, letter, sign, nl, dist, weights)
-        norms[p + 1] = col[0]
-        states = graev_pairing_step(states, letter, sign, max_len - p - 1,
-                                    nl, dist, weights)
-    checked = mismatches = 0
-    children = [(letter, sign) for letter in range(nl) for sign in (1, -1)]
-    family = 1 + len(children)  # a parent of leaves and its leaves
 
-    def finish(plan, states, complete, symbols):
-        # each child of the given grandparent of leaves, with its leaves
-        nonlocal checked, mismatches
-        for letter, sign in symbols:
-            norm, terms = _child_terms(plan, norms, letter, sign, nl, dist, weights)
-            least, closers = _child_closers(states, complete, letter, sign, nl, dist, weights)
-            checked += family
-            if norm != least:
-                mismatches += 1
-            dp = _finish_norms(norm, terms, nl, weights)
-            bf = _finish_minima(least, closers, nl, dist, weights)
-            if dp != bf:
-                mismatches += sum(a != b for a, b in zip(dp, bf))
-
-    def rec(plan, states):
+    def walk(plan, states, complete, symbols):
+        # each child of the current word among symbols, with its descendants;
+        # the current word is at least two symbols short of max_len
         nonlocal checked, mismatches
         n = len(plan)
-        complete = _complete_min(states)
-        checked += 1
-        if norms[n] != complete:
-            mismatches += 1
-        if n + 2 == max_len:
-            finish(plan, states, complete, children)
-        elif n < max_len:
-            for letter, sign in children:
-                col, longer = graev_dp_step(plan, letter, sign, nl, dist, weights)
-                norms[n + 1] = col[0]
-                rec(longer, graev_pairing_step(states, letter, sign, max_len - n - 1,
-                                               nl, dist, weights))
+        for letter, sign in symbols:
+            if n + 2 == max_len:
+                norm, terms = _child_terms(plan, norms, letter, sign, nl, dist, weights)
+                least, closers = _child_closers(states, complete, letter, sign, nl, dist, weights)
+                checked += family
+                if norm != least:
+                    mismatches += 1
+                dp = _finish_norms(norm, terms, nl, weights)
+                bf = _finish_minima(least, closers, nl, dist, weights)
+                if dp != bf:
+                    mismatches += sum(a != b for a, b in zip(dp, bf))
+                continue
+            col, longer = graev_dp_step(plan, letter, sign, nl, dist, weights)
+            child = graev_pairing_step(states, letter, sign, max_len - n - 1,
+                                       nl, dist, weights)
+            least = _complete_min(child)
+            checked += 1
+            if col[0] != least:
+                mismatches += 1
+            norms[n + 1] = col[0]
+            walk(longer, child, least, children)
 
-    if walked < plen:
-        finish(plan, states, _complete_min(states), [(prefix_letters[-1], prefix_signs[-1])])
-    elif plen + 1 == max_len:
-        # max_len 1: the empty word has no split term and no open arc
-        dp = _finish_norms(0, ([], []), nl, weights)
-        bf = _finish_minima(0, ([], []), nl, dist, weights)
-        return family, sum(a != b for a, b in zip(dp, bf))
-    else:
-        rec(plan, states)
+    if max_len > 1:
+        walk([], [(None, 0, 0)], 0, children[lo:hi])
     return checked, mismatches

@@ -1,7 +1,9 @@
 """Partitioned exhaustive word sweeps.
 
 The exhaustive dp-versus-enumeration check partitions cleanly by first
-symbol, so it can fan out over processes. Worker count comes from the
+symbol: the kernel sweep takes one, ``first``, and checks only the words
+that start with it. So the sweep can fan out over processes, one job per
+symbol, the parent checking the empty word. Worker count comes from the
 URYGRID_WORKERS environment variable (default 1: no processes spawned) and
 is clamped to the number of jobs and of CPUs, so no setting forks without
 bound.
@@ -30,9 +32,7 @@ def clamp_workers(requested: int, jobs: int) -> int:
 
 
 def _job(args):
-    nl, dist, weights, max_len, prefix_letters, prefix_signs = args
-    return _kernels.graev_agree_exhaustive(nl, dist, weights, max_len,
-                                           prefix_letters, prefix_signs)
+    return _kernels.graev_agree_exhaustive(*args)
 
 
 def graev_agree_exhaustive(nl: int, dist, weights, max_len: int,
@@ -42,7 +42,7 @@ def graev_agree_exhaustive(nl: int, dist, weights, max_len: int,
     if workers is None:
         workers = worker_count()
     workers = clamp_workers(workers, 2 * nl)
-    if workers <= 1 or max_len == 0:
+    if workers <= 1 or max_len <= 0:
         return _kernels.graev_agree_exhaustive(nl, dist, weights, max_len)
     checked = 1
     mismatches = 0
@@ -51,8 +51,7 @@ def graev_agree_exhaustive(nl: int, dist, weights, max_len: int,
         mismatches += 1
     from multiprocessing import get_context  # only a parallel sweep pays for it
 
-    jobs = [(nl, dist, weights, max_len, [letter], [sign])
-            for letter in range(nl) for sign in (1, -1)]
+    jobs = [(nl, dist, weights, max_len, first) for first in range(2 * nl)]
     with get_context("fork").Pool(workers) as pool:
         for c, m in pool.map(_job, jobs):
             checked += c

@@ -216,15 +216,15 @@ def words_checked(nl, max_len):
     return sum((2 * nl) ** k for k in range(max_len + 1))
 
 
-# calls the live sweep with a prefix longer than max_len, then with letters
-# and signs of different lengths, and prints what each raises
-BAD_PREFIX_CALLS = """
+# calls the live sweep from a first symbol past 2 * nl, from one below 0 and
+# from one with max_len 0, and prints what each raises; unchecked, the first
+# two would index the compiled sweep's distances out of bounds
+BAD_FIRST_CALLS = """
 from urygrid import _kernels
-from urygrid.errors import ValidationError
-for prefix in (([0, 1, 0], [1, -1, -1]), ([0, 1], [1])):
+for max_len, first in ((1, 4), (1, -1), (0, 0)):
     try:
-        _kernels.graev_agree_exhaustive(2, [0, 3, 3, 0], [2, 4], 1, *prefix)
-    except ValidationError as e:
+        _kernels.graev_agree_exhaustive(2, [0, 3, 3, 0], [2, 4], max_len, first)
+    except ValueError as e:
         print(_kernels.BACKEND, e)
 """
 
@@ -233,17 +233,18 @@ class TestSweep:
     # a child interpreter, so an unguarded compiled sweep writing past its
     # buffers cannot take the test session down with it
     @pytest.mark.parametrize("backend", ["python", "compiled"])
-    def test_bad_prefix_is_a_validation_error(self, request, backend):
+    def test_out_of_range_first_is_a_value_error(self, request, backend):
         if backend == "python":
-            argv = ["-c", BAD_PREFIX_CALLS]
+            argv = ["-c", BAD_FIRST_CALLS]
         else:
-            argv = ["-c", LOAD_EXT + BAD_PREFIX_CALLS,
+            argv = ["-c", LOAD_EXT + BAD_FIRST_CALLS,
                     request.getfixturevalue("compiled_ext").__file__]
         child = run_child(argv, pure=backend == "python")
         assert child.returncode == 0, child.stderr.decode()
         assert child.stdout.decode().splitlines() == [
-            f"{backend} prefix of 3 symbols is longer than max_len 1",
-            f"{backend} prefix has 2 letters but 1 signs"]
+            f"{backend} first must lie in [0, 4), got 4",
+            f"{backend} first must lie in [0, 4), got -1",
+            f"{backend} first needs max_len >= 1, got 0"]
 
     def test_pure_sweep_checks_every_word(self):
         rng = random.Random(5)
@@ -373,26 +374,6 @@ class TestSweep:
                 if len(plan) < 4:
                     stack.append((longer, norms + [col[0]]))
 
-    def test_split_equals_the_full_column_fold(self):
-        # graev_norm_dp ends in the split; the fold it replaced ends in one
-        # more full column
-        def full_column_fold(letters, signs, nl, d, wts):
-            if not letters:
-                return 0
-            plan = []
-            for letter, sign in zip(letters[:-1], signs[:-1]):
-                plan = _fallback.graev_dp_step(plan, letter, sign, nl, d, wts)[1]
-            return _fallback._dp_column(plan, letters[-1], signs[-1], wts[letters[-1]])[0]
-
-        rng = random.Random(9)
-        for _ in range(400):
-            nl, d, wts = sweep_inputs(rng)
-            n = rng.randint(0, 14)
-            letters = [rng.randrange(nl) for _ in range(n)]
-            signs = [rng.choice((1, -1)) for _ in range(n)]
-            assert _fallback.graev_norm_dp(letters, signs, nl, d, wts) == \
-                full_column_fold(letters, signs, nl, d, wts)
-
     @pytest.mark.parametrize("alphabet_seed", [None, 1, 2])
     def test_child_closers_equal_the_step(self, xy_alphabet, alphabet_seed):
         # every state list the sweep holds at a grandparent of leaves, for
@@ -433,13 +414,13 @@ class TestSweep:
 
     @pytest.mark.parametrize("nl, max_len, plen", [
         (1, 6, 0), (2, 0, 0), (2, 1, 0), (2, 2, 0), (2, 3, 0), (2, 5, 0), (4, 4, 0),
-        (2, 2, 1), (2, 4, 3), (2, 4, 2), (2, 5, 1), (2, 3, 3)])
+        (2, 1, 1), (2, 2, 1), (2, 5, 1)])
     def test_pure_sweep_steps_only_inner_words(self, monkeypatch, nl, max_len, plen):
         # one graev_dp_step and one graev_pairing_step per word of length 1
         # to max_len - 2; parents of leaves and leaves are finished from
-        # their grandparent with no plan or state list of their own. The
-        # walk steps through the prefix, and stops one symbol short of a
-        # prefix of length max_len - 1, which it finishes as a child
+        # their grandparent with no plan or state list of their own. With
+        # plen 1 the sweep is given a first symbol, and steps only the
+        # words that start with it: (2nl)^(k - 1) of each length k
         calls = {"graev_dp_step": 0, "graev_pairing_step": 0}
         for name in calls:
             def counted(*args, name=name, real=getattr(_fallback, name)):
@@ -448,28 +429,60 @@ class TestSweep:
             monkeypatch.setattr(_fallback, name, counted)
         rng = random.Random(nl)
         alphabet = random_alphabet(rng, n=nl, q=9)
-        prefix = [rng.randrange(nl) for _ in range(plen)], [rng.choice((1, -1)) for _ in range(plen)]
+        first = rng.randrange(2 * nl) if plen else None
         got = _fallback.graev_agree_exhaustive(nl, alphabet.flat(), alphabet.weights, max_len,
-                                               *prefix)
+                                               first)
         assert got == (words_checked(nl, max_len - plen), 0)
-        walked = plen - 1 if 0 < plen == max_len - 1 else plen
-        inner = walked + sum((2 * nl) ** k for k in range(1, max_len - plen - 1))
+        inner = sum((2 * nl) ** (k - plen) for k in range(1, max_len - 1))
         assert calls == {"graev_dp_step": inner, "graev_pairing_step": inner}
 
     def test_pure_prefix_partition_is_exact(self):
+        # the sweeps from each first symbol and the empty word make up the
+        # whole sweep
         rng = random.Random(6)
         nl, d, wts = sweep_inputs(rng)
-        parts = [_fallback.graev_agree_exhaustive(nl, d, wts, 5, [letter], [sign])
-                 for letter in range(nl) for sign in (1, -1)]
+        parts = [_fallback.graev_agree_exhaustive(nl, d, wts, 5, first)
+                 for first in range(2 * nl)]
         assert 1 + sum(c for c, _ in parts) == words_checked(nl, 5)
         assert all(m == 0 for _, m in parts)
 
-    def test_parallel_sweep_matches_serial(self):
-        rng = random.Random(7)
-        nl, d, wts = sweep_inputs(rng)
-        serial = sweep.graev_agree_exhaustive(nl, d, wts, 4, workers=1)
-        parallel = sweep.graev_agree_exhaustive(nl, d, wts, 4, workers=2)
-        assert serial == parallel
+    def test_parallel_sweep_matches_serial(self, monkeypatch):
+        # two CPUs, so that two workers start a pool whatever the machine;
+        # max_len 1 and 2 make each job's first symbol a leaf and a parent
+        # of leaves
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+        for nl in (1, 3):
+            alphabet = random_alphabet(random.Random(7), n=nl, q=9)
+            d, wts = alphabet.flat(), list(alphabet.weights)
+            for max_len in range(5):
+                serial = sweep.graev_agree_exhaustive(nl, d, wts, max_len, workers=1)
+                assert serial == (words_checked(nl, max_len), 0)
+                assert sweep.graev_agree_exhaustive(nl, d, wts, max_len, workers=2) == serial
+
+    def test_negative_max_len_is_the_kernels_error(self, monkeypatch):
+        # the kernels' own error on either path, and no pool starts for
+        # max_len <= 0
+        import multiprocessing
+
+        def no_pool(*args):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match=r"^max_len must be non-negative, got -1$"):
+                sweep.graev_agree_exhaustive(2, [0, 3, 3, 0], [1, 1], -1, workers=workers)
+        assert sweep.graev_agree_exhaustive(2, [0, 3, 3, 0], [1, 1], 0, workers=2) == (1, 0)
+
+    def test_worker_count_reads_the_environment(self, monkeypatch):
+        monkeypatch.delenv("URYGRID_WORKERS", raising=False)
+        assert sweep.worker_count() == 1
+        for raw, want in (("3", 3), ("0", 1)):
+            monkeypatch.setenv("URYGRID_WORKERS", raw)
+            assert sweep.worker_count() == want
+        monkeypatch.setenv("URYGRID_WORKERS", "abc")
+        with pytest.raises(ValidationError, match="'abc'"):
+            sweep.worker_count()
 
     def test_worker_count_is_clamped(self, monkeypatch):
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: 4)

@@ -164,26 +164,36 @@ def test_exhaustive_driver_matches(compiled_ext):
         assert got[1] == 0
 
 
-def edge_sweeps(rng, nl):
-    # short unprefixed sweeps, prefixes of length max_len, max_len - 1 and
-    # max_len - 2 (the walk starts at a leaf, a parent of leaves and a
-    # grandparent of leaves), and every one-symbol prefix at max_len 5
-    calls = [(max_len, [], []) for max_len in (0, 1, 2, 3)]
-    for max_len in (1, 2, 3, 4):
-        for plen in range(max(max_len - 2, 0), max_len + 1):
-            calls.append((max_len, [rng.randrange(nl) for _ in range(plen)],
-                          [rng.choice((1, -1)) for _ in range(plen)]))
-    return calls + [(5, [letter], [sign]) for letter in range(nl) for sign in (1, -1)]
+def words_checked(nl, max_len):
+    return sum((2 * nl) ** k for k in range(max_len + 1))
+
+
+def assert_exact_at_the_edges(backends, nl, d, wts):
+    # every max_len 0 to 5: the whole sweep and the sweep from each first
+    # symbol, the same on each backend and exact; the empty word and the
+    # sweeps from every first symbol make up the whole sweep, and max_len 0
+    # leaves no room for a first symbol
+    for max_len in range(6):
+        whole = {b.graev_agree_exhaustive(nl, d, wts, max_len) for b in backends}
+        assert whole == {(words_checked(nl, max_len), 0)}
+        parts = 1
+        for first in range(2 * nl):
+            if max_len == 0:
+                for b in backends:
+                    with pytest.raises(ValueError, match="first needs max_len >= 1"):
+                        b.graev_agree_exhaustive(nl, d, wts, max_len, first)
+                continue
+            (got,) = {b.graev_agree_exhaustive(nl, d, wts, max_len, first) for b in backends}
+            assert got == (words_checked(nl, max_len - 1), 0)
+            parts += got[0]
+        assert {(parts, 0)} == whole
 
 
 def test_exhaustive_driver_matches_at_the_edges(compiled_ext):
     rng = random.Random(8)
     for _ in range(3):
         nl, d, wts, _, _ = random_word_inputs(rng, max_len=0)
-        for max_len, pl, ps in edge_sweeps(rng, nl):
-            got = compiled_ext.graev_agree_exhaustive(nl, d, wts, max_len, pl, ps)
-            assert got == _fallback.graev_agree_exhaustive(nl, d, wts, max_len, pl, ps)
-            assert got == (sum((2 * nl) ** k for k in range(max_len - len(pl) + 1)), 0)
+        assert_exact_at_the_edges((compiled_ext, _fallback), nl, d, wts)
 
 
 @pytest.mark.parametrize("nl", [1, 2, 4])
@@ -191,9 +201,7 @@ def test_pure_sweep_is_exact_at_the_edges(nl):
     rng = random.Random(20 + nl)
     for _ in range(2):
         _, d, wts, _, _ = random_word_inputs(rng, max_len=0, nl=nl)
-        for max_len, pl, ps in edge_sweeps(rng, nl):
-            got = _fallback.graev_agree_exhaustive(nl, d, wts, max_len, pl, ps)
-            assert got == (sum((2 * nl) ** k for k in range(max_len - len(pl) + 1)), 0)
+        assert_exact_at_the_edges((_fallback,), nl, d, wts)
 
 
 def test_graev_kernels_take_tuples(compiled_ext):
@@ -215,11 +223,8 @@ def test_prefix_partition_is_exact(compiled_ext):
     rng = random.Random(6)
     nl, d, wts, _, _ = random_word_inputs(rng, max_len=0)
     total = compiled_ext.graev_agree_exhaustive(nl, d, wts, 5)
-    parts = 1
-    for letter in range(nl):
-        for sign in (1, -1):
-            parts += compiled_ext.graev_agree_exhaustive(nl, d, wts, 5,
-                                                [letter], [sign])[0]
+    parts = 1 + sum(compiled_ext.graev_agree_exhaustive(nl, d, wts, 5, first)[0]
+                    for first in range(2 * nl))
     assert parts == total[0]
 
 
@@ -236,18 +241,18 @@ MALFORMED = [
     ("graev_norm_bruteforce", ([0, 5], [1, 1], 2, D2, [1, 1])),
     ("graev_norm_dp", ([0, 1], [1, -1], 2, [0], [1, 1])),  # dist is not nl*nl
     ("graev_norm_bruteforce", ([0, 1], [1, -1], 2, D2, [1])),  # weights not nl
-    ("graev_agree_exhaustive", (2, D2, [1, 1], 1, [0, 1, 0], [1, -1, -1])),
-    ("graev_agree_exhaustive", (2, D2, [1, 1], 3, [0, 1], [1])),  # prefix lengths differ
+    ("graev_agree_exhaustive", (2, D2, [1, 1], 2, 4)),  # a first symbol of 2 * nl
+    ("graev_agree_exhaustive", (2, D2, [1, 1], 2, -1)),  # a first symbol below 0
     ("graev_agree_exhaustive", (-1, [], [], 3)),  # nl < 0
-    ("graev_agree_exhaustive", (2, D2, [1, 1], -1)),  # the empty prefix past max_len
+    ("graev_agree_exhaustive", (2, D2, [1, 1], -1)),  # max_len < 0
     ("graev_agree_exhaustive", (2, [0, 3, 3], [1, 1], 2)),  # dist is not nl*nl
     ("graev_agree_exhaustive", (2, D2, [1, 1, 1], 2)),  # weights not nl
     ("graev_agree_exhaustive", (2, [0, -3, -3, 0], [1, 1], 2)),  # a negative entry
     ("graev_agree_exhaustive", (2, D2, [1, -1], 2)),
-    ("graev_agree_exhaustive", (2, D2, [1, 1], 2, [2], [1])),  # a prefix letter past nl
-    ("graev_agree_exhaustive", (2, D2, [1, 1], 2, [-1], [1])),
-    ("graev_agree_exhaustive", (2, D2, [1, 1], 2, [0], [0])),  # a prefix sign of 0
-    ("graev_agree_exhaustive", (2, D2, [1, 1], 2, [0, 1], [1, 2])),
+    ("graev_agree_exhaustive", (2, D2, [1, 1], 0, 0)),  # a first symbol with max_len 0
+    ("graev_agree_exhaustive", (0, [], [], 1, 0)),  # no letter to start with
+    ("graev_agree_exhaustive", (2, D2, [1, 1], 2, 1 << 70)),  # past the C index range
+    ("graev_agree_exhaustive", (2, D2, [1, 1], -1, 0)),  # max_len < 0, checked first
     ("graev_norm_dp", ([-1], [1], 2, D2, [1, 1])),  # a letter below 0
     ("graev_norm_dp", ([0], [0], 2, D2, [1, 1])),  # a sign of 0
     ("graev_norm_bruteforce", ([0], [2], 2, D2, [1, 1])),
@@ -323,7 +328,8 @@ def seeded_calls(count, seed):
                   ("graev_norm_dp", (letters, signs, nl, dist, wts)),
                   ("graev_norm_bruteforce", (letters, signs, nl, dist, wts)),
                   ("graev_agree_exhaustive", (nl, dist, wts, rng.randint(0, 3),
-                                              letters[:1], signs[:1]))]
+                                              2 * letters[0] + (signs[0] < 0) if letters
+                                              else None))]
     return calls
 
 
