@@ -20,7 +20,8 @@ from .bikatetov import (characterization_check, classify_idempotents,
                         constant_zero, embed_isometry, enumerate_bikatetov,
                         inner_aut, invertible_isometry, is_bikatetov_matrix,
                         metric_unit, product, product_via_amalgam,
-                        random_bikatetov, routing_idempotent, star)
+                        random_bikatetov, random_bikatetov_below,
+                        routing_idempotent, star)
 from .gh import EnumeratedPair, gh_distance, gh_distance_oracle
 from .graev import (WeightedAlphabet, concat, graev_norm,
                     graev_norm_bruteforce, inverse_word, reduce_word)
@@ -97,6 +98,38 @@ def membership_characterization(scale):
         agree += 1
     return (f"membership characterization agrees with the definition on all "
             f"{agree} matrices at n=2, q=3")
+
+
+def semigroup_laws(scale):
+    per_law = 10_000 if scale == ACCEPTANCE else 300
+    rng = random.Random(43)
+    for _ in range(per_law):
+        space = random_space(rng, 4, 8)
+        f = random_bikatetov(space, rng)
+        g = random_bikatetov(space, rng)
+        h = random_bikatetov(space, rng)
+        assert product(product(f, g), h) == product(f, product(g, h))
+    for _ in range(per_law):
+        space = random_space(rng, 4, 8)
+        f2 = random_bikatetov(space, rng)
+        g2 = random_bikatetov(space, rng)
+        f1 = random_bikatetov_below(f2, rng)
+        g1 = random_bikatetov_below(g2, rng)
+        assert product(f1, g1) <= product(f2, g2)
+    for _ in range(per_law):
+        space = random_space(rng, 4, 8)
+        f = random_bikatetov(space, rng)
+        g = random_bikatetov(space, rng)
+        fg = product(f, g)  # built unvalidated: closure is checked here
+        assert is_bikatetov_matrix(space, fg.entries)
+        d = metric_unit(space)
+        one = constant_zero(space)
+        assert product(f, d) == f and product(d, f) == f
+        assert product(f, one) == one and product(one, f) == one
+        assert star(fg) == product(star(g), star(f))
+        assert star(star(f)) == f
+    return (f"associativity, order, closure, unit/zero and involution laws "
+            f"on {per_law} random samples each")
 
 
 def idempotent_classification(scale):
@@ -331,6 +364,7 @@ def approximant_closure(scale):
 LAWS = [
     ("capped-addition", capped_addition),
     ("membership-characterization", membership_characterization),
+    ("semigroup-laws", semigroup_laws),
     ("idempotent-classification", idempotent_classification),
     ("invertibles", invertibles),
     ("invariant-idempotents", invariant_idempotents),

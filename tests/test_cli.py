@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import urygrid
-from urygrid import cli
+from urygrid import cli, laws
 from urygrid.cli import main
 
 SRC = os.path.dirname(os.path.dirname(urygrid.__file__))
@@ -242,6 +242,35 @@ class TestTheta:
         assert code == 0
         assert json.loads(out)["isometry"] == ["a", "b"]
 
+    @pytest.fixture
+    def metric_file(self, tmp_path, space_file):
+        m = tmp_path / "m.json"
+        m.write_text(json.dumps({"space": "space.json",
+                                 "entries": [[0, 2], [2, 0]]}))
+        return str(m)
+
+    # the count is checked before any file is read
+    @pytest.mark.parametrize("action, count, message", [
+        ("product", 1, "theta product takes 2 files, got 1"),
+        ("product", 3, "theta product takes 2 files, got 3"),
+        ("star", 2, "theta star takes 1 file, got 2"),
+        ("bf", 2, "theta bf takes 1 file, got 2"),
+        ("classify", 2, "theta classify takes 1 file, got 2"),
+        ("invert", 2, "theta invert takes 1 file, got 2")])
+    def test_wrong_file_count_exits_one(self, capsys, metric_file, action, count, message):
+        code, out, err = run(capsys, "theta", action, *[metric_file] * count)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_greatest_takes_at_least_one_file(self, capsys, metric_file):
+        code, out, err = run(capsys, "theta", "greatest")
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        for count in (1, 3):
+            code, out, _ = run(capsys, "--json", "theta", "greatest", *[metric_file] * count)
+            assert code == 0
+            assert json.loads(out)["entries"] == [[0, 2], [2, 0]]
+
 
 class TestHomog:
     @pytest.fixture
@@ -428,17 +457,34 @@ class TestErrorChannels:
 
 
 class TestSelftest:
-    NAMES = ["capped-addition", "membership-characterization", "idempotent-classification",
-             "invertibles", "invariant-idempotents", "amalgam-product-oracle",
-             "graev-dp-vs-enumeration", "graev-seminorm-laws", "orbit-distance-exact",
-             "weight-bounds", "function-space-roundtrip", "gh-formula-vs-oracle",
-             "approximant-closure"]
+    NAMES = ["capped-addition", "membership-characterization", "semigroup-laws",
+             "idempotent-classification", "invertibles", "invariant-idempotents",
+             "amalgam-product-oracle", "graev-dp-vs-enumeration", "graev-seminorm-laws",
+             "orbit-distance-exact", "weight-bounds", "function-space-roundtrip",
+             "gh-formula-vs-oracle", "approximant-closure"]
 
     def test_selftest_passes(self, capsys):
         code, out, _ = run(capsys, "selftest")
         assert code == 0
         assert out.splitlines() == [f"PASS {name}" for name in self.NAMES] \
-            + ["all checks passed (13/13)"]
+            + ["all checks passed (14/14)"]
+
+    def test_a_failing_law_is_reported_and_exits_three(self, capsys, monkeypatch):
+        def broken(scale):
+            raise AssertionError("counterexample")
+
+        monkeypatch.setattr(laws, "LAWS", [("capped-addition", laws.capped_addition),
+                                           ("broken", broken)])
+        code, out, _ = run(capsys, "selftest")
+        assert code == 3
+        assert out.splitlines() == ["PASS capped-addition",
+                                    "FAIL broken: AssertionError: counterexample",
+                                    "CHECKS FAILED (1/2)"]
+        code, out, _ = run(capsys, "--json", "selftest")
+        assert code == 3
+        assert json.loads(out) == {"ok": False, "results": [
+            {"name": "capped-addition", "ok": True, "detail": None},
+            {"name": "broken", "ok": False, "detail": "AssertionError: counterexample"}]}
 
 
 class TestChildProcess:

@@ -2,6 +2,7 @@
 _ext.c, must match the pure fallback bit for bit on every kernel, refuse
 malformed input instead of reading past its buffers, and leak nothing."""
 
+import hashlib
 import json
 import random
 
@@ -377,11 +378,17 @@ finally:
 """
 
 
+# sha256 of `urygrid --json selftest` stdout: every law of the registry
+# passing, in registry order; a new or renamed law changes it on purpose
+SELFTEST_JSON_SHA256 = "d4070c214db3fe52e195cf888f59ec6d7f1342dd1308af19e52ed73ecd683815"
+
+
 def test_selftest_stdout_is_the_same_on_both_backends(compiled_ext):
     pure = run_child(["-m", "urygrid.cli", "--json", "selftest"], pure=True)
     compiled = run_child(["-c", LOAD_EXT + RUN_CLI, compiled_ext.__file__,
                           "--json", "selftest"], pure=False)
     assert pure.returncode == compiled.returncode == 0, compiled.stderr.decode()
     assert compiled.stderr.split()[-1] == b"compiled"
+    assert hashlib.sha256(pure.stdout).hexdigest() == SELFTEST_JSON_SHA256
     assert compiled.stdout == pure.stdout
     assert json.loads(pure.stdout)["ok"] is True

@@ -1,11 +1,16 @@
 """The package's public surface: every name the package exports, resolved
-on first use from the submodule that defines it."""
+on first use from the submodule that defines it; and the law registry as
+the one home of every acceptance criterion's checks."""
 
+import ast
+import collections
 import importlib
+import os
 
 import pytest
 
 import urygrid
+from urygrid import laws
 
 # the names ``from urygrid import *`` bound when the package imported every
 # submodule up front; a lazy export table must keep exactly these
@@ -74,3 +79,73 @@ def test_unknown_name_raises_attribute_error():
         urygrid.no_such_name
     with pytest.raises(ImportError):
         exec("from urygrid import no_such_name", {})
+
+
+ACCEPTANCE_SUITE = os.path.join(os.path.dirname(__file__), "test_acceptance.py")
+
+# registry laws that no acceptance criterion runs, each with its reason
+SELFTEST_ONLY = {
+    "capped_addition": "selftest only: a sanity check on the grid arithmetic "
+                       "every other law stands on, not a claim of the paper",
+}
+
+
+def acceptance_tree():
+    with open(ACCEPTANCE_SUITE, encoding="utf-8") as fh:
+        return ast.parse(fh.read())
+
+
+def criteria():
+    return [node for node in acceptance_tree().body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")]
+
+
+def law_calls(criterion):
+    """The dotted paths after ``laws.`` of the calls a criterion makes
+    into the registry module: ``laws.invertibles(...)`` gives
+    "invertibles", ``laws._kernels.is_bikatetov(...)`` gives
+    "_kernels.is_bikatetov"."""
+    paths = set()
+    for node in ast.walk(criterion):
+        if not isinstance(node, ast.Call):
+            continue
+        parts, func = [], node.func
+        while isinstance(func, ast.Attribute):
+            parts.append(func.attr)
+            func = func.value
+        if isinstance(func, ast.Name) and func.id == "laws" and parts:
+            paths.add(".".join(reversed(parts)))
+    return paths
+
+
+REGISTERED = {law.__name__ for _, law in laws.LAWS}
+
+
+def test_every_law_a_criterion_calls_is_registered():
+    found = criteria()
+    assert len(found) == 12
+    for criterion in found:
+        calls = law_calls(criterion)
+        assert calls and calls <= REGISTERED, (criterion.name, calls)
+
+
+def test_every_registered_law_runs_in_exactly_one_criterion():
+    runs = collections.Counter(name for criterion in criteria()
+                               for name in law_calls(criterion))
+    assert set(SELFTEST_ONLY) <= REGISTERED
+    for name in REGISTERED:
+        assert runs[name] == (0 if name in SELFTEST_ONLY else 1), name
+
+
+def test_the_acceptance_suite_imports_nothing_but_the_registry():
+    """A criterion that wrote a law inline would need library code; the
+    suite may bind only the registry, and the backend name that picks
+    criterion 1's scope."""
+    bound = set()
+    for node in ast.walk(acceptance_tree()):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("urygrid"):
+            bound |= {(node.module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            bound |= {(alias.name, None) for alias in node.names
+                      if alias.name.startswith("urygrid")}
+    assert bound == {("urygrid", "laws"), ("urygrid", "KERNEL_BACKEND")}
