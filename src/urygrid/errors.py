@@ -16,10 +16,14 @@ class ValidationError(UrygridError):
 
 class GuardError(UrygridError):
     """A size guard refused the computation. Explicit refusal, never silent
-    truncation. ``partial`` may carry a partial result found before refusal."""
+    truncation. ``used`` and ``limit`` are the count the guard reached and
+    its bound, both also in the message; ``partial`` may carry a partial
+    result found before refusal."""
 
-    def __init__(self, message, partial=None):
+    def __init__(self, message, *, used: int, limit: int, partial=None):
         super().__init__(message)
+        self.used = used
+        self.limit = limit
         self.partial = partial
 
 

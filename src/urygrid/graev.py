@@ -146,7 +146,7 @@ def enumerate_pairings(word: Word, max_len: int = PAIRING_ENUMERATION_MAX_LEN):
     if len(word) > max_len:
         raise GuardError(
             f"word of length {len(word)} exceeds the enumeration bound {max_len}; "
-            f"use the dynamic program")
+            f"use the dynamic program", used=len(word), limit=max_len)
     signs = [s for _, s in word]
     return [frozenset(p) for p in _iter_pairings(signs, 0, len(word))]
 
@@ -226,7 +226,8 @@ def graev_norm_bruteforce(word: Word, alphabet: WeightedAlphabet,
     letters, signs = _letters_and_signs(word, alphabet.n)
     if len(word) > max_len:
         raise GuardError(
-            f"word of length {len(word)} exceeds the enumeration bound {max_len}")
+            f"word of length {len(word)} exceeds the enumeration bound {max_len}",
+            used=len(word), limit=max_len)
     return _kernels.graev_norm_bruteforce(letters, signs, alphabet.n,
                                           alphabet.flat(), alphabet.weights)
 

@@ -8,14 +8,17 @@ plain non-negative integers over the same q and are never capped.
 
 Every exhaustive listing runs on ``lex_tuples``, the one depth-first
 enumerator: each search states only the candidates for the next entry
-given the ones before it. Listings and draws under Katetov conditions
-narrow their range with ``katetov_bounds``, the one interval
+given the ones before it, and a search given a budget is refused here
+once it has stated more candidates. Listings and draws under Katetov
+conditions narrow their range with ``katetov_bounds``, the one interval
 |w - d| <= v <= w + d of a value v at distance d from a value w.
 """
 
 from __future__ import annotations
 
 from math import gcd
+
+from .errors import GuardError
 
 
 def is_grid_int(x, lo: int | None = None, hi: int | None = None) -> bool:
@@ -65,11 +68,25 @@ def frac_str(num: int, den: int) -> str:
     return f"{num}/{den}"
 
 
-def lex_tuples(k: int, choices):
+def lex_tuples(k: int, choices, budget: int | None = None, search: str = "search"):
     """Every k-tuple whose entry j is one of ``choices(prefix)``, prefix being
     the entries before j as a list the callee must not change, in the order
     of the candidate lists. Lazy and without recursion: a caller that wants
-    only the first tuple stops the search there."""
+    only the first tuple stops the search there. With a ``budget``, the
+    ``choices`` call whose list takes the candidate count past it raises
+    GuardError naming ``search``, with that count as ``used``."""
+    if budget is not None:
+        listed, used = choices, 0
+
+        def choices(prefix):
+            nonlocal used
+            values = listed(prefix)
+            used += len(values)
+            if used > budget:
+                raise GuardError(f"{search}: used {used} candidates, limit {budget}",
+                                 used=used, limit=budget)
+            return values
+
     if k == 0:
         yield ()
         return

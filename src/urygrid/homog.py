@@ -235,7 +235,8 @@ def nu_truncated(rels: list[PartialIsometryRelation], a: str, b: str,
     best_word: Word | None = None
 
     def over_budget():
-        return GuardError(f"word search exceeded the budget {word_budget}",
+        return GuardError(f"word search used {searched} words, limit {word_budget}",
+                          used=searched, limit=word_budget,
                           partial=OrbitDistance(best, best_word, searched))
 
     # Each word is checked as it is generated, in breadth-first order; only

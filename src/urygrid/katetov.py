@@ -26,8 +26,9 @@ from .spaces import (FiniteMetricSpace, _as_tuple, _new_row_fits, _raise_unless_
 ISO_GROUP_MAX_POINTS = 10
 # canonical gap colorings the transitive template search may try
 TEMPLATE_BUDGET = 20_000
-# most grid profiles listed for one support: a refused listing holds about
-# 10 MB, and the test suite and the benchmark never list more than 57
+# candidates one support's profile listing may take (on one point, one per
+# profile): that many profiles hold about 10 MB, and the test suite and the
+# benchmark never list more than 57
 PROFILE_LIMIT = 100_000
 
 
@@ -201,21 +202,15 @@ def _katetov_profiles(space: FiniteMetricSpace, idx: tuple[int, ...]):
 @lru_cache(maxsize=256)
 def _profiles_by_gaps(q: int, gaps: tuple[tuple[int, ...], ...]):
     """_katetov_profiles for a subset whose point j lies at gaps[j][t] from
-    its point t < j. There can be (q+1)^k of them, so listing more than
-    PROFILE_LIMIT is refused."""
+    its point t < j. There can be (q+1)^k of them, so the walk is refused
+    past PROFILE_LIMIT candidates."""
     def values(prefix):
         lo, hi = katetov_bounds(zip(prefix, gaps[len(prefix)]), 0, q)
         return range(lo, hi + 1)
 
     k = len(gaps)
-    out: list[tuple[int, ...]] = []
-    for prof in lex_tuples(k, values):
-        if len(out) == PROFILE_LIMIT:
-            raise GuardError(f"profile enumeration refused: a {k}-point support at "
-                             f"q={q} has more than {PROFILE_LIMIT} grid profiles "
-                             f"(listed {len(out)}, limit {PROFILE_LIMIT})")
-        out.append(prof)
-    return tuple(out)
+    return tuple(lex_tuples(k, values, PROFILE_LIMIT,
+                            f"profile listing on a {k}-point support at q={q}"))
 
 
 @lru_cache(maxsize=256)
@@ -502,8 +497,7 @@ class TemplateTally:
 
 
 def find_transitive_template(seed: FiniteMetricSpace, max_subset: int, q: int,
-                             cap: int, candidate_budget: int = TEMPLATE_BUDGET,
-                             tally: TemplateTally | None = None):
+                             cap: int, tally: TemplateTally | None = None):
     """Search rotation-invariant spaces over cyclic groups for one that is
     closed under small profiles and contains the seed isometrically.
 
@@ -531,12 +525,12 @@ def find_transitive_template(seed: FiniteMetricSpace, max_subset: int, q: int,
         maps = _multiplier_maps(n)
         # an orbit holds at most 1 + len(maps) colorings, so past this bound
         # n has more canonical ones than the budget has left
-        if q ** half > (candidate_budget - tally.tried) * (1 + len(maps)):
+        if q ** half > (TEMPLATE_BUDGET - tally.tried) * (1 + len(maps)):
             break
         for colors in product(range(1, q + 1), repeat=half):
             if any(m(colors) < colors for m in maps):
                 continue
-            if tally.tried == candidate_budget:
+            if tally.tried == TEMPLATE_BUDGET:
                 return None
             tally.tried += 1
             # quick filter: realizing singleton profiles needs every grid
@@ -601,8 +595,7 @@ def build_approximant(seed: FiniteMetricSpace, max_subset: int, q: int, cap: int
     template = None
     if strategy in ("auto", "transitive"):
         tally = TemplateTally()
-        found = find_transitive_template(space, max_subset, q, cap,
-                                         candidate_budget=TEMPLATE_BUDGET, tally=tally)
+        found = find_transitive_template(space, max_subset, q, cap, tally=tally)
         if found is not None:
             template, embedded = found
         elif strategy == "transitive":
@@ -610,7 +603,8 @@ def build_approximant(seed: FiniteMetricSpace, max_subset: int, q: int, cap: int
                         if tally.complete_n else "no n searched in full")
             raise GuardError(f"no transitive template within the search budget: "
                              f"{tally.tried} of {TEMPLATE_BUDGET} canonical colorings "
-                             f"tried, {searched}; use strategy='random'")
+                             f"tried, {searched}; use strategy='random'",
+                             used=tally.tried, limit=TEMPLATE_BUDGET)
     mode = "transitive" if template is not None else "random"
     if template is not None:
         # image[i] = template vertex realizing point i of the grown space
@@ -716,7 +710,8 @@ def iso_group(space: FiniteMetricSpace, max_points: int = ISO_GROUP_MAX_POINTS):
     size guard; a factorial listing is not something to time out on."""
     n = space.n
     if n > max_points:
-        raise GuardError(f"isometry search refused for {n} > {max_points} points")
+        raise GuardError(f"isometry search refused for {n} > {max_points} points",
+                         used=n, limit=max_points)
     # the products of the levels after i, with each of level i's on the
     # left: itemgetter(*h)(g) is g o h
     group = [tuple(range(n))]

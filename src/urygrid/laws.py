@@ -134,13 +134,13 @@ def semigroup_laws(scale):
 
 def idempotent_classification(scale):
     lines = []
-    for n in (1, 2, 3):
-        for q in ((2, 4) if scale == ACCEPTANCE else (2,)):
-            space = random_grid_space(n, q, 1234 + 10 * n + q)
-            found = classify_idempotents(space)
-            assert len(found) == 2 ** n, (n, q, len(found))
-            assert len({sub for _, sub in found}) == 2 ** n
-            lines.append(f"n={n},q={q}:{len(found)}")
+    sizes = [(n, q) for n in (1, 2, 3) for q in ((2, 4) if scale == ACCEPTANCE else (2,))]
+    for n, q in sizes + [(4, 3), (5, 2)] if scale == ACCEPTANCE else sizes:
+        space = random_grid_space(n, q, 1234 + 10 * n + q)
+        found = classify_idempotents(space)
+        assert len(found) == 2 ** n, (n, q, len(found))
+        assert len({sub for _, sub in found}) == 2 ** n
+        lines.append(f"n={n},q={q}:{len(found)}")
     return ("grid idempotents above the metric are exactly the 2^n subset "
             "routings (" + " ".join(lines) + ")")
 
@@ -165,7 +165,11 @@ def invariant_idempotents(scale):
     spaces = [TWO_POINT, FiniteMetricSpace(("a", "b"), 4, ((0, 3), (3, 0))),
               TRIANGLE, FiniteMetricSpace(("a", "b", "c"), 4,
                                           ((0, 2, 2), (2, 0, 2), (2, 2, 0)))]
-    for space in spaces if scale == ACCEPTANCE else spaces[::2]:
+    # squares with sides s and diagonals d, under a group of order 8
+    squares = [FiniteMetricSpace(tuple("abcd"), q, ((0, s, d, s), (s, 0, s, d),
+                                                    (d, s, 0, s), (s, d, s, 0)))
+               for q, s, d in ((2, 1, 2), (3, 2, 3))]
+    for space in spaces + squares if scale == ACCEPTANCE else spaces[::2]:
         group = iso_group(space)
         fixed = [m for m, _ in classify_idempotents(space)
                  if all(inner_aut(g, m) == m for g in group)]

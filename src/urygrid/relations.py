@@ -14,12 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .bikatetov import BiKatetovMatrix, _check_isometry, _inverse
-from .errors import GuardError, ValidationError
+from .errors import ValidationError
 from .grid import is_grid_int, lex_tuples
 from .homog import compose, invert
 from .spaces import FiniteMetricSpace
 
-CARRIER_GUARD = 200_000
+# candidates one carrier walk may take: a walk on n points takes fewer than
+# 2 (q+1)^n, so every space with (q+1)^n <= 200,000 lists
+CARRIER_BUDGET = 400_000
 
 
 @dataclass(frozen=True)
@@ -48,13 +50,12 @@ class GridFunctionSpace:
         return len(self.members)
 
 
-def enumerate_carrier(space: FiniteMetricSpace, guard: int = CARRIER_GUARD) -> GridFunctionSpace:
+def enumerate_carrier(space: FiniteMetricSpace) -> GridFunctionSpace:
     """Exhaustive depth-first enumeration with the non-expanding constraint
-    pruned prefixwise; deterministic lexicographic order."""
+    pruned prefixwise, refused past CARRIER_BUDGET candidates; deterministic
+    lexicographic order."""
     n = space.n
     q = space.denominator
-    if (q + 1) ** n > guard:
-        raise GuardError(f"{(q + 1) ** n} candidate functions exceed the guard {guard}")
 
     def values(prefix):
         # |v - w| <= d for each earlier value w: non-expanding, not Katetov
@@ -65,7 +66,8 @@ def enumerate_carrier(space: FiniteMetricSpace, guard: int = CARRIER_GUARD) -> G
             hi = min(hi, w + d)
         return range(lo, hi + 1)
 
-    return GridFunctionSpace(space, tuple(lex_tuples(n, values)))
+    return GridFunctionSpace(space, tuple(lex_tuples(
+        n, values, CARRIER_BUDGET, f"carrier listing on {n} points at q={q}")))
 
 
 def _mover(carrier: GridFunctionSpace, perm):

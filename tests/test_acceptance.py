@@ -53,7 +53,7 @@ def test_03_bounded_minplus_algebra():
 
 
 def test_04_idempotent_classification():
-    report(4, laws.idempotent_classification(ACCEPTANCE))
+    report(4, laws.idempotent_classification(ACCEPTANCE), "16", "32")
 
 
 def test_05_invertibles_exhaustive():

@@ -226,6 +226,16 @@ class TestTheta:
         assert code == 0
         assert json.loads(out)["count"] == 4
 
+    def test_classify_four_points_within_the_budget(self, capsys, tmp_path):
+        # (q + 1)^(n^2) = 4^16 matrices, but the walk takes 5,242 candidates
+        from urygrid import fileio
+        from urygrid.spaces import random_grid_space
+        p = tmp_path / "four.json"
+        p.write_text(json.dumps(fileio.space_to_obj(random_grid_space(4, 3, 1277))))
+        code, out, _ = run(capsys, "theta", "classify", str(p))
+        assert code == 0
+        assert out.splitlines()[0] == "16 idempotents dominate the metric"
+
     def test_bool_entry_exits_one(self, capsys, tmp_path, space_file):
         m = tmp_path / "m.json"
         m.write_text(json.dumps({"space": "space.json",
@@ -385,7 +395,8 @@ class TestApproximant:
             code, out, err = run(capsys, "approximant", action, str(p), "--subset", "2")
             assert code == 2 and out == ""
             assert len(err.splitlines()) == 1
-            assert "more than 100000 grid profiles" in err and "limit 100000" in err
+            assert err == ("refused: profile listing on a 1-point support at q=1000000: "
+                           "used 1000001 candidates, limit 100000\n")
 
     def test_subset_zero_exits_one(self, capsys, tmp_path):
         p = tmp_path / "seed.json"

@@ -4,17 +4,21 @@ Every exhaustive search of the library runs on ``lex_tuples``; here each
 one is checked against an ``itertools.product`` filter that writes its
 definition out directly, in the same order, on random small spaces."""
 
+import json
 import random
 from itertools import combinations, product
 
 import pytest
 
+from urygrid import bikatetov, fileio, katetov, relations
 from urygrid.bikatetov import enumerate_bikatetov
+from urygrid.cli import main
+from urygrid.errors import GuardError
 from urygrid.gh import realize_in_space
 from urygrid.grid import katetov_bounds, lex_tuples
 from urygrid.katetov import _isometric_injections, _katetov_profiles
 from urygrid.relations import enumerate_carrier
-from urygrid.spaces import random_grid_space
+from urygrid.spaces import FiniteMetricSpace, random_grid_space
 
 
 def small_space(seed):
@@ -61,6 +65,55 @@ class TestLexTuples:
 
         assert next(lex_tuples(3, choices)) == (0, 0, 0)
         assert asked == [(), (0,), (0, 0)]
+
+
+class TestBudget:
+    def test_a_walk_within_its_budget_lists_everything(self):
+        # 3 candidates for the first entry, then 3 after each of them
+        assert list(lex_tuples(2, lambda p: range(3), budget=12)) == \
+            list(product(range(3), repeat=2))
+
+    def test_the_candidate_past_the_budget_is_refused(self):
+        walk = lex_tuples(2, lambda p: range(3), budget=11, search="toy walk")
+        with pytest.raises(GuardError) as e:
+            list(walk)
+        assert (e.value.used, e.value.limit) == (12, 11)
+        assert str(e.value) == "toy walk: used 12 candidates, limit 11"
+
+    def test_a_list_past_the_budget_is_refused_before_its_first_tuple(self):
+        walk = lex_tuples(1, lambda p: range(5), budget=4)
+        with pytest.raises(GuardError):
+            next(walk)
+
+
+SPACE = FiniteMetricSpace(("a", "b"), 4, ((0, 2), (2, 0)))
+
+
+@pytest.mark.parametrize("module, constant, call, argv", [
+    (bikatetov, "BIKATETOV_BUDGET", lambda: bikatetov.classify_idempotents(SPACE),
+     ["theta", "classify"]),
+    (relations, "CARRIER_BUDGET", lambda: relations.enumerate_carrier(SPACE),
+     ["relations", "k"]),
+    (katetov, "PROFILE_LIMIT", lambda: katetov.injectivity_check(SPACE, 1),
+     ["approximant", "verify", "--subset", "1"]),
+], ids=["bikatetov", "carrier", "profiles"])
+def test_each_budgeted_walk_refuses_past_its_budget(monkeypatch, capsys, tmp_path,
+                                                   module, constant, call, argv):
+    # every walk here takes more than 4 candidates (a 1-point support at q=4
+    # alone has 5 profiles); the profile cache may hold a listing made under
+    # the real limit, so it starts empty
+    monkeypatch.setattr(module, constant, 4)
+    katetov._profiles_by_gaps.cache_clear()
+    with pytest.raises(GuardError) as e:
+        call()
+    assert e.value.used > e.value.limit == 4
+    assert f"used {e.value.used} candidates, limit 4" in str(e.value)
+    p = tmp_path / "space.json"
+    p.write_text(json.dumps(fileio.space_to_obj(SPACE)))
+    assert main([*argv[:2], str(p), *argv[2:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"refused: {e.value}\n"
 
 
 def test_katetov_bounds_is_the_exact_interval():

@@ -194,7 +194,7 @@ class TestInjectivity:
         limit = PROFILE_LIMIT
         assert injectivity_check(FiniteMetricSpace(("a",), limit - 1, ((0,),)), 1).checked \
             == limit
-        with pytest.raises(GuardError, match=f"listed {limit}, limit {limit}"):
+        with pytest.raises(GuardError, match=f"used {limit + 1} candidates, limit {limit}"):
             injectivity_check(FiniteMetricSpace(("a",), limit, ((0,),)), 1)
         with pytest.raises(GuardError):
             build_approximant(FiniteMetricSpace(("a", "b"), 10 ** 6, ((0, 1), (1, 0))),

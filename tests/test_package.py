@@ -149,3 +149,24 @@ def test_the_acceptance_suite_imports_nothing_but_the_registry():
             bound |= {(alias.name, None) for alias in node.names
                       if alias.name.startswith("urygrid")}
     assert bound == {("urygrid", "laws"), ("urygrid", "KERNEL_BACKEND")}
+
+
+def test_every_guard_refusal_reports_used_and_limit():
+    """Each GuardError the package raises says how much its guard counted
+    and what the bound was, by keyword, so a caller can read both."""
+    sites = 0
+    for root, _, files in os.walk(os.path.dirname(urygrid.__file__)):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(root, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "GuardError"):
+                    sites += 1
+                    assert {"used", "limit"} <= {k.arg for k in node.keywords}, \
+                        (name, node.lineno)
+    # lex_tuples, saturation, iso_group, the two pairing bounds, the word
+    # search and the template search
+    assert sites == 7

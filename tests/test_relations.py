@@ -43,6 +43,16 @@ class TestCarrier:
         with pytest.raises(GuardError):
             enumerate_carrier(random_grid_space(8, 12, 0))
 
+    def test_a_carrier_of_every_function_lists_within_the_budget(self):
+        # 11 points pairwise at distance 2 over q=2: every grid function is
+        # non-expanding, so 3^11 = 177,147 members from 3 + 9 + ... + 3^11 =
+        # 265,719 candidates, under the 2 (q+1)^n any carrier walk stays below
+        n = 11
+        space = FiniteMetricSpace(tuple(f"p{i}" for i in range(n)), 2,
+                                  tuple(tuple(0 if i == j else 2 for j in range(n))
+                                        for i in range(n)))
+        assert enumerate_carrier(space).size == 3 ** n
+
 
 class TestAction:
     def test_identity_acts_trivially(self, triangle_q2):
