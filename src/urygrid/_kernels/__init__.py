@@ -5,8 +5,9 @@ twin, and the reference it is tested against. The fallback's names are
 bound first and the extension's kernels, when it imports, over them; set
 URYGRID_PURE=1 to keep the fallback even when the extension is built.
 ``BACKEND`` reports which implementation is live. Every name is the
-backend's own kernel, unwrapped; the Graev kernels check their input and
-raise ValueError on malformed input.
+backend's own kernel, unwrapped, and takes positional arguments only (a
+keyword raises TypeError); the Graev kernels raise ValueError on malformed
+input.
 """
 
 import os

@@ -1,14 +1,15 @@
 /* Compiled kernels; same contract as the pure fallback in _fallback.py.
 
-   Matrices arrive as flat row-major sequences of non-negative ints, words
-   as parallel letter/sign sequences; every value is held as an int64_t.
-   Each kernel checks its inputs before it reads them: a sequence of the
-   wrong length, a negative size or entry, a letter outside [0, nl), a sign
-   other than +1 or -1, or a sweep's first symbol outside [0, 2*nl) or
-   given with max_len 0 raises ValueError, and an input whose sums could
-   overflow int64_t raises OverflowError. The interval DP and the pairing
-   enumeration share no values, so the enumeration stays the oracle of the
-   DP. */
+   Arguments are positional only (METH_FASTCALL, one count check per
+   kernel). Matrices arrive as flat row-major sequences of non-negative
+   ints, words as parallel letter/sign sequences; every value is held as
+   an int64_t. Each kernel checks its inputs before it reads them: a
+   sequence of the wrong length, a negative size or entry, a letter
+   outside [0, nl), a sign other than +1 or -1, or a sweep's first symbol
+   outside [0, 2*nl) or given with max_len 0 raises ValueError, and an
+   input whose sums could overflow int64_t raises OverflowError. The
+   interval DP and the pairing enumeration share no values, so the
+   enumeration stays the oracle of the DP. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -17,40 +18,20 @@
 
 #define C_INF ((int64_t)1 << 30)
 
-/* Bind positional arguments, then keywords by name, to slots[0..count);
-   the first `required` parameters must be given, the rest stay NULL when
-   absent. -1 with TypeError set on a mismatch. */
+/* Whether a kernel got lo to hi positional arguments; -1 with TypeError
+   set if not. Without METH_KEYWORDS, CPython refuses keywords itself. */
 static int
-bind_args(const char *fname, const char *const *names, Py_ssize_t required,
-          Py_ssize_t count, PyObject *const *args, Py_ssize_t nargs,
-          PyObject *kwnames, PyObject **slots)
+check_nargs(const char *fname, Py_ssize_t lo, Py_ssize_t hi, Py_ssize_t nargs)
 {
-    Py_ssize_t i, k, nkw = kwnames == NULL ? 0 : PyTuple_GET_SIZE(kwnames);
-    if (nargs > count) {
-        PyErr_Format(PyExc_TypeError, "%s() takes at most %zd arguments (%zd given)",
-                     fname, count, nargs);
-        return -1;
-    }
-    for (i = 0; i < count; i++)
-        slots[i] = i < nargs ? args[i] : NULL;
-    for (k = 0; k < nkw; k++) {
-        PyObject *key = PyTuple_GET_ITEM(kwnames, k);
-        for (i = 0; i < count && PyUnicode_CompareWithASCIIString(key, names[i]) != 0; i++)
-            ;
-        if (i == count || slots[i] != NULL) {
-            PyErr_Format(PyExc_TypeError, "%s() got an unexpected or repeated argument %R",
-                         fname, key);
-            return -1;
-        }
-        slots[i] = args[nargs + k];
-    }
-    for (i = 0; i < required; i++) {
-        if (slots[i] == NULL) {
-            PyErr_Format(PyExc_TypeError, "%s() missing argument '%s'", fname, names[i]);
-            return -1;
-        }
-    }
-    return 0;
+    if (nargs >= lo && nargs <= hi)
+        return 0;
+    if (lo == hi)
+        PyErr_Format(PyExc_TypeError, "%s() takes %zd positional arguments (%zd given)",
+                     fname, lo, nargs);
+    else
+        PyErr_Format(PyExc_TypeError, "%s() takes %zd to %zd positional arguments (%zd given)",
+                     fname, lo, hi, nargs);
+    return -1;
 }
 
 /* A non-negative int argument that fits a Py_ssize_t. */
@@ -162,23 +143,22 @@ check_sums(int64_t max, int64_t terms)
 }
 
 /* The front of the three matrix kernels: n, cap and the n*n entries of
-   each of the first nmat arguments after n. */
+   each of the nmat arguments between them, named by names. */
 static int
 read_matrices(const char *fname, const char *const *names, Py_ssize_t nmat,
-              PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames,
-              Py_ssize_t *n, Py_ssize_t *cap, int64_t **mats, int64_t *max)
+              PyObject *const *args, Py_ssize_t nargs, Py_ssize_t *n,
+              Py_ssize_t *cap, int64_t **mats, int64_t *max)
 {
-    PyObject *a[4];
     int64_t top;
     Py_ssize_t i;
     for (i = 0; i < nmat; i++)
         mats[i] = NULL;
-    if (bind_args(fname, names, nmat + 2, nmat + 2, args, nargs, kwnames, a) < 0 ||
-            size_arg(a[0], names[0], n) < 0 || size_arg(a[nmat + 1], "cap", cap) < 0)
+    if (check_nargs(fname, nmat + 2, nmat + 2, nargs) < 0 ||
+            size_arg(args[0], "n", n) < 0 || size_arg(args[nmat + 1], "cap", cap) < 0)
         return -1;
     *max = 0;
     for (i = 0; i < nmat; i++) {
-        if ((mats[i] = read_square(a[i + 1], names[i + 1], *n, &top)) == NULL)
+        if ((mats[i] = read_square(args[i + 1], names[i], *n, &top)) == NULL)
             return -1;
         if (top > *max)
             *max = top;
@@ -187,19 +167,17 @@ read_matrices(const char *fname, const char *const *names, Py_ssize_t nmat,
 }
 
 PyDoc_STRVAR(minplus_product_doc,
-"minplus_product($module, /, n, f, g, cap)\n--\n\n"
+"minplus_product($module, n, f, g, cap, /)\n--\n\n"
 "Entrywise min over z of min(f[x][z] + g[z][y], cap).");
 
 static PyObject *
-minplus_product(PyObject *Py_UNUSED(self), PyObject *const *args,
-                Py_ssize_t nargs, PyObject *kwnames)
+minplus_product(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    static const char *const names[] = {"n", "f", "g", "cap"};
+    static const char *const names[] = {"f", "g"};
     Py_ssize_t n, cap, x, y, z;
     PyObject *out = NULL, *item;
     int64_t *m[2], *f, *g, max, best, s;
-    if (read_matrices("minplus_product", names, 2, args, nargs, kwnames,
-                      &n, &cap, m, &max) < 0 ||
+    if (read_matrices("minplus_product", names, 2, args, nargs, &n, &cap, m, &max) < 0 ||
             check_sums(max, 2) < 0 || (out = PyList_New(n * n)) == NULL)
         goto done;
     f = m[0];
@@ -236,20 +214,19 @@ katetov_triangle(int64_t a, int64_t b, int64_t dyz)
 }
 
 PyDoc_STRVAR(is_bikatetov_doc,
-"is_bikatetov($module, /, n, f, d, cap)\n--\n\n"
+"is_bikatetov($module, n, f, d, cap, /)\n--\n\n"
 "Rows and columns of f are both Katetov on (range(n), d).");
 
 static PyObject *
-is_bikatetov(PyObject *Py_UNUSED(self), PyObject *const *args,
-             Py_ssize_t nargs, PyObject *kwnames)
+is_bikatetov(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    static const char *const names[] = {"n", "f", "d", "cap"};
+    static const char *const names[] = {"f", "d"};
     Py_ssize_t n, cap, x, y, z;
     PyObject *out = NULL;
     int64_t *m[2], *f, *d, max;
     int ok = 1;
-    if (read_matrices("is_bikatetov", names, 2, args, nargs, kwnames,
-                      &n, &cap, m, &max) < 0 || check_sums(max, 2) < 0)
+    if (read_matrices("is_bikatetov", names, 2, args, nargs, &n, &cap, m, &max) < 0 ||
+            check_sums(max, 2) < 0)
         goto done;
     f = m[0];
     d = m[1];
@@ -272,20 +249,19 @@ done:
 }
 
 PyDoc_STRVAR(floyd_warshall_capped_doc,
-"floyd_warshall_capped($module, /, n, w, cap)\n--\n\n"
+"floyd_warshall_capped($module, n, w, cap, /)\n--\n\n"
 "All-pairs shortest chains with saturating addition at cap; INF marks\n"
 "a missing edge and survives as unreachable.");
 
 static PyObject *
-floyd_warshall_capped(PyObject *Py_UNUSED(self), PyObject *const *args,
-                      Py_ssize_t nargs, PyObject *kwnames)
+floyd_warshall_capped(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    static const char *const names[] = {"n", "w", "cap"};
+    static const char *const names[] = {"w"};
     Py_ssize_t n, cap, i, j, k;
     PyObject *out = NULL;
     int64_t *dist, max, dik, dkj, s;
     /* only entries below INF are ever added, so no sum can overflow */
-    if (read_matrices("floyd_warshall_capped", names, 1, args, nargs, kwnames,
+    if (read_matrices("floyd_warshall_capped", names, 1, args, nargs,
                       &n, &cap, &dist, &max) < 0)
         goto done;
     for (i = 0; i < n; i++)
@@ -501,20 +477,18 @@ read_word(PyObject *lobj, PyObject *sobj, Py_ssize_t len, Py_ssize_t nl,
 /* The two single-word kernels: the checked word and alphabet, then one
    route to the norm, graev_bf when bruteforce is set and graev_dp if not. */
 static PyObject *
-graev_norm(const char *fname, int bruteforce, PyObject *const *args,
-           Py_ssize_t nargs, PyObject *kwnames)
+graev_norm(const char *fname, int bruteforce, PyObject *const *args, Py_ssize_t nargs)
 {
-    static const char *const names[] = {"letters", "signs", "nl", "dist", "weights"};
-    PyObject *a[5], *out = NULL;
+    PyObject *out = NULL;
     Py_ssize_t n, nl;
     int64_t *dist = NULL, *weights = NULL, max;
     Word w;
     w.table = NULL;
-    if (bind_args(fname, names, 5, 5, args, nargs, kwnames, a) < 0 ||
-            size_arg(a[2], "nl", &nl) < 0 ||
-            read_alphabet(nl, a[3], a[4], &dist, &weights, &max) < 0 ||
-            (n = PyObject_Length(a[0])) < 0 || check_sums(max, n) < 0 ||
-            alloc_word(&w, n) < 0 || read_word(a[0], a[1], n, nl, &w, "letters", "signs") < 0)
+    if (check_nargs(fname, 5, 5, nargs) < 0 || size_arg(args[2], "nl", &nl) < 0 ||
+            read_alphabet(nl, args[3], args[4], &dist, &weights, &max) < 0 ||
+            (n = PyObject_Length(args[0])) < 0 || check_sums(max, n) < 0 ||
+            alloc_word(&w, n) < 0 ||
+            read_word(args[0], args[1], n, nl, &w, "letters", "signs") < 0)
         goto done;
     out = PyLong_FromLongLong(bruteforce ? graev_bf(n, &w, nl, dist, weights)
                                          : graev_dp(n, &w, nl, dist, weights));
@@ -526,29 +500,27 @@ done:
 }
 
 PyDoc_STRVAR(graev_norm_dp_doc,
-"graev_norm_dp($module, /, letters, signs, nl, dist, weights)\n--\n\n"
+"graev_norm_dp($module, letters, signs, nl, dist, weights, /)\n--\n\n"
 "Graev norm of the word by the interval dynamic program.");
 
 static PyObject *
-graev_norm_dp(PyObject *Py_UNUSED(self), PyObject *const *args,
-              Py_ssize_t nargs, PyObject *kwnames)
+graev_norm_dp(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    return graev_norm("graev_norm_dp", 0, args, nargs, kwnames);
+    return graev_norm("graev_norm_dp", 0, args, nargs);
 }
 
 PyDoc_STRVAR(graev_norm_bruteforce_doc,
-"graev_norm_bruteforce($module, /, letters, signs, nl, dist, weights)\n--\n\n"
+"graev_norm_bruteforce($module, letters, signs, nl, dist, weights, /)\n--\n\n"
 "Graev norm of the word by enumerating every non-crossing pairing.");
 
 static PyObject *
-graev_norm_bruteforce(PyObject *Py_UNUSED(self), PyObject *const *args,
-                      Py_ssize_t nargs, PyObject *kwnames)
+graev_norm_bruteforce(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    return graev_norm("graev_norm_bruteforce", 1, args, nargs, kwnames);
+    return graev_norm("graev_norm_bruteforce", 1, args, nargs);
 }
 
 PyDoc_STRVAR(graev_agree_exhaustive_doc,
-"graev_agree_exhaustive($module, /, nl, dist, weights, max_len, first=None)\n--\n\n"
+"graev_agree_exhaustive($module, nl, dist, weights, max_len, first=None, /)\n--\n\n"
 "Check dp == bruteforce on every (letter, sign) sequence of length\n"
 "<= max_len; given first, only on those of length >= 1 that start with\n"
 "symbol first (letter first // 2, sign +1 when first is even). Returns\n"
@@ -556,29 +528,29 @@ PyDoc_STRVAR(graev_agree_exhaustive_doc,
 
 static PyObject *
 graev_agree_exhaustive(PyObject *Py_UNUSED(self), PyObject *const *args,
-                       Py_ssize_t nargs, PyObject *kwnames)
+                       Py_ssize_t nargs)
 {
-    static const char *const names[] = {"nl", "dist", "weights", "max_len", "first"};
-    PyObject *a[5], *out = NULL;
+    PyObject *out = NULL, *given;
     Py_ssize_t nl, max_len, first = -1, base, depth, nsym;
     int64_t *dist = NULL, *weights = NULL, *sym = NULL, max;
     int64_t checked = 0, mismatches = 0;
     int descending = 1;
     Word w;
     w.table = NULL;
-    if (bind_args("graev_agree_exhaustive", names, 4, 5, args, nargs, kwnames, a) < 0 ||
-            size_arg(a[0], "nl", &nl) < 0 ||
-            read_alphabet(nl, a[1], a[2], &dist, &weights, &max) < 0 ||
-            size_arg(a[3], "max_len", &max_len) < 0)
+    if (check_nargs("graev_agree_exhaustive", 4, 5, nargs) < 0 ||
+            size_arg(args[0], "nl", &nl) < 0 ||
+            read_alphabet(nl, args[1], args[2], &dist, &weights, &max) < 0 ||
+            size_arg(args[3], "max_len", &max_len) < 0)
         goto done;
     nsym = 2 * nl;
-    if (a[4] != NULL && a[4] != Py_None) {
+    given = nargs == 5 ? args[4] : Py_None;
+    if (given != Py_None) {
         /* clipped, not refused, past the Py_ssize_t range: still out of range */
-        first = PyNumber_AsSsize_t(a[4], NULL);
+        first = PyNumber_AsSsize_t(given, NULL);
         if (first == -1 && PyErr_Occurred())
             goto done;
         if (first < 0 || first >= nsym) {
-            PyErr_Format(PyExc_ValueError, "first must lie in [0, %zd), got %R", nsym, a[4]);
+            PyErr_Format(PyExc_ValueError, "first must lie in [0, %zd), got %R", nsym, given);
             goto done;
         }
         if (max_len < 1) {
@@ -637,7 +609,7 @@ done:
 }
 
 #define KERNEL(name) \
-    {#name, (PyCFunction)(void (*)(void))name, METH_FASTCALL | METH_KEYWORDS, name##_doc}
+    {#name, (PyCFunction)(void (*)(void))name, METH_FASTCALL, name##_doc}
 
 static PyMethodDef methods[] = {
     KERNEL(minplus_product),

@@ -1,13 +1,14 @@
 """Pure-Python kernels.
 
-Same contract as the compiled extension in ``_ext.c``; matrices come in as
-flat row-major lists of non-negative ints, words as parallel letter/sign
-lists. These are the reference implementations the compiled versions are
-tested against. The Graev kernels check their input, once per call, and
-raise ValueError on what the compiled kernels refuse as malformed. The
-matrix kernels assume well-formed input, as every caller in the library
-checks it first; the compiled kernels, which would otherwise read past
-their buffers, refuse malformed input themselves.
+Same contract as the compiled extension in ``_ext.c``: arguments are
+positional only, matrices come in as flat row-major lists of non-negative
+ints, words as parallel letter/sign lists. These are the reference
+implementations the compiled versions are tested against. The Graev
+kernels check their input, once per call, and raise ValueError on what
+the compiled kernels refuse as malformed. The matrix kernels assume
+well-formed input, as every caller in the library checks it first; the
+compiled kernels, which would otherwise read past their buffers, refuse
+malformed input themselves.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ BACKEND = "python"
 INF = 1 << 30
 
 
-def minplus_product(n: int, f: list[int], g: list[int], cap: int) -> list[int]:
+def minplus_product(n: int, f: list[int], g: list[int], cap: int, /) -> list[int]:
     """Entrywise min over z of min(f[x][z] + g[z][y], cap)."""
     out = [0] * (n * n)
     for x in range(n):
@@ -34,7 +35,7 @@ def minplus_product(n: int, f: list[int], g: list[int], cap: int) -> list[int]:
     return out
 
 
-def is_bikatetov(n: int, f: list[int], d: list[int], cap: int) -> bool:
+def is_bikatetov(n: int, f: list[int], d: list[int], cap: int, /) -> bool:
     """Rows and columns of f are both Katetov on (range(n), d)."""
     for x in range(n):
         row = x * n
@@ -50,7 +51,7 @@ def is_bikatetov(n: int, f: list[int], d: list[int], cap: int) -> bool:
     return True
 
 
-def floyd_warshall_capped(n: int, w: list[int], cap: int) -> list[int]:
+def floyd_warshall_capped(n: int, w: list[int], cap: int, /) -> list[int]:
     """All-pairs shortest chains with saturating addition at cap.
 
     Missing edges are INF; an entry still INF afterwards is unreachable.
@@ -167,7 +168,7 @@ def _finish_norms(norm, terms, nl, weights):
 
 
 def graev_norm_dp(letters: list[int], signs: list[int], nl: int,
-                  dist: list[int], weights: list[int]) -> int:
+                  dist: list[int], weights: list[int], /) -> int:
     """Interval dynamic program over the leftmost position: the plan of all
     but the last symbol, built one symbol at a time with graev_dp_step, then
     the column of the last symbol, whose entry 0 is the norm. Cubic in the
@@ -260,7 +261,7 @@ def _finish_minima(least, closers, nl, dist, weights):
 
 
 def graev_norm_bruteforce(letters: list[int], signs: list[int], nl: int,
-                          dist: list[int], weights: list[int]) -> int:
+                          dist: list[int], weights: list[int], /) -> int:
     """Minimum Graev sum over all pairings, enumerated one symbol at a time
     with graev_pairing_step: every complete pairing is its own state and
     carries its own sum of arc distances and unpaired weights; no interval
@@ -306,7 +307,7 @@ def _check_word(letters, signs, nl, lname, sname) -> None:
 
 
 def graev_agree_exhaustive(nl: int, dist: list[int], weights: list[int],
-                           max_len: int, first=None) -> tuple[int, int]:
+                           max_len: int, first=None, /) -> tuple[int, int]:
     """Check graev_norm_dp == graev_norm_bruteforce on every (letter, sign)
     sequence of length <= max_len. Returns (words checked, mismatches).
     Symbol k of the sweep is letter k // 2, with sign +1 when k is even.

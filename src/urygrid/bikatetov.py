@@ -51,9 +51,9 @@ class BiKatetovMatrix:
         routes below); skips revalidation. The independent checks are
         tests/test_bikatetov.py::TestTrustedRoutes, which runs
         is_bikatetov_matrix, bikatetov_witness and the validating
-        constructor on every route, and acceptance criterion 3
-        (tests/test_acceptance.py), which asserts is_bikatetov_matrix on
-        every product it draws."""
+        constructor on every route, and laws.semigroup_laws (acceptance
+        criterion 3 and ``urygrid selftest``), which asserts
+        is_bikatetov_matrix on every product it draws."""
         m = object.__new__(cls)
         object.__setattr__(m, "space", space)
         object.__setattr__(m, "entries", entries)
@@ -61,9 +61,6 @@ class BiKatetovMatrix:
 
     def flat(self) -> list[int]:
         return [e for row in self.entries for e in row]
-
-    def at(self, a: str, b: str) -> int:
-        return self.entries[self.space.index(a)][self.space.index(b)]
 
     def __le__(self, other: "BiKatetovMatrix") -> bool:
         _same_base(self, other)

@@ -139,14 +139,18 @@ def group_product(u: Word, v: Word) -> Word:
     return reduce_word(concat(u, v))
 
 
-def enumerate_pairings(word: Word, max_len: int = PAIRING_ENUMERATION_MAX_LEN):
+def _check_enumerable(word) -> None:
+    """The length guard of both pairing enumerations, super-exponential."""
+    n, limit = len(word), PAIRING_ENUMERATION_MAX_LEN
+    if n > limit:
+        raise GuardError(f"word of length {n} exceeds the enumeration bound {limit}; "
+                         f"use the dynamic program", used=n, limit=limit)
+
+
+def enumerate_pairings(word: Word):
     """Every valid pairing of the word as a frozenset of position arcs:
-    arcs join opposite signs and never cross. Super-exponential in length,
-    hence the guard."""
-    if len(word) > max_len:
-        raise GuardError(
-            f"word of length {len(word)} exceeds the enumeration bound {max_len}; "
-            f"use the dynamic program", used=len(word), limit=max_len)
+    arcs join opposite signs and never cross."""
+    _check_enumerable(word)
     signs = [s for _, s in word]
     return [frozenset(p) for p in _iter_pairings(signs, 0, len(word))]
 
@@ -220,14 +224,10 @@ def graev_sum(word: Word, pairing, alphabet: WeightedAlphabet) -> int:
     return total
 
 
-def graev_norm_bruteforce(word: Word, alphabet: WeightedAlphabet,
-                          max_len: int = PAIRING_ENUMERATION_MAX_LEN) -> int:
+def graev_norm_bruteforce(word: Word, alphabet: WeightedAlphabet) -> int:
     """Minimum cost over pairings by explicit enumeration; the oracle."""
     letters, signs = _letters_and_signs(word, alphabet.n)
-    if len(word) > max_len:
-        raise GuardError(
-            f"word of length {len(word)} exceeds the enumeration bound {max_len}",
-            used=len(word), limit=max_len)
+    _check_enumerable(word)
     return _kernels.graev_norm_bruteforce(letters, signs, alphabet.n,
                                           alphabet.flat(), alphabet.weights)
 

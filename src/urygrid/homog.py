@@ -20,6 +20,9 @@ from .errors import GuardError, ValidationError
 from .graev import WeightedAlphabet, Word, _letters_and_signs, graev_norm
 from .spaces import FiniteMetricSpace, _as_tuple
 
+# words nu_truncated may generate before it refuses the search
+WORD_BUDGET = 2_000_000
+
 
 @dataclass(frozen=True)
 class PartialIsometryRelation:
@@ -198,9 +201,10 @@ class OrbitDistance:
 
 
 def nu_truncated(rels: list[PartialIsometryRelation], a: str, b: str,
-                 max_len: int, word_budget: int = 2_000_000) -> OrbitDistance:
+                 max_len: int) -> OrbitDistance:
     """Cheapest seminorm of a reduced word over the stock whose image moves
-    a to b, among words of length <= max_len.
+    a to b, among words of length <= max_len. Generating more than
+    WORD_BUDGET words raises GuardError, carrying the best word so far.
 
     Breadth-first over reduced words (a word is reduced exactly when no
     letter is followed by its own inverse). With every singleton pair
@@ -235,15 +239,15 @@ def nu_truncated(rels: list[PartialIsometryRelation], a: str, b: str,
     best_word: Word | None = None
 
     def over_budget():
-        return GuardError(f"word search used {searched} words, limit {word_budget}",
-                          used=searched, limit=word_budget,
+        return GuardError(f"word search used {searched} words, limit {WORD_BUDGET}",
+                          used=searched, limit=WORD_BUDGET,
                           partial=OrbitDistance(best, best_word, searched))
 
     # Each word is checked as it is generated, in breadth-first order; only
     # words with a nonempty image are kept to be extended (composing an empty
     # image stays empty forever), and only a word that moves a to b is built.
     searched = 1
-    if searched > word_budget:
+    if searched > WORD_BUDGET:
         raise over_budget()
     if a_bit == b_bit:
         best, best_word = graev_norm((), alphabet), ()
@@ -264,7 +268,7 @@ def nu_truncated(rels: list[PartialIsometryRelation], a: str, b: str,
                         if onto_b & z_bit:
                             new_onto |= sources
                 searched += 1
-                if searched > word_budget:
+                if searched > WORD_BUDGET:
                     raise over_budget()
                 if new_onto & a_bit:
                     child = word + suffix
@@ -301,36 +305,28 @@ def composition_weight_bound(case: int, rels, signs) -> bool | None:
     for r in rels:
         _require_relation(r)
     space = _common_space(rels)
-
-    def signed(r, s):
-        img = r.index_pairs()
-        return img if s == 1 else invert(img)
-
     if case == 1:
         (r1, r2), (e,) = rels, signs
-        comp = compose(signed(r1, e), signed(r2, -e))
-        bound = hausdorff_distance(r1, r2)
+        word, bound = ((0, e), (1, -e)), hausdorff_distance(r1, r2)
     elif case == 2:
         (r1, r2, r3), (e, dl) = rels, signs
-        comp = compose(compose(signed(r1, e), signed(r2, dl)), signed(r3, -e))
-        bound = hausdorff_distance(r1, r3) + weight(r2)
+        word, bound = ((0, e), (1, dl), (2, -e)), hausdorff_distance(r1, r3) + weight(r2)
     else:
         (r1, r2), (e, dl) = rels, signs
-        comp = compose(signed(r1, e), signed(r2, dl))
-        bound = weight(r1) + weight(r2)
+        word, bound = ((0, e), (1, dl)), weight(r1) + weight(r2)
+    comp = word_image(rels, word)
     if not comp:
         return None
     kval = max(space.dist[x][y] for (x, y) in comp)
     return kval <= bound
 
 
-def random_partial_isometry(space: FiniteMetricSpace, rng: random.Random,
-                            max_size: int | None = None) -> PartialIsometryRelation:
+def random_partial_isometry(space: FiniteMetricSpace, rng: random.Random) -> PartialIsometryRelation:
     """Random element of the stock: grow a distance-preserving pair set by
     randomized greedy extension; a singleton always exists, so this never
     fails."""
     n = space.n
-    target = rng.randint(1, max_size if max_size is not None else n)
+    target = rng.randint(1, n)
     order = list(range(n))
     rng.shuffle(order)
     dom: list[int] = []

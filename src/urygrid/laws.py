@@ -58,9 +58,9 @@ def random_weights(space, rng):
     return tuple(k)
 
 
-def random_word(rng, nletters, max_len, min_len=0):
+def random_word(rng, nletters, max_len):
     return tuple((rng.randrange(nletters), rng.choice((1, -1)))
-                 for _ in range(rng.randint(min_len, max_len)))
+                 for _ in range(rng.randint(0, max_len)))
 
 
 def random_space(rng, max_n, max_q):

@@ -161,9 +161,6 @@ class FiniteMetricSpace:
         except (KeyError, TypeError):  # TypeError: an unhashable name
             raise ValidationError(f"unknown point {name!r}") from None
 
-    def d(self, i: int, j: int) -> int:
-        return self.dist[i][j]
-
     def distance(self, a: str, b: str) -> int:
         return self.dist[self.index(a)][self.index(b)]
 

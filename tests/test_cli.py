@@ -187,6 +187,18 @@ class TestGraev:
         assert out1 == out2
         assert out1.strip() == "3/10"
 
+    def test_oracle_refuses_a_word_past_the_enumeration_bound(self, capsys, word_file):
+        with open(word_file) as fh:
+            obj = json.load(fh)
+        obj["word"] = " ".join(["x y^-1"] * 7 + ["x"])
+        with open(word_file, "w") as fh:
+            json.dump(obj, fh)
+        code, out, err = run(capsys, "graev", "norm", word_file, "--oracle")
+        assert (code, out) == (2, "")
+        assert err == ("refused: word of length 15 exceeds the enumeration bound 14; "
+                       "use the dynamic program\n")
+        assert run(capsys, "graev", "norm", word_file)[0] == 0
+
     def test_dist_needs_two_words(self, capsys, word_file):
         code, _, err = run(capsys, "graev", "dist", word_file)
         assert code == 1 and "u" in err

@@ -122,9 +122,17 @@ class TestPairings:
     def test_equal_signs_cannot_pair(self):
         assert enumerate_pairings(((0, 1), (0, 1))) == [frozenset()]
 
-    def test_guard_refusal(self):
-        with pytest.raises(GuardError):
-            enumerate_pairings(tuple((0, 1) for _ in range(15)))
+    def test_guard_refusal(self, xy_alphabet):
+        # both enumerations take 14 symbols and refuse 15 in the same words
+        at_bound, past = (tuple((0, (-1) ** i) for i in range(n)) for n in (14, 15))
+        assert len(enumerate_pairings(at_bound)) > 1
+        assert graev_norm_bruteforce(at_bound, xy_alphabet) == graev_norm(at_bound, xy_alphabet)
+        for refuse in (enumerate_pairings, lambda w: graev_norm_bruteforce(w, xy_alphabet)):
+            with pytest.raises(GuardError) as e:
+                refuse(past)
+            assert (e.value.used, e.value.limit) == (15, 14)
+            assert str(e.value) == ("word of length 15 exceeds the enumeration bound 14; "
+                                    "use the dynamic program")
 
     @given(words)
     @settings(max_examples=60, deadline=None)

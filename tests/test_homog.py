@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from urygrid import homog
 from urygrid.errors import GuardError, ValidationError
 from urygrid.graev import WeightedAlphabet, graev_norm, reduce_word
 from urygrid.homog import (PartialIsometryRelation, composition_weight_bound,
@@ -242,11 +243,12 @@ class TestOrbitDistance:
         got = nu_truncated([r], "a", "b", 3)
         assert got.value is None
 
-    def test_budget_guard_carries_partial(self):
+    def test_budget_guard_carries_partial(self, monkeypatch):
+        monkeypatch.setattr(homog, "WORD_BUDGET", 10)
         space = random_grid_space(4, 5, 19)
         stock = singleton_stock(space)
         with pytest.raises(GuardError) as e:
-            nu_truncated(stock, "p0", "p1", 3, word_budget=10)
+            nu_truncated(stock, "p0", "p1", 3)
         assert e.value.partial.words_searched > 0
 
 

@@ -3,11 +3,13 @@ _ext.c, must match the pure fallback bit for bit on every kernel, refuse
 malformed input instead of reading past its buffers, and leak nothing."""
 
 import hashlib
+import inspect
 import json
 import random
 
 import pytest
 
+from urygrid import _kernels
 from urygrid._kernels import _fallback
 
 from conftest import LOAD_EXT, run_child
@@ -310,6 +312,39 @@ def test_compiled_kernels_check_their_inputs(compiled_ext, name, args):
 def test_compiled_kernels_refuse_overflowing_sums(compiled_ext, name, args):
     with pytest.raises(OverflowError):
         getattr(compiled_ext, name)(*args)
+
+
+# one well-formed call of each kernel, every argument given
+WELL_FORMED = {
+    "minplus_product": (1, [0], [0], 1),
+    "is_bikatetov": (1, [0], [0], 1),
+    "floyd_warshall_capped": (1, [0], 1),
+    "graev_norm_dp": ([0], [1], 1, [0], [1]),
+    "graev_norm_bruteforce": ([0], [1], 1, [0], [1]),
+    "graev_agree_exhaustive": (1, [0], [1], 1, 0),
+}
+
+
+@pytest.mark.parametrize("name", [n for n in _kernels.__all__ if callable(getattr(_kernels, n))])
+def test_kernels_take_positional_arguments_only(compiled_ext, name):
+    # one calling convention on both backends: the same positional-only
+    # parameters, and a TypeError for any keyword or a wrong argument count
+    args = WELL_FORMED[name]
+    signatures = []
+    for kernel in (getattr(_fallback, name), getattr(compiled_ext, name)):
+        params = inspect.signature(kernel).parameters.values()
+        assert {p.kind for p in params} == {inspect.Parameter.POSITIONAL_ONLY}
+        signatures.append([(p.name, p.default) for p in params])
+        names = [p.name for p in params]
+        required = sum(p.default is inspect.Parameter.empty for p in params)
+        kernel(*args)
+        for positional, keywords in (((), dict(zip(names, args))),  # every argument by name
+                                     (args, {names[0]: args[0]}),  # a name beside them
+                                     (args[:required - 1], {}),  # one too few
+                                     (args + (0,), {})):  # one too many
+            with pytest.raises(TypeError):
+                kernel(*positional, **keywords)
+    assert signatures[0] == signatures[1]
 
 
 def seeded_calls(count, seed):

@@ -167,6 +167,6 @@ def test_every_guard_refusal_reports_used_and_limit():
                     sites += 1
                     assert {"used", "limit"} <= {k.arg for k in node.keywords}, \
                         (name, node.lineno)
-    # lex_tuples, saturation, iso_group, the two pairing bounds, the word
+    # lex_tuples, saturation, iso_group, the pairing-length bound, the word
     # search and the template search
-    assert sites == 7
+    assert sites == 6
