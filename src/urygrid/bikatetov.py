@@ -12,21 +12,23 @@ from isometries.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from . import _kernels
 from .errors import GuardError, InvariantError, ValidationError
-from .grid import add_capped, is_grid_int, katetov_bounds, lex_tuples
+from .grid import Record, add_capped, is_grid_int, katetov_bounds, lex_tuples
 from .spaces import FiniteMetricSpace, PartialSpec, _as_tuple, shortest_path_completion
 
 BIKATETOV_BUDGET = 1_000_000
 SATURATION_GUARD = 100_000
 
 
-@dataclass(frozen=True)
-class BiKatetovMatrix:
-    space: FiniteMetricSpace
-    entries: tuple[tuple[int, ...], ...]
+class BiKatetovMatrix(Record):
+    _fields = ("space", "entries")
+
+    def __init__(self, space: FiniteMetricSpace, entries: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "entries", entries)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "entries", _as_tuple(self.entries, "entries", rows=True))

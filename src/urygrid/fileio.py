@@ -30,8 +30,12 @@ def load_json(path: str):
             return json.load(fh)
     except OSError as e:
         raise ValidationError(f"cannot read {path}: {e}") from None
-    except json.JSONDecodeError as e:
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"{path}: not UTF-8 ({e})") from None
+    except ValueError as e:  # bad syntax, or an integer past Python's digit limit
         raise ValidationError(f"{path}: not valid JSON ({e})") from None
+    except RecursionError as e:
+        raise ValidationError(f"{path}: JSON nested too deeply ({e})") from None
 
 
 def _strings(v) -> bool:

@@ -11,21 +11,22 @@ contracting either side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ._kernels import INF, floyd_warshall_capped
 from .errors import ValidationError
-from .grid import half_grid_value, lex_tuples
+from .grid import Record, half_grid_value, lex_tuples
 from .spaces import FiniteMetricSpace, common_grid
 
 
-@dataclass(frozen=True)
-class EnumeratedPair:
+class EnumeratedPair(Record):
     """Two spaces of equal size whose point orders define the matching.
     Mixed denominators are reconciled on construction."""
 
-    x: FiniteMetricSpace
-    y: FiniteMetricSpace
+    _fields = ("x", "y")
+
+    def __init__(self, x: FiniteMetricSpace, y: FiniteMetricSpace):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.x.n != self.y.n:

@@ -11,11 +11,9 @@ position; they must agree exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import _kernels
 from .errors import GuardError, ValidationError
-from .grid import is_grid_int
+from .grid import Record, is_grid_int
 from .spaces import FiniteMetricSpace, _as_tuple, _metric_report, _raise_unless_ok
 
 PAIRING_ENUMERATION_MAX_LEN = 14
@@ -23,8 +21,7 @@ PAIRING_ENUMERATION_MAX_LEN = 14
 Word = tuple[tuple[int, int], ...]  # (letter index, sign +1/-1)
 
 
-@dataclass(frozen=True)
-class WeightedAlphabet:
+class WeightedAlphabet(Record):
     """Letters with exact pairwise distances and a weight per letter.
 
     Unlike a space, an alphabet has diameter up to 2: relation alphabets
@@ -35,10 +32,15 @@ class WeightedAlphabet:
     distance tuple the kernels take is built once, outside the fields.
     """
 
-    letters: tuple[str, ...]
-    denominator: int
-    dist: tuple[tuple[int, ...], ...]
-    weights: tuple[int, ...]
+    _fields = ("letters", "denominator", "dist", "weights")
+
+    def __init__(self, letters: tuple[str, ...], denominator: int,
+                 dist: tuple[tuple[int, ...], ...], weights: tuple[int, ...]):
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "dist", dist)
+        object.__setattr__(self, "weights", weights)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "letters", _as_tuple(self.letters, "letters"))

@@ -12,13 +12,53 @@ given the ones before it, and a search given a budget is refused here
 once it has stated more candidates. Listings and draws under Katetov
 conditions narrow their range with ``katetov_bounds``, the one interval
 |w - d| <= v <= w + d of a value v at distance d from a value w.
+
+The library's result and input types are ``Record`` subclasses: plain
+classes with a hand-written ``__init__`` that compare, hash and print by
+their fields.
 """
 
 from __future__ import annotations
 
 from math import gcd
+from operator import attrgetter
 
 from .errors import GuardError
+
+
+class Record:
+    """Base of the library's immutable records. A subclass names its fields
+    in ``_fields`` and sets them in its own ``__init__`` with
+    ``object.__setattr__``. It compares (with its own class only), hashes
+    and prints by those fields in order, as a frozen dataclass does; what
+    else it keeps in its ``__dict__``, such as a lookup table built once,
+    stays out of all three. Assigning or deleting an attribute raises
+    AttributeError."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls._fields)
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda rec: (get(rec),))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def is_grid_int(x, lo: int | None = None, hi: int | None = None) -> bool:

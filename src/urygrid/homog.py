@@ -14,24 +14,27 @@ the cheapest word up to a length bound.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import GuardError, ValidationError
 from .graev import WeightedAlphabet, Word, _letters_and_signs, graev_norm
+from .grid import Record
 from .spaces import FiniteMetricSpace, _as_tuple
 
 # words nu_truncated may generate before it refuses the search
 WORD_BUDGET = 2_000_000
 
 
-@dataclass(frozen=True)
-class PartialIsometryRelation:
+class PartialIsometryRelation(Record):
     """Nonempty finite set of point pairs; membership of the stock requires
     the pairs to preserve distances coordinatewise (checked by
     relation_witness, not by the constructor)."""
 
-    space: FiniteMetricSpace
-    pairs: tuple[tuple[str, str], ...]
+    _fields = ("space", "pairs")
+
+    def __init__(self, space: FiniteMetricSpace, pairs: tuple[tuple[str, str], ...]):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "pairs", pairs)
+        self.__post_init__()
 
     def __post_init__(self):
         index = self.space.index
@@ -193,11 +196,14 @@ def relation_alphabet(rels: list[PartialIsometryRelation],
                                      tuple(weight(r) for r in rels))
 
 
-@dataclass(frozen=True)
-class OrbitDistance:
-    value: int | None        # None when no word of the allowed length works
-    word: Word | None
-    words_searched: int
+class OrbitDistance(Record):
+    _fields = ("value", "word", "words_searched")
+
+    def __init__(self, value: int | None, word: Word | None, words_searched: int):
+        # value and word are None when no word of the allowed length works
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "words_searched", words_searched)
 
 
 def nu_truncated(rels: list[PartialIsometryRelation], a: str, b: str,

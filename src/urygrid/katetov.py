@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
 from operator import itemgetter
 
 from .errors import GuardError, InvariantError, ValidationError
-from .grid import add_capped, is_grid_int, katetov_bounds, lex_tuples
+from .grid import Record, add_capped, is_grid_int, katetov_bounds, lex_tuples
 from .spaces import (FiniteMetricSpace, _as_tuple, _new_row_fits, _raise_unless_ok,
                      validate_space)
 
@@ -32,14 +31,18 @@ TEMPLATE_BUDGET = 20_000
 PROFILE_LIMIT = 100_000
 
 
-@dataclass(frozen=True)
-class KatetovFunction:
+class KatetovFunction(Record):
     """Grid values on a support subset of a space. The constructor checks
     structure only; use katetov_witness / is_katetov for the inequalities."""
 
-    space: FiniteMetricSpace
-    support: tuple[str, ...]
-    values: tuple[int, ...]
+    _fields = ("space", "support", "values")
+
+    def __init__(self, space: FiniteMetricSpace, support: tuple[str, ...],
+                 values: tuple[int, ...]):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "values", values)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "support", _as_tuple(self.support, "support"))
@@ -126,11 +129,15 @@ def sup_distance(f: KatetovFunction, g: KatetovFunction) -> int:
     return max(abs(a - b) for a, b in zip(fv, gv))
 
 
-@dataclass(frozen=True)
-class OnePointExtension:
-    space: FiniteMetricSpace
-    new_point: str
-    identified_with: tuple[str, ...]  # nonempty means the result is only pseudometric
+class OnePointExtension(Record):
+    _fields = ("space", "new_point", "identified_with")
+
+    def __init__(self, space: FiniteMetricSpace, new_point: str,
+                 identified_with: tuple[str, ...]):
+        # identified_with nonempty means the result is only pseudometric
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "new_point", new_point)
+        object.__setattr__(self, "identified_with", identified_with)
 
 
 def realize_one_point(space: FiniteMetricSpace, f: KatetovFunction,
@@ -263,10 +270,13 @@ def _realized(space: FiniteMetricSpace, idx: tuple[int, ...]) -> set:
     return set(zip(*(space.dist[i] for i in idx)))
 
 
-@dataclass(frozen=True)
-class InjectivityReport:
-    checked: int
-    unrealized: tuple[tuple[tuple[str, ...], tuple[int, ...]], ...]
+class InjectivityReport(Record):
+    _fields = ("checked", "unrealized")
+
+    def __init__(self, checked: int,
+                 unrealized: tuple[tuple[tuple[str, ...], tuple[int, ...]], ...]):
+        object.__setattr__(self, "checked", checked)
+        object.__setattr__(self, "unrealized", unrealized)
 
     @property
     def ok(self) -> bool:
@@ -376,12 +386,15 @@ class _ProfileFrontier:
         return None
 
 
-@dataclass(frozen=True)
-class ApproximantResult:
-    space: FiniteMetricSpace
-    status: str  # "closed" | "capped"
-    added: int
-    strategy: str
+class ApproximantResult(Record):
+    _fields = ("space", "status", "added", "strategy")
+
+    def __init__(self, space: FiniteMetricSpace, status: str, added: int, strategy: str):
+        # status: "closed" | "capped"
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "added", added)
+        object.__setattr__(self, "strategy", strategy)
 
 
 def _circulant_row(n: int, colors):
@@ -487,13 +500,20 @@ def _multiplier_maps(n: int):
             for u in range(2, half + 1) if gcd(u, n) == 1]
 
 
-@dataclass
-class TemplateTally:
+class TemplateTally(Record):
     """How far one find_transitive_template call got: the canonical
     colorings it tried, and the largest n whose canonical colorings it
-    tried every one of (0 when there is none)."""
-    tried: int = 0
-    complete_n: int = 0
+    tried every one of (0 when there is none). The search updates it in
+    place, so unlike the other records it is mutable and unhashable."""
+
+    _fields = ("tried", "complete_n")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, tried: int = 0, complete_n: int = 0):
+        self.tried = tried
+        self.complete_n = complete_n
 
 
 def find_transitive_template(seed: FiniteMetricSpace, max_subset: int, q: int,
@@ -721,10 +741,13 @@ def iso_group(space: FiniteMetricSpace, max_points: int = ISO_GROUP_MAX_POINTS):
     return tuple(sorted(group))
 
 
-@dataclass(frozen=True)
-class HomogeneityReport:
-    checked: int
-    non_extendable: tuple[tuple[tuple[str, str], ...], ...]
+class HomogeneityReport(Record):
+    _fields = ("checked", "non_extendable")
+
+    def __init__(self, checked: int,
+                 non_extendable: tuple[tuple[tuple[str, str], ...], ...]):
+        object.__setattr__(self, "checked", checked)
+        object.__setattr__(self, "non_extendable", non_extendable)
 
     @property
     def ok(self) -> bool:

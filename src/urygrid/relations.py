@@ -11,11 +11,9 @@ On the grid these two maps invert each other exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .bikatetov import BiKatetovMatrix, _check_isometry, _inverse
 from .errors import ValidationError
-from .grid import is_grid_int, lex_tuples
+from .grid import Record, is_grid_int, lex_tuples
 from .homog import compose, invert
 from .spaces import FiniteMetricSpace
 
@@ -24,19 +22,18 @@ from .spaces import FiniteMetricSpace
 CARRIER_BUDGET = 400_000
 
 
-@dataclass(frozen=True)
-class GridFunctionSpace:
+class GridFunctionSpace(Record):
     """All non-expanding functions base -> {0..q}, enumerated once in
     lexicographic order; relations below are sets of index pairs into
     ``members``."""
 
-    space: FiniteMetricSpace
-    members: tuple[tuple[int, ...], ...]
-    # member -> its index, built once
-    _position: dict = field(init=False, repr=False, compare=False)
+    _fields = ("space", "members")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_position", {m: i for i, m in enumerate(self.members)})
+    def __init__(self, space: FiniteMetricSpace, members: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "members", members)
+        # member -> its index, built once
+        object.__setattr__(self, "_position", {m: i for i, m in enumerate(members)})
 
     def index(self, values) -> int:
         values = tuple(values)

@@ -11,28 +11,32 @@ from __future__ import annotations
 
 import random
 import reprlib
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from ._kernels import INF, floyd_warshall_capped
 from .errors import ValidationError
-from .grid import denominator_problem, is_grid_int, katetov_bounds, lcm
+from .grid import Record, denominator_problem, is_grid_int, katetov_bounds, lcm
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str  # shape | range | diagonal | symmetry | triangle | identity
-    message: str
-    witness: tuple = ()
+class Violation(Record):
+    _fields = ("kind", "message", "witness")
+
+    def __init__(self, kind: str, message: str, witness: tuple = ()):
+        # kind: shape | range | diagonal | symmetry | triangle | identity
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "message", message)
+        object.__setattr__(self, "witness", witness)
 
     @property
     def structural(self) -> bool:
         return self.kind in ("shape", "range")
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    problems: tuple[Violation, ...]
+class ValidationReport(Record):
+    _fields = ("problems",)
+
+    def __init__(self, problems: tuple[Violation, ...]):
+        object.__setattr__(self, "problems", problems)
 
     @property
     def ok(self) -> bool:
@@ -117,19 +121,23 @@ def _metric_report(points, denominator, dist, pseudo, diameter: int) -> Validati
     return ValidationReport(tuple(problems))
 
 
-@dataclass(frozen=True)
-class FiniteMetricSpace:
+class FiniteMetricSpace(Record):
     """Named points with an exact grid distance matrix, diameter <= 1.
 
     ``pseudo`` permits zero distances between distinct points; with the
-    default False the constructor insists on a genuine metric.
+    default False the constructor insists on a genuine metric. ``_index``,
+    point name -> position, is kept beside the fields.
     """
 
-    points: tuple[str, ...]
-    denominator: int
-    dist: tuple[tuple[int, ...], ...]
-    pseudo: bool = False
-    _index: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
+    _fields = ("points", "denominator", "dist", "pseudo")
+
+    def __init__(self, points: tuple[str, ...], denominator: int,
+                 dist: tuple[tuple[int, ...], ...], pseudo: bool = False):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "dist", dist)
+        object.__setattr__(self, "pseudo", pseudo)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "points", _as_tuple(self.points, "points"))
@@ -250,14 +258,18 @@ def common_grid(x: FiniteMetricSpace, y: FiniteMetricSpace):
     return x.rescaled(q), y.rescaled(q)
 
 
-@dataclass(frozen=True)
-class PartialSpec:
+class PartialSpec(Record):
     """A space candidate whose matrix may leave entries unspecified (None).
     Specified entries must be symmetric with a zero diagonal."""
 
-    points: tuple[str, ...]
-    denominator: int
-    entries: tuple[tuple[int | None, ...], ...]
+    _fields = ("points", "denominator", "entries")
+
+    def __init__(self, points: tuple[str, ...], denominator: int,
+                 entries: tuple[tuple[int | None, ...], ...]):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "entries", entries)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "points", _as_tuple(self.points, "points"))
@@ -325,11 +337,14 @@ def shortest_path_completion(spec: PartialSpec, unreachable: str = "error") -> F
     return FiniteMetricSpace(spec.points, q, rows, pseudo=pseudo)
 
 
-@dataclass(frozen=True)
-class QuotientResult:
-    space: FiniteMetricSpace
-    classes: tuple[tuple[str, ...], ...]
-    projection: dict
+class QuotientResult(Record):
+    _fields = ("space", "classes", "projection")
+
+    def __init__(self, space: FiniteMetricSpace, classes: tuple[tuple[str, ...], ...],
+                 projection: dict):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "projection", projection)
 
 
 def quotient_pseudometric(space: FiniteMetricSpace) -> QuotientResult:

@@ -62,6 +62,20 @@ class TestValidate:
         code = main(["validate", "/nonexistent/space.json"])
         assert code == 1
 
+    @pytest.mark.parametrize("content, problem", [
+        ('{"points": ["\xe9"], "denominator": 1, "dist": [[0]]}'.encode("latin-1"),
+         "not UTF-8"),
+        (b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply"),
+        (b'{"points": ["a"], "denominator": ' + b"1" * 5000 + b', "dist": [[0]]}',
+         "not valid JSON"),
+    ], ids=["latin-1", "deep", "long-integer"])
+    def test_unreadable_json_is_input_error(self, capsys, tmp_path, content, problem):
+        p = tmp_path / "bad.json"
+        p.write_bytes(content)
+        code, out, err = run(capsys, "validate", str(p))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {p}: {problem} (") and err.count("\n") == 1
+
 
 class TestPseudoFlag:
     """``"pseudo"`` is JSON true or false; anything else is refused rather
@@ -519,13 +533,29 @@ class TestChildProcess:
             "urygrid._kernels._fallback", "urygrid._kernels._ext", "urygrid.spaces",
             "urygrid.fileio", "urygrid.cli"}
 
-    # prints the loaded urygrid modules as the last stdout line
+    # stdlib modules that cost a one-shot process more than they give it:
+    # dataclasses alone pulls in inspect, ast, dis and tokenize
+    HEAVY = ("dataclasses", "inspect")
+
+    # prints the loaded urygrid modules, then the loaded HEAVY ones, as the
+    # last stdout line
     CHILD = ("import json, sys\n"
              "import urygrid.cli\n"
              "code = urygrid.cli.main(sys.argv[1:])\n"
-             "print(json.dumps(sorted(m for m in sys.modules"
-             " if m.partition('.')[0] == 'urygrid')))\n"
+             "print(json.dumps([sorted(m for m in sys.modules"
+             " if m.partition('.')[0] == 'urygrid'),"
+             f" [m for m in {HEAVY!r} if m in sys.modules]]))\n"
              "sys.exit(code)\n")
+
+    @pytest.fixture(scope="class")
+    def heavy_at_startup(self, tmp_path_factory):
+        """The HEAVY modules a bare interpreter already loads (a site .pth
+        file may import them before any urygrid code runs)."""
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import sys; print(*(m for m in {self.HEAVY!r}"
+             " if m in sys.modules))"],
+            cwd=tmp_path_factory.mktemp("bare"), capture_output=True, check=True)
+        return set(proc.stdout.decode().split())
 
     @pytest.fixture
     def corpus(self, tmp_path, space_file, word_file, instance_file):
@@ -569,12 +599,13 @@ class TestChildProcess:
         (("gh", "dist", "instance.json"), "gh"),
         (("relations", "k", "space.json"), "bikatetov graev homog relations"),
     ], ids=lambda v: " ".join(v[:2]) if isinstance(v, tuple) else v or "base")
-    def test_command_loads_only_its_modules(self, corpus, argv, extra):
+    def test_command_loads_only_its_modules(self, corpus, heavy_at_startup, argv, extra):
         proc = self.child(corpus, *argv)
         assert proc.returncode == 0, proc.stderr
-        loaded = set(json.loads(proc.stdout.decode().splitlines()[-1]))
+        loaded, heavy = json.loads(proc.stdout.decode().splitlines()[-1])
         allowed = self.BASE | {"urygrid." + m for m in extra.split()}
-        assert loaded <= allowed, sorted(loaded - allowed)
+        assert set(loaded) <= allowed, sorted(set(loaded) - allowed)
+        assert set(heavy) <= heavy_at_startup, heavy
 
     def test_bare_import_loads_only_errors(self, tmp_path):
         proc = subprocess.run(

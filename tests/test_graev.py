@@ -1,4 +1,3 @@
-import dataclasses
 import pickle
 import random
 
@@ -107,7 +106,8 @@ class TestAlphabet:
         assert trusted == xy_alphabet and hash(trusted) == hash(xy_alphabet)
         assert trusted.flat() == xy_alphabet.flat()
         assert pickle.loads(pickle.dumps(xy_alphabet)).flat() == (0, 3, 3, 0)
-        moved = dataclasses.replace(xy_alphabet, dist=((0, 5), (5, 0)))
+        moved = WeightedAlphabet(xy_alphabet.letters, xy_alphabet.denominator,
+                                 ((0, 5), (5, 0)), xy_alphabet.weights)
         assert moved.flat() == (0, 5, 5, 0)
 
 
