@@ -20,6 +20,10 @@ from .spaces import FiniteMetricSpace, PartialSpec, _as_tuple, shortest_path_com
 
 BIKATETOV_BUDGET = 1_000_000
 SATURATION_GUARD = 100_000
+# Gibbs sweeps per draw of random_bikatetov, which starts at the metric, and
+# of random_bikatetov_below, which starts at its ceiling
+RANDOM_SWEEPS = 3
+BELOW_SWEEPS = 2
 
 
 class BiKatetovMatrix(Record):
@@ -27,11 +31,10 @@ class BiKatetovMatrix(Record):
 
     def __init__(self, space: FiniteMetricSpace, entries: tuple[tuple[int, ...], ...]):
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", _as_tuple(entries, "entries", rows=True))
         self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _as_tuple(self.entries, "entries", rows=True))
         n = self.space.n
         q = self.space.denominator
         if len(self.entries) != n or any(len(r) != n for r in self.entries):
@@ -414,18 +417,16 @@ def _gibbs(space: FiniteMetricSpace, start, ceiling, rng: random.Random,
     return BiKatetovMatrix._trusted(space, tuple(tuple(r) for r in e))
 
 
-def random_bikatetov_below(upper: BiKatetovMatrix, rng: random.Random,
-                           sweeps: int = 2) -> BiKatetovMatrix:
+def random_bikatetov_below(upper: BiKatetovMatrix, rng: random.Random) -> BiKatetovMatrix:
     """Random bi-Katetov matrix entrywise at most ``upper``: the same Gibbs
-    sweep started at the ceiling and clamped by it."""
-    return _gibbs(upper.space, upper.entries, upper.entries, rng, sweeps)
+    sweep started at the ceiling and clamped by it, BELOW_SWEEPS times."""
+    return _gibbs(upper.space, upper.entries, upper.entries, rng, BELOW_SWEEPS)
 
 
-def random_bikatetov(space: FiniteMetricSpace, rng: random.Random,
-                     sweeps: int = 3) -> BiKatetovMatrix:
+def random_bikatetov(space: FiniteMetricSpace, rng: random.Random) -> BiKatetovMatrix:
     """Exact sampler: start at the metric and re-draw entries uniformly
-    inside their feasible interval given all the others, several sweeps.
+    inside their feasible interval given all the others, RANDOM_SWEEPS sweeps.
     Every intermediate matrix is bi-Katetov, so validity is never repaired
     after the fact."""
     q = space.denominator
-    return _gibbs(space, space.dist, [[q] * space.n for _ in space.points], rng, sweeps)
+    return _gibbs(space, space.dist, [[q] * space.n for _ in space.points], rng, RANDOM_SWEEPS)

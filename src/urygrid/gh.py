@@ -24,17 +24,11 @@ class EnumeratedPair(Record):
     _fields = ("x", "y")
 
     def __init__(self, x: FiniteMetricSpace, y: FiniteMetricSpace):
+        if x.n != y.n:
+            raise ValidationError(f"enumerated spaces differ in size: {x.n} vs {y.n}")
+        x, y = common_grid(x, y)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.x.n != self.y.n:
-            raise ValidationError(
-                f"enumerated spaces differ in size: {self.x.n} vs {self.y.n}")
-        a, b = common_grid(self.x, self.y)
-        object.__setattr__(self, "x", a)
-        object.__setattr__(self, "y", b)
 
     @property
     def denominator(self) -> int:

@@ -36,16 +36,11 @@ class WeightedAlphabet(Record):
 
     def __init__(self, letters: tuple[str, ...], denominator: int,
                  dist: tuple[tuple[int, ...], ...], weights: tuple[int, ...]):
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "dist", dist)
-        object.__setattr__(self, "weights", weights)
+        self._store(_as_tuple(letters, "letters"), denominator,
+                    _as_tuple(dist, "dist", rows=True), _as_tuple(weights, "weights"))
         self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "letters", _as_tuple(self.letters, "letters"))
-        object.__setattr__(self, "dist", _as_tuple(self.dist, "dist", rows=True))
-        object.__setattr__(self, "weights", _as_tuple(self.weights, "weights"))
         _raise_unless_ok(_metric_report(self.letters, self.denominator, self.dist,
                                         True, 2), "alphabet")
         n = len(self.letters)
@@ -61,7 +56,6 @@ class WeightedAlphabet(Record):
                     raise ValidationError(
                         f"weights expand: |k({self.letters[i]}) - k({self.letters[j]})| "
                         f"> d", (self.letters[i], self.letters[j]))
-        object.__setattr__(self, "_flat", tuple(e for row in self.dist for e in row))
 
     @classmethod
     def _trusted(cls, letters: tuple, denominator: int, dist: tuple,
@@ -74,11 +68,14 @@ class WeightedAlphabet(Record):
         tests/test_homog.py::TestTrustedAlphabet, which rebuilds every such
         alphabet with the validating constructor."""
         alphabet = object.__new__(cls)
+        alphabet._store(letters, denominator, dist, weights)
+        return alphabet
+
+    def _store(self, letters, denominator, dist, weights):
         for key, value in (("letters", letters), ("denominator", denominator),
                            ("dist", dist), ("weights", weights),
                            ("_flat", tuple(e for row in dist for e in row))):
-            object.__setattr__(alphabet, key, value)
-        return alphabet
+            object.__setattr__(self, key, value)
 
     @property
     def n(self) -> int:

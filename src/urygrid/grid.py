@@ -28,12 +28,16 @@ from .errors import GuardError
 
 class Record:
     """Base of the library's immutable records. A subclass names its fields
-    in ``_fields`` and sets them in its own ``__init__`` with
-    ``object.__setattr__``. It compares (with its own class only), hashes
-    and prints by those fields in order, as a frozen dataclass does; what
-    else it keeps in its ``__dict__``, such as a lookup table built once,
-    stays out of all three. Assigning or deleting an attribute raises
-    AttributeError."""
+    in ``_fields``. Its ``__init__`` normalizes and checks its arguments,
+    then sets each field once with ``object.__setattr__``; a record that
+    is valid by construction comes from a ``_trusted`` classmethod, which
+    only stores. (BiKatetovMatrix and WeightedAlphabet store first and keep
+    their checks in a ``__post_init__``, so the benchmark's tracer can
+    count validated constructions by wrapping it.) A record compares (with
+    its own class only), hashes and prints by its fields in order, as a
+    frozen dataclass does; what else it keeps in its ``__dict__``, such as
+    a lookup table built once, stays out of all three. Assigning or
+    deleting an attribute raises AttributeError."""
 
     _fields: tuple[str, ...] = ()
 

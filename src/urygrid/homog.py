@@ -32,22 +32,17 @@ class PartialIsometryRelation(Record):
     _fields = ("space", "pairs")
 
     def __init__(self, space: FiniteMetricSpace, pairs: tuple[tuple[str, str], ...]):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "pairs", pairs)
-        self.__post_init__()
-
-    def __post_init__(self):
-        index = self.space.index
-        given = _as_tuple(self.pairs, "pairs")
+        given = _as_tuple(pairs, "pairs")
         for pair in given:
             if not isinstance(pair, (tuple, list)) or len(pair) != 2:
                 raise ValidationError(f"pair {pair!r} is not two point names")
-            index(pair[0])
-            index(pair[1])
-        pairs = sorted({(a, b) for a, b in given})
+            space.index(pair[0])
+            space.index(pair[1])
+        pairs = tuple(sorted({(a, b) for a, b in given}))
         if not pairs:
             raise ValidationError("the empty relation is excluded")
-        object.__setattr__(self, "pairs", tuple(pairs))
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "pairs", pairs)
 
     def index_pairs(self) -> frozenset[tuple[int, int]]:
         s = self.space

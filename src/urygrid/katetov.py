@@ -39,26 +39,23 @@ class KatetovFunction(Record):
 
     def __init__(self, space: FiniteMetricSpace, support: tuple[str, ...],
                  values: tuple[int, ...]):
+        support = _as_tuple(support, "support")
+        values = _as_tuple(values, "values")
+        if len(support) != len(set(support)):
+            raise ValidationError("duplicate support points")
+        if len(support) != len(values):
+            raise ValidationError("support and values differ in length")
+        if not support:
+            raise ValidationError("support must be nonempty")
+        for p in support:
+            space.index(p)
+        q = space.denominator
+        for p, v in zip(support, values):
+            if not is_grid_int(v, 0, q):
+                raise ValidationError(f"value f({p}) = {v!r} is not an integer in [0, {q}]")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "values", values)
-        self.__post_init__()
-
-    def __post_init__(self):
-        object.__setattr__(self, "support", _as_tuple(self.support, "support"))
-        object.__setattr__(self, "values", _as_tuple(self.values, "values"))
-        if len(self.support) != len(set(self.support)):
-            raise ValidationError("duplicate support points")
-        if len(self.support) != len(self.values):
-            raise ValidationError("support and values differ in length")
-        if not self.support:
-            raise ValidationError("support must be nonempty")
-        for p in self.support:
-            self.space.index(p)
-        q = self.space.denominator
-        for p, v in zip(self.support, self.values):
-            if not is_grid_int(v, 0, q):
-                raise ValidationError(f"value f({p}) = {v!r} is not an integer in [0, {q}]")
 
     @property
     def total(self) -> bool:

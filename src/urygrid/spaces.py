@@ -4,7 +4,9 @@ A space carries named points and a square matrix of integer numerators over
 a shared denominator q; distances are the rationals entry/q and the diameter
 never exceeds 1 (entries stay in [0, q]). Everything downstream (Katetov
 extensions, bounded min-plus products, amalgams) operates on these integers,
-so identities are checked exactly rather than within tolerances.
+so identities are checked exactly rather than within tolerances. The two
+functions that call a kernel import it themselves, so a process that only
+reads and validates spaces loads no kernel backend.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import random
 import reprlib
 from itertools import combinations
 
-from ._kernels import INF, floyd_warshall_capped
 from .errors import ValidationError
 from .grid import Record, denominator_problem, is_grid_int, katetov_bounds, lcm
 
@@ -133,31 +134,26 @@ class FiniteMetricSpace(Record):
 
     def __init__(self, points: tuple[str, ...], denominator: int,
                  dist: tuple[tuple[int, ...], ...], pseudo: bool = False):
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "dist", dist)
-        object.__setattr__(self, "pseudo", pseudo)
-        self.__post_init__()
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", _as_tuple(self.points, "points"))
-        object.__setattr__(self, "dist", _as_tuple(self.dist, "dist", rows=True))
-        _raise_unless_ok(validate_space(self.points, self.denominator, self.dist, self.pseudo))
-        object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.points)})
+        points = _as_tuple(points, "points")
+        dist = _as_tuple(dist, "dist", rows=True)
+        _raise_unless_ok(validate_space(points, denominator, dist, pseudo))
+        self._store(points, denominator, dist, pseudo)
 
     @classmethod
     def _trusted(cls, points: tuple, denominator: int, dist: tuple,
                  pseudo: bool) -> "FiniteMetricSpace":
         """A space from tuple-normalized parts that one of the exact checks
-        (the new-row check of with_point and of katetov's builder, the
-        circulant rotation check in katetov) has already passed; skips
-        revalidation."""
+        (the new-row check of katetov's builder, the circulant rotation
+        check in katetov) has already passed; skips revalidation."""
         space = object.__new__(cls)
+        space._store(points, denominator, dist, pseudo)
+        return space
+
+    def _store(self, points, denominator, dist, pseudo):
         for key, value in (("points", points), ("denominator", denominator),
                            ("dist", dist), ("pseudo", pseudo),
                            ("_index", {p: i for i, p in enumerate(points)})):
-            object.__setattr__(space, key, value)
-        return space
+            object.__setattr__(self, key, value)
 
     @property
     def n(self) -> int:
@@ -194,27 +190,17 @@ class FiniteMetricSpace(Record):
             tuple(tuple(self.dist[i][j] for j in idx) for i in idx), self.pseudo)
 
     def with_point(self, name: str, row, pseudo: bool | None = None) -> "FiniteMetricSpace":
-        """Extension by one point whose distances to the old points are ``row``.
-
-        Only what the new point can break is checked, O(n^2) in all (see
-        _new_row_fits). A row that fails, a row of the wrong length, a
-        ``pseudo`` that is not a bool, or a pseudometric turned into a
-        metric (old zeros become violations) goes through the validating
-        constructor, so every refusal carries validate_space's report on
-        the grown matrix.
-        """
+        """Extension by one point whose distances to the old points are
+        ``row``, built by the validating constructor on the grown matrix,
+        so every refusal carries validate_space's report on it. The
+        approximant builder grows its spaces with the O(n^2) new-row check
+        of _new_row_fits instead."""
         if name in self._index:
             raise ValidationError(f"point name {name!r} already used")
         row = _as_tuple(row, "row")
-        if pseudo is None:
-            pseudo = self.pseudo
-        points = self.points + (name,)
-        new_rows = tuple(old + row[i:i + 1] for i, old in enumerate(self.dist))
-        new_rows += (row + (0,),)
-        if len(row) != self.n or (self.pseudo and not pseudo) or not isinstance(pseudo, bool) \
-                or not _new_row_fits(self.dist, self.denominator, row, pseudo):
-            return FiniteMetricSpace(points, self.denominator, new_rows, pseudo)
-        return FiniteMetricSpace._trusted(points, self.denominator, new_rows, pseudo)
+        rows = tuple(old + row[i:i + 1] for i, old in enumerate(self.dist)) + (row + (0,),)
+        return FiniteMetricSpace(self.points + (name,), self.denominator, rows,
+                                 self.pseudo if pseudo is None else pseudo)
 
 
 def _as_tuple(value, what: str, rows: bool = False) -> tuple:
@@ -266,37 +252,34 @@ class PartialSpec(Record):
 
     def __init__(self, points: tuple[str, ...], denominator: int,
                  entries: tuple[tuple[int | None, ...], ...]):
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "entries", entries)
-        self.__post_init__()
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", _as_tuple(self.points, "points"))
-        object.__setattr__(self, "entries", _as_tuple(self.entries, "entries", rows=True))
-        n = len(self.points)
-        if len(set(self.points)) != n or n == 0:
+        points = _as_tuple(points, "points")
+        entries = _as_tuple(entries, "entries", rows=True)
+        n = len(points)
+        if len(set(points)) != n or n == 0:
             raise ValidationError("points must be nonempty and unique")
-        q = self.denominator
+        q = denominator
         bad_denominator = denominator_problem(q)
         if bad_denominator:
             raise ValidationError(bad_denominator)
-        if len(self.entries) != n or any(len(r) != n for r in self.entries):
+        if len(entries) != n or any(len(r) != n for r in entries):
             raise ValidationError(f"entry matrix is not {n}x{n}")
         for i in range(n):
-            if self.entries[i][i] not in (0, None):
-                raise ValidationError(f"nonzero diagonal at {self.points[i]}")
+            if entries[i][i] not in (0, None):
+                raise ValidationError(f"nonzero diagonal at {points[i]}")
             for j in range(n):
-                e = self.entries[i][j]
+                e = entries[i][j]
                 if e is None:
                     continue
                 if not is_grid_int(e, 0, q):
                     raise ValidationError(
-                        f"entry ({self.points[i]},{self.points[j]}) = {e!r} "
+                        f"entry ({points[i]},{points[j]}) = {e!r} "
                         f"is not an integer in [0, {q}]")
-                if self.entries[j][i] is not None and self.entries[j][i] != e:
+                if entries[j][i] is not None and entries[j][i] != e:
                     raise ValidationError(
-                        f"asymmetric specification at ({self.points[i]},{self.points[j]})")
+                        f"asymmetric specification at ({points[i]},{points[j]})")
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "entries", entries)
 
 
 def shortest_path_completion(spec: PartialSpec, unreachable: str = "error") -> FiniteMetricSpace:
@@ -313,6 +296,8 @@ def shortest_path_completion(spec: PartialSpec, unreachable: str = "error") -> F
     q = 4 closes to d(a, c) = 2 but d(c, a) = 4, and validate_space is what
     refuses it.
     """
+    from ._kernels import INF, floyd_warshall_capped
+
     n = len(spec.points)
     q = spec.denominator
     w = [INF] * (n * n)
@@ -341,7 +326,7 @@ class QuotientResult(Record):
     _fields = ("space", "classes", "projection")
 
     def __init__(self, space: FiniteMetricSpace, classes: tuple[tuple[str, ...], ...],
-                 projection: dict):
+                 projection: tuple[tuple[str, str], ...]):
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "projection", projection)
@@ -350,7 +335,8 @@ class QuotientResult(Record):
 def quotient_pseudometric(space: FiniteMetricSpace) -> QuotientResult:
     """Identify points at distance zero. The zero relation is transitive by
     the triangle inequality, so the classes are well defined; each class is
-    named after its first member and the projection is distance preserving."""
+    named after its first member and the projection, a (point, class name)
+    pair per point in point order, is distance preserving."""
     n = space.n
     rep = list(range(n))
     for i in range(n):
@@ -365,7 +351,7 @@ def quotient_pseudometric(space: FiniteMetricSpace) -> QuotientResult:
     names = tuple(space.points[r] for r in reps)
     rows = tuple(tuple(space.dist[a][b] for b in reps) for a in reps)
     out = FiniteMetricSpace(names, space.denominator, rows, pseudo=False)
-    projection = {space.points[i]: space.points[rep[i]] for i in range(n)}
+    projection = tuple((space.points[i], space.points[rep[i]]) for i in range(n))
     return QuotientResult(
         out, tuple(tuple(space.points[i] for i in classes[r]) for r in reps), projection)
 
@@ -427,6 +413,8 @@ def random_grid_space(n: int, q: int, seed: int) -> FiniteMetricSpace:
     The second pass undoes the bias toward path-like metrics that closure
     alone would leave.
     """
+    from ._kernels import floyd_warshall_capped
+
     if not is_grid_int(n, 1):
         raise ValidationError(f"need an integer n >= 1, got {n!r}")
     bad_denominator = denominator_problem(q)

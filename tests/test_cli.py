@@ -527,11 +527,13 @@ class TestSelftest:
 class TestChildProcess:
     """The CLI as users start it: one fresh interpreter per command."""
 
-    # what every command may load: the package, the space reader and
-    # either kernel backend
-    BASE = {"urygrid", "urygrid.errors", "urygrid.grid", "urygrid._kernels",
-            "urygrid._kernels._fallback", "urygrid._kernels._ext", "urygrid.spaces",
+    # what every command may load: the package and the space reader
+    BASE = {"urygrid", "urygrid.errors", "urygrid.grid", "urygrid.spaces",
             "urygrid.fileio", "urygrid.cli"}
+
+    # either kernel backend, which only the commands that run a kernel load
+    KERNELS = {"urygrid._kernels", "urygrid._kernels._fallback", "urygrid._kernels._ext"}
+    RUNS_KERNEL = {"complete", "amalgam", "theta", "graev", "homog", "gh", "relations"}
 
     # stdlib modules that cost a one-shot process more than they give it:
     # dataclasses alone pulls in inspect, ast, dis and tokenize
@@ -604,6 +606,8 @@ class TestChildProcess:
         assert proc.returncode == 0, proc.stderr
         loaded, heavy = json.loads(proc.stdout.decode().splitlines()[-1])
         allowed = self.BASE | {"urygrid." + m for m in extra.split()}
+        if argv[0] in self.RUNS_KERNEL:
+            allowed |= self.KERNELS
         assert set(loaded) <= allowed, sorted(set(loaded) - allowed)
         assert set(heavy) <= heavy_at_startup, heavy
 

@@ -7,8 +7,8 @@ from urygrid.errors import ValidationError
 from urygrid.graev import WeightedAlphabet
 from urygrid.homog import PartialIsometryRelation
 from urygrid.katetov import KatetovFunction
-from urygrid.spaces import (FiniteMetricSpace, PartialSpec, Violation, amalgam,
-                            quotient_pseudometric, random_grid_space,
+from urygrid.spaces import (FiniteMetricSpace, PartialSpec, Violation, _new_row_fits,
+                            amalgam, quotient_pseudometric, random_grid_space,
                             shortest_path_completion, validate_space)
 
 
@@ -175,7 +175,7 @@ class TestQuotient:
         result = quotient_pseudometric(space)
         assert result.space.points == ("a", "c")
         assert result.space.distance("a", "c") == 2
-        assert result.projection["b"] == "a"
+        assert dict(result.projection)["b"] == "a"
 
     def test_all_zero_collapses_to_a_point(self):
         space = FiniteMetricSpace(("a", "b", "c"), 4,
@@ -336,12 +336,14 @@ class TestWithPoint:
                 row[i] = rng.choice((
                     rng.randint(0, q), 0, rng.randint(-2, -1), q + rng.randint(1, 2),
                     True, False, 1.5, None, "1"))
-            pseudo = rng.choice((None, None, True, False)) if not space.pseudo \
-                else rng.choice((None, True))
+            # only what the builder's row check takes: one entry per old
+            # point, a bool pseudo, and every old zero still allowed
+            pseudo = space.pseudo or rng.choice((False, False, False, True))
             report = assert_with_point_matches_full_scan(space, row, pseudo)
+            assert _new_row_fits(space.dist, q, tuple(row), pseudo) == report.ok
             for v in report.problems or (Violation("ok", ""),):
                 kinds[v.kind] = kinds.get(v.kind, 0) + 1
-        # every outcome the incremental check can report was exercised
+        # every outcome the row check can report was exercised
         assert {"ok", "range", "identity", "triangle"} <= set(kinds)
         assert min(kinds.values()) >= 20
 
