@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import random
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, count, product
 from math import gcd
 from operator import itemgetter
 
@@ -513,55 +513,107 @@ class TemplateTally(Record):
         self.complete_n = complete_n
 
 
+class _CirculantListing:
+    """The canonical gap colorings of Z_n for one (q, max_subset), in walk
+    order, each with its closed template (the circulant space) or None,
+    listed only as far as some search has asked.
+
+    The walk is lexicographic over the colorings, one per orbit of the
+    units of Z_n modulo +-1: multiplying every gap by a unit gives an
+    isometric circulant, and closure and the seed are both invariant under
+    isometry, so the first hit is the least of its orbit and skipping the
+    others changes nothing. ``orbit`` bounds the size of such an orbit.
+    ``has(i)`` walks on to coloring i without judging it; ``template(i)``
+    judges it on first use. The triangles are decided on row 0
+    (_circulant_row), then closure on the supports through vertex 0
+    (_closed_through_zero); only a closed coloring is built as a space."""
+
+    def __init__(self, q: int, max_subset: int, n: int):
+        self.q, self.max_subset, self.n = q, max_subset, n
+        self._grid = set(range(1, q + 1))
+        maps = _multiplier_maps(n)
+        self.orbit = 1 + len(maps)
+        self.templates = []
+        self._walk = (colors for colors in product(range(1, q + 1), repeat=n // 2)
+                      if not any(m(colors) < colors for m in maps))
+        self._next = None  # the coloring after the listed ones, once walked to
+
+    def has(self, i: int) -> bool:
+        """Whether coloring i exists, for i <= len(templates)."""
+        if i < len(self.templates):
+            return True
+        if self._next is None:
+            self._next = next(self._walk, None)
+        return self._next is not None
+
+    def template(self, i: int):
+        """Coloring i's closed template or None, once has(i) is True."""
+        if i == len(self.templates):
+            self.templates.append(self._judge(self._next))
+            self._next = None
+        return self.templates[i]
+
+    def _judge(self, colors):
+        # quick filter: realizing singleton profiles needs every grid
+        # value among the gap colors once n is big enough to matter
+        if not self._grid.issubset(colors):
+            return None
+        row = _circulant_row(self.n, colors)
+        # stops at the first missing profile; equals injectivity_check().ok
+        if row is None or not _closed_through_zero(row, self.q, self.max_subset):
+            return None
+        return _circulant_space(self.q, row)
+
+
+@lru_cache(maxsize=256)
+def _circulant_listing(q: int, max_subset: int, n: int) -> _CirculantListing:
+    """The one listing of Z_n's canonical colorings for (q, max_subset).
+    Searches extend it in place, so threads must not share it; the library
+    starts none."""
+    return _CirculantListing(q, max_subset, n)
+
+
 def find_transitive_template(seed: FiniteMetricSpace, max_subset: int, q: int,
                              cap: int, tally: TemplateTally | None = None):
     """Search rotation-invariant spaces over cyclic groups for one that is
     closed under small profiles and contains the seed isometrically.
 
     Such a space is vertex-transitive by construction, so every single point
-    maps onto every other by a global isometry. The gap colorings are walked
-    in lexicographic order, one per orbit of the units of Z_n modulo +-1:
-    multiplying every gap by a unit gives an isometric circulant, and closure
-    and the seed are both invariant under isometry, so the first hit is the
-    least of its orbit and skipping the others changes nothing. The budget
-    counts these canonical colorings. A candidate is kept only if its
-    triangles hold, which _circulant_row decides on row 0 in O(n^2)
-    comparisons, stopping at the first failure; then its closure is asked
-    of row 0 too, on the supports through vertex 0 (_closed_through_zero).
-    Only a closed candidate is built as a space and searched for the seed.
+    maps onto every other by a global isometry. For n = seed.n .. cap the
+    canonical gap colorings of Z_n are taken in turn from the listing of
+    (q, max_subset, n) (_CirculantListing), and the first closed one that
+    holds the seed is returned. The budget counts these colorings.
+
+    Whether a coloring is closed does not depend on the seed, so the
+    listings are memoized (_circulant_listing, keyed on (q, max_subset, n))
+    and each coloring is walked to and judged once per process. A listing
+    is extended lazily: a search charges a coloring to the budget before it
+    judges one that is not listed yet, and stops where its budget ends, so a
+    cold call walks and judges exactly the colorings that a call without the
+    memo would, and a warm one only embeds the seed in the closed ones.
     Returns (template, embedded seed indices) or None when the bounded
-    search finds nothing; ``tally``, when given, records how far it got."""
+    search finds nothing; ``tally``, when given, records how far it got,
+    which the memo does not change."""
     _require_subset(max_subset)
     if tally is None:
         tally = TemplateTally()
-    grid = set(range(1, q + 1))
-    for n in range(max(seed.n, 1), cap + 1):
-        half = n // 2
-        if half == 0:
-            continue
-        maps = _multiplier_maps(n)
-        # an orbit holds at most 1 + len(maps) colorings, so past this bound
-        # n has more canonical ones than the budget has left
-        if q ** half > (TEMPLATE_BUDGET - tally.tried) * (1 + len(maps)):
+    for n in range(max(seed.n, 2), cap + 1):
+        listing = _circulant_listing(q, max_subset, n)
+        # past this bound n has more canonical colorings than the budget
+        # has left
+        if q ** (n // 2) > (TEMPLATE_BUDGET - tally.tried) * listing.orbit:
             break
-        for colors in product(range(1, q + 1), repeat=half):
-            if any(m(colors) < colors for m in maps):
-                continue
+        i = 0
+        while listing.has(i):
             if tally.tried == TEMPLATE_BUDGET:
                 return None
             tally.tried += 1
-            # quick filter: realizing singleton profiles needs every grid
-            # value among the gap colors once n is big enough to matter
-            if not grid.issubset(colors):
-                continue
-            row = _circulant_row(n, colors)
-            # stops at the first missing profile; equals injectivity_check().ok
-            if row is None or not _closed_through_zero(row, q, max_subset):
-                continue
-            template = _circulant_space(q, row)
-            embedded = _embed_seed(seed, template)
-            if embedded is not None:
-                return template, embedded
+            template = listing.template(i)
+            i += 1
+            if template is not None:
+                embedded = _embed_seed(seed, template)
+                if embedded is not None:
+                    return template, embedded
         tally.complete_n = n
     return None
 
@@ -587,9 +639,11 @@ def build_approximant(seed: FiniteMetricSpace, max_subset: int, q: int, cap: int
 
     "transitive" first finds a closed rotation-invariant template containing
     the seed (see find_transitive_template) and copies each realizing point
-    out of it, so the closure inherits the template's point-transitivity:
-    the least unused template vertex in the AND of the spheres of the
-    support's images at the profile's values.
+    out of it: the least unused template vertex in the AND of the spheres of
+    the support's images at the profile's values. When the frontier closes,
+    the template vertices still unused are copied too, in index order, so
+    the result is an isometric copy of the whole template and inherits its
+    point-transitivity (a closed part of it need not be transitive).
     "random" draws each free distance uniformly from its exact feasibility
     interval with the seeded generator; this mixes the space and closes it
     quickly, but the result has no symmetry to speak of. (The deterministic
@@ -633,12 +687,16 @@ def build_approximant(seed: FiniteMetricSpace, max_subset: int, q: int, cap: int
     dist = frontier.dist
     points = list(space.points)
     taken = set(points)
+    names = (f"a{i}" for i in count() if f"a{i}" not in taken)
     pseudo = space.pseudo
-    fresh = 0
     while True:
         hit = frontier.first()
         if hit is None or len(points) >= cap:
             status = "closed" if hit is None else "capped"
+            if hit is None and template is not None:
+                image += [t for t in range(template.n) if not used >> t & 1]
+                points += [next(names) for _ in range(len(image) - len(points))]
+                dist = [[template.dist[s][t] for t in image] for s in image]
             grown = FiniteMetricSpace._trusted(tuple(points), q, tuple(map(tuple, dist)), pseudo)
             return ApproximantResult(grown, status, grown.n - seed.n, mode)
         idx, prof = hit
@@ -664,9 +722,7 @@ def build_approximant(seed: FiniteMetricSpace, max_subset: int, q: int, cap: int
                 if row[z] is None:
                     row[z] = v = rng.randint(*katetov_bounds([(w, dz[y]) for y, w in pairs], 1, q))
                     pairs.append((z, v))
-        while f"a{fresh}" in taken:
-            fresh += 1
-        name = f"a{fresh}"
+        name = next(names)
         if not _new_row_fits(dist, q, row, pseudo):
             _raise_unless_ok(validate_space(
                 points + [name], q, [r + [e] for r, e in zip(dist, row)] + [row + [0]],
@@ -674,8 +730,6 @@ def build_approximant(seed: FiniteMetricSpace, max_subset: int, q: int, cap: int
             raise InvariantError(f"row of {name} refused by the row check only")
         frontier.grow(row)
         points.append(name)
-        taken.add(name)
-        fresh += 1
 
 
 def _stabilizer_chain(dist, sph):

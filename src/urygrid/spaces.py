@@ -73,8 +73,11 @@ def _metric_report(points, denominator, dist, pseudo, diameter: int) -> Validati
     n = len(points)
     if n == 0:
         problems.append(Violation("shape", "space needs at least one point"))
-    if len(set(points)) != n:
-        problems.append(Violation("shape", "duplicate point names"))
+    try:
+        if len(set(points)) != n:
+            problems.append(Violation("shape", "duplicate point names"))
+    except TypeError:  # an unhashable name
+        problems.append(Violation("shape", "point names must be hashable"))
     if not isinstance(pseudo, bool):
         problems.append(Violation("shape", f"pseudo must be True or False, got {pseudo!r}"))
     bad_denominator = denominator_problem(denominator)
@@ -195,7 +198,7 @@ class FiniteMetricSpace(Record):
         so every refusal carries validate_space's report on it. The
         approximant builder grows its spaces with the O(n^2) new-row check
         of _new_row_fits instead."""
-        if name in self._index:
+        if name in self.points:
             raise ValidationError(f"point name {name!r} already used")
         row = _as_tuple(row, "row")
         rows = tuple(old + row[i:i + 1] for i, old in enumerate(self.dist)) + (row + (0,),)

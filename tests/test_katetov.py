@@ -9,8 +9,8 @@ import pytest
 from urygrid import katetov
 from urygrid.cli import main
 from urygrid.errors import GuardError, ValidationError
-from urygrid.katetov import (PROFILE_LIMIT, KatetovFunction, _circulant_row,
-                             _circulant_space, _closed_through_zero, _embed_seed,
+from urygrid.katetov import (PROFILE_LIMIT, KatetovFunction, TemplateTally,
+                             _circulant_row, _circulant_space, _closed_through_zero, _embed_seed,
                              _isometric_injections, _ProfileFrontier, _spheres,
                              _stabilizer_chain,
                              build_approximant, find_transitive_template,
@@ -716,16 +716,25 @@ class TestTemplateSearch:
     @pytest.mark.parametrize("q,k", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
     def test_search_matches_brute_force_twin(self, q, k):
         # q^(n // 2) summed over n <= 14 stays under the default budget, so
-        # the budgeted search and the exhaustive twin must agree exactly
+        # the budgeted search and the exhaustive twin must agree exactly;
+        # the first pass starts from empty listings, the second reads the
+        # listings the first one left, and both count the same colorings
         rng = random.Random(40 + 10 * q + k)
         seeds = [FiniteMetricSpace(**spec).rescaled(q) for spec in GOLDEN_SEEDS.values()
                  if q % spec["denominator"] == 0]
         seeds += [random_grid_space(rng.randint(1, 3), q, rng.randrange(10 ** 6))
                   for _ in range(20)]
-        for seed in seeds:
-            for cap in (8, 14):
-                assert find_transitive_template(seed, k, q, cap) == \
-                    brute_template(seed, k, q, cap)
+        katetov._circulant_listing.cache_clear()
+        tallies = []
+        for _ in ("cold", "warm"):
+            tallies.append([])
+            for seed in seeds:
+                for cap in (8, 14):
+                    tally = TemplateTally()
+                    assert find_transitive_template(seed, k, q, cap, tally=tally) == \
+                        brute_template(seed, k, q, cap)
+                    tallies[-1].append(tally)
+        assert tallies[0] == tallies[1]
 
     def test_subset_three_on_grid_two_finds_paley_29(self):
         seed = FiniteMetricSpace(("a",), 2, ((0,),))
@@ -742,22 +751,30 @@ class TestTemplateSearch:
 
     def test_transitive_refusal_reports_its_budget(self, capsys, tmp_path):
         # (q, k) = (3, 2) has no closed circulant within the budget; the
-        # pre-check stops the search before n = 20
+        # pre-check stops the search before n = 20. The second run reads the
+        # listings the first one left.
         seed = tmp_path / "seed.json"
         seed.write_text(json.dumps(GOLDEN_SEEDS["p1q3"]))
-        code = main(["approximant", "build", str(seed), "--subset", "2", "--grid", "3",
-                     "--cap", "24", "--strategy", "transitive"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err == ("refused: no transitive template within the search budget: "
-                                "13931 of 20000 canonical colorings tried, every n <= 19 "
-                                "searched in full; use strategy='random'\n")
+        katetov._circulant_listing.cache_clear()
+        for _ in ("cold", "warm"):
+            code = main(["approximant", "build", str(seed), "--subset", "2", "--grid", "3",
+                         "--cap", "24", "--strategy", "transitive"])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err == ("refused: no transitive template within the search "
+                                    "budget: 13931 of 20000 canonical colorings tried, "
+                                    "every n <= 19 searched in full; use strategy='random'\n")
 
     def test_subset_three_on_grid_two_builds_closed(self, capsys, tmp_path):
         seed = tmp_path / "seed.json"
         seed.write_text(json.dumps(GOLDEN_SEEDS["p1q2"]))
-        code = main(["approximant", "build", str(seed), "--subset", "3", "--grid", "2",
-                     "--cap", "64", "--strategy", "transitive"])
+        code = main(["--json", "approximant", "build", str(seed), "--subset", "3",
+                     "--grid", "2", "--cap", "64", "--strategy", "transitive"])
         assert code == 0
-        assert capsys.readouterr().out.startswith("status closed, 28 points")
+        out = json.loads(capsys.readouterr().out)
+        assert (out["status"], len(out["points"]), out["strategy"]) == \
+            ("closed", 29, "transitive")
+        # the closure is all of Paley 29, so it is point-transitive
+        space = FiniteMetricSpace(out["points"], out["denominator"], out["dist"])
+        assert homogeneity_check(space, 1, max_points=29).ok

@@ -64,6 +64,10 @@ class TestValidate:
     def test_constructor_raises_on_invalid(self):
         with pytest.raises(ValidationError):
             FiniteMetricSpace(("a", "b"), 4, ((0, 1), (2, 0)))
+        with pytest.raises(ValidationError, match="point names must be hashable"):
+            FiniteMetricSpace([["a"]], 1, ((0,),))
+        with pytest.raises(ValidationError, match="point names must be hashable"):
+            FiniteMetricSpace(["a"], 1, ((0,),)).with_point(["b"], (1,))
 
 
 class TestCompletion:
