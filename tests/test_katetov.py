@@ -619,6 +619,11 @@ GOLDEN_BUILDS = [
      "808a6b9c392de7e4af4ea716092614d9365379ebb63249558bb1409fd13ceb83"),
     (("p1q3", "--subset", "2", "--cap", "12", "--strategy", "auto", "--seed", "2"),
      "b86c84b92173afdc68a4ef768012eb461694664fc23736e46db779b2fadec5d7"),
+    # the hot random recipes: capped at 32 points, and closed at 15
+    (("p2q2", "--subset", "3", "--cap", "32", "--strategy", "random", "--seed", "7"),
+     "adc72bfaa5dd935d3493436c8888dd7c95b07b97d0e7b5f2810700aad654d2a8"),
+    (("p1q2", "--subset", "2", "--cap", "64", "--strategy", "random", "--seed", "11"),
+     "08893bbec07543fcf54092c2810d977164c8ac84ad72d032f17a110fcf63fe4f"),
 ]
 
 
