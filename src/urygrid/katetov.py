@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations, count, product
 from math import gcd
@@ -218,11 +219,18 @@ def _profiles_by_gaps(q: int, gaps: tuple[tuple[int, ...], ...]):
 
 
 @lru_cache(maxsize=256)
-def _zero_free_profiles(q: int, gaps: tuple[tuple[int, ...], ...]):
+def _zero_free_profiles(q: int, flat: tuple[int, ...]):
     """The profiles of _profiles_by_gaps(q, gaps) without a zero, in the same
     order, and for each the length of the prefix it shares with the next
-    one (0 for the last). Listed through _profiles_by_gaps, so its
+    one (0 for the last). ``flat`` holds the support's pairwise distances
+    d(t, j) for (t, j) in combinations(range(k), 2), a cheaper key to build
+    and hash than the nested gaps. Listed through _profiles_by_gaps, so its
     PROFILE_LIMIT refusal comes first."""
+    k = 1
+    while k * (k - 1) // 2 < len(flat):
+        k += 1
+    d = dict(zip(combinations(range(k), 2), flat))
+    gaps = tuple(tuple(d[t, j] for t in range(j)) for j in range(k))
     profiles = tuple(p for p in _profiles_by_gaps(q, gaps) if 0 not in p)
     shared = []
     for a, b in zip(profiles, profiles[1:]):
@@ -333,7 +341,7 @@ class _ProfileFrontier:
 
     def __init__(self, space: FiniteMetricSpace, max_subset: int):
         self.q = q = space.denominator
-        _zero_free_profiles(q, ((),))
+        _zero_free_profiles(q, ())
         self.max_subset = max_subset
         self.dist = [list(row) for row in space.dist]
         self.sph = [[s.get(v, 0) for v in range(q + 1)] for s in _spheres(space.dist)]
@@ -370,7 +378,8 @@ class _ProfileFrontier:
         heap, dist, sph, q = self.heap, self.dist, self.sph, self.q
         while heap:
             size, idx, start, stream = heap[0]
-            profiles = _zero_free_profiles(q, _support_gaps(dist, idx))
+            profiles = _zero_free_profiles(
+                q, tuple([dist[a][b] for a, b in combinations(idx, 2)]))
             pos = _first_unrealized(profiles, [sph[i] for i in idx], start)
             if pos is not None:
                 heapq.heapreplace(heap, (size, idx, pos, stream))
@@ -481,8 +490,8 @@ def _closed_through_zero(row, q: int, max_subset: int) -> bool:
             for s in rest:
                 if rotated[s] is None:
                     rotated[s] = [((m << s) | (m >> (n - s))) & full for m in sph0]
-            gaps = tuple(tuple(row[idx[j] - idx[t]] for t in range(j)) for j in range(size))
-            if _first_unrealized(_zero_free_profiles(q, gaps),
+            flat = tuple([row[b - a] for a, b in combinations(idx, 2)])
+            if _first_unrealized(_zero_free_profiles(q, flat),
                                  [rotated[s] for s in idx], 0) is not None:
                 return False
     return True
@@ -524,7 +533,9 @@ class _CirculantListing:
     isometry, so the first hit is the least of its orbit and skipping the
     others changes nothing. ``orbit`` bounds the size of such an orbit.
     ``has(i)`` walks on to coloring i without judging it; ``template(i)``
-    judges it on first use. The triangles are decided on row 0
+    judges it on first use, and ``closed`` keeps the indices of the closed
+    ones, so ``skip(i)`` can tell how far a search may pass over listed
+    colorings that hold no template. The triangles are decided on row 0
     (_circulant_row), then closure on the supports through vertex 0
     (_closed_through_zero); only a closed coloring is built as a space."""
 
@@ -534,6 +545,7 @@ class _CirculantListing:
         maps = _multiplier_maps(n)
         self.orbit = 1 + len(maps)
         self.templates = []
+        self.closed = []
         self._walk = (colors for colors in product(range(1, q + 1), repeat=n // 2)
                       if not any(m(colors) < colors for m in maps))
         self._next = None  # the coloring after the listed ones, once walked to
@@ -549,9 +561,20 @@ class _CirculantListing:
     def template(self, i: int):
         """Coloring i's closed template or None, once has(i) is True."""
         if i == len(self.templates):
-            self.templates.append(self._judge(self._next))
+            template = self._judge(self._next)
+            if template is not None:
+                self.closed.append(i)
+            self.templates.append(template)
             self._next = None
         return self.templates[i]
+
+    def skip(self, i: int) -> int:
+        """The first closed coloring at or after i, when one is listed; else
+        the last listed coloring, or i itself when i is not listed."""
+        k = bisect_left(self.closed, i)
+        if k < len(self.closed):
+            return self.closed[k]
+        return max(i, len(self.templates) - 1)
 
     def _judge(self, colors):
         # quick filter: realizing singleton profiles needs every grid
@@ -590,7 +613,9 @@ def find_transitive_template(seed: FiniteMetricSpace, max_subset: int, q: int,
     is extended lazily: a search charges a coloring to the budget before it
     judges one that is not listed yet, and stops where its budget ends, so a
     cold call walks and judges exactly the colorings that a call without the
-    memo would, and a warm one only embeds the seed in the closed ones.
+    memo would. A warm one charges the listed colorings up to the next
+    closed one in one step (_CirculantListing.skip), as far as the budget
+    goes, and only embeds the seed in the closed ones.
     Returns (template, embedded seed indices) or None when the bounded
     search finds nothing; ``tally``, when given, records how far it got,
     which the memo does not change."""
@@ -607,15 +632,62 @@ def find_transitive_template(seed: FiniteMetricSpace, max_subset: int, q: int,
         while listing.has(i):
             if tally.tried == TEMPLATE_BUDGET:
                 return None
-            tally.tried += 1
-            template = listing.template(i)
-            i += 1
+            # colorings i..j are charged at once, as far as the budget goes:
+            # every listed one before the next closed one holds no template
+            j = min(listing.skip(i), i + TEMPLATE_BUDGET - tally.tried - 1)
+            tally.tried += j - i + 1
+            template = listing.template(j)
+            i = j + 1
             if template is not None:
                 embedded = _embed_seed(seed, template)
                 if embedded is not None:
                     return template, embedded
         tally.complete_n = n
     return None
+
+
+def _random_row(dist, idx, prof, q: int, bits):
+    """The distances of a new point to the points with rows ``dist``: the
+    profile ``prof`` on the support ``idx``, and each other entry, in index
+    order, drawn uniformly from its exact Katetov interval in [1, q] given
+    the entries set so far.
+
+    ``bits`` is a random.Random's getrandbits. The interval is
+    grid.katetov_bounds written out, as in bikatetov._gibbs, and the draw is
+    the rejection loop of Random.randint written out: k = width.bit_length()
+    bits, redrawn while they reach the width. Both take the same bits, so a
+    row equals the one katetov_bounds and randint would draw from the same
+    generator, and leaves it in the same state. A call per entry to either
+    would slow this hot path of the random builder."""
+    row = [None] * len(dist)
+    # (point, distance) for each entry set so far, one more as each free
+    # entry is drawn
+    pairs = list(zip(idx, prof))
+    for i, v in pairs:
+        row[i] = v
+    for z, dz in enumerate(dist):
+        if row[z] is None:
+            lo, hi = 1, q
+            for y, w in pairs:
+                d = dz[y]
+                t = w - d
+                if t > lo:
+                    lo = t
+                elif -t > lo:
+                    lo = -t
+                t = w + d
+                if t < hi:
+                    hi = t
+            width = hi - lo + 1
+            if width < 1:
+                raise InvariantError(f"empty Katetov interval [{lo}, {hi}] for point {z}")
+            k = width.bit_length()
+            r = bits(k)
+            while r >= width:
+                r = bits(k)
+            row[z] = v = lo + r
+            pairs.append((z, v))
+    return row
 
 
 def build_approximant(seed: FiniteMetricSpace, max_subset: int, q: int, cap: int,
@@ -645,7 +717,7 @@ def build_approximant(seed: FiniteMetricSpace, max_subset: int, q: int, cap: int
     the result is an isometric copy of the whole template and inherits its
     point-transitivity (a closed part of it need not be transitive).
     "random" draws each free distance uniformly from its exact feasibility
-    interval with the seeded generator; this mixes the space and closes it
+    interval with the seeded generator (_random_row); this mixes the space and closes it
     quickly, but the result has no symmetry to speak of. (The deterministic
     extremes are poor policies: always taking the largest extension keeps
     every new point far from everything and pair-support closure never
@@ -661,7 +733,7 @@ def build_approximant(seed: FiniteMetricSpace, max_subset: int, q: int, cap: int
     if strategy not in ("auto", "random", "transitive"):
         raise ValidationError(f"unknown strategy {strategy!r}")
     space = seed.rescaled(q) if seed.denominator != q else seed
-    rng = random.Random(rng_seed)
+    bits = random.Random(rng_seed).getrandbits
 
     template = None
     if strategy in ("auto", "transitive"):
@@ -712,16 +784,7 @@ def build_approximant(seed: FiniteMetricSpace, max_subset: int, q: int, cap: int
             image.append(target)
             used |= 1 << target
         else:
-            row = [None] * len(points)
-            # (point, distance) for each entry set so far, one more as each
-            # free entry is drawn
-            pairs = list(zip(idx, prof))
-            for i, v in pairs:
-                row[i] = v
-            for z, dz in enumerate(dist):
-                if row[z] is None:
-                    row[z] = v = rng.randint(*katetov_bounds([(w, dz[y]) for y, w in pairs], 1, q))
-                    pairs.append((z, v))
+            row = _random_row(dist, idx, prof, q, bits)
         name = next(names)
         if not _new_row_fits(dist, q, row, pseudo):
             _raise_unless_ok(validate_space(
@@ -812,16 +875,21 @@ def homogeneity_check(space: FiniteMetricSpace, max_subset: int,
 
     A partial isometry dom -> img extends exactly when img is the restriction
     to dom of some global isometry, so each domain's restrictions are
-    collected once and every image is looked up among them."""
+    collected once and every image is looked up among them. They are read
+    off the group's columns (the images of one point under every
+    isometry): zipping the domain's columns gives one restriction per
+    isometry."""
     _require_subset(max_subset)
     group = iso_group(space, max_points=max_points)
+    # columns[a] holds the image of a under each isometry, in group order
+    columns = list(zip(*group))
     dist = space.dist
     sph = _spheres(dist)
     bad = []
     checked = 0
     for size in range(1, max_subset + 1):
         for dom in combinations(range(space.n), size):
-            restrictions = {tuple(g[a] for a in dom) for g in group}
+            restrictions = set(zip(*[columns[a] for a in dom]))
             pattern = [[dist[a][b] for b in dom] for a in dom]
             for img in _isometric_injections(pattern, dist, sph):
                 checked += 1

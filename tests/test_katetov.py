@@ -9,6 +9,7 @@ import pytest
 from urygrid import katetov
 from urygrid.cli import main
 from urygrid.errors import GuardError, ValidationError
+from urygrid.grid import katetov_bounds
 from urygrid.katetov import (PROFILE_LIMIT, KatetovFunction, TemplateTally,
                              _circulant_row, _circulant_space, _closed_through_zero, _embed_seed,
                              _isometric_injections, _ProfileFrontier, _spheres,
@@ -341,15 +342,50 @@ class TestBuildApproximant:
                 assert result.space.distance(p, q_) == seed.distance(p, q_)
 
     def test_row_that_breaks_a_triangle_is_refused_with_the_report(self, monkeypatch):
-        # a free distance forced to the top of [1, q], outside its exact
+        # every free distance forced to the top of [1, q], outside its exact
         # interval: the new row's check fails and validate_space reports it
-        bounds = katetov.katetov_bounds
-        monkeypatch.setattr(katetov, "katetov_bounds",
-                            lambda pairs, lo, hi: (hi, hi) if lo == 1 else bounds(pairs, lo, hi))
+        def forced_row(dist, idx, prof, q, bits):
+            row = [q] * len(dist)
+            for i, v in zip(idx, prof):
+                row[i] = v
+            return row
+
+        monkeypatch.setattr(katetov, "_random_row", forced_row)
         seed = FiniteMetricSpace(("a", "b"), 4, ((0, 1), (1, 0)))
         with pytest.raises(ValidationError, match=r"d\(b,a0\) = 4 > 1 \+ 2 via a") as caught:
             build_approximant(seed, 1, 4, 8, strategy="random")
         assert [v.kind for v in caught.value.witness.problems] == ["triangle"]
+
+    def test_random_row_matches_bounds_and_randint(self):
+        # the written-out interval and draw against grid.katetov_bounds and
+        # Random.randint on generators of the same seed: equal rows, and the
+        # generators end in equal states
+        rng = random.Random(27)
+        widths = set()
+        for case in range(240):
+            q = 1 + case % 4
+            space = random_grid_space(rng.randint(2, 9), q, rng.randrange(10 ** 6))
+            dist = space.dist
+            idx = tuple(rng.sample(range(space.n), rng.randint(1, min(3, space.n))))
+            prof = []
+            for k, y in enumerate(idx):
+                prof.append(rng.randint(*katetov_bounds(
+                    [(w, dist[y][t]) for t, w in zip(idx[:k], prof)], 1, q)))
+            ours, ref = random.Random(case), random.Random(case)
+            row = katetov._random_row(dist, idx, tuple(prof), q, ours.getrandbits)
+            expected = [None] * space.n
+            pairs = list(zip(idx, prof))
+            for i, v in pairs:
+                expected[i] = v
+            for z in range(space.n):
+                if expected[z] is None:
+                    lo, hi = katetov_bounds([(w, dist[z][y]) for y, w in pairs], 1, q)
+                    widths.add(hi - lo + 1)
+                    expected[z] = v = ref.randint(lo, hi)
+                    pairs.append((z, v))
+            assert row == expected, case
+            assert ours.getstate() == ref.getstate(), case
+        assert {1, 2, 3} <= widths
 
     def test_benchmark_transitive_build_is_the_rook_complement(self):
         # the benchmark's ("auto", 2, 2, 64) recipe on a 1-point seed
@@ -740,6 +776,28 @@ class TestTemplateSearch:
                         brute_template(seed, k, q, cap)
                     tallies[-1].append(tally)
         assert tallies[0] == tallies[1]
+
+    @pytest.mark.parametrize("q,k", [(2, 2), (3, 1)])
+    def test_warm_search_charges_like_a_cold_one_under_any_budget(self, monkeypatch, q, k):
+        # a warm search charges the listed colorings up to the next closed
+        # one in one step; wherever the budget cuts it, it must find what a
+        # cold search under that budget finds and count the same colorings.
+        # The 3-point seeds pass over closed templates that miss them.
+        seeds = [FiniteMetricSpace(("a",), q, ((0,),)), random_grid_space(3, q, 5),
+                 random_grid_space(3, q, 9)]
+        for budget in range(1, 90):
+            monkeypatch.setattr(katetov, "TEMPLATE_BUDGET", budget)
+            for seed in seeds:
+                runs = []
+                for warm in (False, True):
+                    katetov._circulant_listing.cache_clear()
+                    if warm:
+                        monkeypatch.setattr(katetov, "TEMPLATE_BUDGET", 20_000)
+                        find_transitive_template(seed, k, q, 16)
+                        monkeypatch.setattr(katetov, "TEMPLATE_BUDGET", budget)
+                    tally = TemplateTally()
+                    runs.append((find_transitive_template(seed, k, q, 16, tally=tally), tally))
+                assert runs[0] == runs[1], (budget, seed)
 
     def test_subset_three_on_grid_two_finds_paley_29(self):
         seed = FiniteMetricSpace(("a",), 2, ((0,),))
