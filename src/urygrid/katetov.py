@@ -881,7 +881,6 @@ def homogeneity_check(space: FiniteMetricSpace, max_subset: int,
     isometry."""
     _require_subset(max_subset)
     group = iso_group(space, max_points=max_points)
-    # columns[a] holds the image of a under each isometry, in group order
     columns = list(zip(*group))
     dist = space.dist
     sph = _spheres(dist)
