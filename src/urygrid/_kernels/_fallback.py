@@ -134,36 +134,41 @@ def graev_dp_step(plan: list, letter: int, sign: int, nl: int,
     return col, longer
 
 
-def _child_terms(plan, norms, letter, sign, nl, dist, weights):
-    """The norm of a word's one-symbol extension and the extension's split
-    terms, from one _dp_column and no plan of its own: (P[0][m] + P[m+1][n+1],
-    row of l_m) for every position m, the new one with pin 0, in the list of
-    the sign that arcs to m, +1 first."""
-    n = len(plan)
-    col = _dp_column(plan, letter, sign, weights[letter])
-    terms = ([], [])
-    terms[sign > 0].append((norms[n], dist[letter * nl:letter * nl + nl]))
-    for i, _, row, opp, _, _ in plan:
-        terms[opp < 0].append((norms[i] + col[i + 1], row))
-    return col[0], terms
-
-
-def _finish_norms(norm, terms, nl, weights):
-    """The norm of each one-symbol extension of a word of the given norm and
-    split terms, split at the new symbol: it stays unpaired and pays its
-    weight on the word's norm, or it arcs to an opposite-sign position m,
-    which parts the rest into [0, m) and (m, n), each paired on its own,
-    and pays the letter distance on that term. Letters ascending, +1 first."""
+def _family_norms(plan, norms, symbols, nl, dist, weights):
+    """The norm of each child of a word among symbols, each followed by the
+    norms of its 2*nl leaves, letters ascending, +1 first, in one flat list:
+    one _dp_column per child and no plan of its own. A leaf's new symbol
+    pays its weight on the child's norm, or arcs to an opposite-sign
+    position m, which parts the rest into [0, m) and (m, n], each paired on
+    its own, and pays the letter distance on the split term
+    P[0][m] + P[m+1][n+1]. Each split term is costed against the leaves as
+    soon as it is known; none is stored."""
+    rows = [dist[l * nl:l * nl + nl] for l in range(nl)]
+    # a family is the child, then leaf (l, +1) at 2l + 1 and (l, -1) at
+    # 2l + 2; it starts as the child's norm and each leaf left unpaired
+    unpaired = [0] + [w for w in weights for _ in (1, -1)]
+    head = norms[len(plan)]
+    # (P[0][i], i + 1, row of l_i, first leaf that arcs to i); an int, not
+    # a bool, keeps the index arithmetic on the interpreter's int fast path
+    splits = [(norms[i], i + 1, row, 1 + (opp < 0)) for i, _, row, opp, _, _ in plan]
     out = []
-    for letter in range(nl):
-        unpaired = norm + weights[letter]
-        for group in terms:
-            best = unpaired
-            for t, row in group:
-                c = t + row[letter]
-                if c < best:
-                    best = c
-            out.append(best)
+    for letter, sign in symbols:
+        col = _dp_column(plan, letter, sign, weights[letter])
+        leaves = [col[0] + w for w in unpaired]
+        k = 1 + (sign > 0)
+        for r in rows[letter]:
+            c = head + r
+            if c < leaves[k]:
+                leaves[k] = c
+            k += 2
+        for prefix, m, row, k in splits:
+            t = prefix + col[m]
+            for r in row:
+                c = t + r
+                if c < leaves[k]:
+                    leaves[k] = c
+                k += 2
+        out += leaves
     return out
 
 
@@ -216,47 +221,58 @@ def _complete_min(states: list) -> int:
     return min([cost for stack, _, cost in states if stack is None])
 
 
-def _child_closers(states, complete, letter, sign, nl, dist, weights):
-    """The cheapest complete pairing of a word's one-symbol extension, from
-    the word's states (none deeper than 2) and cheapest complete pairing,
-    and the extension's closers: (l * nl, cost) for each of its states with
-    one open arc, of letter l, in the list of the sign that closes it, +1
-    first. Those states come from three moves: the symbol left unpaired at
-    depth 1, closing an arc at depth 2, or opening one at depth 0, costed on
-    the cheapest complete state, as all of them open the same arc. No
-    state list is built."""
-    w = weights[letter]
-    least = complete + w
-    closers = ([], [])
-    closers[sign > 0].append((letter * nl, complete))
-    for stack, depth, cost in states:
-        if depth == 1:
-            top, s, _ = stack
-            closers[s > 0].append((top * nl, cost + w))
+def _family_minima(states, complete, symbols, nl, dist, weights):
+    """The cheapest complete pairing of each child of a word among symbols,
+    each followed by those of its 2*nl leaves, letters ascending, +1 first,
+    in one flat list: from the word's states (none deeper than 2) and
+    cheapest complete pairing, with no state list for the children. A
+    child's closers, its states with one open arc, come from leaving the
+    symbol unpaired at depth 1, closing an arc at depth 2, or opening one on
+    the cheapest complete state. A leaf is unpaired on the child's cheapest
+    complete pairing or closes one closer of the other sign. Each closer is
+    costed against every leaf as soon as it is known; none is stored or
+    merged with another."""
+    rows = [dist[l * nl:l * nl + nl] for l in range(nl)]
+    # laid out as in _family_norms
+    unpaired = [0] + [w for w in weights for _ in (1, -1)]
+    # (sign of the open arc, its row, cost, first leaf that closes it)
+    ones = [(stack[1], rows[stack[0]], cost, 1 + (stack[1] > 0))
+            for stack, depth, cost in states if depth == 1]
+    # (sign of the top arc, its row, cost, row and first leaf of the one below)
+    twos = [(stack[1], rows[stack[0]], cost, rows[stack[2][0]], 1 + (stack[2][1] > 0))
+            for stack, depth, cost in states if depth == 2]
+    out = []
+    for letter, sign in symbols:
+        w = weights[letter]
+        least = complete + w
+        for s, row, cost, _ in ones:
             if s != sign:
-                c = cost + dist[top * nl + letter]
+                c = cost + row[letter]
                 if c < least:
                     least = c
-        elif depth == 2 and stack[1] != sign:
-            top, s, _ = stack[2]
-            closers[s > 0].append((top * nl, cost + dist[stack[0] * nl + letter]))
-    return least, closers
-
-
-def _finish_minima(least, closers, nl, dist, weights):
-    """The cheapest complete pairing of each one-symbol extension of a word
-    with the given cheapest one and closers: the symbol is unpaired or
-    closes one closer, each costed on its own; letters ascending, +1 first."""
-    out = []
-    for letter in range(nl):
-        unpaired = least + weights[letter]
-        for group in closers:
-            best = unpaired
-            for base, cost in group:
-                c = dist[base + letter] + cost
-                if c < best:
-                    best = c
-            out.append(best)
+        leaves = [least + v for v in unpaired]
+        k = 1 + (sign > 0)
+        for r in rows[letter]:
+            c = complete + r
+            if c < leaves[k]:
+                leaves[k] = c
+            k += 2
+        for _, row, cost, k in ones:
+            t = cost + w
+            for r in row:
+                c = t + r
+                if c < leaves[k]:
+                    leaves[k] = c
+                k += 2
+        for s, top, cost, row, k in twos:
+            if s != sign:
+                t = cost + top[letter]
+                for r in row:
+                    c = t + r
+                    if c < leaves[k]:
+                        leaves[k] = c
+                    k += 2
+        out += leaves
     return out
 
 
@@ -320,11 +336,11 @@ def graev_agree_exhaustive(nl: int, dist: list[int], weights: list[int],
     with the norms of the current word's prefixes. A word shorter than
     max_len - 2 builds one graev_dp_step plan for all its children and
     takes one graev_pairing_step per child, with room counted up to max_len.
-    A word of length max_len - 2 finishes each child and its leaves with no
-    plan or state list for them: _child_terms and _child_closers fold its
-    plan and its states into the child's norm and split terms and into its
-    cheapest pairing and closers, and _finish_norms and _finish_minima take
-    the leaves' from those."""
+    A word of length max_len - 2 finishes all its children and their leaves
+    in one call per side, with no plan or state list for them:
+    _family_norms folds its plan and prefix norms, _family_minima its states
+    and cheapest pairing, and each returns the values of every child and
+    leaf in one list."""
     _check_alphabet(nl, dist, weights)
     if max_len < 0:
         raise ValueError(f"max_len must be non-negative, got {max_len}")
@@ -334,37 +350,33 @@ def graev_agree_exhaustive(nl: int, dist: list[int], weights: list[int],
             raise ValueError(f"first must lie in [0, {len(children)}), got {first}")
         if max_len < 1:
             raise ValueError(f"first needs max_len >= 1, got {max_len}")
-    # the empty word's children that the sweep takes, in the order of children
-    lo, hi = (0, len(children)) if first is None else (first, first + 1)
+    # the empty word's children that the sweep takes
+    symbols = children if first is None else children[first:first + 1]
     # the empty word, checked unless first is given, has norm 0 both ways
     checked = int(first is None)
     mismatches = 0
-    if max_len == 1:
-        # the empty word's leaves: no split term and no open arc
-        dp = _finish_norms(0, ([], []), nl, weights)[lo:hi]
-        bf = _finish_minima(0, ([], []), nl, dist, weights)[lo:hi]
-        return checked + len(dp), sum(a != b for a, b in zip(dp, bf))
-    family = 1 + len(children)  # a parent of leaves and its leaves
     # norms[k] is the norm of the current word's first k symbols
     norms = [0] * (max_len + 1)
+    if max_len == 1:
+        # the empty word's children are the leaves: each family's first entry
+        family = 1 + len(children)
+        dp = _family_norms([], norms, symbols, nl, dist, weights)[::family]
+        bf = _family_minima([(None, 0, 0)], 0, symbols, nl, dist, weights)[::family]
+        return checked + len(dp), sum(a != b for a, b in zip(dp, bf))
 
     def walk(plan, states, complete, symbols):
         # each child of the current word among symbols, with its descendants;
         # the current word is at least two symbols short of max_len
         nonlocal checked, mismatches
         n = len(plan)
+        if n + 2 == max_len:
+            dp = _family_norms(plan, norms, symbols, nl, dist, weights)
+            bf = _family_minima(states, complete, symbols, nl, dist, weights)
+            checked += len(dp)
+            if dp != bf:
+                mismatches += sum(a != b for a, b in zip(dp, bf))
+            return
         for letter, sign in symbols:
-            if n + 2 == max_len:
-                norm, terms = _child_terms(plan, norms, letter, sign, nl, dist, weights)
-                least, closers = _child_closers(states, complete, letter, sign, nl, dist, weights)
-                checked += family
-                if norm != least:
-                    mismatches += 1
-                dp = _finish_norms(norm, terms, nl, weights)
-                bf = _finish_minima(least, closers, nl, dist, weights)
-                if dp != bf:
-                    mismatches += sum(a != b for a, b in zip(dp, bf))
-                continue
             col, longer = graev_dp_step(plan, letter, sign, nl, dist, weights)
             child = graev_pairing_step(states, letter, sign, max_len - n - 1,
                                        nl, dist, weights)
@@ -376,5 +388,5 @@ def graev_agree_exhaustive(nl: int, dist: list[int], weights: list[int],
             walk(longer, child, least, children)
 
     if max_len > 1:
-        walk([], [(None, 0, 0)], 0, children[lo:hi])
+        walk([], [(None, 0, 0)], 0, symbols)
     return checked, mismatches

@@ -587,20 +587,26 @@ class TestChildProcess:
         return subprocess.run([sys.executable, *head, *argv], cwd=cwd, capture_output=True,
                               env=dict(os.environ, PYTHONPATH=SRC))
 
+    # each id is a fixed string, not built from extra, so that a change to
+    # what a command may load keeps the test's name
     @pytest.mark.parametrize("argv, extra", [
-        (("validate", "space.json"), ""),
-        (("complete", "partial.json"), ""),
-        (("amalgam", "x.json", "y.json", "--glue", "m=m"), ""),
-        (("katetov", "check", "f.json"), "katetov"),
-        (("approximant", "build", "seed.json", "--subset", "1", "--cap", "8"), "katetov"),
-        (("isogroup", "space.json"), "katetov"),
-        (("theta", "star", "m.json"), "bikatetov"),
-        (("theta", "invert", "m.json"), "bikatetov katetov"),
-        (("graev", "norm", "word.json"), "graev"),
-        (("homog", "phi", "rels.json"), "graev homog"),
-        (("gh", "dist", "instance.json"), "gh"),
-        (("relations", "k", "space.json"), "bikatetov graev homog relations"),
-    ], ids=lambda v: " ".join(v[:2]) if isinstance(v, tuple) else v or "base")
+        pytest.param(("validate", "space.json"), "", id="validate space.json-base"),
+        pytest.param(("complete", "partial.json"), "", id="complete partial.json-base"),
+        pytest.param(("amalgam", "x.json", "y.json", "--glue", "m=m"), "",
+                     id="amalgam x.json-base"),
+        pytest.param(("katetov", "check", "f.json"), "katetov", id="katetov check-katetov"),
+        pytest.param(("approximant", "build", "seed.json", "--subset", "1", "--cap", "8"),
+                     "katetov", id="approximant build-katetov"),
+        pytest.param(("isogroup", "space.json"), "katetov", id="isogroup space.json-katetov"),
+        pytest.param(("theta", "star", "m.json"), "bikatetov", id="theta star-bikatetov"),
+        pytest.param(("theta", "invert", "m.json"), "bikatetov katetov",
+                     id="theta invert-bikatetov katetov"),
+        pytest.param(("graev", "norm", "word.json"), "graev", id="graev norm-graev"),
+        pytest.param(("homog", "phi", "rels.json"), "graev homog", id="homog phi-graev homog"),
+        pytest.param(("gh", "dist", "instance.json"), "gh", id="gh dist-gh"),
+        pytest.param(("relations", "k", "space.json"), "bikatetov graev homog relations",
+                     id="relations k-bikatetov graev homog relations"),
+    ])
     def test_command_loads_only_its_modules(self, corpus, heavy_at_startup, argv, extra):
         proc = self.child(corpus, *argv)
         assert proc.returncode == 0, proc.stderr

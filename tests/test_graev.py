@@ -263,39 +263,37 @@ class TestSweep:
 
     def test_pure_sweep_counts_mismatches(self, monkeypatch):
         # every inverse symbol costs one more on the pairing side: in the
-        # step (inner words, of length 1 at max_len 3), in the fold of the
-        # grandparent's states (parents of leaves, of length 2: their least
-        # pairing and every closer) and in the leaf minima (leaves, of
-        # length max_len). Every candidate of a word with a -1 sign carries
-        # at least one extra, so exactly those words mismatch
+        # step (inner words, of length 1 at max_len 3) and in the family
+        # minima (parents of leaves, of length 2, one more when they end in
+        # -1, and leaves, one more for each of their last two symbols that
+        # is -1). Every candidate of a word with a -1 sign carries at least
+        # one extra, so exactly those words mismatch
         step = _fallback.graev_pairing_step
-        fold = _fallback._child_closers
-        leaves = _fallback._finish_minima
+        family = _fallback._family_minima
 
         def off_by_one(states, letter, sign, *rest):
             return [(stack, depth, cost + (sign == -1))
                     for stack, depth, cost in step(states, letter, sign, *rest)]
 
-        def fold_off_by_one(states, complete, letter, sign, *rest):
-            least, closers = fold(states, complete, letter, sign, *rest)
-            k = sign == -1
-            return least + k, tuple([(base, cost + k) for base, cost in group]
-                                    for group in closers)
-
-        def leaves_off_by_one(*args):
-            # _finish_minima lists +1 before -1 for each letter
-            return [m + k % 2 for k, m in enumerate(leaves(*args))]
+        def family_off_by_one(states, complete, symbols, nl, *rest):
+            got = iter(family(states, complete, symbols, nl, *rest))
+            out = []
+            for _, sign in symbols:
+                k = sign == -1
+                # the child, then its leaves, letters ascending, +1 first
+                out.append(next(got) + k)
+                out += [next(got) + k + j % 2 for j in range(2 * nl)]
+            return out
 
         monkeypatch.setattr(_fallback, "graev_pairing_step", off_by_one)
-        monkeypatch.setattr(_fallback, "_child_closers", fold_off_by_one)
-        monkeypatch.setattr(_fallback, "_finish_minima", leaves_off_by_one)
+        monkeypatch.setattr(_fallback, "_family_minima", family_off_by_one)
         got = _fallback.graev_agree_exhaustive(2, [0, 3, 3, 0], [2, 4], 3)
         assert got == (words_checked(2, 3), words_checked(2, 3) - words_checked(1, 3))
 
     def test_pure_sweep_counts_dp_mismatches(self, monkeypatch):
         # P[0][n+1] one more after an inverse symbol. Inner words (length 1,
         # from graev_dp_step) and parents of leaves (length 2, from
-        # _child_terms) take their norms from row 0, and no split term
+        # _family_norms) take their norms from row 0, and no split term
         # reads it, so those words mismatch exactly when they end in -1: 2
         # of length 1 and 8 of length 2. The 64 leaves abc read row 0
         # through the parent's norm and the prefix norms, as the least of
@@ -318,47 +316,53 @@ class TestSweep:
         assert got == (words_checked(2, 3), 2 + 8 + 16)
 
     def test_pure_sweep_counts_leaf_split_mismatches(self, monkeypatch):
-        # every leaf norm one more when the leaf ends in -1; only the
-        # leaves read _finish_norms, so exactly the 32 leaves of length 3
+        # every leaf norm in the family norms one more when the leaf ends in
+        # -1; only leaves are changed, so exactly the 32 leaves of length 3
         # that end in -1 mismatch
-        leaves = _fallback._finish_norms
+        family = _fallback._family_norms
 
-        def off_by_one(*args):
-            # _finish_norms lists +1 before -1 for each letter
-            return [m + k % 2 for k, m in enumerate(leaves(*args))]
+        def off_by_one(plan, norms, symbols, nl, *rest):
+            # each child, then its leaves, letters ascending, +1 first: the
+            # leaves that end in -1 sit at the even offsets from 2
+            size = 1 + 2 * nl
+            return [m + (j % size > 0 and j % size % 2 == 0)
+                    for j, m in enumerate(family(plan, norms, symbols, nl, *rest))]
 
-        monkeypatch.setattr(_fallback, "_finish_norms", off_by_one)
+        monkeypatch.setattr(_fallback, "_family_norms", off_by_one)
         got = _fallback.graev_agree_exhaustive(2, [0, 3, 3, 0], [2, 4], 3)
         assert got == (words_checked(2, 3), 32)
 
     def test_pure_sweep_counts_split_term_mismatches(self, monkeypatch):
         # every split term of a parent of leaves one more when the parent
-        # ends in -1; only leaves read the terms. A leaf abc with b = -1
-        # then mismatches when some term is below leaving c unpaired,
-        # norm(ab) + wt(c). With d(x, y) = 3 and weights 2 and 4:
+        # ends in -1: the family norms read the prefix norms only in split
+        # terms, so the wrapper finishes each child in a call of its own, a
+        # -1 child on prefix norms one more. Only leaves read the terms. A
+        # leaf abc with b = -1 then mismatches when some term is below
+        # leaving c unpaired, norm(ab) + wt(c). With d(x, y) = 3 and weights
+        # 2 and 4:
         #   a and b both -1: c = x or y arcs to b at wt(a) + d(b, c), below
         #     wt(a) + wt(b) + wt(c): 8 leaves;
         #   x y^-1 (norm 3): c = y arcs to b (2 < 7), c = x^-1 to a (4 < 5);
         #   y x^-1 (norm 3): c = x arcs to b (4 < 5), c = y^-1 to a (2 < 7);
         #   x x^-1 and y y^-1 (norm 0): no term is below;
         # 12 in all
-        terms = _fallback._child_terms
+        family = _fallback._family_norms
 
-        def off_by_one(plan, norms, letter, sign, *rest):
-            norm, groups = terms(plan, norms, letter, sign, *rest)
-            k = sign == -1
-            return norm, tuple([(t + k, row) for t, row in group] for group in groups)
+        def off_by_one(plan, norms, symbols, *rest):
+            higher = [norm + 1 for norm in norms]
+            return [m for symbol in symbols
+                    for m in family(plan, higher if symbol[1] == -1 else norms, [symbol], *rest)]
 
-        monkeypatch.setattr(_fallback, "_child_terms", off_by_one)
+        monkeypatch.setattr(_fallback, "_family_norms", off_by_one)
         got = _fallback.graev_agree_exhaustive(2, [0, 3, 3, 0], [2, 4], 3)
         assert got == (words_checked(2, 3), 12)
 
     @pytest.mark.parametrize("alphabet_seed", [None, 1, 2])
     def test_child_terms_equal_the_column(self, xy_alphabet, alphabet_seed):
         # every grandparent of leaves for each max_len up to 6 (the words of
-        # length <= 4, whose plans do not depend on max_len) and each of
-        # its children: the child's norm, and each leaf's split, against
-        # the full column; then max_len 1, which splits over no term
+        # length <= 4, whose plans do not depend on max_len): each child's
+        # norm, and each leaf's split, against the full column; then
+        # max_len 1, which keeps each family's first entry
         if alphabet_seed is None:
             nl, d, wts = 2, xy_alphabet.flat(), list(xy_alphabet.weights)
         else:
@@ -370,55 +374,55 @@ class TestSweep:
             return [_fallback._dp_column(plan, letter, sign, wts[letter])[0]
                     for letter, sign in symbols]
 
-        assert _fallback._finish_norms(0, ([], []), nl, wts) == columns([])
         stack = [([], [0])]
         while stack:
             plan, norms = stack.pop()
+            want = []
             for letter, sign in symbols:
-                norm, terms = _fallback._child_terms(plan, norms, letter, sign, nl, d, wts)
                 col, longer = _fallback.graev_dp_step(plan, letter, sign, nl, d, wts)
-                assert norm == col[0]
-                assert _fallback._finish_norms(norm, terms, nl, wts) == columns(longer)
+                want += [col[0], *columns(longer)]
                 if len(plan) < 4:
                     stack.append((longer, norms + [col[0]]))
+            assert _fallback._family_norms(plan, norms, symbols, nl, d, wts) == want
+        family = _fallback._family_norms([], [0], symbols, nl, d, wts)
+        assert family[::1 + 2 * nl] == columns([])
 
     @pytest.mark.parametrize("alphabet_seed", [None, 1, 2])
     def test_child_closers_equal_the_step(self, xy_alphabet, alphabet_seed):
         # every state list the sweep holds at a grandparent of leaves, for
-        # each max_len up to 6, and each of its children: the child's least
-        # pairing, and each leaf's, against the steps' complete states;
-        # then max_len 1, whose parent has no open arc
+        # each max_len up to 6: each child's least pairing, and each leaf's,
+        # against the steps' complete states; then max_len 1, which keeps
+        # each family's first entry
         if alphabet_seed is None:
             nl, d, wts = 2, xy_alphabet.flat(), list(xy_alphabet.weights)
         else:
             alphabet = random_alphabet(random.Random(alphabet_seed), n=4, q=12)
             nl, d, wts = 4, alphabet.flat(), list(alphabet.weights)
         step = _fallback.graev_pairing_step
+        least = _fallback._complete_min
         symbols = [(letter, sign) for letter in range(nl) for sign in (1, -1)]
 
         def leaf_minima(states):
-            return [_fallback._complete_min(step(states, letter, sign, 0, nl, d, wts))
-                    for letter, sign in symbols]
+            return [least(step(states, letter, sign, 0, nl, d, wts)) for letter, sign in symbols]
 
-        assert _fallback._finish_minima(0, ([], []), nl, d, wts) == leaf_minima([(None, 0, 0)])
         for max_len in range(2, 7):
             stack = [((), [(None, 0, 0)])]
             while stack:
                 w, states = stack.pop()
                 if len(w) + 2 == max_len:
-                    complete = _fallback._complete_min(states)
+                    want = []
                     for letter, sign in symbols:
-                        least, closers = _fallback._child_closers(
-                            states, complete, letter, sign, nl, d, wts)
                         child = step(states, letter, sign, 1, nl, d, wts)
-                        assert least == _fallback._complete_min(child)
-                        assert _fallback._finish_minima(least, closers, nl, d, wts) == \
-                            leaf_minima(child)
+                        want += [least(child), *leaf_minima(child)]
+                    assert _fallback._family_minima(states, least(states), symbols,
+                                                    nl, d, wts) == want
                     continue
                 room = max_len - len(w) - 1
                 for letter, sign in symbols:
                     stack.append((w + ((letter, sign),),
                                   step(states, letter, sign, room, nl, d, wts)))
+        family = _fallback._family_minima([(None, 0, 0)], 0, symbols, nl, d, wts)
+        assert family[::1 + 2 * nl] == leaf_minima([(None, 0, 0)])
 
     @pytest.mark.parametrize("nl, max_len, plen", [
         (1, 6, 0), (2, 0, 0), (2, 1, 0), (2, 2, 0), (2, 3, 0), (2, 5, 0), (4, 4, 0),

@@ -10,8 +10,15 @@ use, so passing one as an argument is caught too) and asserts:
 - each side is its roots and those checks, nothing else;
 - only the sweep, ``graev_agree_exhaustive`` and its ``walk``, reaches both.
 
-It checks names, not values: that the enumeration side never reuses a
-value computed for another pairing is left to review.
+It checks names, not values. Whether the enumeration side reuses a value
+computed for another pairing is left to review, under one rule: the pairing
+side costs every closer (a partial pairing with one open arc) against every
+leaf, and it takes a minimum only over complete states. So it never keeps
+only the cheapest of the closers of one letter and sign, though they differ
+only in cost: that would compare pairings before the leaf closes them. A
+child's unpaired leaves, and the arc it opens on the word's complete
+states, take the cheapest complete state, which is a minimum over complete
+states.
 """
 
 import ast
@@ -19,9 +26,8 @@ from pathlib import Path
 
 from urygrid._kernels import _fallback
 
-DP_ROOTS = {"graev_norm_dp", "graev_dp_step", "_dp_column", "_child_terms", "_finish_norms"}
-ENUM_ROOTS = {"graev_norm_bruteforce", "graev_pairing_step", "_complete_min",
-              "_child_closers", "_finish_minima"}
+DP_ROOTS = {"graev_norm_dp", "graev_dp_step", "_dp_column", "_family_norms"}
+ENUM_ROOTS = {"graev_norm_bruteforce", "graev_pairing_step", "_complete_min", "_family_minima"}
 
 # the only functions both sides may reach, each with its reason
 SHARED = {
