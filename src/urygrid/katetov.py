@@ -19,7 +19,8 @@ from math import gcd
 from operator import itemgetter
 
 from .errors import GuardError, InvariantError, ValidationError
-from .grid import Record, add_capped, is_grid_int, katetov_bounds, lex_tuples
+from .grid import (Record, add_capped, denominator_problem, is_grid_int, katetov_bounds,
+                   lex_tuples)
 from .spaces import (FiniteMetricSpace, _as_tuple, _new_row_fits, _raise_unless_ok,
                      validate_space)
 
@@ -162,17 +163,18 @@ def realize_one_point(space: FiniteMetricSpace, f: KatetovFunction,
     return OnePointExtension(space.with_point(name, vals, pseudo=pseudo), name, identified)
 
 
-def _spheres(dist) -> list[dict[int, int]]:
-    """The sphere index of a distance matrix: sph[t][v] is the int bitmask
-    of the points at distance v from point t (bit j for point j), absent
-    when there are none. A point at distances (v_0, ..., v_k) from points
-    t_0, ..., t_k lies in the AND of their spheres."""
+def _spheres(dist, q: int) -> list[list[int]]:
+    """The sphere index of a distance matrix over the grid q: sph[t][v], for
+    v in 0..q, is the int bitmask of the points at distance v from point t
+    (bit j for point j), 0 when there are none. A point at distances
+    (v_0, ..., v_k) from points t_0, ..., t_k lies in the AND of their
+    spheres."""
     sph = []
     for row in dist:
-        s: dict[int, int] = {}
+        s = [0] * (q + 1)
         bit = 1
         for v in row:
-            s[v] = s.get(v, 0) | bit
+            s[v] |= bit
             bit <<= 1
         sph.append(s)
     return sph
@@ -188,50 +190,39 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _support_gaps(dist, idx: tuple[int, ...]):
-    """The distances inside a support, as _profiles_by_gaps takes them."""
-    gaps = [()]
-    for j in range(1, len(idx)):
-        col = idx[j]
-        gaps.append(tuple([dist[t][col] for t in idx[:j]]))
-    return tuple(gaps)
-
-
-def _katetov_profiles(space: FiniteMetricSpace, idx: tuple[int, ...]):
-    """All grid Katetov value tuples on the subset with those indices, in
-    lexicographic order. They depend only on q and the distances inside the
-    subset, so they are computed once per such pattern."""
-    return _profiles_by_gaps(space.denominator, _support_gaps(space.dist, idx))
+def _inside(dist, idx: tuple[int, ...]) -> tuple[int, ...]:
+    """The distances inside the support ``idx``, d(a, b) for (a, b) in
+    combinations(idx, 2): the key of its profile listing."""
+    return tuple([dist[a][b] for a, b in combinations(idx, 2)])
 
 
 @lru_cache(maxsize=256)
-def _profiles_by_gaps(q: int, gaps: tuple[tuple[int, ...], ...]):
-    """_katetov_profiles for a subset whose point j lies at gaps[j][t] from
-    its point t < j. There can be (q+1)^k of them, so the walk is refused
-    past PROFILE_LIMIT candidates."""
+def _profiles(q: int, flat: tuple[int, ...]):
+    """Every grid Katetov profile, in lexicographic order, on a support
+    with the inside distances ``flat`` (see _inside); they depend on nothing
+    else, so each such pattern is listed once. There can be (q+1)^k of them
+    on k points, so the walk is refused past PROFILE_LIMIT candidates."""
+    k = 1
+    while k * (k - 1) // 2 < len(flat):
+        k += 1
+    d = dict(zip(combinations(range(k), 2), flat))
+    # gaps[j]: the distances from the support's point j to its points t < j
+    gaps = [tuple([d[t, j] for t in range(j)]) for j in range(k)]
+
     def values(prefix):
         lo, hi = katetov_bounds(zip(prefix, gaps[len(prefix)]), 0, q)
         return range(lo, hi + 1)
 
-    k = len(gaps)
     return tuple(lex_tuples(k, values, PROFILE_LIMIT,
                             f"profile listing on a {k}-point support at q={q}"))
 
 
 @lru_cache(maxsize=256)
 def _zero_free_profiles(q: int, flat: tuple[int, ...]):
-    """The profiles of _profiles_by_gaps(q, gaps) without a zero, in the same
-    order, and for each the length of the prefix it shares with the next
-    one (0 for the last). ``flat`` holds the support's pairwise distances
-    d(t, j) for (t, j) in combinations(range(k), 2), a cheaper key to build
-    and hash than the nested gaps. Listed through _profiles_by_gaps, so its
-    PROFILE_LIMIT refusal comes first."""
-    k = 1
-    while k * (k - 1) // 2 < len(flat):
-        k += 1
-    d = dict(zip(combinations(range(k), 2), flat))
-    gaps = tuple(tuple(d[t, j] for t in range(j)) for j in range(k))
-    profiles = tuple(p for p in _profiles_by_gaps(q, gaps) if 0 not in p)
+    """The profiles of _profiles(q, flat) without a zero, in the same order,
+    and for each the length of the prefix it shares with the next one (0
+    for the last)."""
+    profiles = tuple(p for p in _profiles(q, flat) if 0 not in p)
     shared = []
     for a, b in zip(profiles, profiles[1:]):
         c = 0
@@ -245,9 +236,9 @@ def _zero_free_profiles(q: int, flat: tuple[int, ...]):
 def _first_unrealized(profiles, spheres, start: int):
     """The position of the first profile at or after ``start`` in
     ``profiles`` (a _zero_free_profiles listing) that no point realizes, or
-    None. spheres[j][v] is the bitmask of the points at distance v from the
-    support's point j, for every v in 1..q; a profile is realized exactly
-    when the AND of its entries' spheres is nonzero.
+    None. spheres[j] is the sphere index entry (_spheres) of the support's
+    point j; a profile is realized exactly when the AND of its entries'
+    spheres is nonzero.
 
     acc[j] holds the AND over the first j entries of the current profile.
     Consecutive profiles share a prefix, so only the entries past it are
@@ -269,12 +260,6 @@ def _first_unrealized(profiles, spheres, start: int):
     return None
 
 
-def _realized(space: FiniteMetricSpace, idx: tuple[int, ...]) -> set:
-    """Every point's distances to the subset, as tuples. Column i is row i
-    (the metric is symmetric), so zipping the subset's rows gives them."""
-    return set(zip(*(space.dist[i] for i in idx)))
-
-
 class InjectivityReport(Record):
     _fields = ("checked", "unrealized")
 
@@ -289,8 +274,19 @@ class InjectivityReport(Record):
 
 
 def _require_subset(max_subset: int):
+    if not is_grid_int(max_subset):
+        raise ValidationError(f"max profile support size must be an integer, got {max_subset!r}")
     if max_subset < 1:
         raise ValidationError(f"max profile support size must be at least 1, got {max_subset}")
+
+
+def _require_build(max_subset: int, q: int, cap: int):
+    _require_subset(max_subset)
+    problem = denominator_problem(q)
+    if problem is not None:
+        raise ValidationError(problem)
+    if not is_grid_int(cap):
+        raise ValidationError(f"point cap must be an integer, got {cap!r}")
 
 
 def injectivity_check(space: FiniteMetricSpace, max_subset: int) -> InjectivityReport:
@@ -301,12 +297,14 @@ def injectivity_check(space: FiniteMetricSpace, max_subset: int) -> InjectivityR
     A from-scratch full scan, independent of the builder's frontier: it is
     the check that a closed build really is closed."""
     _require_subset(max_subset)
+    q, dist = space.denominator, space.dist
     unrealized = []
     checked = 0
     for size in range(1, max_subset + 1):
         for idx in combinations(range(space.n), size):
-            realized = _realized(space, idx)
-            for prof in _katetov_profiles(space, idx):
+            # every point's distances to the support: column i is row i
+            realized = set(zip(*(dist[i] for i in idx)))
+            for prof in _profiles(q, _inside(dist, idx)):
                 checked += 1
                 if prof not in realized:
                     unrealized.append((tuple(space.points[i] for i in idx), prof))
@@ -318,8 +316,8 @@ class _ProfileFrontier:
     point realizes, kept up to date while points are added.
 
     The frontier owns the growing distance matrix (``dist``, rows as lists)
-    and its sphere index by value (``sph``: sph[i][v] for v in 0..q is the
-    bitmask of the points at distance v from point i, as in _spheres). A
+    and its sphere index (``sph``, as _spheres gives it), and grow() is the
+    one place that extends them. A
     profile vanishing at point i is realized by i itself (it forces
     f(j) = d(i, j)), so only zero-free ones can be missing, and each
     support's scan is one _first_unrealized call over its zero-free
@@ -344,7 +342,7 @@ class _ProfileFrontier:
         _zero_free_profiles(q, ())
         self.max_subset = max_subset
         self.dist = [list(row) for row in space.dist]
-        self.sph = [[s.get(v, 0) for v in range(q + 1)] for s in _spheres(space.dist)]
+        self.sph = _spheres(space.dist, q)
         # entries (size, idx, start, stream): (size, idx) differs between
         # streams, so the stream iterator is never compared
         self.heap = []
@@ -362,14 +360,11 @@ class _ProfileFrontier:
         dist, sph = self.dist, self.sph
         new = len(dist)
         bit = 1 << new
-        own = [0] * (self.q + 1)
-        own[0] = bit
         for t, v in enumerate(row):
             dist[t].append(v)
             sph[t][v] |= bit
-            own[v] |= 1 << t
         dist.append([*row, 0])
-        sph.append(own)
+        sph += _spheres(dist[-1:], self.q)
         for size in range(1, self.max_subset + 1):
             self._push(size, (rest + (new,) for rest in combinations(range(new), size - 1)))
 
@@ -378,8 +373,7 @@ class _ProfileFrontier:
         heap, dist, sph, q = self.heap, self.dist, self.sph, self.q
         while heap:
             size, idx, start, stream = heap[0]
-            profiles = _zero_free_profiles(
-                q, tuple([dist[a][b] for a, b in combinations(idx, 2)]))
+            profiles = _zero_free_profiles(q, _inside(dist, idx))
             pos = _first_unrealized(profiles, [sph[i] for i in idx], start)
             if pos is not None:
                 heapq.heapreplace(heap, (size, idx, pos, stream))
@@ -434,18 +428,17 @@ def _circulant_space(q: int, row) -> FiniteMetricSpace:
     return FiniteMetricSpace._trusted(tuple(f"v{i}" for i in range(n)), q, rows, False)
 
 
-def _isometric_injections(pattern, target, spheres=None, prefix=()):
-    """Every injective index tuple img into range(len(target)) with
-    target[img[i]][img[j]] == pattern[i][j], for symmetric pattern and
-    target, in lexicographic order; only those that start with ``prefix``
-    when one is given (it must carry the pattern's first points itself).
+def _isometric_injections(pattern, sph, prefix=()):
+    """Every injective index tuple img into the target with
+    d(img[i], img[j]) == pattern[i][j], for a symmetric pattern on the
+    target's grid, in lexicographic order; only those that start with
+    ``prefix`` when one is given (it must carry the pattern's first points
+    itself). The target is given by its sphere index ``sph`` (_spheres).
 
-    The candidates for position i are the AND of the spheres (see
-    _spheres; ``spheres`` is the target's, when the caller has it) of the
-    earlier images at the pattern's distances, minus the used points,
-    listed low to high."""
-    sph = _spheres(target) if spheres is None else spheres
-    everything = (1 << len(target)) - 1
+    The candidates for position i are the AND of the earlier images'
+    spheres at the pattern's distances, minus the used points, listed low
+    to high."""
+    everything = (1 << len(sph)) - 1
     pinned = len(prefix)
 
     def images(image):
@@ -454,15 +447,17 @@ def _isometric_injections(pattern, target, spheres=None, prefix=()):
             return (prefix[i],)
         cands = everything
         for j, t in enumerate(image):
-            cands &= sph[t].get(pattern[j][i], 0) & ~(1 << t)
+            cands &= sph[t][pattern[j][i]] & ~(1 << t)
         return _bits(cands)
 
     return lex_tuples(len(pattern), images)
 
 
 def _embed_seed(seed: FiniteMetricSpace, target: FiniteMetricSpace):
-    """Indices of an isometric copy of the seed inside the target, or None."""
-    first = next(_isometric_injections(seed.dist, target.dist), None)
+    """Indices of an isometric copy of the seed inside the target, or None;
+    both lie on the same grid."""
+    sph = _spheres(target.dist, target.denominator)
+    first = next(_isometric_injections(seed.dist, sph), None)
     return None if first is None else list(first)
 
 
@@ -476,23 +471,22 @@ def _closed_through_zero(row, q: int, max_subset: int) -> bool:
     realizers of the same profile on the support moved by r, and keeps the
     distances inside it, so every support can be moved to one through 0.
     A profile with a zero is realized by its own support point. Vertex s's
-    spheres are row 0's rotated by s, so each support's zero-free profiles
-    go through one _first_unrealized scan over the rotated spheres."""
+    row and spheres are row 0's rotated by s, so each support's zero-free
+    profiles go through one _first_unrealized scan over the rotated spheres."""
     n = len(row)
     full = (1 << n) - 1
-    sph0 = [0] * (q + 1)
-    for j, v in enumerate(row):
-        sph0[v] |= 1 << j
-    rotated = [sph0] + [None] * (n - 1)  # filled as supports reach vertex s
+    sph0 = _spheres([row], q)[0]
+    # vertex s's row and spheres, filled as supports reach it
+    rows, sph = [row] + [None] * (n - 1), [sph0] + [None] * (n - 1)
     for size in range(1, max_subset + 1):
         for rest in combinations(range(1, n), size - 1):
             idx = (0, *rest)
             for s in rest:
-                if rotated[s] is None:
-                    rotated[s] = [((m << s) | (m >> (n - s))) & full for m in sph0]
-            flat = tuple([row[b - a] for a, b in combinations(idx, 2)])
-            if _first_unrealized(_zero_free_profiles(q, flat),
-                                 [rotated[s] for s in idx], 0) is not None:
+                if rows[s] is None:
+                    rows[s] = row[n - s:] + row[:n - s]
+                    sph[s] = [((m << s) | (m >> (n - s))) & full for m in sph0]
+            if _first_unrealized(_zero_free_profiles(q, _inside(rows, idx)),
+                                 [sph[s] for s in idx], 0) is not None:
                 return False
     return True
 
@@ -616,10 +610,12 @@ def find_transitive_template(seed: FiniteMetricSpace, max_subset: int, q: int,
     memo would. A warm one charges the listed colorings up to the next
     closed one in one step (_CirculantListing.skip), as far as the budget
     goes, and only embeds the seed in the closed ones.
+    The seed is first rescaled to q, which must be a multiple of its grid.
     Returns (template, embedded seed indices) or None when the bounded
     search finds nothing; ``tally``, when given, records how far it got,
     which the memo does not change."""
-    _require_subset(max_subset)
+    _require_build(max_subset, q, cap)
+    seed = seed.rescaled(q)
     if tally is None:
         tally = TemplateTally()
     for n in range(max(seed.n, 2), cap + 1):
@@ -727,12 +723,12 @@ def build_approximant(seed: FiniteMetricSpace, max_subset: int, q: int, cap: int
     nothing unrealized, "capped" when the point budget ran out first), and
     which strategy produced it.
     """
-    _require_subset(max_subset)
+    _require_build(max_subset, q, cap)
     if cap < seed.n:
         raise ValidationError("cap smaller than the seed")
     if strategy not in ("auto", "random", "transitive"):
         raise ValidationError(f"unknown strategy {strategy!r}")
-    space = seed.rescaled(q) if seed.denominator != q else seed
+    space = seed.rescaled(q)
     bits = random.Random(rng_seed).getrandbits
 
     template = None
@@ -753,7 +749,7 @@ def build_approximant(seed: FiniteMetricSpace, max_subset: int, q: int, cap: int
         # image[i] = template vertex realizing point i of the grown space
         image = list(embedded)
         used = sum(1 << t for t in image)
-        tsph = _spheres(template.dist)
+        tsph = _spheres(template.dist, q)
 
     frontier = _ProfileFrontier(space, max_subset)
     dist = frontier.dist
@@ -775,7 +771,7 @@ def build_approximant(seed: FiniteMetricSpace, max_subset: int, q: int, cap: int
         if template is not None:
             cands = ~used
             for i, v in zip(idx, prof):
-                cands &= tsph[image[i]].get(v, 0)
+                cands &= tsph[image[i]][v]
             if not cands:
                 raise InvariantError("closed template misses a profile it must realize")
             target = (cands & -cands).bit_length() - 1
@@ -818,7 +814,7 @@ def _stabilizer_chain(dist, sph):
         for t in _bits(cands):
             if t in orbit:
                 continue
-            rep = next(_isometric_injections(dist, dist, sph, (*range(i), t)), None)
+            rep = next(_isometric_injections(dist, sph, (*range(i), t)), None)
             if rep is None:
                 continue
             found.append(rep)
@@ -846,10 +842,11 @@ def iso_group(space: FiniteMetricSpace, max_points: int = ISO_GROUP_MAX_POINTS):
     if n > max_points:
         raise GuardError(f"isometry search refused for {n} > {max_points} points",
                          used=n, limit=max_points)
+    sph = _spheres(space.dist, space.denominator)
     # the products of the levels after i, with each of level i's on the
     # left: itemgetter(*h)(g) is g o h
     group = [tuple(range(n))]
-    for level in reversed(_stabilizer_chain(space.dist, _spheres(space.dist))):
+    for level in reversed(_stabilizer_chain(space.dist, sph)):
         if len(level) > 1:
             group = [itemgetter(*h)(g) for h in group for g in level.values()]
     return tuple(sorted(group))
@@ -883,14 +880,14 @@ def homogeneity_check(space: FiniteMetricSpace, max_subset: int,
     group = iso_group(space, max_points=max_points)
     columns = list(zip(*group))
     dist = space.dist
-    sph = _spheres(dist)
+    sph = _spheres(dist, space.denominator)
     bad = []
     checked = 0
     for size in range(1, max_subset + 1):
         for dom in combinations(range(space.n), size):
             restrictions = set(zip(*[columns[a] for a in dom]))
             pattern = [[dist[a][b] for b in dom] for a in dom]
-            for img in _isometric_injections(pattern, dist, sph):
+            for img in _isometric_injections(pattern, sph):
                 checked += 1
                 if img not in restrictions:
                     bad.append(tuple((space.points[a], space.points[b])

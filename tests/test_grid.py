@@ -16,7 +16,7 @@ from urygrid.cli import main
 from urygrid.errors import GuardError
 from urygrid.gh import realize_in_space
 from urygrid.grid import katetov_bounds, lex_tuples
-from urygrid.katetov import _isometric_injections, _katetov_profiles
+from urygrid.katetov import _inside, _isometric_injections, _profiles, _spheres
 from urygrid.relations import enumerate_carrier
 from urygrid.spaces import FiniteMetricSpace, random_grid_space
 
@@ -103,7 +103,7 @@ def test_each_budgeted_walk_refuses_past_its_budget(monkeypatch, capsys, tmp_pat
     # alone has 5 profiles); the profile cache may hold a listing made under
     # the real limit, so it starts empty
     monkeypatch.setattr(module, constant, 4)
-    katetov._profiles_by_gaps.cache_clear()
+    katetov._profiles.cache_clear()
     with pytest.raises(GuardError) as e:
         call()
     assert e.value.used > e.value.limit == 4
@@ -134,7 +134,7 @@ def test_katetov_profiles_match_the_product_filter(seed):
         for idx in combinations(range(space.n), size):
             sub = [[d[a][b] for b in idx] for a in idx]
             want = [v for v in product(range(q + 1), repeat=size) if is_katetov_on(v, sub)]
-            assert list(_katetov_profiles(space, idx)) == want
+            assert list(_profiles(q, _inside(d, idx))) == want
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -175,7 +175,7 @@ def test_isometric_injections_match_the_product_filter(seed):
         want = [img for img in product(range(space.n), repeat=k)
                 if len(set(img)) == k
                 and all(d[img[i]][img[j]] == pattern[i][j] for i in range(k) for j in range(k))]
-        assert list(_isometric_injections(pattern, d)) == want
+        assert list(_isometric_injections(pattern, _spheres(d, space.denominator))) == want
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -1,12 +1,13 @@
 import hashlib
 import json
 import random
+import re
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
 import pytest
 
-from urygrid import katetov
+from urygrid import fileio, katetov
 from urygrid.cli import main
 from urygrid.errors import GuardError, ValidationError
 from urygrid.grid import katetov_bounds
@@ -233,11 +234,9 @@ class TestProfileFrontier:
                 prefix = space.restrict(space.points[:m])
                 if m > 1:
                     frontier.grow(space.dist[m - 1][:m - 1])
-                # the grown matrix and sphere index are the prefix's own; the
-                # frontier indexes its spheres by value, 0..q
+                # the grown matrix and sphere index are the prefix's own
                 assert frontier.dist == [list(row) for row in prefix.dist]
-                assert frontier.sph == [[s.get(v, 0) for v in range(space.denominator + 1)]
-                                        for s in _spheres(prefix.dist)]
+                assert frontier.sph == _spheres(prefix.dist, space.denominator)
                 assert frontier.first() == first_zero_free_unrealized(prefix, k)
 
     # (strategy, max support, q, cap); the template route is kept to q=2
@@ -306,11 +305,51 @@ class TestCirculantTemplate:
         assert outcomes == {(True, True), (False, True), (False, False)}
 
 
+ONE_POINT_Q1 = FiniteMetricSpace(("a",), 1, ((0,),))
+
+
 class TestBuildApproximant:
     def test_support_size_below_one_is_rejected(self):
         seed = FiniteMetricSpace(("a",), 2, ((0,),))
         with pytest.raises(ValidationError):
             build_approximant(seed, 0, 2, 8)
+
+    # each call is fine but for one argument: a bool, a float or None where
+    # an integer belongs, or a subset size below 1
+    @pytest.mark.parametrize("call,message", [
+        (lambda: build_approximant(ONE_POINT_Q1, 1, True, 8),
+         "denominator must be a positive integer, got True"),
+        (lambda: build_approximant(ONE_POINT_Q1, 1, 1.0, 8),
+         "denominator must be a positive integer, got 1.0"),
+        (lambda: build_approximant(ONE_POINT_Q1, 1, None, 8),
+         "denominator must be a positive integer, got None"),
+        (lambda: build_approximant(ONE_POINT_Q1, 1.0, 1, 8),
+         "max profile support size must be an integer, got 1.0"),
+        (lambda: build_approximant(ONE_POINT_Q1, None, 1, 8),
+         "max profile support size must be an integer, got None"),
+        (lambda: build_approximant(ONE_POINT_Q1, 1, 1, 8.0),
+         "point cap must be an integer, got 8.0"),
+        (lambda: build_approximant(ONE_POINT_Q1, 1, 1, None),
+         "point cap must be an integer, got None"),
+        (lambda: find_transitive_template(ONE_POINT_Q1, 1, True, 8),
+         "denominator must be a positive integer, got True"),
+        (lambda: find_transitive_template(ONE_POINT_Q1, 1, 1, 8.0),
+         "point cap must be an integer, got 8.0"),
+        (lambda: injectivity_check(ONE_POINT_Q1, True),
+         "max profile support size must be an integer, got True"),
+        (lambda: injectivity_check(ONE_POINT_Q1, 1.0),
+         "max profile support size must be an integer, got 1.0"),
+        (lambda: injectivity_check(ONE_POINT_Q1, None),
+         "max profile support size must be an integer, got None"),
+        (lambda: injectivity_check(ONE_POINT_Q1, 0),
+         "max profile support size must be at least 1, got 0"),
+    ], ids=["build q True", "build q float", "build q None", "build subset float",
+            "build subset None", "build cap float", "build cap None", "template q True",
+            "template cap float", "verify subset True", "verify subset float",
+            "verify subset None", "verify subset 0"])
+    def test_arguments_that_are_not_grid_integers_are_rejected(self, call, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            call()
 
     def test_closed_seed_is_unchanged(self):
         # the 1-point seed is trivially closed at subset size 1 and grid 1
@@ -509,8 +548,8 @@ class TestIsoGroup:
                     pattern = random_grid_space(k, target.denominator,
                                                 rng.randrange(10 ** 6)).dist
                 want = brute_injections(pattern, d)
-                assert list(_isometric_injections(pattern, d)) == want
-                assert list(_isometric_injections(pattern, d, _spheres(d))) == want
+                sph = _spheres(d, target.denominator)
+                assert list(_isometric_injections(pattern, sph)) == want
                 outcomes.add((target.n > 30, target.pseudo, bool(want)))
         assert {(True, True, True), (True, False, True), (False, True, True),
                 (False, False, False)} <= outcomes
@@ -574,7 +613,8 @@ class TestIsoGroup:
         assert len(spaces) > 4
         for space in spaces:
             d = space.dist
-            assert iso_group(space, max_points=space.n) == tuple(_isometric_injections(d, d))
+            assert iso_group(space, max_points=space.n) == \
+                tuple(_isometric_injections(d, _spheres(d, space.denominator)))
 
     def test_chain_levels_fix_the_earlier_points(self):
         spaces = list(random_spaces(38, 40))
@@ -582,7 +622,7 @@ class TestIsoGroup:
         spaces.append(build_approximant(FiniteMetricSpace(("a",), 2, ((0,),)), 2, 2, 64).space)
         for space in spaces:
             d, n = space.dist, space.n
-            chain = _stabilizer_chain(d, _spheres(d))
+            chain = _stabilizer_chain(d, _spheres(d, space.denominator))
             order = 1
             for i, level in enumerate(chain):
                 assert level[i] == tuple(range(n))
@@ -707,6 +747,50 @@ def test_built_spaces_revalidate():
                                  space.pseudo) == space
 
 
+# sha256 of `--json isogroup` stdout, recorded with the sphere index of one
+# dict per point
+GOLDEN_ISOGROUP_SPACES = {
+    # Z_8 with gaps 1 and 4 at 1/2, gaps 2 and 3 at 1: point-transitive,
+    # order 16
+    "c8q2": ({"points": [f"v{i}" for i in range(8)], "denominator": 2,
+              "dist": [[(0, 1, 2, 2, 1, 2, 2, 1)[(j - i) % 8] for j in range(8)]
+                       for i in range(8)]},
+             "2b96fe12d267ac81419fa0e98b65d5903e2cb974558b533fe5fe8f7c62e85679"),
+    # a center at 1/2 from two triangles of side 1/2 that lie 1 apart:
+    # order 72, and the center is fixed
+    "star7q2": ({"points": ["c", "a0", "a1", "a2", "b0", "b1", "b2"], "denominator": 2,
+                 "dist": [[0] + [1] * 6] + [[1] + [0 if i == j else 1 if i // 3 == j // 3 else 2
+                                                   for j in range(6)] for i in range(6)]},
+                "5731ed33a7d8441a9c7c24b34e1d8d619f89e71104a7d7d90ca5de939f96d4c1"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_ISOGROUP_SPACES)
+def test_isogroup_json_bytes_are_unchanged(capsys, tmp_path, name):
+    obj, digest = GOLDEN_ISOGROUP_SPACES[name]
+    p = tmp_path / f"{name}.json"
+    p.write_text(json.dumps(obj))
+    code = main(["--json", "isogroup", str(p)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_json_bytes_are_unchanged(capsys, tmp_path):
+    # the closed 19-point build of a GOLDEN_BUILDS case, recorded with the
+    # profile listing keyed on nested gaps
+    result = golden_build(("p2q2", "--subset", "2", "--cap", "64", "--strategy", "random",
+                           "--seed", "5"))
+    assert (result.status, result.space.n) == ("closed", 19)
+    p = tmp_path / "built.json"
+    p.write_text(json.dumps(fileio.space_to_obj(result.space)))
+    code = main(["--json", "approximant", "verify", str(p), "--subset", "2"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "81925370c510c83c17e4c04bf69d0a51c400a90e35fb2d204405c8cbb191f06f"
+
+
 def circulant_rows(n, colors):
     """Distance rows of Z_n with d(i, j) = colors[g - 1] at cyclic gap g."""
     return [[colors[min((j - i) % n, (i - j) % n) - 1] if i != j else 0
@@ -798,6 +882,17 @@ class TestTemplateSearch:
                     tally = TemplateTally()
                     runs.append((find_transitive_template(seed, k, q, 16, tally=tally), tally))
                 assert runs[0] == runs[1], (budget, seed)
+
+    def test_seed_is_rescaled_to_the_search_grid(self):
+        # a distance is a fraction of the diameter: 1/1 is 2/2 on grid 2,
+        # and a grid-4 seed has no grid-2 copy
+        seed = FiniteMetricSpace(("a", "b"), 1, ((0, 1), (1, 0)))
+        template, embedded = find_transitive_template(seed, 1, 2, 16)
+        assert template.dist[embedded[0]][embedded[1]] == 2
+        assert (template, embedded) == brute_template(seed.rescaled(2), 1, 2, 16)
+        seed = FiniteMetricSpace(("a", "b"), 4, ((0, 2), (2, 0)))
+        with pytest.raises(ValidationError, match="cannot rescale grid 4 to 2"):
+            find_transitive_template(seed, 1, 2, 16)
 
     def test_subset_three_on_grid_two_finds_paley_29(self):
         seed = FiniteMetricSpace(("a",), 2, ((0,),))
