@@ -180,6 +180,16 @@ def _spheres(dist, q: int) -> list[list[int]]:
     return sph
 
 
+def _ranked(dist):
+    """``dist`` with each distance replaced by its rank among the distinct
+    distances in it, and that matrix's sphere index (_spheres). Relabeling
+    distances one-to-one keeps every isometry and every pattern match, and
+    the index has at most n(n-1)/2 + 1 entries per point whatever the grid."""
+    rank = {v: r for r, v in enumerate(sorted({v for row in dist for v in row}))}
+    ranked = [[rank[v] for v in row] for row in dist]
+    return ranked, _spheres(ranked, len(rank) - 1)
+
+
 def _bits(mask: int) -> list[int]:
     """The indices of the set bits of a nonnegative mask, low to high."""
     out = []
@@ -317,11 +327,10 @@ class _ProfileFrontier:
 
     The frontier owns the growing distance matrix (``dist``, rows as lists)
     and its sphere index (``sph``, as _spheres gives it), and grow() is the
-    one place that extends them. A
-    profile vanishing at point i is realized by i itself (it forces
-    f(j) = d(i, j)), so only zero-free ones can be missing, and each
-    support's scan is one _first_unrealized call over its zero-free
-    profiles. The singleton listing is made first, so a q past
+    one place that extends them. A profile vanishing at point i is realized
+    by i itself (it forces f(j) = d(i, j)), so only zero-free ones can be
+    missing, and each support's scan is one _first_unrealized call over its
+    zero-free profiles. The singleton listing is made first, so a q past
     PROFILE_LIMIT is refused before any q + 1 list is built.
 
     The supports of size <= max_subset come in streams, each in
@@ -471,21 +480,22 @@ def _closed_through_zero(row, q: int, max_subset: int) -> bool:
     realizers of the same profile on the support moved by r, and keeps the
     distances inside it, so every support can be moved to one through 0.
     A profile with a zero is realized by its own support point. Vertex s's
-    row and spheres are row 0's rotated by s, so each support's zero-free
-    profiles go through one _first_unrealized scan over the rotated spheres."""
+    spheres are row 0's rotated by s, so each support's zero-free profiles
+    go through one _first_unrealized scan over the rotated spheres."""
     n = len(row)
     full = (1 << n) - 1
     sph0 = _spheres([row], q)[0]
-    # vertex s's row and spheres, filled as supports reach it
-    rows, sph = [row] + [None] * (n - 1), [sph0] + [None] * (n - 1)
+    # vertex s's spheres, filled as supports reach it
+    sph = [sph0] + [None] * (n - 1)
     for size in range(1, max_subset + 1):
         for rest in combinations(range(1, n), size - 1):
             idx = (0, *rest)
             for s in rest:
-                if rows[s] is None:
-                    rows[s] = row[n - s:] + row[:n - s]
+                if sph[s] is None:
                     sph[s] = [((m << s) | (m >> (n - s))) & full for m in sph0]
-            if _first_unrealized(_zero_free_profiles(q, _inside(rows, idx)),
+            # _inside on the circulant: d(a, b) = row[b - a] for a < b
+            flat = tuple([row[b - a] for a, b in combinations(idx, 2)])
+            if _first_unrealized(_zero_free_profiles(q, flat),
                                  [sph[s] for s in idx], 0) is not None:
                 return False
     return True
@@ -835,18 +845,18 @@ def _stabilizer_chain(dist, sph):
 def iso_group(space: FiniteMetricSpace, max_points: int = ISO_GROUP_MAX_POINTS):
     """Every distance-preserving permutation, as index tuples in
     lexicographic order: the products of a stabilizer chain
-    (_stabilizer_chain), sorted. The chain's searches are cheap, but the
-    group itself can have n! elements, so it refuses outright beyond the
-    size guard; a factorial listing is not something to time out on."""
+    (_stabilizer_chain) of the ranked distances (_ranked), sorted. The
+    chain's searches are cheap, but the group itself can have n! elements,
+    so it refuses outright beyond the size guard; a factorial listing is not
+    something to time out on."""
     n = space.n
     if n > max_points:
         raise GuardError(f"isometry search refused for {n} > {max_points} points",
                          used=n, limit=max_points)
-    sph = _spheres(space.dist, space.denominator)
     # the products of the levels after i, with each of level i's on the
     # left: itemgetter(*h)(g) is g o h
     group = [tuple(range(n))]
-    for level in reversed(_stabilizer_chain(space.dist, sph)):
+    for level in reversed(_stabilizer_chain(*_ranked(space.dist))):
         if len(level) > 1:
             group = [itemgetter(*h)(g) for h in group for g in level.values()]
     return tuple(sorted(group))
@@ -879,8 +889,7 @@ def homogeneity_check(space: FiniteMetricSpace, max_subset: int,
     _require_subset(max_subset)
     group = iso_group(space, max_points=max_points)
     columns = list(zip(*group))
-    dist = space.dist
-    sph = _spheres(dist, space.denominator)
+    dist, sph = _ranked(space.dist)
     bad = []
     checked = 0
     for size in range(1, max_subset + 1):

@@ -10,7 +10,7 @@ import pytest
 from urygrid import fileio, katetov
 from urygrid.cli import main
 from urygrid.errors import GuardError, ValidationError
-from urygrid.grid import katetov_bounds
+from urygrid.grid import MAX_DENOMINATOR, katetov_bounds
 from urygrid.katetov import (PROFILE_LIMIT, KatetovFunction, TemplateTally,
                              _circulant_row, _circulant_space, _closed_through_zero, _embed_seed,
                              _isometric_injections, _ProfileFrontier, _spheres,
@@ -632,6 +632,16 @@ class TestIsoGroup:
                     assert all(d[g[a]][g[b]] == d[a][b] for a in range(n) for b in range(n))
                 order *= len(level)
             assert order == len(iso_group(space, max_points=n))
+
+    def test_search_size_does_not_grow_with_the_grid(self):
+        far = FiniteMetricSpace(("a", "b"), MAX_DENOMINATOR, ((0, MAX_DENOMINATOR),
+                                                             (MAX_DENOMINATOR, 0)))
+        assert iso_group(far) == ((0, 1), (1, 0))
+        assert homogeneity_check(far, 2).ok
+        for space in random_spaces(39, 20):
+            big = space.rescaled(space.denominator * 10 ** 8)
+            assert iso_group(big) == iso_group(space)
+            assert homogeneity_check(big, 2) == homogeneity_check(space, 2)
 
 
 class TestHomogeneity:
