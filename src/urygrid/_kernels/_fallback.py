@@ -134,7 +134,7 @@ def graev_dp_step(plan: list, letter: int, sign: int, nl: int,
     return col, longer
 
 
-def _family_norms(plan, norms, symbols, nl, dist, weights):
+def _family_norms(plan, norms, symbols, rows, unpaired, weights):
     """The norm of each child of a word among symbols, each followed by the
     norms of its 2*nl leaves, letters ascending, +1 first, in one flat list:
     one _dp_column per child and no plan of its own. A leaf's new symbol
@@ -142,11 +142,8 @@ def _family_norms(plan, norms, symbols, nl, dist, weights):
     position m, which parts the rest into [0, m) and (m, n], each paired on
     its own, and pays the letter distance on the split term
     P[0][m] + P[m+1][n+1]. Each split term is costed against the leaves as
-    soon as it is known; none is stored."""
-    rows = [dist[l * nl:l * nl + nl] for l in range(nl)]
-    # a family is the child, then leaf (l, +1) at 2l + 1 and (l, -1) at
-    # 2l + 2; it starts as the child's norm and each leaf left unpaired
-    unpaired = [0] + [w for w in weights for _ in (1, -1)]
+    soon as it is known; none is stored. rows and unpaired: the sweep's
+    alphabet tables."""
     head = norms[len(plan)]
     # (P[0][i], i + 1, row of l_i, first leaf that arcs to i); an int, not
     # a bool, keeps the index arithmetic on the interpreter's int fast path
@@ -221,7 +218,7 @@ def _complete_min(states: list) -> int:
     return min([cost for stack, _, cost in states if stack is None])
 
 
-def _family_minima(states, complete, symbols, nl, dist, weights):
+def _family_minima(states, complete, symbols, rows, unpaired, weights):
     """The cheapest complete pairing of each child of a word among symbols,
     each followed by those of its 2*nl leaves, letters ascending, +1 first,
     in one flat list: from the word's states (none deeper than 2) and
@@ -231,16 +228,16 @@ def _family_minima(states, complete, symbols, nl, dist, weights):
     the cheapest complete state. A leaf is unpaired on the child's cheapest
     complete pairing or closes one closer of the other sign. Each closer is
     costed against every leaf as soon as it is known; none is stored or
-    merged with another."""
-    rows = [dist[l * nl:l * nl + nl] for l in range(nl)]
-    # laid out as in _family_norms
-    unpaired = [0] + [w for w in weights for _ in (1, -1)]
-    # (sign of the open arc, its row, cost, first leaf that closes it)
-    ones = [(stack[1], rows[stack[0]], cost, 1 + (stack[1] > 0))
-            for stack, depth, cost in states if depth == 1]
-    # (sign of the top arc, its row, cost, row and first leaf of the one below)
-    twos = [(stack[1], rows[stack[0]], cost, rows[stack[2][0]], 1 + (stack[2][1] > 0))
-            for stack, depth, cost in states if depth == 2]
+    merged with another. rows and unpaired: the sweep's alphabet tables."""
+    # ones: (sign of the open arc, its row, cost, first leaf that closes it);
+    # twos: (sign of the top arc, its row, cost, row and first leaf below)
+    ones, twos = [], []
+    for stack, depth, cost in states:
+        if depth == 1:
+            ones.append((stack[1], rows[stack[0]], cost, 1 + (stack[1] > 0)))
+        elif depth == 2:
+            below = stack[2]
+            twos.append((stack[1], rows[stack[0]], cost, rows[below[0]], 1 + (below[1] > 0)))
     out = []
     for letter, sign in symbols:
         w = weights[letter]
@@ -336,11 +333,12 @@ def graev_agree_exhaustive(nl: int, dist: list[int], weights: list[int],
     with the norms of the current word's prefixes. A word shorter than
     max_len - 2 builds one graev_dp_step plan for all its children and
     takes one graev_pairing_step per child, with room counted up to max_len.
-    A word of length max_len - 2 finishes all its children and their leaves
-    in one call per side, with no plan or state list for them:
-    _family_norms folds its plan and prefix norms, _family_minima its states
-    and cheapest pairing, and each returns the values of every child and
-    leaf in one list."""
+    A word of length max_len - 2 finishes its children and their leaves in
+    one call per side: _family_norms folds its plan and prefix norms,
+    _family_minima its states and cheapest pairing, each into one list of
+    every child's value and its leaves'. Both read the letter rows and the
+    family layout, built once per sweep from the input alphabet and
+    computed by neither side."""
     _check_alphabet(nl, dist, weights)
     if max_len < 0:
         raise ValueError(f"max_len must be non-negative, got {max_len}")
@@ -357,11 +355,15 @@ def graev_agree_exhaustive(nl: int, dist: list[int], weights: list[int],
     mismatches = 0
     # norms[k] is the norm of the current word's first k symbols
     norms = [0] * (max_len + 1)
+    # each letter's row, and a family's layout: the child at 0, then leaf
+    # (l, +1) at 2l + 1 and (l, -1) at 2l + 2, at its weight when unpaired
+    rows = [dist[l * nl:l * nl + nl] for l in range(nl)]
+    unpaired = [0] + [w for w in weights for _ in (1, -1)]
     if max_len == 1:
         # the empty word's children are the leaves: each family's first entry
         family = 1 + len(children)
-        dp = _family_norms([], norms, symbols, nl, dist, weights)[::family]
-        bf = _family_minima([(None, 0, 0)], 0, symbols, nl, dist, weights)[::family]
+        dp = _family_norms([], norms, symbols, rows, unpaired, weights)[::family]
+        bf = _family_minima([(None, 0, 0)], 0, symbols, rows, unpaired, weights)[::family]
         return checked + len(dp), sum(a != b for a, b in zip(dp, bf))
 
     def walk(plan, states, complete, symbols):
@@ -370,8 +372,8 @@ def graev_agree_exhaustive(nl: int, dist: list[int], weights: list[int],
         nonlocal checked, mismatches
         n = len(plan)
         if n + 2 == max_len:
-            dp = _family_norms(plan, norms, symbols, nl, dist, weights)
-            bf = _family_minima(states, complete, symbols, nl, dist, weights)
+            dp = _family_norms(plan, norms, symbols, rows, unpaired, weights)
+            bf = _family_minima(states, complete, symbols, rows, unpaired, weights)
             checked += len(dp)
             if dp != bf:
                 mismatches += sum(a != b for a, b in zip(dp, bf))

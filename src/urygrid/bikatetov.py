@@ -376,10 +376,19 @@ def _gibbs(space: FiniteMetricSpace, start, ceiling, rng: random.Random,
     """Gibbs sampler from the bi-Katetov matrix ``start``: each sweep visits
     the entries row by row and re-draws each one uniformly inside its
     feasible interval given all the others, capped entrywise by
-    ``ceiling``. Every intermediate matrix is bi-Katetov."""
+    ``ceiling``. Every intermediate matrix is bi-Katetov.
+
+    When the generator draws integers through getrandbits (random.Random
+    does, and so does a subclass unless it overrides random() and not
+    getrandbits()), the draw is the rejection loop of Random.randint written
+    out, as in katetov._random_row: it takes the same bits, so the matrix
+    and the generator's end state are those randint would give. Any other
+    generator draws with randint. An empty interval raises InvariantError."""
     dist = space.dist
     rows = range(space.n)
     e = [list(r) for r in start]
+    bits = (rng.getrandbits if getattr(type(rng), "_randbelow", None)
+            is random.Random._randbelow_with_getrandbits else None)
     # lo = max |w - d| and hi = min w + d, by plain comparisons: lo starts at
     # 0, so a positive t = w - d can only raise it, and a negative one only
     # through -t. That is grid.katetov_bounds written out: building 2n pairs
@@ -413,7 +422,17 @@ def _gibbs(space: FiniteMetricSpace, start, ceiling, rng: random.Random,
                         t = w + d
                         if t < hi:
                             hi = t
-                ex[y] = rng.randint(lo, hi)
+                width = hi - lo + 1
+                if width < 1:
+                    raise InvariantError(f"empty Gibbs interval [{lo}, {hi}] at ({x}, {y})")
+                if bits is None:
+                    ex[y] = rng.randint(lo, hi)
+                else:
+                    k = width.bit_length()
+                    r = bits(k)
+                    while r >= width:
+                        r = bits(k)
+                    ex[y] = lo + r
     return BiKatetovMatrix._trusted(space, tuple(tuple(r) for r in e))
 
 

@@ -849,6 +849,8 @@ def iso_group(space: FiniteMetricSpace, max_points: int = ISO_GROUP_MAX_POINTS):
     chain's searches are cheap, but the group itself can have n! elements,
     so it refuses outright beyond the size guard; a factorial listing is not
     something to time out on."""
+    if not is_grid_int(max_points):
+        raise ValidationError(f"isometry point limit must be an integer, got {max_points!r}")
     n = space.n
     if n > max_points:
         raise GuardError(f"isometry search refused for {n} > {max_points} points",

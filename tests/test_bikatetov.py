@@ -13,7 +13,8 @@ from urygrid.bikatetov import (BiKatetovMatrix, _gibbs, act_left, act_right,
                                product_via_amalgam, random_bikatetov,
                                random_bikatetov_below,
                                routing_idempotent, star)
-from urygrid.errors import ValidationError
+from urygrid.errors import InvariantError, ValidationError
+from urygrid.grid import katetov_bounds
 from urygrid.katetov import iso_group
 from urygrid.spaces import FiniteMetricSpace, random_grid_space, validate_space
 
@@ -331,6 +332,61 @@ def test_seeded_samples_at_larger_sizes_are_unchanged():
     drawn, below = sample_digests(range(6, 9))
     assert drawn == "38ba52df24db6ed80a2ad5b1a713181f4eff32bafa78246ea32bf837716fab36"
     assert below == "b47df62784a112a4adab92f6f67c473c0a71f0a89cc679a6bed8183314881d31"
+
+
+class RandomOnly(random.Random):
+    """Overrides random() alone, so Random draws its integers from random()
+    and never through getrandbits."""
+
+    def random(self):
+        return super().random()
+
+
+class OwnBits(random.Random):
+    """Overrides getrandbits, which Random draws its integers through."""
+
+    def getrandbits(self, k):
+        return super().getrandbits(k)
+
+
+def reference_gibbs(space, start, ceiling, rng, sweeps):
+    """_gibbs through grid.katetov_bounds and Random.randint: each entry in
+    turn, drawn from its interval given the row's and the column's others."""
+    dist, points = space.dist, range(space.n)
+    e = [list(r) for r in start]
+    for _ in range(sweeps):
+        for x in points:
+            for y in points:
+                pairs = [(e[x][z], dist[y][z]) for z in points if z != y]
+                pairs += [(e[z][y], dist[x][z]) for z in points if z != x]
+                e[x][y] = rng.randint(*katetov_bounds(pairs, 0, ceiling[x][y]))
+    return tuple(tuple(r) for r in e)
+
+
+@pytest.mark.parametrize("rng_class", [random.Random, RandomOnly, OwnBits])
+def test_gibbs_matches_bounds_and_randint(rng_class):
+    # the written-out interval and draw against katetov_bounds and randint on
+    # generators of the same seed, from the metric under the constant
+    # ceiling and from a drawn matrix under itself: equal matrices, and the
+    # generators end in equal states
+    for case in range(60):
+        n, q = 1 + case % 6, (1, 2, 3, 5, 8)[case % 5]
+        space = random_grid_space(n, q, case)
+        for start, ceiling in ((space.dist, [[q] * n] * n),
+                               (random_bikatetov(space, random.Random(case)).entries,) * 2):
+            ours, ref = rng_class(case), rng_class(case)
+            got = _gibbs(space, start, ceiling, ours, 2).entries
+            assert got == reference_gibbs(space, start, ceiling, ref, 2), case
+            assert ours.getstate() == ref.getstate(), case
+
+
+@pytest.mark.parametrize("rng_class", [random.Random, RandomOnly])
+def test_gibbs_refuses_an_empty_interval(rng_class):
+    # a ceiling of 0 under a start that is not below it: entry (0, 1) must
+    # be at least |0 - 1| once entry (0, 0) is drawn at 0
+    space = FiniteMetricSpace(("a", "b"), 1, ((0, 1), (1, 0)))
+    with pytest.raises(InvariantError, match=r"^empty Gibbs interval \[1, 0\] at \(0, 1\)$"):
+        _gibbs(space, space.dist, [[0, 0], [0, 0]], rng_class(0), 1)
 
 
 def trusted_route_results(space, rng):

@@ -224,6 +224,14 @@ def words_checked(nl, max_len):
     return sum((2 * nl) ** k for k in range(max_len + 1))
 
 
+def alphabet_tables(nl, d, wts):
+    """The tables the pure sweep builds once and hands both family helpers:
+    each letter's distance row, and a family's layout (the child, then leaf
+    (l, +1) at 2l + 1 and (l, -1) at 2l + 2), the child at 0 and each leaf
+    at its weight."""
+    return [d[l * nl:(l + 1) * nl] for l in range(nl)], [0] + [w for w in wts for _ in (1, -1)]
+
+
 # calls the live sweep from a first symbol past 2 * nl, from one below 0 and
 # from one with max_len 0, and prints what each raises; unchecked, the first
 # two would index the compiled sweep's distances out of bounds
@@ -275,8 +283,9 @@ class TestSweep:
             return [(stack, depth, cost + (sign == -1))
                     for stack, depth, cost in step(states, letter, sign, *rest)]
 
-        def family_off_by_one(states, complete, symbols, nl, *rest):
-            got = iter(family(states, complete, symbols, nl, *rest))
+        def family_off_by_one(states, complete, symbols, rows, *rest):
+            got = iter(family(states, complete, symbols, rows, *rest))
+            nl = len(rows)
             out = []
             for _, sign in symbols:
                 k = sign == -1
@@ -321,12 +330,12 @@ class TestSweep:
         # that end in -1 mismatch
         family = _fallback._family_norms
 
-        def off_by_one(plan, norms, symbols, nl, *rest):
+        def off_by_one(plan, norms, symbols, rows, *rest):
             # each child, then its leaves, letters ascending, +1 first: the
             # leaves that end in -1 sit at the even offsets from 2
-            size = 1 + 2 * nl
+            size = 1 + 2 * len(rows)
             return [m + (j % size > 0 and j % size % 2 == 0)
-                    for j, m in enumerate(family(plan, norms, symbols, nl, *rest))]
+                    for j, m in enumerate(family(plan, norms, symbols, rows, *rest))]
 
         monkeypatch.setattr(_fallback, "_family_norms", off_by_one)
         got = _fallback.graev_agree_exhaustive(2, [0, 3, 3, 0], [2, 4], 3)
@@ -357,6 +366,24 @@ class TestSweep:
         got = _fallback.graev_agree_exhaustive(2, [0, 3, 3, 0], [2, 4], 3)
         assert got == (words_checked(2, 3), 12)
 
+    def test_both_family_helpers_get_the_input_tables(self, monkeypatch):
+        # each family call on either side gets the input alphabet's letter
+        # rows and leaf weights: both sides read a leaf's weight from the
+        # same table, so a wrong weight there would never mismatch
+        nl, d, wts = 3, [0, 2, 5, 2, 0, 4, 5, 4, 0], [1, 3, 2]
+        seen = []
+        for name in ("_family_norms", "_family_minima"):
+            def spy(*args, real=getattr(_fallback, name)):
+                seen.append(args[3:])
+                return real(*args)
+            monkeypatch.setattr(_fallback, name, spy)
+        for max_len in (1, 3):
+            got = _fallback.graev_agree_exhaustive(nl, d, wts, max_len)
+            assert got == (words_checked(nl, max_len), 0)
+        assert len(seen) == 2 + 2 * 2 * nl
+        want = ([[0, 2, 5], [2, 0, 4], [5, 4, 0]], [0, 1, 1, 3, 3, 2, 2], wts)
+        assert all(args == want for args in seen)
+
     @pytest.mark.parametrize("alphabet_seed", [None, 1, 2])
     def test_child_terms_equal_the_column(self, xy_alphabet, alphabet_seed):
         # every grandparent of leaves for each max_len up to 6 (the words of
@@ -369,6 +396,7 @@ class TestSweep:
             alphabet = random_alphabet(random.Random(alphabet_seed), n=4, q=12)
             nl, d, wts = 4, alphabet.flat(), list(alphabet.weights)
         symbols = [(letter, sign) for letter in range(nl) for sign in (1, -1)]
+        tables = alphabet_tables(nl, d, wts)
 
         def columns(plan):
             return [_fallback._dp_column(plan, letter, sign, wts[letter])[0]
@@ -383,8 +411,8 @@ class TestSweep:
                 want += [col[0], *columns(longer)]
                 if len(plan) < 4:
                     stack.append((longer, norms + [col[0]]))
-            assert _fallback._family_norms(plan, norms, symbols, nl, d, wts) == want
-        family = _fallback._family_norms([], [0], symbols, nl, d, wts)
+            assert _fallback._family_norms(plan, norms, symbols, *tables, wts) == want
+        family = _fallback._family_norms([], [0], symbols, *tables, wts)
         assert family[::1 + 2 * nl] == columns([])
 
     @pytest.mark.parametrize("alphabet_seed", [None, 1, 2])
@@ -401,6 +429,7 @@ class TestSweep:
         step = _fallback.graev_pairing_step
         least = _fallback._complete_min
         symbols = [(letter, sign) for letter in range(nl) for sign in (1, -1)]
+        tables = alphabet_tables(nl, d, wts)
 
         def leaf_minima(states):
             return [least(step(states, letter, sign, 0, nl, d, wts)) for letter, sign in symbols]
@@ -415,13 +444,13 @@ class TestSweep:
                         child = step(states, letter, sign, 1, nl, d, wts)
                         want += [least(child), *leaf_minima(child)]
                     assert _fallback._family_minima(states, least(states), symbols,
-                                                    nl, d, wts) == want
+                                                    *tables, wts) == want
                     continue
                 room = max_len - len(w) - 1
                 for letter, sign in symbols:
                     stack.append((w + ((letter, sign),),
                                   step(states, letter, sign, room, nl, d, wts)))
-        family = _fallback._family_minima([(None, 0, 0)], 0, symbols, nl, d, wts)
+        family = _fallback._family_minima([(None, 0, 0)], 0, symbols, *tables, wts)
         assert family[::1 + 2 * nl] == leaf_minima([(None, 0, 0)])
 
     @pytest.mark.parametrize("nl, max_len, plen", [

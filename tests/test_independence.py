@@ -19,6 +19,13 @@ only in cost: that would compare pairings before the leaf closes them. A
 child's unpaired leaves, and the arc it opens on the word's complete
 states, take the cheapest complete state, which is a minimum over complete
 states.
+
+Both family helpers read two tables that the sweep builds once from the
+input alphabet: each letter's distance row, sliced from ``dist``, and a
+family's layout, each leaf's weight from ``weights``. They are inputs, not
+values either side computes, so handing them to both sides shares no
+computed value. A wrong table would mislead both sides alike, so
+``tests/test_graev.py`` checks the tables each side gets against the input.
 """
 
 import ast

@@ -643,6 +643,18 @@ class TestIsoGroup:
             assert iso_group(big) == iso_group(space)
             assert homogeneity_check(big, 2) == homogeneity_check(space, 2)
 
+    @pytest.mark.parametrize("search", [lambda space, m: iso_group(space, max_points=m),
+                                        lambda space, m: homogeneity_check(space, 1, max_points=m)],
+                             ids=["iso_group", "homogeneity_check"])
+    @pytest.mark.parametrize("max_points", [None, True, 2.5])
+    def test_point_limit_that_is_not_a_grid_integer_is_rejected(self, two_point_q2, search,
+                                                               max_points):
+        # None used to end in TypeError, True to refuse two points as more
+        # than True, and 2.5 to be taken as a limit
+        message = f"isometry point limit must be an integer, got {max_points!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            search(two_point_q2, max_points)
+
 
 class TestHomogeneity:
     def test_support_size_below_one_is_rejected(self, two_point_q4):
