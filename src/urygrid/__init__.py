@@ -27,8 +27,9 @@ for _module, _names in (
                "shortest_path_completion validate_space"),
     ("katetov", "ApproximantResult InjectivityReport KatetovFunction OnePointExtension "
                 "build_approximant homogeneity_check injectivity_check is_katetov "
-                "iso_group katetov_extension katetov_witness point_function "
-                "realize_one_point sup_distance"),
+                "katetov_extension katetov_witness point_function realize_one_point "
+                "sup_distance"),
+    ("isometry", "iso_group"),
     ("bikatetov", "BiKatetovMatrix act_left act_right characterization_check "
                   "classify_idempotents constant_zero embed_isometry greatest_idempotent "
                   "inner_aut invertible_isometry is_bikatetov_matrix metric_unit product "

@@ -232,7 +232,7 @@ def invertible_isometry(f: BiKatetovMatrix):
     """The isometry whose embedding equals f, if one exists; invertible
     elements are exactly the embedded isometries, so None means f has no
     two-sided inverse."""
-    from .katetov import iso_group  # on call: the semigroup alone never loads katetov
+    from .isometry import iso_group  # on call: the semigroup alone never loads isometry
 
     for perm in iso_group(f.space):
         if embed_isometry(f.space, perm) == f:

@@ -142,7 +142,7 @@ def cmd_approximant(args):
 
 
 def cmd_isogroup(args):
-    from .katetov import iso_group
+    from .isometry import iso_group
 
     space = fileio.load_space(args.space)
     perms = iso_group(space)
@@ -203,8 +203,7 @@ def cmd_theta(args):
 
 
 def cmd_graev(args):
-    from .graev import (concat, graev_norm, graev_norm_bruteforce, inverse_word,
-                        reduce_word)
+    from .graev import difference_word, graev_norm, graev_norm_bruteforce
 
     alphabet, words = fileio.load_alphabet_word(args.word)
     q = alphabet.denominator
@@ -217,8 +216,7 @@ def cmd_graev(args):
         return 0
     if "u" not in words or "v" not in words:
         raise ValidationError("dist needs 'u' and 'v' fields")
-    w = reduce_word(concat(inverse_word(words["u"]), words["v"]))
-    value = norm(w, alphabet)
+    value = norm(difference_word(words["u"], words["v"], alphabet), alphabet)
     _emit(args, {"distance": [value, q]}, [frac_str(value, q)])
     return 0
 

@@ -108,8 +108,8 @@ def parse_word(alphabet: WeightedAlphabet, text: str) -> Word:
 
 
 def format_word(alphabet: WeightedAlphabet, word: Word) -> str:
-    if not word:
-        return ""
+    """The word as parse_word reads it, after checking it as the norms do."""
+    _letters_and_signs(word, alphabet.n)
     return " ".join(alphabet.letters[l] + ("" if s == 1 else "^-1") for l, s in word)
 
 
@@ -242,10 +242,15 @@ def graev_norm(word: Word, alphabet: WeightedAlphabet) -> int:
                                   alphabet.flat(), alphabet.weights)
 
 
-def graev_distance(u: Word, v: Word, alphabet: WeightedAlphabet) -> int:
-    """Left-invariant pseudometric induced by the seminorm: the norm of
-    u^{-1} v after reduction. Both words are checked before reduce_word
-    sees them."""
+def difference_word(u: Word, v: Word, alphabet: WeightedAlphabet) -> Word:
+    """The reduced word u^{-1} v, whose norm is the distance from u to v.
+    Both words are checked before reduce_word sees them."""
     _letters_and_signs(u, alphabet.n)
     _letters_and_signs(v, alphabet.n)
-    return graev_norm(reduce_word(concat(inverse_word(u), v)), alphabet)
+    return reduce_word(concat(inverse_word(u), v))
+
+
+def graev_distance(u: Word, v: Word, alphabet: WeightedAlphabet) -> int:
+    """Left-invariant pseudometric induced by the seminorm: the norm of
+    u^{-1} v after reduction (difference_word)."""
+    return graev_norm(difference_word(u, v, alphabet), alphabet)

@@ -4,8 +4,8 @@ A Katetov function on (a subset of) a space is exactly the distance profile
 of a virtual added point: |f(x) - f(y)| <= d(x, y) <= f(x) + f(y). The module
 covers the largest 1-Lipschitz extension of such a profile, its realization
 as an actual extra point, exhaustive injectivity sweeps, a greedy builder
-that closes a space under small profiles, and isometry-group enumeration
-with a homogeneity check on top.
+that closes a space under small profiles, and a homogeneity check on top of
+the isometry group (``isometry``).
 """
 
 from __future__ import annotations
@@ -21,10 +21,11 @@ from operator import itemgetter
 from .errors import GuardError, InvariantError, ValidationError
 from .grid import (Record, add_capped, denominator_problem, is_grid_int, katetov_bounds,
                    lex_tuples)
+from .isometry import (ISO_GROUP_MAX_POINTS, _isometric_injections, _ranked, _spheres,
+                       iso_group)
 from .spaces import (FiniteMetricSpace, _as_tuple, _new_row_fits, _raise_unless_ok,
                      validate_space)
 
-ISO_GROUP_MAX_POINTS = 10
 # canonical gap colorings the transitive template search may try
 TEMPLATE_BUDGET = 20_000
 # candidates one support's profile listing may take (on one point, one per
@@ -43,14 +44,15 @@ class KatetovFunction(Record):
                  values: tuple[int, ...]):
         support = _as_tuple(support, "support")
         values = _as_tuple(values, "values")
+        # names first: an unhashable one is an unknown point, not a set error
+        for p in support:
+            space.index(p)
         if len(support) != len(set(support)):
             raise ValidationError("duplicate support points")
         if len(support) != len(values):
             raise ValidationError("support and values differ in length")
         if not support:
             raise ValidationError("support must be nonempty")
-        for p in support:
-            space.index(p)
         q = space.denominator
         for p, v in zip(support, values):
             if not is_grid_int(v, 0, q):
@@ -161,43 +163,6 @@ def realize_one_point(space: FiniteMetricSpace, f: KatetovFunction,
     identified = tuple(p for p, v in zip(space.points, vals) if v == 0)
     pseudo = space.pseudo or bool(identified)
     return OnePointExtension(space.with_point(name, vals, pseudo=pseudo), name, identified)
-
-
-def _spheres(dist, q: int) -> list[list[int]]:
-    """The sphere index of a distance matrix over the grid q: sph[t][v], for
-    v in 0..q, is the int bitmask of the points at distance v from point t
-    (bit j for point j), 0 when there are none. A point at distances
-    (v_0, ..., v_k) from points t_0, ..., t_k lies in the AND of their
-    spheres."""
-    sph = []
-    for row in dist:
-        s = [0] * (q + 1)
-        bit = 1
-        for v in row:
-            s[v] |= bit
-            bit <<= 1
-        sph.append(s)
-    return sph
-
-
-def _ranked(dist):
-    """``dist`` with each distance replaced by its rank among the distinct
-    distances in it, and that matrix's sphere index (_spheres). Relabeling
-    distances one-to-one keeps every isometry and every pattern match, and
-    the index has at most n(n-1)/2 + 1 entries per point whatever the grid."""
-    rank = {v: r for r, v in enumerate(sorted({v for row in dist for v in row}))}
-    ranked = [[rank[v] for v in row] for row in dist]
-    return ranked, _spheres(ranked, len(rank) - 1)
-
-
-def _bits(mask: int) -> list[int]:
-    """The indices of the set bits of a nonnegative mask, low to high."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _inside(dist, idx: tuple[int, ...]) -> tuple[int, ...]:
@@ -435,31 +400,6 @@ def _circulant_space(q: int, row) -> FiniteMetricSpace:
     n = len(row)
     rows = tuple(tuple(row[n - i:] + row[:n - i]) for i in range(n))
     return FiniteMetricSpace._trusted(tuple(f"v{i}" for i in range(n)), q, rows, False)
-
-
-def _isometric_injections(pattern, sph, prefix=()):
-    """Every injective index tuple img into the target with
-    d(img[i], img[j]) == pattern[i][j], for a symmetric pattern on the
-    target's grid, in lexicographic order; only those that start with
-    ``prefix`` when one is given (it must carry the pattern's first points
-    itself). The target is given by its sphere index ``sph`` (_spheres).
-
-    The candidates for position i are the AND of the earlier images'
-    spheres at the pattern's distances, minus the used points, listed low
-    to high."""
-    everything = (1 << len(sph)) - 1
-    pinned = len(prefix)
-
-    def images(image):
-        i = len(image)
-        if i < pinned:
-            return (prefix[i],)
-        cands = everything
-        for j, t in enumerate(image):
-            cands &= sph[t][pattern[j][i]] & ~(1 << t)
-        return _bits(cands)
-
-    return lex_tuples(len(pattern), images)
 
 
 def _embed_seed(seed: FiniteMetricSpace, target: FiniteMetricSpace):
@@ -799,69 +739,6 @@ def build_approximant(seed: FiniteMetricSpace, max_subset: int, q: int, cap: int
             raise InvariantError(f"row of {name} refused by the row check only")
         frontier.grow(row)
         points.append(name)
-
-
-def _stabilizer_chain(dist, sph):
-    """The isometry group of the matrix ``dist`` (sphere index ``sph``) as a
-    stabilizer chain (Sims): entry i maps each image t of point i under the
-    isometries that fix 0..i-1 to one of them sending i to t, the identity
-    for t = i. Every isometry is exactly one product c[0][t_0] o ... o
-    c[n-1][t_{n-1}], one factor per level.
-
-    The levels are filled from the last one up, so every isometry found so
-    far fixes 0..i-1. An image t must lie at d(j, i) from each fixed j, an
-    AND of spheres. The orbit is closed under the isometries found so far
-    by composing them, and only a candidate it has not reached is searched:
-    the first isometry starting (0, ..., i-1, t), or none."""
-    n = len(dist)
-    chain = [None] * n
-    found = []
-    for i in range(n - 1, -1, -1):
-        cands = ((1 << n) - 1) ^ ((2 << i) - 1)  # the points after i
-        for j in range(i):
-            cands &= sph[j][dist[j][i]]
-        orbit = {i: tuple(range(n))}
-        for t in _bits(cands):
-            if t in orbit:
-                continue
-            rep = next(_isometric_injections(dist, sph, (*range(i), t)), None)
-            if rep is None:
-                continue
-            found.append(rep)
-            orbit[t] = rep
-            todo = list(orbit)
-            while todo:
-                x = todo.pop()
-                g = orbit[x]
-                for h in found:
-                    y = h[x]
-                    if y not in orbit:
-                        orbit[y] = itemgetter(*g)(h)
-                        todo.append(y)
-        chain[i] = orbit
-    return chain
-
-
-def iso_group(space: FiniteMetricSpace, max_points: int = ISO_GROUP_MAX_POINTS):
-    """Every distance-preserving permutation, as index tuples in
-    lexicographic order: the products of a stabilizer chain
-    (_stabilizer_chain) of the ranked distances (_ranked), sorted. The
-    chain's searches are cheap, but the group itself can have n! elements,
-    so it refuses outright beyond the size guard; a factorial listing is not
-    something to time out on."""
-    if not is_grid_int(max_points):
-        raise ValidationError(f"isometry point limit must be an integer, got {max_points!r}")
-    n = space.n
-    if n > max_points:
-        raise GuardError(f"isometry search refused for {n} > {max_points} points",
-                         used=n, limit=max_points)
-    # the products of the levels after i, with each of level i's on the
-    # left: itemgetter(*h)(g) is g o h
-    group = [tuple(range(n))]
-    for level in reversed(_stabilizer_chain(*_ranked(space.dist))):
-        if len(level) > 1:
-            group = [itemgetter(*h)(g) for h in group for g in level.values()]
-    return tuple(sorted(group))
 
 
 class HomogeneityReport(Record):

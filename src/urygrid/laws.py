@@ -26,14 +26,13 @@ from .gh import EnumeratedPair, gh_distance, gh_distance_oracle
 from .graev import (WeightedAlphabet, concat, graev_norm,
                     graev_norm_bruteforce, inverse_word, reduce_word)
 from .grid import add_capped
-from .homog import (PartialIsometryRelation, composition_weight_bound,
-                    nu_truncated, random_partial_isometry, relation_alphabet,
-                    word_image)
-from .katetov import (build_approximant, homogeneity_check,
-                      injectivity_check, iso_group)
-from .relations import (action_graph, compose, enumerate_carrier, invert,
-                        matrix_of_relation, relation_of_matrix,
-                        restriction_equivalence)
+from .homog import (PartialIsometryRelation, compose, composition_weight_bound,
+                    invert, nu_truncated, random_partial_isometry,
+                    relation_alphabet, word_image)
+from .isometry import iso_group
+from .katetov import build_approximant, homogeneity_check, injectivity_check
+from .relations import (action_graph, enumerate_carrier, matrix_of_relation,
+                        relation_of_matrix, restriction_equivalence)
 from .spaces import FiniteMetricSpace, random_grid_space
 
 QUICK = "quick"

@@ -156,6 +156,6 @@ def is_equivalence(carrier: GridFunctionSpace, r: Relation) -> bool:
 
 def isometry_graphs(carrier: GridFunctionSpace):
     """Action graphs of the whole isometry group, keyed by permutation."""
-    from .katetov import iso_group  # on call, as in bikatetov.invertible_isometry
+    from .isometry import iso_group  # on call, as in bikatetov.invertible_isometry
 
     return {perm: action_graph(carrier, perm) for perm in iso_group(carrier.space)}

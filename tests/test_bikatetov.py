@@ -15,7 +15,7 @@ from urygrid.bikatetov import (BiKatetovMatrix, _gibbs, act_left, act_right,
                                routing_idempotent, star)
 from urygrid.errors import InvariantError, ValidationError
 from urygrid.grid import katetov_bounds
-from urygrid.katetov import iso_group
+from urygrid.isometry import iso_group
 from urygrid.spaces import FiniteMetricSpace, random_grid_space, validate_space
 
 from conftest import random_matrix_pair, with_doubled_point

@@ -213,6 +213,21 @@ class TestGraev:
                        "use the dynamic program\n")
         assert run(capsys, "graev", "norm", word_file)[0] == 0
 
+    # recorded when the CLI still built u^-1 v itself: it reduces to
+    # x^-1 y y, whose cheapest pairing arcs x^-1 to one y (3) and leaves
+    # the other unpaired (6)
+    @pytest.mark.parametrize("oracle", [(), ("--oracle",)], ids=["dp", "oracle"])
+    @pytest.mark.parametrize("fmt, expected", [((), "9/10\n"),
+                                               (("--json",), '{"distance":[9,10]}\n')],
+                             ids=["text", "json"])
+    def test_dist_output_is_pinned(self, capsys, word_file, oracle, fmt, expected):
+        with open(word_file) as fh:
+            obj = json.load(fh)
+        obj.update(u="x y^-1 x", v="x y")
+        with open(word_file, "w") as fh:
+            json.dump(obj, fh)
+        assert run(capsys, *fmt, "graev", "dist", word_file, *oracle) == (0, expected, "")
+
     def test_dist_needs_two_words(self, capsys, word_file):
         code, _, err = run(capsys, "graev", "dist", word_file)
         assert code == 1 and "u" in err
@@ -594,12 +609,13 @@ class TestChildProcess:
         pytest.param(("complete", "partial.json"), "", id="complete partial.json-base"),
         pytest.param(("amalgam", "x.json", "y.json", "--glue", "m=m"), "",
                      id="amalgam x.json-base"),
-        pytest.param(("katetov", "check", "f.json"), "katetov", id="katetov check-katetov"),
+        pytest.param(("katetov", "check", "f.json"), "katetov isometry",
+                     id="katetov check-katetov"),
         pytest.param(("approximant", "build", "seed.json", "--subset", "1", "--cap", "8"),
-                     "katetov", id="approximant build-katetov"),
-        pytest.param(("isogroup", "space.json"), "katetov", id="isogroup space.json-katetov"),
+                     "katetov isometry", id="approximant build-katetov"),
+        pytest.param(("isogroup", "space.json"), "isometry", id="isogroup space.json-katetov"),
         pytest.param(("theta", "star", "m.json"), "bikatetov", id="theta star-bikatetov"),
-        pytest.param(("theta", "invert", "m.json"), "bikatetov katetov",
+        pytest.param(("theta", "invert", "m.json"), "bikatetov isometry",
                      id="theta invert-bikatetov katetov"),
         pytest.param(("graev", "norm", "word.json"), "graev", id="graev norm-graev"),
         pytest.param(("homog", "phi", "rels.json"), "graev homog", id="homog phi-graev homog"),

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from urygrid import sweep
 from urygrid._kernels import _fallback
 from urygrid.errors import GuardError, ValidationError
-from urygrid.graev import (WeightedAlphabet, concat, enumerate_pairings,
+from urygrid.graev import (WeightedAlphabet, concat, difference_word, enumerate_pairings,
                            format_word, graev_distance, graev_norm,
                            graev_norm_bruteforce, graev_sum, group_product,
                            inverse_word, parse_word, reduce_word)
-from urygrid.katetov import iso_group
+from urygrid.isometry import iso_group
 from urygrid.spaces import random_grid_space
 
 from conftest import LOAD_EXT, random_alphabet, random_weights, random_word, run_child
@@ -55,6 +55,14 @@ class TestWords:
         w = parse_word(xy_alphabet, text)
         assert w == ((0, 1), (1, -1), (0, 1), (0, -1))
         assert format_word(xy_alphabet, w) == text
+
+    # each printed as a well-formed word, or failed inside the letter
+    # lookup, before format_word checked its input
+    @pytest.mark.parametrize("word", [((0, 2),), ((0, 0),), ((-1, 1),), ((True, 1),),
+                                      ((5, 1),)])
+    def test_format_refuses_a_malformed_word(self, xy_alphabet, word):
+        with pytest.raises(ValidationError):
+            format_word(xy_alphabet, word)
 
 
 class TestAlphabet:
@@ -178,11 +186,13 @@ class TestNorms:
                 norm(word, xy_alphabet)
         with pytest.raises(ValidationError):
             graev_sum(word, frozenset(), xy_alphabet)
-        # graev_distance checks both words before reducing them: a bad
-        # symbol must not fail inside reduce_word or cancel against its twin
+        # graev_distance and difference_word check both words before
+        # reducing them: a bad symbol must not fail inside reduce_word or
+        # cancel against its twin
         for u, v in ((word, ()), ((), word), (word, word)):
-            with pytest.raises(ValidationError):
-                graev_distance(u, v, xy_alphabet)
+            for route in (graev_distance, difference_word):
+                with pytest.raises(ValidationError):
+                    route(u, v, xy_alphabet)
 
     def test_worked_minimum(self, xy_alphabet):
         w = parse_word(xy_alphabet, "x y^-1")

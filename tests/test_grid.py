@@ -16,7 +16,8 @@ from urygrid.cli import main
 from urygrid.errors import GuardError
 from urygrid.gh import realize_in_space
 from urygrid.grid import katetov_bounds, lex_tuples
-from urygrid.katetov import _inside, _isometric_injections, _profiles, _spheres
+from urygrid.isometry import _isometric_injections, _spheres
+from urygrid.katetov import _inside, _profiles
 from urygrid.relations import enumerate_carrier
 from urygrid.spaces import FiniteMetricSpace, random_grid_space
 

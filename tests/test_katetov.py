@@ -11,12 +11,11 @@ from urygrid import fileio, katetov
 from urygrid.cli import main
 from urygrid.errors import GuardError, ValidationError
 from urygrid.grid import MAX_DENOMINATOR, katetov_bounds
+from urygrid.isometry import _isometric_injections, _spheres, _stabilizer_chain, iso_group
 from urygrid.katetov import (PROFILE_LIMIT, KatetovFunction, TemplateTally,
                              _circulant_row, _circulant_space, _closed_through_zero, _embed_seed,
-                             _isometric_injections, _ProfileFrontier, _spheres,
-                             _stabilizer_chain,
-                             build_approximant, find_transitive_template,
-                             homogeneity_check, injectivity_check, is_katetov, iso_group,
+                             _ProfileFrontier, build_approximant, find_transitive_template,
+                             homogeneity_check, injectivity_check, is_katetov,
                              katetov_extension, katetov_witness,
                              point_function, realize_one_point, sup_distance)
 from urygrid.spaces import FiniteMetricSpace, random_grid_space, validate_space
@@ -57,6 +56,10 @@ class TestIsKatetov:
     def test_bool_value_is_structural(self, two_point_q4):
         with pytest.raises(ValidationError):
             KatetovFunction(two_point_q4, ("a",), (True,))
+
+    def test_unhashable_support_name_is_an_unknown_point(self, two_point_q4):
+        with pytest.raises(ValidationError, match=r"unknown point \['a'\]"):
+            KatetovFunction(two_point_q4, [["a"]], [1])
 
 
 class TestExtension:

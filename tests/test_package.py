@@ -68,10 +68,95 @@ def test_dir_lists_every_name():
     assert set(EXPORTED) <= set(dir(urygrid))
 
 
-@pytest.mark.parametrize("module", ["_kernels", "spaces", "katetov", "bikatetov", "graev",
-                                    "homog", "gh", "relations", "grid"])
+@pytest.mark.parametrize("module", ["_kernels", "spaces", "katetov", "isometry", "bikatetov",
+                                    "graev", "homog", "gh", "relations", "grid"])
 def test_submodules_resolve_as_attributes(module):
     assert urygrid.__getattr__(module) is importlib.import_module("urygrid." + module)
+
+
+PACKAGE = os.path.dirname(urygrid.__file__)
+
+# modules that bind names they do not define, on purpose, each with its reason
+FACADES = {"urygrid._kernels": "binds one backend's kernels, compiled or pure"}
+
+
+def package_modules():
+    """Every Python module of the package, parsed: dotted name -> (tree,
+    whether it is a package's __init__)."""
+    out = {}
+    for root, _, files in os.walk(PACKAGE):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(root, name)
+            parts = os.path.relpath(path, os.path.dirname(PACKAGE))[:-3].split(os.sep)
+            if parts[-1] == "__init__":
+                parts.pop()
+            with open(path, encoding="utf-8") as fh:
+                out[".".join(parts)] = (ast.parse(fh.read()), name == "__init__.py")
+    return out
+
+
+def top_level_names(tree):
+    """The names a module's own top-level code defines: functions, classes
+    and assigned names, not what it imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def package_imports(modules):
+    """(importer, module imported from, name) for every ``from ... import``
+    of the package's own modules, anywhere in the code (on-call imports
+    too)."""
+    for importer, (tree, is_package) in modules.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level:
+                base = importer if is_package else importer.rpartition(".")[0]
+                for _ in range(node.level - 1):
+                    base = base.rpartition(".")[0]
+                target = base + "." + node.module if node.module else base
+            elif (node.module or "").partition(".")[0] == "urygrid":
+                target = node.module
+            else:
+                continue
+            for alias in node.names:
+                yield importer, target, alias.name
+
+
+def test_package_imports_name_their_owner():
+    """Each name is imported from the module that defines it, never through
+    a module that imported it in turn; the export table obeys the same
+    rule. A submodule may be imported from its package, and the facades
+    may be imported from freely."""
+    modules = package_modules()
+    defined = {name: top_level_names(tree) for name, (tree, _) in modules.items()}
+    stray = []
+    for importer, target, name in package_imports(modules):
+        if target + "." + name in modules or target in FACADES:
+            continue
+        if target not in modules:
+            # a module without Python source: the compiled backend, which
+            # only a facade may bind
+            assert importer in FACADES, (importer, target)
+        elif name not in defined[target]:
+            stray.append((importer, target, name))
+    for name, (module, attr) in urygrid._EXPORTS.items():
+        if "urygrid." + module not in FACADES and attr not in defined["urygrid." + module]:
+            stray.append(("urygrid", "urygrid." + module, attr))
+    assert not stray
+    # the isometry searches stand on the grid helpers alone, so loading
+    # them loads no space, approximant or semigroup code
+    assert {target for importer, target, _ in package_imports(modules)
+            if importer == "urygrid.isometry"} == {"urygrid.errors", "urygrid.grid"}
 
 
 def test_unknown_name_raises_attribute_error():

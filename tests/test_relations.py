@@ -6,7 +6,8 @@ from urygrid.bikatetov import (constant_zero, embed_isometry,
                                enumerate_bikatetov, product, random_bikatetov,
                                routing_idempotent)
 from urygrid.errors import GuardError, ValidationError
-from urygrid.katetov import iso_group, point_function
+from urygrid.isometry import iso_group
+from urygrid.katetov import point_function
 from urygrid.relations import (action_graph, act, compose, enumerate_carrier,
                                invert, is_equivalence, isometry_graphs,
                                matrix_of_relation, relation_of_matrix,
