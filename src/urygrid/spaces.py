@@ -145,9 +145,14 @@ class FiniteMetricSpace(Record):
     @classmethod
     def _trusted(cls, points: tuple, denominator: int, dist: tuple,
                  pseudo: bool) -> "FiniteMetricSpace":
-        """A space from tuple-normalized parts that one of the exact checks
-        (the new-row check of katetov's builder, the circulant rotation
-        check in katetov) has already passed; skips revalidation."""
+        """A space from tuple-normalized parts that is valid by an exact
+        check or by theorem; skips revalidation. The callers: the new-row
+        check of katetov's builder and the circulant rotation check in
+        katetov (checks), shortest_path_completion on a mirror-closed
+        specification and random_grid_space (theorems). The independent
+        judge of the two theorems is tests/test_spaces.py::TestTrustedSpaces,
+        which rebuilds their outputs with this class's validating
+        constructor."""
         space = object.__new__(cls)
         space._store(points, denominator, dist, pseudo)
         return space
@@ -291,16 +296,25 @@ def shortest_path_completion(spec: PartialSpec, unreachable: str = "error") -> F
 
     This is the largest pseudometric below the specification. A pair with no
     connecting chain raises by default; ``unreachable="cap"`` fills it with
-    the diameter cap instead (the diameter-1 amalgamation convention).
+    the diameter cap instead (the diameter-1 amalgamation convention). Any
+    other mode is refused before the closure runs.
 
-    The result is built by the validating constructor, not trusted: a
-    specification that leaves (i, j) open while fixing (j, i) makes the
-    closure asymmetric, e.g. a-b 1, b-c 1, c-a 4 given one way each at
-    q = 4 closes to d(a, c) = 2 but d(c, a) = 4, and validate_space is what
-    refuses it.
+    A specification is mirror-closed when it gives (i, j) exactly when it
+    gives (j, i), and PartialSpec makes the two equal. Its closure
+    min(q, shortest chain) is then a pseudometric by theorem: symmetric,
+    zero on the diagonal, in [0, q], and min(q, .) keeps the triangle
+    inequality of shortest chains. A capped pair joins two components, and
+    every third point is at q from one of them. So that result skips
+    revalidation, after an O(n^2) mirror test in place of the O(n^3) scan.
+    Any other specification goes through the validating constructor: one
+    that leaves (i, j) open while fixing (j, i) makes the closure
+    asymmetric, e.g. a-b 1, b-c 1, c-a 4 given one way each at q = 4
+    closes to d(a, c) = 2 but d(c, a) = 4, and validate_space refuses it.
     """
     from ._kernels import INF, floyd_warshall_capped
 
+    if unreachable not in ("error", "cap"):
+        raise ValidationError(f"unreachable must be 'error' or 'cap', got {unreachable!r}")
     n = len(spec.points)
     q = spec.denominator
     w = [INF] * (n * n)
@@ -322,6 +336,8 @@ def shortest_path_completion(spec: PartialSpec, unreachable: str = "error") -> F
                         f"{spec.points[i]} and {spec.points[j]}", (spec.points[i], spec.points[j]))
     rows = tuple(tuple(closed[i * n + j] for j in range(n)) for i in range(n))
     pseudo = any(rows[i][j] == 0 for i in range(n) for j in range(n) if i != j)
+    if spec.entries == tuple(zip(*spec.entries)):  # mirror-closed
+        return FiniteMetricSpace._trusted(spec.points, q, rows, pseudo)
     return FiniteMetricSpace(spec.points, q, rows, pseudo=pseudo)
 
 
@@ -415,6 +431,11 @@ def random_grid_space(n: int, q: int, seed: int) -> FiniteMetricSpace:
     each uniformly inside its exact feasible interval given the others.
     The second pass undoes the bias toward path-like metrics that closure
     alone would leave.
+
+    The result skips revalidation because it is a metric by theorem. The
+    closure of positive entries in [1, q] is one, and each redraw stays in
+    katetov_bounds given all the other entries, an interval inside [1, q]
+    that holds the old value. So every triangle still holds after each draw.
     """
     from ._kernels import floyd_warshall_capped
 
@@ -426,7 +447,7 @@ def random_grid_space(n: int, q: int, seed: int) -> FiniteMetricSpace:
     rng = random.Random(seed)
     names = tuple(f"p{i}" for i in range(n))
     if n == 1:
-        return FiniteMetricSpace(names, q, ((0,),))
+        return FiniteMetricSpace._trusted(names, q, ((0,),), False)
     w = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -437,4 +458,4 @@ def random_grid_space(n: int, q: int, seed: int) -> FiniteMetricSpace:
         for j in range(i + 1, n):
             d[i][j] = d[j][i] = rng.randint(*katetov_bounds(
                 [(d[i][k], d[k][j]) for k in range(n) if k != i and k != j], 1, q))
-    return FiniteMetricSpace(names, q, tuple(tuple(row) for row in d))
+    return FiniteMetricSpace._trusted(names, q, tuple(tuple(row) for row in d), False)

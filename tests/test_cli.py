@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -137,6 +138,83 @@ class TestComplete:
         code, out, err = run(capsys, "complete", str(p))
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and "True" in err
+
+
+# `--json complete` and `--json amalgam` on a small corpus: name -> input and
+# sha256 of stdout, recorded when every completion still went through the
+# validating constructor
+COMPLETE_CORPUS = {
+    "chain": ({"points": ["a", "b", "c"], "denominator": 4,
+               "entries": [[0, 1, None], [1, 0, 1], [None, 1, 0]]},
+              "156c53081103dc77dd50a615814725008d85024bde25f76224608706ed300e07"),
+    "capped": ({"points": ["a", "b", "c"], "denominator": 4,
+                "entries": [[0, 3, None], [3, 0, 3], [None, 3, 0]]},
+               "48ca256d29c9c5bf1590bc72191f4ae123bcba9b5c54cd6f1a531996b9ec2f0c"),
+    "pseudo": ({"points": ["a", "b", "c", "d"], "denominator": 3,
+                "entries": [[0, 0, None, None], [0, 0, 2, None],
+                            [None, 2, 0, 1], [None, None, 1, 0]]},
+               "092d9718f1d76f7395dfbf48ff1062b7f8678e4e17dc19c8aa8696f74bfa91b4"),
+    "holes": ({"points": ["p", "q", "r", "s", "t"], "denominator": 7,
+               "entries": [[None, 5, None, 2, None], [5, 0, 1, None, None],
+                           [None, 1, None, 3, 6], [2, None, 3, 0, None],
+                           [None, None, 6, None, 0]]},
+              "58f392c2146719ed5ff667d1372db2b0312165e44ec6dd0f87db361b6c2156f8"),
+}
+COMPLETE_REFUSED = {
+    # each edge given one way only: the closure is asymmetric
+    "one-sided": ({"points": ["a", "b", "c"], "denominator": 4,
+                   "entries": [[0, 1, None], [None, 0, 1], [4, None, 0]]},
+                  "error: invalid space: d(a,b) = 1 but d(b,a) = 4; "
+                  "d(a,c) = 2 but d(c,a) = 4; d(b,c) = 1 but d(c,b) = 4\n"),
+    "disconnected": ({"points": ["a", "b", "c"], "denominator": 4,
+                      "entries": [[0, 1, None], [1, 0, None], [None, None, 0]]},
+                     "error: no chain of specified entries connects a and c\n"),
+}
+AMALGAM_CORPUS = {
+    "chain": ({"points": ["a", "m"], "denominator": 4, "dist": [[0, 1], [1, 0]]},
+              {"points": ["m", "b"], "denominator": 4, "dist": [[0, 1], [1, 0]]}, ["m=m"],
+              "48d452e786be306b9bfdbc2eb359085553f4eff70b3bac932147a617e68eb691"),
+    "no glue": ({"points": ["a", "b"], "denominator": 2, "dist": [[0, 1], [1, 0]]},
+                {"points": ["c"], "denominator": 3, "dist": [[0]]}, [],
+                "f1f6a7540732611e1f07f5e9200b5dea7658b6843560f6961b0290c0c1bb0ef3"),
+    "mixed grids": ({"points": ["a", "b", "c"], "denominator": 2,
+                     "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]},
+                    {"points": ["u", "v", "w"], "denominator": 3,
+                     "dist": [[0, 3, 2], [3, 0, 2], [2, 2, 0]]}, ["a=u", "c=v"],
+                    "42caeb57c04fc1815ab4bef82f29d6f61ec66d87624b4dfad0c425894475ec32"),
+    "pseudo": ({"points": ["a", "a2", "m"], "denominator": 2, "pseudo": True,
+                "dist": [[0, 0, 1], [0, 0, 1], [1, 1, 0]]},
+               {"points": ["m", "b"], "denominator": 2, "dist": [[0, 2], [2, 0]]}, ["m=m"],
+               "edbbe73048c6684ca7078eb92aa99f2f84dbf289c4ac8002218973c27c0e243a"),
+}
+
+
+class TestCompletionCorpus:
+    @pytest.mark.parametrize("name", COMPLETE_CORPUS)
+    def test_complete_json_is_pinned(self, capsys, tmp_path, name):
+        obj, digest = COMPLETE_CORPUS[name]
+        p = tmp_path / "partial.json"
+        p.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "--json", "complete", str(p))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", COMPLETE_REFUSED)
+    def test_complete_refusal_is_pinned(self, capsys, tmp_path, name):
+        obj, message = COMPLETE_REFUSED[name]
+        p = tmp_path / "partial.json"
+        p.write_text(json.dumps(obj))
+        assert run(capsys, "--json", "complete", str(p)) == (1, "", message)
+
+    @pytest.mark.parametrize("name", AMALGAM_CORPUS)
+    def test_amalgam_json_is_pinned(self, capsys, tmp_path, name):
+        x, y, glue, digest = AMALGAM_CORPUS[name]
+        (tmp_path / "x.json").write_text(json.dumps(x))
+        (tmp_path / "y.json").write_text(json.dumps(y))
+        code, out, err = run(capsys, "--json", "amalgam", str(tmp_path / "x.json"),
+                             str(tmp_path / "y.json"), *(a for g in glue for a in ("--glue", g)))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestAmalgam:

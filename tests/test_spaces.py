@@ -1,7 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
+from conftest import random_matrix_pair, with_doubled_point
+from urygrid import bikatetov
 from urygrid.bikatetov import BiKatetovMatrix
 from urygrid.errors import ValidationError
 from urygrid.graev import WeightedAlphabet
@@ -124,6 +127,15 @@ class TestCompletion:
         q = 2 ** 29 - 1
         spec = PartialSpec(("a", "b", "c"), q, ((0, q, None), (q, 0, 1), (None, 1, 0)))
         assert shortest_path_completion(spec).dist == ((0, q, q), (q, 0, 1), (q, 1, 0))
+
+    @pytest.mark.parametrize("mode", ["bogus", "Cap", "", None])
+    def test_unknown_unreachable_mode_is_refused(self, mode):
+        # refused before the closure runs, so neither the unreachable-pair
+        # error of the disconnected spec nor the closure of the connected
+        # one can answer in its place
+        for entries in (((0, None), (None, 0)), ((0, 1), (1, 0))):
+            with pytest.raises(ValidationError, match="unreachable must be 'error' or 'cap'"):
+                shortest_path_completion(PartialSpec(("a", "b"), 4, entries), mode)
 
     def test_disconnected_names_unreachable_pair(self):
         spec = PartialSpec(("a", "b"), 4, ((0, None), (None, 0)))
@@ -271,7 +283,118 @@ class TestAmalgam:
         assert out.distance("a", "b") == 4
 
 
+def random_mirror_closed_spec(rng):
+    """A random mirror-closed partial specification: holes, zeros,
+    unspecified diagonal entries and often several components."""
+    n, q = rng.randint(1, 8), rng.randint(1, 9)
+    entries = [[rng.choice((0, None)) if i == j else None for j in range(n)]
+               for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.45:
+                entries[i][j] = entries[j][i] = rng.choice((0, rng.randint(1, q)))
+    return PartialSpec(tuple(f"p{i}" for i in range(n)), q,
+                       tuple(tuple(r) for r in entries))
+
+
+def assert_judged_valid(space):
+    """The independent judges of a trusted space: validate_space passes it,
+    the validating constructor rebuilds it equal, and its flag and index
+    are what that constructor would set."""
+    assert type(space.points) is tuple and type(space.dist) is tuple
+    assert all(type(row) is tuple for row in space.dist)
+    assert validate_space(space.points, space.denominator, space.dist, space.pseudo).ok
+    rebuilt = FiniteMetricSpace(space.points, space.denominator, space.dist, space.pseudo)
+    assert rebuilt == space and hash(rebuilt) == hash(space)
+    zeros = any(space.dist[i][j] == 0 for i in range(space.n) for j in range(i))
+    assert space.pseudo is zeros
+    assert [space.index(p) for p in space.points] == list(range(space.n))
+
+
+class TestTrustedSpaces:
+    """Every space that FiniteMetricSpace._trusted builds by theorem,
+    rebuilt by the validating constructor and checked by validate_space."""
+
+    def test_mirror_closed_closures(self):
+        rng = random.Random(43)
+        seen = set()
+        for _ in range(400):
+            spec = random_mirror_closed_spec(rng)
+            out = shortest_path_completion(spec, unreachable="cap")
+            assert_judged_valid(out)
+            n, q = len(spec.points), spec.denominator
+            holes = [(i, j) for i in range(n) for j in range(n)
+                     if i != j and spec.entries[i][j] is None]
+            seen.add(("pseudo", out.pseudo))
+            if holes:
+                seen.add("holes")
+            if any(out.dist[i][j] == q for i, j in holes):
+                seen.add("filled at the cap")
+            try:
+                strict = shortest_path_completion(spec)
+            except ValidationError:
+                seen.add("disconnected")
+            else:
+                assert strict == out
+        assert seen == {("pseudo", False), ("pseudo", True), "holes", "filled at the cap",
+                        "disconnected"}
+
+    def test_amalgam_outputs(self):
+        rng = random.Random(44)
+        for case in range(200):
+            whole = random_grid_space(rng.randint(1, 7), rng.randint(1, 9),
+                                      rng.randrange(10 ** 6))
+            if case % 3 == 0:
+                whole = with_doubled_point(whole, rng)
+            names = list(whole.points)
+            x_names = rng.sample(names, rng.randint(1, len(names)))
+            y_names = rng.sample(names, rng.randint(1, len(names)))
+            shared = set(x_names) & set(y_names)
+            glue = {p: p + "'" for p in shared if rng.random() < 0.7}
+            x = whole.restrict(x_names)
+            y_part = whole.restrict(y_names)
+            y = FiniteMetricSpace(tuple(p + "'" for p in y_part.points), y_part.denominator,
+                                  y_part.dist, y_part.pseudo)
+            if case % 4 == 0:
+                y = y.rescaled(y.denominator * rng.randint(2, 3))
+            assert_judged_valid(amalgam(x, y, glue))
+
+    def test_product_via_amalgam_layouts(self, monkeypatch):
+        layouts = []
+
+        def recorded(spec, unreachable="error"):
+            layouts.append(shortest_path_completion(spec, unreachable))
+            return layouts[-1]
+
+        monkeypatch.setattr(bikatetov, "shortest_path_completion", recorded)
+        rng = random.Random(45)
+        for _ in range(120):
+            f, g = random_matrix_pair(rng, max_n=5, max_q=9)
+            bikatetov.product_via_amalgam(f, g)
+        assert len(layouts) == 120
+        for layout in layouts:
+            assert_judged_valid(layout)
+        assert {layout.pseudo for layout in layouts} == {False, True}
+
+    def test_random_grid_space(self):
+        for n in range(1, 9):
+            for q in range(1, 13):
+                for seed in (0, 1, 2, 99):
+                    assert_judged_valid(random_grid_space(n, q, seed))
+
+
+# sha256 over random_grid_space on a fixed (n, q, seed) grid, recorded when
+# it still built through the validating constructor
+RANDOM_GRID_SPACE_SHA256 = "2b661612ae61a4db1d6db176bb40499ae0520891945bb36ce53b8e5a6e1132ab"
+
+
 class TestRandomGridSpace:
+    def test_draws_are_pinned(self):
+        spaces = [random_grid_space(n, q, seed) for n in range(1, 9)
+                  for q in (1, 2, 3, 5, 8, 12) for seed in (0, 1, 7)]
+        record = repr([(s.points, s.denominator, s.dist, s.pseudo) for s in spaces])
+        assert hashlib.sha256(record.encode()).hexdigest() == RANDOM_GRID_SPACE_SHA256
+
     def test_single_point(self):
         space = random_grid_space(1, 4, 0)
         assert space.n == 1 and space.dist == ((0,),)
