@@ -561,6 +561,10 @@ def find_transitive_template(seed: FiniteMetricSpace, max_subset: int, q: int,
     closed one in one step (_CirculantListing.skip), as far as the budget
     goes, and only embeds the seed in the closed ones.
     The seed is first rescaled to q, which must be a multiple of its grid.
+    A seed with two distinct points at distance 0 is never embedded: every
+    template is a metric, so none holds a copy, and the injection search
+    could try every partial map before it found none. The walk and its
+    tally are the same as for any other seed that no template holds.
     Returns (template, embedded seed indices) or None when the bounded
     search finds nothing; ``tally``, when given, records how far it got,
     which the memo does not change."""
@@ -568,6 +572,7 @@ def find_transitive_template(seed: FiniteMetricSpace, max_subset: int, q: int,
     seed = seed.rescaled(q)
     if tally is None:
         tally = TemplateTally()
+    metric = all(0 not in row[:i] for i, row in enumerate(seed.dist))
     for n in range(max(seed.n, 2), cap + 1):
         listing = _circulant_listing(q, max_subset, n)
         # past this bound n has more canonical colorings than the budget
@@ -584,7 +589,7 @@ def find_transitive_template(seed: FiniteMetricSpace, max_subset: int, q: int,
             tally.tried += j - i + 1
             template = listing.template(j)
             i = j + 1
-            if template is not None:
+            if template is not None and metric:
                 embedded = _embed_seed(seed, template)
                 if embedded is not None:
                     return template, embedded
@@ -592,11 +597,11 @@ def find_transitive_template(seed: FiniteMetricSpace, max_subset: int, q: int,
     return None
 
 
-def _random_row(dist, idx, prof, q: int, bits):
-    """The distances of a new point to the points with rows ``dist``: the
-    profile ``prof`` on the support ``idx``, and each other entry, in index
-    order, drawn uniformly from its exact Katetov interval in [1, q] given
-    the entries set so far.
+def _random_row(dist, idx, prof, q: int, pseudo: bool, bits):
+    """The distances of a new point to the points with rows ``dist`` (a
+    pseudometric when ``pseudo``): the zero-free profile ``prof`` on the
+    support ``idx``, and each other entry, in index order, drawn uniformly
+    from its exact Katetov interval in [1, q] given the entries set so far.
 
     ``bits`` is a random.Random's getrandbits. The interval is
     grid.katetov_bounds written out, as in bikatetov._gibbs, and the draw is
@@ -604,13 +609,28 @@ def _random_row(dist, idx, prof, q: int, bits):
     bits, redrawn while they reach the width. Both take the same bits, so a
     row equals the one katetov_bounds and randint would draw from the same
     generator, and leaves it in the same state. A call per entry to either
-    would slow this hot path of the random builder."""
+    would slow this hot path of the random builder.
+
+    At q <= 2 in a metric space the interval is always [1, q], so it is not
+    computed: every entry set so far and every distance between distinct
+    points lies in [1, q] with q <= 2, so |w - d| <= 1 and w + d >= 2 >= q.
+    The draw over [1, q] is the same loop, so it takes the same bits. In a
+    pseudometric a zero distance forces a value, and the interval is kept."""
     row = [None] * len(dist)
     # (point, distance) for each entry set so far, one more as each free
     # entry is drawn
     pairs = list(zip(idx, prof))
     for i, v in pairs:
         row[i] = v
+    if q <= 2 and not pseudo:
+        k = q.bit_length()
+        for z, v in enumerate(row):
+            if v is None:
+                r = bits(k)
+                while r >= q:
+                    r = bits(k)
+                row[z] = 1 + r
+        return row
     for z, dz in enumerate(dist):
         if row[z] is None:
             lo, hi = 1, q
@@ -663,11 +683,14 @@ def build_approximant(seed: FiniteMetricSpace, max_subset: int, q: int, cap: int
     the result is an isometric copy of the whole template and inherits its
     point-transitivity (a closed part of it need not be transitive).
     "random" draws each free distance uniformly from its exact feasibility
-    interval with the seeded generator (_random_row); this mixes the space and closes it
-    quickly, but the result has no symmetry to speak of. (The deterministic
-    extremes are poor policies: always taking the largest extension keeps
-    every new point far from everything and pair-support closure never
-    terminates.) "auto" tries the template route and falls back to random.
+    interval with the generator seeded by ``rng_seed``, which must be an
+    int (_random_row); this mixes the space and closes it quickly, but the
+    result has no symmetry to speak of. At q <= 2 in a metric seed every
+    such interval is [1, q], so the draw skips computing it; the bits taken,
+    and so the rows, are the same. (The deterministic extremes are poor
+    policies: always taking the largest extension keeps every new point far
+    from everything and pair-support closure never terminates.) "auto"
+    tries the template route and falls back to random.
 
     Returns the final space, the status ("closed" when the frontier finds
     nothing unrealized, "capped" when the point budget ran out first), and
@@ -678,6 +701,8 @@ def build_approximant(seed: FiniteMetricSpace, max_subset: int, q: int, cap: int
         raise ValidationError("cap smaller than the seed")
     if strategy not in ("auto", "random", "transitive"):
         raise ValidationError(f"unknown strategy {strategy!r}")
+    if not is_grid_int(rng_seed):
+        raise ValidationError(f"random seed must be an integer, got {rng_seed!r}")
     space = seed.rescaled(q)
     bits = random.Random(rng_seed).getrandbits
 
@@ -730,7 +755,7 @@ def build_approximant(seed: FiniteMetricSpace, max_subset: int, q: int, cap: int
             image.append(target)
             used |= 1 << target
         else:
-            row = _random_row(dist, idx, prof, q, bits)
+            row = _random_row(dist, idx, prof, q, pseudo, bits)
         name = next(names)
         if not _new_row_fits(dist, q, row, pseudo):
             _raise_unless_ok(validate_space(

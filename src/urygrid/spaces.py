@@ -263,7 +263,11 @@ class PartialSpec(Record):
         points = _as_tuple(points, "points")
         entries = _as_tuple(entries, "entries", rows=True)
         n = len(points)
-        if len(set(points)) != n or n == 0:
+        try:
+            unique = len(set(points)) == n
+        except TypeError:  # an unhashable name
+            raise ValidationError("point names must be hashable") from None
+        if not unique or n == 0:
             raise ValidationError("points must be nonempty and unique")
         q = denominator
         bad_denominator = denominator_problem(q)

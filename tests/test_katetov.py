@@ -37,6 +37,16 @@ def random_total_katetov(space, rng):
     return katetov_extension(KatetovFunction(space, support, tuple(values)))
 
 
+def random_pseudo_space(q, rng):
+    """A random grid space with some of its points repeated: a pseudometric
+    in which each copy lies at distance 0 from its original."""
+    base = random_grid_space(rng.randint(1, 6), q, rng.randrange(10 ** 6))
+    src = list(range(base.n)) + [rng.randrange(base.n) for _ in range(rng.randint(1, 3))]
+    rng.shuffle(src)
+    return FiniteMetricSpace(tuple(f"p{i}" for i in range(len(src))), q,
+                             tuple(tuple(base.dist[a][b] for b in src) for a in src), True)
+
+
 class TestIsKatetov:
     def test_single_point_support_is_always_katetov(self, two_point_q4):
         for v in range(5):
@@ -317,8 +327,8 @@ class TestBuildApproximant:
         with pytest.raises(ValidationError):
             build_approximant(seed, 0, 2, 8)
 
-    # each call is fine but for one argument: a bool, a float or None where
-    # an integer belongs, or a subset size below 1
+    # each call is fine but for one argument: a bool, a float, a string, a
+    # list or None where an integer belongs, or a subset size below 1
     @pytest.mark.parametrize("call,message", [
         (lambda: build_approximant(ONE_POINT_Q1, 1, True, 8),
          "denominator must be a positive integer, got True"),
@@ -334,6 +344,16 @@ class TestBuildApproximant:
          "point cap must be an integer, got 8.0"),
         (lambda: build_approximant(ONE_POINT_Q1, 1, 1, None),
          "point cap must be an integer, got None"),
+        (lambda: build_approximant(ONE_POINT_Q1, 1, 1, 8, rng_seed=None),
+         "random seed must be an integer, got None"),
+        (lambda: build_approximant(ONE_POINT_Q1, 1, 1, 8, rng_seed=1.5),
+         "random seed must be an integer, got 1.5"),
+        (lambda: build_approximant(ONE_POINT_Q1, 1, 1, 8, rng_seed="x"),
+         "random seed must be an integer, got 'x'"),
+        (lambda: build_approximant(ONE_POINT_Q1, 1, 1, 8, rng_seed=True),
+         "random seed must be an integer, got True"),
+        (lambda: build_approximant(ONE_POINT_Q1, 1, 1, 8, rng_seed=[1]),
+         "random seed must be an integer, got [1]"),
         (lambda: find_transitive_template(ONE_POINT_Q1, 1, True, 8),
          "denominator must be a positive integer, got True"),
         (lambda: find_transitive_template(ONE_POINT_Q1, 1, 1, 8.0),
@@ -347,9 +367,10 @@ class TestBuildApproximant:
         (lambda: injectivity_check(ONE_POINT_Q1, 0),
          "max profile support size must be at least 1, got 0"),
     ], ids=["build q True", "build q float", "build q None", "build subset float",
-            "build subset None", "build cap float", "build cap None", "template q True",
-            "template cap float", "verify subset True", "verify subset float",
-            "verify subset None", "verify subset 0"])
+            "build subset None", "build cap float", "build cap None", "build seed None",
+            "build seed float", "build seed str", "build seed True", "build seed list",
+            "template q True", "template cap float", "verify subset True",
+            "verify subset float", "verify subset None", "verify subset 0"])
     def test_arguments_that_are_not_grid_integers_are_rejected(self, call, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             call()
@@ -386,7 +407,7 @@ class TestBuildApproximant:
     def test_row_that_breaks_a_triangle_is_refused_with_the_report(self, monkeypatch):
         # every free distance forced to the top of [1, q], outside its exact
         # interval: the new row's check fails and validate_space reports it
-        def forced_row(dist, idx, prof, q, bits):
+        def forced_row(dist, idx, prof, q, pseudo, bits):
             row = [q] * len(dist)
             for i, v in zip(idx, prof):
                 row[i] = v
@@ -401,12 +422,18 @@ class TestBuildApproximant:
     def test_random_row_matches_bounds_and_randint(self):
         # the written-out interval and draw against grid.katetov_bounds and
         # Random.randint on generators of the same seed: equal rows, and the
-        # generators end in equal states
+        # generators end in equal states. Metric spaces at q <= 2 take the
+        # draw straight from [1, q]; pseudometric ones, where a zero forces
+        # a value, and every space at q >= 3 take the interval pass
         rng = random.Random(27)
         widths = set()
-        for case in range(240):
+        forced = 0
+        for case in range(480):
             q = 1 + case % 4
-            space = random_grid_space(rng.randint(2, 9), q, rng.randrange(10 ** 6))
+            if case < 240:
+                space = random_grid_space(rng.randint(2, 9), q, rng.randrange(10 ** 6))
+            else:
+                space = random_pseudo_space(q, rng)
             dist = space.dist
             idx = tuple(rng.sample(range(space.n), rng.randint(1, min(3, space.n))))
             prof = []
@@ -414,7 +441,9 @@ class TestBuildApproximant:
                 prof.append(rng.randint(*katetov_bounds(
                     [(w, dist[y][t]) for t, w in zip(idx[:k], prof)], 1, q)))
             ours, ref = random.Random(case), random.Random(case)
-            row = katetov._random_row(dist, idx, tuple(prof), q, ours.getrandbits)
+            # the builder's call: its frontier's rows, the space's flag
+            row = katetov._random_row([list(r) for r in dist], idx, tuple(prof), q,
+                                      space.pseudo, ours.getrandbits)
             expected = [None] * space.n
             pairs = list(zip(idx, prof))
             for i, v in pairs:
@@ -423,11 +452,14 @@ class TestBuildApproximant:
                 if expected[z] is None:
                     lo, hi = katetov_bounds([(w, dist[z][y]) for y, w in pairs], 1, q)
                     widths.add(hi - lo + 1)
+                    forced += space.pseudo and q == 2 and hi == lo
                     expected[z] = v = ref.randint(lo, hi)
                     pairs.append((z, v))
             assert row == expected, case
             assert ours.getstate() == ref.getstate(), case
         assert {1, 2, 3} <= widths
+        # at q = 2 a zero narrowed some interval that [1, q] would not have
+        assert forced
 
     def test_benchmark_transitive_build_is_the_rook_complement(self):
         # the benchmark's ("auto", 2, 2, 64) recipe on a 1-point seed
@@ -765,6 +797,17 @@ def test_built_spaces_revalidate():
             seed = random_grid_space(points, q, rng.randrange(10 ** 6))
             results.append(build_approximant(seed, k, q, cap, rng_seed=rng.randrange(10 ** 6),
                                              strategy=strategy))
+    # pseudometric seeds, where a zero between distinct points forces
+    # values: every build closes or caps with no row refused
+    pseudo_seeds = [FiniteMetricSpace(("a", "b"), 2, ((0, 0), (0, 0)), True)]
+    pseudo_seeds += [random_pseudo_space(q, rng) for q in (1, 2, 3)]
+    for seed in pseudo_seeds:
+        for k in (1, 2, 3):
+            for strategy in ("random", "auto"):
+                r = build_approximant(seed, k, seed.denominator, 24,
+                                      rng_seed=rng.randrange(10 ** 6), strategy=strategy)
+                assert r.status in ("closed", "capped") and r.space.pseudo
+                results.append(r)
     assert {r.strategy for r in results} == {"random", "transitive"}
     for r in results:
         space = r.space
@@ -918,6 +961,20 @@ class TestTemplateSearch:
         seed = FiniteMetricSpace(("a", "b"), 4, ((0, 2), (2, 0)))
         with pytest.raises(ValidationError, match="cannot rescale grid 4 to 2"):
             find_transitive_template(seed, 1, 2, 16)
+
+    def test_seed_with_a_zero_distance_is_never_embedded(self):
+        # every template is a metric, so the walk finds nothing and charges
+        # one coloring per n (q = 1 has one), as for any seed no template
+        # holds; searching K_n for a copy of p0 = p8 would try every
+        # injection of the other points first
+        seed = FiniteMetricSpace(tuple(f"p{i}" for i in range(9)), 1,
+                                 tuple(tuple(int(i != j and {i, j} != {0, 8}) for j in range(9))
+                                       for i in range(9)), True)
+        tally = TemplateTally()
+        assert find_transitive_template(seed, 1, 1, 24, tally=tally) is None
+        assert (tally.tried, tally.complete_n) == (16, 24)
+        built = build_approximant(seed, 1, 1, 24, strategy="auto")
+        assert (built.status, built.strategy, built.added) == ("closed", "random", 0)
 
     def test_subset_three_on_grid_two_finds_paley_29(self):
         seed = FiniteMetricSpace(("a",), 2, ((0,),))

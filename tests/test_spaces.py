@@ -100,6 +100,13 @@ class TestCompletion:
         with pytest.raises(ValidationError, match=r"d\(a,c\) = 2 but d\(c,a\) = 4"):
             shortest_path_completion(spec)
 
+    def test_unhashable_point_name_is_refused(self):
+        # as FiniteMetricSpace refuses it, not as a raw TypeError from set()
+        with pytest.raises(ValidationError, match="^point names must be hashable$"):
+            PartialSpec([["a"]], 1, ((0,),))
+        with pytest.raises(ValidationError, match="^point names must be hashable$"):
+            PartialSpec(("a", {}), 1, ((0, None), (None, 0)))
+
     @pytest.mark.parametrize("entries", [
         ((0, True), (True, 0)), ((0, 1.5), (1.5, 0)), ((0, None), (5, 0))])
     def test_off_grid_entry_is_rejected(self, entries):
