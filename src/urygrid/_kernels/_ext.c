@@ -5,8 +5,7 @@
    ints, words as parallel letter/sign sequences; every value is held as
    an int64_t. Each kernel checks its inputs before it reads them: a
    sequence of the wrong length, a negative size or entry, a letter
-   outside [0, nl), a sign other than +1 or -1, or a sweep's first symbol
-   outside [0, 2*nl) or given with max_len 0 raises ValueError, and an
+   outside [0, nl) or a sign other than +1 or -1 raises ValueError, and an
    input whose sums could overflow int64_t raises OverflowError. The
    interval DP and the pairing enumeration share no values, so the
    enumeration stays the oracle of the DP. */
@@ -18,19 +17,15 @@
 
 #define C_INF ((int64_t)1 << 30)
 
-/* Whether a kernel got lo to hi positional arguments; -1 with TypeError
+/* Whether a kernel got its want positional arguments; -1 with TypeError
    set if not. Without METH_KEYWORDS, CPython refuses keywords itself. */
 static int
-check_nargs(const char *fname, Py_ssize_t lo, Py_ssize_t hi, Py_ssize_t nargs)
+check_nargs(const char *fname, Py_ssize_t want, Py_ssize_t nargs)
 {
-    if (nargs >= lo && nargs <= hi)
+    if (nargs == want)
         return 0;
-    if (lo == hi)
-        PyErr_Format(PyExc_TypeError, "%s() takes %zd positional arguments (%zd given)",
-                     fname, lo, nargs);
-    else
-        PyErr_Format(PyExc_TypeError, "%s() takes %zd to %zd positional arguments (%zd given)",
-                     fname, lo, hi, nargs);
+    PyErr_Format(PyExc_TypeError, "%s() takes %zd positional arguments (%zd given)",
+                 fname, want, nargs);
     return -1;
 }
 
@@ -153,7 +148,7 @@ read_matrices(const char *fname, const char *const *names, Py_ssize_t nmat,
     Py_ssize_t i;
     for (i = 0; i < nmat; i++)
         mats[i] = NULL;
-    if (check_nargs(fname, nmat + 2, nmat + 2, nargs) < 0 ||
+    if (check_nargs(fname, nmat + 2, nargs) < 0 ||
             size_arg(args[0], "n", n) < 0 || size_arg(args[nmat + 1], "cap", cap) < 0)
         return -1;
     *max = 0;
@@ -484,7 +479,7 @@ graev_norm(const char *fname, int bruteforce, PyObject *const *args, Py_ssize_t 
     int64_t *dist = NULL, *weights = NULL, max;
     Word w;
     w.table = NULL;
-    if (check_nargs(fname, 5, 5, nargs) < 0 || size_arg(args[2], "nl", &nl) < 0 ||
+    if (check_nargs(fname, 5, nargs) < 0 || size_arg(args[2], "nl", &nl) < 0 ||
             read_alphabet(nl, args[3], args[4], &dist, &weights, &max) < 0 ||
             (n = PyObject_Length(args[0])) < 0 || check_sums(max, n) < 0 ||
             alloc_word(&w, n) < 0 ||
@@ -520,57 +515,32 @@ graev_norm_bruteforce(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize
 }
 
 PyDoc_STRVAR(graev_agree_exhaustive_doc,
-"graev_agree_exhaustive($module, nl, dist, weights, max_len, first=None, /)\n--\n\n"
+"graev_agree_exhaustive($module, nl, dist, weights, max_len, /)\n--\n\n"
 "Check dp == bruteforce on every (letter, sign) sequence of length\n"
-"<= max_len; given first, only on those of length >= 1 that start with\n"
-"symbol first (letter first // 2, sign +1 when first is even). Returns\n"
-"(words checked, mismatches).");
+"<= max_len. Returns (words checked, mismatches).");
 
 static PyObject *
 graev_agree_exhaustive(PyObject *Py_UNUSED(self), PyObject *const *args,
                        Py_ssize_t nargs)
 {
-    PyObject *out = NULL, *given;
-    Py_ssize_t nl, max_len, first = -1, base, depth, nsym;
+    PyObject *out = NULL;
+    Py_ssize_t nl, max_len, depth = 0, nsym;
     int64_t *dist = NULL, *weights = NULL, *sym = NULL, max;
     int64_t checked = 0, mismatches = 0;
     int descending = 1;
     Word w;
     w.table = NULL;
-    if (check_nargs("graev_agree_exhaustive", 4, 5, nargs) < 0 ||
+    if (check_nargs("graev_agree_exhaustive", 4, nargs) < 0 ||
             size_arg(args[0], "nl", &nl) < 0 ||
             read_alphabet(nl, args[1], args[2], &dist, &weights, &max) < 0 ||
             size_arg(args[3], "max_len", &max_len) < 0)
         goto done;
     nsym = 2 * nl;
-    given = nargs == 5 ? args[4] : Py_None;
-    if (given != Py_None) {
-        /* clipped, not refused, past the Py_ssize_t range: still out of range */
-        first = PyNumber_AsSsize_t(given, NULL);
-        if (first == -1 && PyErr_Occurred())
-            goto done;
-        if (first < 0 || first >= nsym) {
-            PyErr_Format(PyExc_ValueError, "first must lie in [0, %zd), got %R", nsym, given);
-            goto done;
-        }
-        if (max_len < 1) {
-            PyErr_Format(PyExc_ValueError, "first needs max_len >= 1, got %zd", max_len);
-            goto done;
-        }
-    }
     if (check_sums(max, max_len) < 0 || alloc_word(&w, max_len) < 0 ||
             (sym = alloc_ints(max_len + 2)) == NULL)
         goto done;
     /* sym[i] encodes the choice at depth i: letter = sym >> 1, sign = +1
-       for even, -1 for odd; a given first is fixed at depth 0, and the
-       walk starts below it */
-    base = first >= 0;
-    if (base) {
-        sym[0] = first;
-        w.letters[0] = first >> 1;
-        w.signs[0] = (first & 1) == 0 ? 1 : -1;
-    }
-    depth = base;
+       for even, -1 for odd */
     Py_BEGIN_ALLOW_THREADS
     for (;;) {
         if (descending) {
@@ -587,7 +557,7 @@ graev_agree_exhaustive(PyObject *Py_UNUSED(self), PyObject *const *args,
             descending = 0;
             continue;
         }
-        if (depth == base)
+        if (depth == 0)
             break;
         depth--;
         sym[depth]++;

@@ -320,14 +320,11 @@ def _check_word(letters, signs, nl, lname, sname) -> None:
 
 
 def graev_agree_exhaustive(nl: int, dist: list[int], weights: list[int],
-                           max_len: int, first=None, /) -> tuple[int, int]:
+                           max_len: int, /) -> tuple[int, int]:
     """Check graev_norm_dp == graev_norm_bruteforce on every (letter, sign)
     sequence of length <= max_len. Returns (words checked, mismatches).
-    Symbol k of the sweep is letter k // 2, with sign +1 when k is even.
-    Given first, only the words of length 1 to max_len that start with
-    symbol first are checked, so that callers can partition the sweep
-    across workers by first symbol. Malformed input raises ValueError, in
-    the compiled sweep's order and words.
+    Malformed input raises ValueError, in the compiled sweep's order and
+    words.
 
     The depth-first walk carries both routes' prefix state down the tree,
     with the norms of the current word's prefixes. A word shorter than
@@ -343,15 +340,8 @@ def graev_agree_exhaustive(nl: int, dist: list[int], weights: list[int],
     if max_len < 0:
         raise ValueError(f"max_len must be non-negative, got {max_len}")
     children = [(letter, sign) for letter in range(nl) for sign in (1, -1)]
-    if first is not None:
-        if not 0 <= first < len(children):
-            raise ValueError(f"first must lie in [0, {len(children)}), got {first}")
-        if max_len < 1:
-            raise ValueError(f"first needs max_len >= 1, got {max_len}")
-    # the empty word's children that the sweep takes
-    symbols = children if first is None else children[first:first + 1]
-    # the empty word, checked unless first is given, has norm 0 both ways
-    checked = int(first is None)
+    # the empty word has norm 0 both ways
+    checked = 1
     mismatches = 0
     # norms[k] is the norm of the current word's first k symbols
     norms = [0] * (max_len + 1)
@@ -362,23 +352,23 @@ def graev_agree_exhaustive(nl: int, dist: list[int], weights: list[int],
     if max_len == 1:
         # the empty word's children are the leaves: each family's first entry
         family = 1 + len(children)
-        dp = _family_norms([], norms, symbols, rows, unpaired, weights)[::family]
-        bf = _family_minima([(None, 0, 0)], 0, symbols, rows, unpaired, weights)[::family]
+        dp = _family_norms([], norms, children, rows, unpaired, weights)[::family]
+        bf = _family_minima([(None, 0, 0)], 0, children, rows, unpaired, weights)[::family]
         return checked + len(dp), sum(a != b for a, b in zip(dp, bf))
 
-    def walk(plan, states, complete, symbols):
-        # each child of the current word among symbols, with its descendants;
-        # the current word is at least two symbols short of max_len
+    def walk(plan, states, complete):
+        # each child of the current word, with its descendants; the current
+        # word is at least two symbols short of max_len
         nonlocal checked, mismatches
         n = len(plan)
         if n + 2 == max_len:
-            dp = _family_norms(plan, norms, symbols, rows, unpaired, weights)
-            bf = _family_minima(states, complete, symbols, rows, unpaired, weights)
+            dp = _family_norms(plan, norms, children, rows, unpaired, weights)
+            bf = _family_minima(states, complete, children, rows, unpaired, weights)
             checked += len(dp)
             if dp != bf:
                 mismatches += sum(a != b for a, b in zip(dp, bf))
             return
-        for letter, sign in symbols:
+        for letter, sign in children:
             col, longer = graev_dp_step(plan, letter, sign, nl, dist, weights)
             child = graev_pairing_step(states, letter, sign, max_len - n - 1,
                                        nl, dist, weights)
@@ -387,8 +377,8 @@ def graev_agree_exhaustive(nl: int, dist: list[int], weights: list[int],
             if col[0] != least:
                 mismatches += 1
             norms[n + 1] = col[0]
-            walk(longer, child, least, children)
+            walk(longer, child, least)
 
     if max_len > 1:
-        walk([], [(None, 0, 0)], 0, symbols)
+        walk([], [(None, 0, 0)], 0)
     return checked, mismatches

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from ._kernels import INF, floyd_warshall_capped
 from .errors import ValidationError
-from .grid import Record, half_grid_value, lex_tuples
+from .grid import Record, half_grid_value, is_grid_int, lex_tuples
 from .spaces import FiniteMetricSpace, common_grid
 
 
@@ -99,8 +99,10 @@ def realize_in_space(space: FiniteMetricSpace, anchors, target: FiniteMetricSpac
     Requires |d(anchor_i, anchor_j) - target(i, j)| <= 2 eps (without it no
     realization can exist anywhere). Returns the matched point names, or
     None when this finite space is simply too small to contain them; a None
-    is a report, not an error.
+    is a report, not an error. eps is an int >= 0 over the space's grid.
     """
+    if not is_grid_int(eps, 0):
+        raise ValidationError(f"eps must be an integer >= 0, got {eps!r}")
     target = target.rescaled(space.denominator) if target.denominator != space.denominator \
         else target
     anchors_idx = [space.index(a) for a in anchors]

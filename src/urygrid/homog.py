@@ -17,7 +17,7 @@ import random
 
 from .errors import GuardError, ValidationError
 from .graev import WeightedAlphabet, Word, _letters_and_signs, graev_norm
-from .grid import Record
+from .grid import Record, is_grid_int
 from .spaces import FiniteMetricSpace, _as_tuple
 
 # words nu_truncated may generate before it refuses the search
@@ -218,8 +218,8 @@ def nu_truncated(rels: list[PartialIsometryRelation], a: str, b: str,
     masks back through it. The image is empty exactly when ``dom`` is 0, and
     the word moves a to b exactly when ``onto_b`` has bit a.
     """
-    if max_len < 0:
-        raise ValidationError("max_len must be >= 0")
+    if not is_grid_int(max_len, 0):
+        raise ValidationError(f"max_len must be an integer >= 0, got {max_len!r}")
     alphabet = relation_alphabet(rels)
     space = rels[0].space
     a_bit, b_bit = 1 << space.index(a), 1 << space.index(b)

@@ -402,6 +402,12 @@ def _circulant_space(q: int, row) -> FiniteMetricSpace:
     return FiniteMetricSpace._trusted(tuple(f"v{i}" for i in range(n)), q, rows, False)
 
 
+def _merges_points(space: FiniteMetricSpace) -> bool:
+    """Whether two distinct points of the space lie at distance 0. Every
+    template is a metric, so none holds a copy of such a space."""
+    return any(0 in row[:i] for i, row in enumerate(space.dist))
+
+
 def _embed_seed(seed: FiniteMetricSpace, target: FiniteMetricSpace):
     """Indices of an isometric copy of the seed inside the target, or None;
     both lie on the same grid."""
@@ -561,10 +567,10 @@ def find_transitive_template(seed: FiniteMetricSpace, max_subset: int, q: int,
     closed one in one step (_CirculantListing.skip), as far as the budget
     goes, and only embeds the seed in the closed ones.
     The seed is first rescaled to q, which must be a multiple of its grid.
-    A seed with two distinct points at distance 0 is never embedded: every
-    template is a metric, so none holds a copy, and the injection search
-    could try every partial map before it found none. The walk and its
-    tally are the same as for any other seed that no template holds.
+    A seed with two distinct points at distance 0 (_merges_points) is never
+    embedded: no template holds a copy, and the injection search could try
+    every partial map before it found none. The walk and its tally are the
+    same as for any other seed that no template holds.
     Returns (template, embedded seed indices) or None when the bounded
     search finds nothing; ``tally``, when given, records how far it got,
     which the memo does not change."""
@@ -572,7 +578,7 @@ def find_transitive_template(seed: FiniteMetricSpace, max_subset: int, q: int,
     seed = seed.rescaled(q)
     if tally is None:
         tally = TemplateTally()
-    metric = all(0 not in row[:i] for i, row in enumerate(seed.dist))
+    metric = not _merges_points(seed)
     for n in range(max(seed.n, 2), cap + 1):
         listing = _circulant_listing(q, max_subset, n)
         # past this bound n has more canonical colorings than the budget
@@ -690,7 +696,9 @@ def build_approximant(seed: FiniteMetricSpace, max_subset: int, q: int, cap: int
     and so the rows, are the same. (The deterministic extremes are poor
     policies: always taking the largest extension keeps every new point far
     from everything and pair-support closure never terminates.) "auto"
-    tries the template route and falls back to random.
+    tries the template route and falls back to random; for a seed with two
+    distinct points at distance 0, which no template holds, it goes straight
+    to random.
 
     Returns the final space, the status ("closed" when the frontier finds
     nothing unrealized, "capped" when the point budget ran out first), and
@@ -707,7 +715,7 @@ def build_approximant(seed: FiniteMetricSpace, max_subset: int, q: int, cap: int
     bits = random.Random(rng_seed).getrandbits
 
     template = None
-    if strategy in ("auto", "transitive"):
+    if strategy == "transitive" or (strategy == "auto" and not _merges_points(space)):
         tally = TemplateTally()
         found = find_transitive_template(space, max_subset, q, cap, tally=tally)
         if found is not None:

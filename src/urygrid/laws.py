@@ -13,6 +13,7 @@ The random-object helpers are the one copy the test suite draws from too.
 
 from __future__ import annotations
 
+import os
 import random
 
 from . import _kernels, sweep
@@ -199,13 +200,14 @@ def graev_dp_vs_enumeration(scale):
     assert graev_norm(((0, 1),), xy) == 4
     assert graev_norm((), xy) == 0
     count, boundary_len, rest_len = GRAEV_SWEEP_SCOPES[scale]
+    lengths = [boundary_len] + [rest_len] * (count - 1)
+    jobs = [(4, alphabet.flat(), list(alphabet.weights), max_len)
+            for alphabet, max_len in zip(map(acceptance_alphabet, range(count)), lengths)]
+    # only the full population is worth a process per CPU
+    workers = (os.cpu_count() or 1) if scale == "full" else 1
     total = 0
-    for i in range(count):
-        alphabet = acceptance_alphabet(i)
-        max_len = boundary_len if i == 0 else rest_len
-        checked, mismatches = sweep.graev_agree_exhaustive(
-            4, alphabet.flat(), list(alphabet.weights), max_len,
-            workers=1 if scale == QUICK else None)
+    for i, (max_len, (checked, mismatches)) in enumerate(
+            zip(lengths, sweep.graev_agree_each(jobs, workers))):
         assert mismatches == 0, f"alphabet {i}: {mismatches} mismatches"
         assert checked == sum(8 ** k for k in range(max_len + 1))
         total += checked

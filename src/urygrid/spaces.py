@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 import reprlib
+from collections.abc import Sequence
 from itertools import combinations
 
 from .errors import ValidationError
@@ -68,8 +69,12 @@ def _metric_report(points, denominator, dist, pseudo, diameter: int) -> Validati
     """validate_space with entries allowed up to ``diameter`` times the
     denominator; the one check of the metric axioms (weighted alphabets
     use it with diameter 2)."""
+    try:
+        points = list(points)
+    except TypeError:
+        return ValidationReport((Violation(
+            "shape", f"points must be a sequence, got {reprlib.repr(points)}"),))
     problems: list[Violation] = []
-    points = list(points)
     n = len(points)
     if n == 0:
         problems.append(Violation("shape", "space needs at least one point"))
@@ -84,8 +89,12 @@ def _metric_report(points, denominator, dist, pseudo, diameter: int) -> Validati
     if bad_denominator:
         problems.append(Violation("shape", bad_denominator))
         return ValidationReport(tuple(problems))
-    rows = list(dist)
-    if len(rows) != n or any(len(row) != n for row in rows):
+    try:
+        rows = list(dist)
+    except TypeError:
+        rows = None
+    if rows is None or len(rows) != n or \
+            any(not isinstance(row, Sequence) or len(row) != n for row in rows):
         problems.append(Violation("shape", f"distance matrix is not {n}x{n}"))
         return ValidationReport(tuple(problems))
     hi = diameter * denominator
@@ -448,6 +457,8 @@ def random_grid_space(n: int, q: int, seed: int) -> FiniteMetricSpace:
     bad_denominator = denominator_problem(q)
     if bad_denominator:
         raise ValidationError(bad_denominator)
+    if not is_grid_int(seed):
+        raise ValidationError(f"random seed must be an integer, got {seed!r}")
     rng = random.Random(seed)
     names = tuple(f"p{i}" for i in range(n))
     if n == 1:

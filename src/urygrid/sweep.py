@@ -1,12 +1,10 @@
-"""Partitioned exhaustive word sweeps.
+"""Exhaustive word sweeps over a process pool.
 
-The exhaustive dp-versus-enumeration check partitions cleanly by first
-symbol: the kernel sweep takes one, ``first``, and checks only the words
-that start with it. So the sweep can fan out over processes, one job per
-symbol, the parent checking the empty word. Worker count comes from the
-URYGRID_WORKERS environment variable (default 1: no processes spawned) and
-is clamped to the number of jobs and of CPUs, so no setting forks without
-bound.
+A job is one whole alphabet's sweep, (nl, dist, weights, max_len). Jobs
+share nothing, so graev_agree_each maps them over a pool of at most one
+process per job and one per CPU, and runs them in-process when that is
+one. The pool forks, so each worker runs the parent's live kernel backend.
+The caller names the worker count; nothing else starts a process.
 """
 
 from __future__ import annotations
@@ -14,16 +12,6 @@ from __future__ import annotations
 import os
 
 from . import _kernels
-from .errors import ValidationError
-
-
-def worker_count() -> int:
-    raw = os.environ.get("URYGRID_WORKERS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValidationError(f"URYGRID_WORKERS must be an integer, got {raw!r}") from None
-    return max(1, n)
 
 
 def clamp_workers(requested: int, jobs: int) -> int:
@@ -35,25 +23,23 @@ def _job(args):
     return _kernels.graev_agree_exhaustive(*args)
 
 
-def graev_agree_exhaustive(nl: int, dist, weights, max_len: int,
-                           workers: int | None = None) -> tuple[int, int]:
-    """(words checked, mismatches) over every signed word of length <=
-    max_len; exact partition of the same enumeration when workers > 1."""
-    if workers is None:
-        workers = worker_count()
-    workers = clamp_workers(workers, 2 * nl)
-    if workers <= 1 or max_len <= 0:
-        return _kernels.graev_agree_exhaustive(nl, dist, weights, max_len)
-    checked = 1
-    mismatches = 0
-    if _kernels.graev_norm_dp([], [], nl, dist, weights) != \
-            _kernels.graev_norm_bruteforce([], [], nl, dist, weights):
-        mismatches += 1
+def graev_agree_each(jobs, workers: int = 1) -> list[tuple[int, int]]:
+    """(words checked, mismatches) of each job (nl, dist, weights, max_len)
+    in order: the kernel sweep of every signed word of length <= max_len."""
+    jobs = list(jobs)
+    workers = clamp_workers(workers, len(jobs))
+    if workers == 1:
+        return [_job(job) for job in jobs]
     from multiprocessing import get_context  # only a parallel sweep pays for it
 
-    jobs = [(nl, dist, weights, max_len, first) for first in range(2 * nl)]
     with get_context("fork").Pool(workers) as pool:
-        for c, m in pool.map(_job, jobs):
-            checked += c
-            mismatches += m
-    return checked, mismatches
+        # jobs differ in length, so each worker takes the next one when free
+        return pool.map(_job, jobs, chunksize=1)
+
+
+def graev_agree_exhaustive(nl: int, dist, weights, max_len: int,
+                           workers: int = 1) -> tuple[int, int]:
+    """graev_agree_each on the one job (nl, dist, weights, max_len), which
+    runs in-process whatever workers is."""
+    (result,) = graev_agree_each([(nl, dist, weights, max_len)], workers)
+    return result

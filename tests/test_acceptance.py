@@ -12,8 +12,11 @@ every word to length eight, about 3.8e8 words and ~1e11 elementary pairing
 steps) cannot run in the advertised half minute on any hardware, so the
 default run covers both stated boundaries separately: every alphabet
 exhaustively to length six, plus the first alphabet exhaustively to length
-eight. Set URYGRID_ACCEPTANCE_FULL=1 for the literal full product (takes on
-the order of twenty minutes single-threaded; URYGRID_WORKERS parallelizes).
+eight. Set URYGRID_ACCEPTANCE_FULL=1 for the literal full product: on a
+shared 2-vCPU machine one alphabet to length eight took 52-69 s pure and
+64-73 s compiled, about 17-24 minutes for the twenty one after another; the
+law runs the alphabets on one process per CPU at that scope only, and the
+whole product took 9.7-10.7 minutes on two CPUs, pure.
 """
 
 import os

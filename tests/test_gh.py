@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -120,6 +121,14 @@ class TestRealize:
         target = FiniteMetricSpace(("t1", "t2"), 4, ((0, 1), (1, 0)))
         with pytest.raises(ValidationError):
             realize_in_space(s, ("a", "b"), target, 1)
+
+    @pytest.mark.parametrize("eps", ["1", -1, 1.0, True, None])
+    def test_eps_must_be_a_non_negative_int(self, eps):
+        s = FiniteMetricSpace(("a", "b"), 4, ((0, 2), (2, 0)))
+        target = FiniteMetricSpace(("t1", "t2"), 4, ((0, 2), (2, 0)))
+        with pytest.raises(ValidationError, match=re.escape(
+                f"eps must be an integer >= 0, got {eps!r}")):
+            realize_in_space(s, ("a", "b"), target, eps)
 
     def test_closed_approximant_realizes_single_targets(self):
         seed = FiniteMetricSpace(("a",), 2, ((0,),))

@@ -1,11 +1,12 @@
 import pickle
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from urygrid import sweep
+from urygrid import laws, sweep
 from urygrid._kernels import _fallback
 from urygrid.errors import GuardError, ValidationError
 from urygrid.graev import (WeightedAlphabet, concat, difference_word, enumerate_pairings,
@@ -15,7 +16,7 @@ from urygrid.graev import (WeightedAlphabet, concat, difference_word, enumerate_
 from urygrid.isometry import iso_group
 from urygrid.spaces import random_grid_space
 
-from conftest import LOAD_EXT, random_alphabet, random_weights, random_word, run_child
+from conftest import random_alphabet, random_weights, random_word
 
 words = st.lists(st.tuples(st.integers(0, 3), st.sampled_from((1, -1))),
                  max_size=12).map(tuple)
@@ -242,36 +243,7 @@ def alphabet_tables(nl, d, wts):
     return [d[l * nl:(l + 1) * nl] for l in range(nl)], [0] + [w for w in wts for _ in (1, -1)]
 
 
-# calls the live sweep from a first symbol past 2 * nl, from one below 0 and
-# from one with max_len 0, and prints what each raises; unchecked, the first
-# two would index the compiled sweep's distances out of bounds
-BAD_FIRST_CALLS = """
-from urygrid import _kernels
-for max_len, first in ((1, 4), (1, -1), (0, 0)):
-    try:
-        _kernels.graev_agree_exhaustive(2, [0, 3, 3, 0], [2, 4], max_len, first)
-    except ValueError as e:
-        print(_kernels.BACKEND, e)
-"""
-
-
 class TestSweep:
-    # a child interpreter, so an unguarded compiled sweep writing past its
-    # buffers cannot take the test session down with it
-    @pytest.mark.parametrize("backend", ["python", "compiled"])
-    def test_out_of_range_first_is_a_value_error(self, request, backend):
-        if backend == "python":
-            argv = ["-c", BAD_FIRST_CALLS]
-        else:
-            argv = ["-c", LOAD_EXT + BAD_FIRST_CALLS,
-                    request.getfixturevalue("compiled_ext").__file__]
-        child = run_child(argv, pure=backend == "python")
-        assert child.returncode == 0, child.stderr.decode()
-        assert child.stdout.decode().splitlines() == [
-            f"{backend} first must lie in [0, 4), got 4",
-            f"{backend} first must lie in [0, 4), got -1",
-            f"{backend} first needs max_len >= 1, got 0"]
-
     def test_pure_sweep_checks_every_word(self):
         rng = random.Random(5)
         for _ in range(5):
@@ -463,56 +435,96 @@ class TestSweep:
         family = _fallback._family_minima([(None, 0, 0)], 0, symbols, *tables, wts)
         assert family[::1 + 2 * nl] == leaf_minima([(None, 0, 0)])
 
-    @pytest.mark.parametrize("nl, max_len, plen", [
+    @pytest.mark.parametrize("nl, max_len, repeats", [
         (1, 6, 0), (2, 0, 0), (2, 1, 0), (2, 2, 0), (2, 3, 0), (2, 5, 0), (4, 4, 0),
         (2, 1, 1), (2, 2, 1), (2, 5, 1)])
-    def test_pure_sweep_steps_only_inner_words(self, monkeypatch, nl, max_len, plen):
+    def test_pure_sweep_steps_only_inner_words(self, monkeypatch, nl, max_len, repeats):
         # one graev_dp_step and one graev_pairing_step per word of length 1
         # to max_len - 2; parents of leaves and leaves are finished from
-        # their grandparent with no plan or state list of their own. With
-        # plen 1 the sweep is given a first symbol, and steps only the
-        # words that start with it: (2nl)^(k - 1) of each length k
+        # their grandparent with no plan or state list of their own. The
+        # job is queued 1 + repeats times in one in-process graev_agree_each,
+        # which sweeps each copy whole
         calls = {"graev_dp_step": 0, "graev_pairing_step": 0}
         for name in calls:
             def counted(*args, name=name, real=getattr(_fallback, name)):
                 calls[name] += 1
                 return real(*args)
             monkeypatch.setattr(_fallback, name, counted)
-        rng = random.Random(nl)
-        alphabet = random_alphabet(rng, n=nl, q=9)
-        first = rng.randrange(2 * nl) if plen else None
-        got = _fallback.graev_agree_exhaustive(nl, alphabet.flat(), alphabet.weights, max_len,
-                                               first)
-        assert got == (words_checked(nl, max_len - plen), 0)
-        inner = sum((2 * nl) ** (k - plen) for k in range(1, max_len - 1))
+        monkeypatch.setattr(sweep, "_kernels", _fallback)
+        alphabet = random_alphabet(random.Random(nl), n=nl, q=9)
+        job = (nl, alphabet.flat(), alphabet.weights, max_len)
+        got = sweep.graev_agree_each([job] * (1 + repeats))
+        assert got == [(words_checked(nl, max_len), 0)] * (1 + repeats)
+        inner = (1 + repeats) * sum((2 * nl) ** k for k in range(1, max_len - 1))
         assert calls == {"graev_dp_step": inner, "graev_pairing_step": inner}
-
-    def test_pure_prefix_partition_is_exact(self):
-        # the sweeps from each first symbol and the empty word make up the
-        # whole sweep
-        rng = random.Random(6)
-        nl, d, wts = sweep_inputs(rng)
-        parts = [_fallback.graev_agree_exhaustive(nl, d, wts, 5, first)
-                 for first in range(2 * nl)]
-        assert 1 + sum(c for c, _ in parts) == words_checked(nl, 5)
-        assert all(m == 0 for _, m in parts)
 
     def test_parallel_sweep_matches_serial(self, monkeypatch):
         # two CPUs, so that two workers start a pool whatever the machine;
-        # max_len 1 and 2 make each job's first symbol a leaf and a parent
-        # of leaves
+        # each job list mixes alphabet sizes and lengths 0 to 4
+        import multiprocessing
+
+        started = []
+
+        def spy(method, real=multiprocessing.get_context):
+            started.append(method)
+            return real(method)
+
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
-        for nl in (1, 3):
-            alphabet = random_alphabet(random.Random(7), n=nl, q=9)
-            d, wts = alphabet.flat(), list(alphabet.weights)
-            for max_len in range(5):
-                serial = sweep.graev_agree_exhaustive(nl, d, wts, max_len, workers=1)
-                assert serial == (words_checked(nl, max_len), 0)
-                assert sweep.graev_agree_exhaustive(nl, d, wts, max_len, workers=2) == serial
+        monkeypatch.setattr(multiprocessing, "get_context", spy)
+        rng = random.Random(7)
+        for _ in range(3):
+            jobs = []
+            for _ in range(rng.randint(2, 5)):
+                nl, d, wts = sweep_inputs(rng)
+                jobs.append((nl, d, wts, rng.randint(0, 4)))
+            serial = sweep.graev_agree_each(jobs)
+            assert serial == [(words_checked(nl, max_len), 0) for nl, _, _, max_len in jobs]
+            assert sweep.graev_agree_each(jobs, 2) == serial
+        assert started == ["fork"] * 3
+
+    @pytest.mark.parametrize("cpus", [2, 64])
+    def test_only_the_full_criterion_one_starts_a_pool(self, monkeypatch, cpus):
+        # the kernel sweep answers each job with its exact count, so every
+        # scope runs at once; the quick, pure-fallback and default scopes
+        # start no pool, the full one asks for one process per CPU, at most
+        # one per alphabet
+        import multiprocessing
+
+        asked = []
+
+        def exact(nl, dist, weights, max_len):
+            return words_checked(nl, max_len), 0
+
+        class Pool:
+            def __init__(self, processes):
+                asked.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=None):
+                return [fn(job) for job in jobs]
+
+        def context(method):
+            assert method == "fork"
+            return types.SimpleNamespace(Pool=Pool)
+
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(sweep._kernels, "graev_agree_exhaustive", exact)
+        monkeypatch.setattr(multiprocessing, "get_context", context)
+        for scope, (count, boundary_len, rest_len) in laws.GRAEV_SWEEP_SCOPES.items():
+            total = words_checked(4, boundary_len) + (count - 1) * words_checked(4, rest_len)
+            assert f"on {total:,} words over {count} alphabets" in \
+                laws.graev_dp_vs_enumeration(scope)
+            assert asked == ([min(20, cpus)] if scope == "full" else []), scope
+            asked.clear()
 
     def test_negative_max_len_is_the_kernels_error(self, monkeypatch):
-        # the kernels' own error on either path, and no pool starts for
-        # max_len <= 0
+        # the kernels' own error whatever workers asks for: one job always
+        # runs in-process, so no pool starts
         import multiprocessing
 
         def no_pool(*args):
@@ -524,16 +536,6 @@ class TestSweep:
             with pytest.raises(ValueError, match=r"^max_len must be non-negative, got -1$"):
                 sweep.graev_agree_exhaustive(2, [0, 3, 3, 0], [1, 1], -1, workers=workers)
         assert sweep.graev_agree_exhaustive(2, [0, 3, 3, 0], [1, 1], 0, workers=2) == (1, 0)
-
-    def test_worker_count_reads_the_environment(self, monkeypatch):
-        monkeypatch.delenv("URYGRID_WORKERS", raising=False)
-        assert sweep.worker_count() == 1
-        for raw, want in (("3", 3), ("0", 1)):
-            monkeypatch.setenv("URYGRID_WORKERS", raw)
-            assert sweep.worker_count() == want
-        monkeypatch.setenv("URYGRID_WORKERS", "abc")
-        with pytest.raises(ValidationError, match="'abc'"):
-            sweep.worker_count()
 
     def test_worker_count_is_clamped(self, monkeypatch):
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: 4)

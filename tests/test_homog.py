@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -242,6 +243,13 @@ class TestOrbitDistance:
         r = PartialIsometryRelation(two_point_q4, (("a", "a"),))
         got = nu_truncated([r], "a", "b", 3)
         assert got.value is None
+
+    @pytest.mark.parametrize("max_len", [1.5, "3", True, -1, None])
+    def test_max_len_must_be_a_non_negative_int(self, two_point_q4, max_len):
+        r = PartialIsometryRelation(two_point_q4, (("a", "b"),))
+        with pytest.raises(ValidationError, match=re.escape(
+                f"max_len must be an integer >= 0, got {max_len!r}")):
+            nu_truncated([r], "a", "b", max_len)
 
     def test_budget_guard_carries_partial(self, monkeypatch):
         monkeypatch.setattr(homog, "WORD_BUDGET", 10)

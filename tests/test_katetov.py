@@ -976,6 +976,19 @@ class TestTemplateSearch:
         built = build_approximant(seed, 1, 1, 24, strategy="auto")
         assert (built.status, built.strategy, built.added) == ("closed", "random", 0)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_auto_build_of_a_seed_with_a_zero_distance_skips_the_walk(self, monkeypatch, k):
+        # p0 = p1: no template holds the seed, so auto goes straight to the
+        # random route and builds what it builds
+        seed = FiniteMetricSpace(("p0", "p1", "p2"), 3, ((0, 0, 2), (0, 0, 2), (2, 2, 0)), True)
+        random_built = build_approximant(seed, k, 3, 24, rng_seed=5, strategy="random")
+
+        def no_walk(*args, **kwargs):
+            raise AssertionError("the template walk ran")
+
+        monkeypatch.setattr(katetov, "find_transitive_template", no_walk)
+        assert build_approximant(seed, k, 3, 24, rng_seed=5, strategy="auto") == random_built
+
     def test_subset_three_on_grid_two_finds_paley_29(self):
         seed = FiniteMetricSpace(("a",), 2, ((0,),))
         template, embedded = find_transitive_template(seed, 3, 2, 64)

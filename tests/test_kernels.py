@@ -172,24 +172,10 @@ def words_checked(nl, max_len):
 
 
 def assert_exact_at_the_edges(backends, nl, d, wts):
-    # every max_len 0 to 5: the whole sweep and the sweep from each first
-    # symbol, the same on each backend and exact; the empty word and the
-    # sweeps from every first symbol make up the whole sweep, and max_len 0
-    # leaves no room for a first symbol
+    # every max_len 0 to 5, the same on each backend and exact
     for max_len in range(6):
         whole = {b.graev_agree_exhaustive(nl, d, wts, max_len) for b in backends}
         assert whole == {(words_checked(nl, max_len), 0)}
-        parts = 1
-        for first in range(2 * nl):
-            if max_len == 0:
-                for b in backends:
-                    with pytest.raises(ValueError, match="first needs max_len >= 1"):
-                        b.graev_agree_exhaustive(nl, d, wts, max_len, first)
-                continue
-            (got,) = {b.graev_agree_exhaustive(nl, d, wts, max_len, first) for b in backends}
-            assert got == (words_checked(nl, max_len - 1), 0)
-            parts += got[0]
-        assert {(parts, 0)} == whole
 
 
 def test_exhaustive_driver_matches_at_the_edges(compiled_ext):
@@ -222,16 +208,6 @@ def test_graev_kernels_take_tuples(compiled_ext):
             _fallback.graev_agree_exhaustive(nl, tuple(d), tuple(wts), 2)
 
 
-def test_prefix_partition_is_exact(compiled_ext):
-    rng = random.Random(6)
-    nl, d, wts, _, _ = random_word_inputs(rng, max_len=0)
-    total = compiled_ext.graev_agree_exhaustive(nl, d, wts, 5)
-    parts = 1 + sum(compiled_ext.graev_agree_exhaustive(nl, d, wts, 5, first)[0]
-                    for first in range(2 * nl))
-    assert parts == total[0]
-
-
-
 D2 = [0, 3, 3, 0]
 
 # malformed calls on which the pure kernels fail too: the pure Graev kernels
@@ -244,18 +220,18 @@ MALFORMED = [
     ("graev_norm_bruteforce", ([0, 5], [1, 1], 2, D2, [1, 1])),
     ("graev_norm_dp", ([0, 1], [1, -1], 2, [0], [1, 1])),  # dist is not nl*nl
     ("graev_norm_bruteforce", ([0, 1], [1, -1], 2, D2, [1])),  # weights not nl
-    ("graev_agree_exhaustive", (2, D2, [1, 1], 2, 4)),  # a first symbol of 2 * nl
-    ("graev_agree_exhaustive", (2, D2, [1, 1], 2, -1)),  # a first symbol below 0
+    ("graev_agree_exhaustive", (2, [0, 3, 3, 0, 0], [1, 1], 2)),  # dist longer than nl*nl
+    ("graev_agree_exhaustive", (2, D2, [1], 2)),  # weights shorter than nl
     ("graev_agree_exhaustive", (-1, [], [], 3)),  # nl < 0
     ("graev_agree_exhaustive", (2, D2, [1, 1], -1)),  # max_len < 0
     ("graev_agree_exhaustive", (2, [0, 3, 3], [1, 1], 2)),  # dist is not nl*nl
     ("graev_agree_exhaustive", (2, D2, [1, 1, 1], 2)),  # weights not nl
     ("graev_agree_exhaustive", (2, [0, -3, -3, 0], [1, 1], 2)),  # a negative entry
     ("graev_agree_exhaustive", (2, D2, [1, -1], 2)),
-    ("graev_agree_exhaustive", (2, D2, [1, 1], 0, 0)),  # a first symbol with max_len 0
-    ("graev_agree_exhaustive", (0, [], [], 1, 0)),  # no letter to start with
-    ("graev_agree_exhaustive", (2, D2, [1, 1], 2, 1 << 70)),  # past the C index range
-    ("graev_agree_exhaustive", (2, D2, [1, 1], -1, 0)),  # max_len < 0, checked first
+    ("graev_agree_exhaustive", (0, [], [], -1)),  # max_len < 0 with no letter
+    ("graev_agree_exhaustive", (0, [0], [], 1)),  # a distance with no letter
+    ("graev_agree_exhaustive", (-1, [], [], -1)),  # nl < 0, checked before max_len
+    ("graev_agree_exhaustive", (2, [0, 3, 3], [1, 1], -1)),  # dist, checked before max_len
     ("graev_norm_dp", ([-1], [1], 2, D2, [1, 1])),  # a letter below 0
     ("graev_norm_dp", ([0], [0], 2, D2, [1, 1])),  # a sign of 0
     ("graev_norm_bruteforce", ([0], [2], 2, D2, [1, 1])),
@@ -321,7 +297,7 @@ WELL_FORMED = {
     "floyd_warshall_capped": (1, [0], 1),
     "graev_norm_dp": ([0], [1], 1, [0], [1]),
     "graev_norm_bruteforce": ([0], [1], 1, [0], [1]),
-    "graev_agree_exhaustive": (1, [0], [1], 1, 0),
+    "graev_agree_exhaustive": (1, [0], [1], 1),
 }
 
 
@@ -363,9 +339,7 @@ def seeded_calls(count, seed):
                   ("floyd_warshall_capped", (n, d, cap)),
                   ("graev_norm_dp", (letters, signs, nl, dist, wts)),
                   ("graev_norm_bruteforce", (letters, signs, nl, dist, wts)),
-                  ("graev_agree_exhaustive", (nl, dist, wts, rng.randint(0, 3),
-                                              2 * letters[0] + (signs[0] < 0) if letters
-                                              else None))]
+                  ("graev_agree_exhaustive", (nl, dist, wts, rng.randint(0, 3)))]
     return calls
 
 

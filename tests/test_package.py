@@ -255,3 +255,32 @@ def test_every_guard_refusal_reports_used_and_limit():
     # lex_tuples, saturation, iso_group, the pairing-length bound, the word
     # search and the template search
     assert sites == 6
+
+
+def test_only_the_backend_switch_reads_the_environment():
+    """The package reads one environment variable, URYGRID_PURE, in one
+    place: no other setting changes what it computes or starts a process."""
+    package = os.path.dirname(urygrid.__file__)
+    sites, keys = [], []
+    for root, _, files in os.walk(package):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(root, name)
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            where = os.path.relpath(path, package)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module == "os":
+                    sites += [(where, alias.name) for alias in node.names
+                              if "env" in alias.name]
+                elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                        and node.value.id == "os" and "env" in node.attr):
+                    sites.append((where, node.attr))
+                if isinstance(node, ast.Call) and \
+                        ast.unparse(node.func) in ("os.environ.get", "os.getenv"):
+                    keys.append(ast.literal_eval(node.args[0]))
+                elif isinstance(node, ast.Subscript) and ast.unparse(node.value) == "os.environ":
+                    keys.append(ast.literal_eval(node.slice))
+    assert sites == [(os.path.join("_kernels", "__init__.py"), "environ")]
+    assert keys == ["URYGRID_PURE"]

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -59,6 +60,17 @@ class TestValidate:
             == ["identity"]
         assert FiniteMetricSpace(("a", "b"), 2, ((0, 0), (0, 0)), True).pseudo is True
         assert FiniteMetricSpace(("a", "b"), 2, ((0, 1), (1, 0)), False).pseudo is False
+
+    @pytest.mark.parametrize("points, dist, message", [
+        (["a"], [5], "distance matrix is not 1x1"),  # a row that is an int
+        (["a", "b"], [[0, 1], {1, 0}], "distance matrix is not 2x2"),  # a row that is a set
+        (["a"], None, "distance matrix is not 1x1"),
+        (None, None, "points must be a sequence, got None"),
+        (5, [[0]], "points must be a sequence, got 5"),
+    ], ids=["int row", "set row", "dist None", "all None", "points int"])
+    def test_non_sequence_parts_are_shape_problems(self, points, dist, message):
+        report = validate_space(points, 2, dist)
+        assert [(v.kind, v.message) for v in report.problems] == [("shape", message)]
 
     def test_nonzero_diagonal(self):
         report = validate_space(["a"], 4, [[1]])
@@ -418,6 +430,12 @@ class TestRandomGridSpace:
     def test_sizes_must_be_positive_integers(self, n, q):
         with pytest.raises(ValidationError):
             random_grid_space(n, q, 0)
+
+    @pytest.mark.parametrize("seed", [None, 1.5, True, [1], "x"])
+    def test_seed_must_be_an_int(self, seed):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"random seed must be an integer, got {seed!r}")):
+            random_grid_space(3, 4, seed)
 
     def test_many_seeds_validate(self):
         for seed in range(40):
