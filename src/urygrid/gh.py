@@ -67,7 +67,11 @@ def _closure_with_cross(inst: EnumeratedPair, t2: int):
 def feasible_at(inst: EnumeratedPair, t2: int):
     """Whether cross distance t2/(2q) admits a pseudometric extension that
     preserves both sides exactly; on failure also return one contracted
-    pair as a witness."""
+    pair as a witness. t2 is an int in [0, 2q]: the half grid up to the
+    diameter."""
+    if not is_grid_int(t2, 0, 2 * inst.denominator):
+        raise ValidationError(f"cross distance must be an integer in "
+                              f"[0, {2 * inst.denominator}] half-units, got {t2!r}")
     n = inst.x.n
     m = 2 * n
     closed = _closure_with_cross(inst, t2)

@@ -24,7 +24,7 @@ from .grid import (Record, add_capped, denominator_problem, is_grid_int, katetov
 from .isometry import (ISO_GROUP_MAX_POINTS, _isometric_injections, _ranked, _spheres,
                        iso_group)
 from .spaces import (FiniteMetricSpace, _as_tuple, _new_row_fits, _raise_unless_ok,
-                     validate_space)
+                     _unit_grid, validate_space)
 
 # canonical gap colorings the transitive template search may try
 TEMPLATE_BUDGET = 20_000
@@ -208,6 +208,16 @@ def _zero_free_profiles(q: int, flat: tuple[int, ...]):
     return profiles, tuple(shared)
 
 
+@lru_cache(maxsize=64)
+def _unit_profiles(q: int, size: int):
+    """The _zero_free_profiles listing of every support of ``size`` points
+    in a space where spaces._unit_grid holds. Every zero-free vector over
+    [1, q] is a profile there, so the listing does not depend on the
+    distances inside the support, and the one with all of them 1 is each
+    support's own."""
+    return _zero_free_profiles(q, (1,) * (size * (size - 1) // 2))
+
+
 def _first_unrealized(profiles, spheres, start: int):
     """The position of the first profile at or after ``start`` in
     ``profiles`` (a _zero_free_profiles listing) that no point realizes, or
@@ -295,8 +305,11 @@ class _ProfileFrontier:
     one place that extends them. A profile vanishing at point i is realized
     by i itself (it forces f(j) = d(i, j)), so only zero-free ones can be
     missing, and each support's scan is one _first_unrealized call over its
-    zero-free profiles. The singleton listing is made first, so a q past
-    PROFILE_LIMIT is refused before any q + 1 list is built.
+    zero-free profiles. Where spaces._unit_grid holds, that listing depends
+    on the support's size alone (_unit_profiles), so the distances inside a
+    support are not read; elsewhere it is keyed on them (_inside). The
+    singleton listing is made first, so a q past PROFILE_LIMIT is refused
+    before any q + 1 list is built.
 
     The supports of size <= max_subset come in streams, each in
     lexicographic order: the seed's combinations of each size, and for each
@@ -314,6 +327,7 @@ class _ProfileFrontier:
     def __init__(self, space: FiniteMetricSpace, max_subset: int):
         self.q = q = space.denominator
         _zero_free_profiles(q, ())
+        self.unit = _unit_grid(q, space.pseudo)
         self.max_subset = max_subset
         self.dist = [list(row) for row in space.dist]
         self.sph = _spheres(space.dist, q)
@@ -344,10 +358,11 @@ class _ProfileFrontier:
 
     def first(self):
         """(idx, profile) of the first unrealized zero-free profile, or None."""
-        heap, dist, sph, q = self.heap, self.dist, self.sph, self.q
+        heap, dist, sph, q, unit = self.heap, self.dist, self.sph, self.q, self.unit
         while heap:
             size, idx, start, stream = heap[0]
-            profiles = _zero_free_profiles(q, _inside(dist, idx))
+            profiles = (_unit_profiles(q, size) if unit
+                        else _zero_free_profiles(q, _inside(dist, idx)))
             pos = _first_unrealized(profiles, [sph[i] for i in idx], start)
             if pos is not None:
                 heapq.heapreplace(heap, (size, idx, pos, stream))
@@ -617,18 +632,17 @@ def _random_row(dist, idx, prof, q: int, pseudo: bool, bits):
     generator, and leaves it in the same state. A call per entry to either
     would slow this hot path of the random builder.
 
-    At q <= 2 in a metric space the interval is always [1, q], so it is not
-    computed: every entry set so far and every distance between distinct
-    points lies in [1, q] with q <= 2, so |w - d| <= 1 and w + d >= 2 >= q.
-    The draw over [1, q] is the same loop, so it takes the same bits. In a
-    pseudometric a zero distance forces a value, and the interval is kept."""
+    Where spaces._unit_grid holds the interval is always [1, q], so it is
+    not computed: the entries set so far are values of a zero-free profile
+    over the space. The draw over [1, q] is the same loop, so it takes the
+    same bits."""
     row = [None] * len(dist)
     # (point, distance) for each entry set so far, one more as each free
     # entry is drawn
     pairs = list(zip(idx, prof))
     for i, v in pairs:
         row[i] = v
-    if q <= 2 and not pseudo:
+    if _unit_grid(q, pseudo):
         k = q.bit_length()
         for z, v in enumerate(row):
             if v is None:
@@ -675,11 +689,14 @@ def build_approximant(seed: FiniteMetricSpace, max_subset: int, q: int, cap: int
     the supports that end in it), each remembering how far its current
     support's profiles are known to be realized. Adding a point never
     un-realizes a profile, so no profile is scanned twice once realized.
-    Each new row is checked with _new_row_fits (range, identity and the
-    triangles through the new point, O(n^2)); a row that fails is refused
-    with validate_space's report on the grown matrix. The space is built
-    once, on return. A realizing point must carry the profile on its
-    support; its remaining distances are where the strategies differ:
+    Each new row is checked with _new_row_fits: range and identity, then
+    the triangles through the new point, O(n^2), except in a metric at
+    q <= 2 (spaces._unit_grid), where no triangle can fail. A row that
+    fails is refused with validate_space's report on the grown matrix. The
+    same theorem keys the frontier's profile listings by support size
+    there. The space is built once, on return. A realizing point must carry
+    the profile on its support; its remaining distances are where the
+    strategies differ:
 
     "transitive" first finds a closed rotation-invariant template containing
     the seed (see find_transitive_template) and copies each realizing point

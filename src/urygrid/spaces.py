@@ -157,11 +157,12 @@ class FiniteMetricSpace(Record):
         """A space from tuple-normalized parts that is valid by an exact
         check or by theorem; skips revalidation. The callers: the new-row
         check of katetov's builder and the circulant rotation check in
-        katetov (checks), shortest_path_completion on a mirror-closed
-        specification and random_grid_space (theorems). The independent
-        judge of the two theorems is tests/test_spaces.py::TestTrustedSpaces,
-        which rebuilds their outputs with this class's validating
-        constructor."""
+        katetov (checks; the row check's triangles hold by theorem where
+        _unit_grid does, judged by TestWithPoint's full-scan tests),
+        shortest_path_completion on a mirror-closed specification and
+        random_grid_space (theorems). The independent judge of those two
+        theorems is tests/test_spaces.py::TestTrustedSpaces, which rebuilds
+        their outputs with this class's validating constructor."""
         space = object.__new__(cls)
         space._store(points, denominator, dist, pseudo)
         return space
@@ -235,6 +236,23 @@ def _raise_unless_ok(report: ValidationReport, what: str = "space"):
         raise ValidationError(f"invalid {what}: {report}", report)
 
 
+def _unit_grid(q: int, pseudo: bool) -> bool:
+    """Whether a space over denominator ``q`` (a pseudometric when
+    ``pseudo``) is a metric at q <= 2, where the triangle and Katetov
+    inequalities hold by theorem.
+
+    There every distance between distinct points lies in [1, q] ⊆ [1, 2],
+    and so does every value of a zero-free profile. Any two such numbers
+    differ by at most 1 and sum to at least 2 >= q. So d(a, b) <= d(a, c)
+    + d(c, b) for any three distinct points: every triangle holds. And
+    |w - d| <= 1 <= v <= q <= w + d: each value v lies in the Katetov
+    interval of every other value w at distance d, so every zero-free
+    vector over [1, q] is a Katetov profile, on any support. A pseudometric
+    fails this (a zero distance forces values), and so does q = 3, where
+    1 + 1 < 3."""
+    return q <= 2 and not pseudo
+
+
 def _new_row_fits(dist, q: int, row, pseudo: bool) -> bool:
     """Whether the space with distance rows ``dist`` over denominator ``q``,
     grown by a point at distances ``row``, is valid.
@@ -242,9 +260,14 @@ def _new_row_fits(dist, q: int, row, pseudo: bool) -> bool:
     That space is valid, ``row`` has one entry per old point, and ``pseudo``
     allows every zero the space has, so only what involves the new point
     can fail: its entries (range), their zeros (identity, in a metric) and
-    the three triangles through it for every pair of old points."""
+    the three triangles through it for every pair of old points. Where
+    _unit_grid holds, the entries past the range and identity checks lie
+    in [1, q] and no triangle can fail, so the O(n^2) triangle scan runs
+    only where it does not."""
     if not all(is_grid_int(e, 0, q) for e in row) or (not pseudo and 0 in row):
         return False
+    if _unit_grid(q, pseudo):
+        return True
     n = len(row)
     for i in range(n):
         di, ri = dist[i], row[i]

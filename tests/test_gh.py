@@ -79,6 +79,16 @@ class TestOracle:
         ok, witness = feasible_at(worked_instance, 3)  # 3 half-units < 4
         assert not ok and witness is not None
 
+    @pytest.mark.parametrize("t2", [1.5, True, 100, 9, -1, None])
+    def test_cross_distance_off_the_half_grid_is_refused(self, t2):
+        # x at 2/4 and y at 3/4: the half grid runs over [0, 8]. Unchecked,
+        # the first four read as feasible, -1 contracted x to a negative
+        # diagonal and None ended in a TypeError
+        inst = EnumeratedPair(FiniteMetricSpace(("a", "b"), 4, ((0, 2), (2, 0))),
+                              FiniteMetricSpace(("c", "d"), 4, ((0, 3), (3, 0))))
+        with pytest.raises(ValidationError, match=r"integer in \[0, 8\] half-units"):
+            feasible_at(inst, t2)
+
     def test_feasibility_is_monotone_in_t(self):
         rng = random.Random(11)
         for _ in range(30):

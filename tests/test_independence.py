@@ -232,7 +232,8 @@ def test_only_the_sweep_reaches_both_sides():
 
 # each fast route and its oracle
 PAIRS = [("bikatetov.product", "bikatetov.product_via_amalgam"),
-         ("gh.gh_distance", "gh.gh_distance_oracle")]
+         ("gh.gh_distance", "gh.gh_distance_oracle"),
+         ("katetov.build_approximant", "katetov.injectivity_check")]
 
 # the only names a route and its oracle may both reach, each with its reason
 ALLOWED = {
@@ -243,6 +244,14 @@ ALLOWED = {
                                           "through the validating constructor",
     "grid.half_grid_value": "output format: writes a count of half-grid steps as a "
                             "fraction; each side finds its count on its own",
+    "katetov._require_subset": "input check: refuses a malformed max support size "
+                               "and lists nothing",
+    "katetov._profiles": "the one listing of a support's Katetov profiles, checked "
+                         "against a brute-force filter in tests/test_grid.py; the "
+                         "oracle looks every profile up among the rows, the builder "
+                         "scans the zero-free ones through sphere masks",
+    "katetov._inside": "the key of that listing: a support's inside distances, read "
+                       "off the matrix",
 }
 
 

@@ -14,11 +14,12 @@ from urygrid.grid import MAX_DENOMINATOR, katetov_bounds
 from urygrid.isometry import _isometric_injections, _spheres, _stabilizer_chain, iso_group
 from urygrid.katetov import (PROFILE_LIMIT, KatetovFunction, TemplateTally,
                              _circulant_row, _circulant_space, _closed_through_zero, _embed_seed,
-                             _ProfileFrontier, build_approximant, find_transitive_template,
+                             _inside, _ProfileFrontier, _unit_profiles, _zero_free_profiles,
+                             build_approximant, find_transitive_template,
                              homogeneity_check, injectivity_check, is_katetov,
                              katetov_extension, katetov_witness,
                              point_function, realize_one_point, sup_distance)
-from urygrid.spaces import FiniteMetricSpace, random_grid_space, validate_space
+from urygrid.spaces import FiniteMetricSpace, _unit_grid, random_grid_space, validate_space
 
 
 def random_total_katetov(space, rng):
@@ -233,6 +234,27 @@ class TestProfileFrontier:
             k = rng.randint(1, 3)
             assert (_ProfileFrontier(space, k).first()
                     == first_zero_free_unrealized(space, k))
+
+    def test_size_keyed_listing_is_each_supports_own_in_a_q2_metric(self):
+        rng = random.Random(25)
+        for q in (1, 2):
+            for _ in range(20):
+                space = random_grid_space(rng.randint(1, 7), q, rng.randrange(10 ** 6))
+                assert _unit_grid(q, space.pseudo)
+                for size in (1, 2, 3):
+                    for idx in combinations(range(space.n), size):
+                        assert (_unit_profiles(q, size)
+                                == _zero_free_profiles(q, _inside(space.dist, idx)))
+
+    def test_size_keyed_listing_misses_the_zeros_of_a_pseudometric(self):
+        # an inside zero forces f(a) = f(b): the size key would list (1, 2)
+        # and (2, 1), which no point may realize, so the frontier keys on
+        # the inside distances here
+        space = FiniteMetricSpace(("a", "b", "c"), 2, ((0, 0, 1), (0, 0, 1), (1, 1, 0)), True)
+        assert not _unit_grid(2, space.pseudo)
+        assert _zero_free_profiles(2, _inside(space.dist, (0, 1)))[0] == ((1, 1), (2, 2))
+        assert _unit_profiles(2, 2)[0] == ((1, 1), (1, 2), (2, 1), (2, 2))
+        assert _ProfileFrontier(space, 2).unit is False
 
     def test_grown_frontier_matches_full_scan_point_by_point(self):
         # points that realize nothing in particular: the frontier must see
@@ -726,6 +748,10 @@ GOLDEN_SEEDS = {
     "p1q3": {"points": ["a"], "denominator": 3, "dist": [[0]]},
     "p2q2": {"points": ["a", "b"], "denominator": 2, "dist": [[0, 1], [1, 0]]},
     "p2q3": {"points": ["a", "b"], "denominator": 3, "dist": [[0, 2], [2, 0]]},
+    "p1q1": {"points": ["a"], "denominator": 1, "dist": [[0]]},
+    # a pseudometric: a and b coincide
+    "z3q2": {"points": ["a", "b", "c"], "denominator": 2,
+             "dist": [[0, 0, 1], [0, 0, 1], [1, 1, 0]], "pseudo": True},
 }
 
 # sha256 of `approximant build --json` stdout, recorded with the builder
@@ -757,6 +783,13 @@ GOLDEN_BUILDS = [
      "adc72bfaa5dd935d3493436c8888dd7c95b07b97d0e7b5f2810700aad654d2a8"),
     (("p1q2", "--subset", "2", "--cap", "64", "--strategy", "random", "--seed", "11"),
      "08893bbec07543fcf54092c2810d977164c8ac84ad72d032f17a110fcf63fe4f"),
+    # recorded with the triangle scan on every added row and every profile
+    # listing keyed on the inside distances: a build where spaces._unit_grid
+    # holds (q = 1) and one where it does not (a q = 2 pseudometric)
+    (("p1q1", "--subset", "3", "--cap", "16", "--strategy", "random"),
+     "b4cfc0a871db167b1e1a95f96cb7bd6319af095d645f8ad3bb831a7b89d8de9b"),
+    (("z3q2", "--subset", "2", "--cap", "32", "--strategy", "random", "--seed", "4"),
+     "8ab685fd223cc39bca5e5aa06f844df3ad422f77278fae49b02e0958501e7c90"),
 ]
 
 
@@ -785,6 +818,19 @@ def golden_build(case):
                              int(opts.get("--grid", seed.denominator)),
                              int(opts.get("--cap", 64)), rng_seed=int(opts.get("--seed", 0)),
                              strategy=opts.get("--strategy", "auto"))
+
+
+@pytest.mark.parametrize("case,unit", [(GOLDEN_BUILDS[-2][0], True),
+                                       (GOLDEN_BUILDS[-1][0], False)], ids=["q1", "pseudo"])
+def test_the_q1_pin_takes_the_unit_grid_route_and_the_pseudometric_pin_not(
+        monkeypatch, case, unit):
+    seed = FiniteMetricSpace(**GOLDEN_SEEDS[case[0]])
+    assert _unit_grid(seed.denominator, seed.pseudo) == unit
+    calls = []
+    listing = katetov._unit_profiles
+    monkeypatch.setattr(katetov, "_unit_profiles", lambda *a: calls.append(a) or listing(*a))
+    assert golden_build(case).added > 0
+    assert bool(calls) == unit
 
 
 def test_built_spaces_revalidate():

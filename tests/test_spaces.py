@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+from itertools import product
 
 import pytest
 
@@ -498,6 +499,33 @@ class TestWithPoint:
         # every outcome the row check can report was exercised
         assert {"ok", "range", "identity", "triangle"} <= set(kinds)
         assert min(kinds.values()) >= 20
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_row_check_matches_full_scan_on_every_small_row(self, q):
+        # a metric at q <= 2 skips the triangle scan (_unit_grid) and q = 3
+        # runs it: every row over {0, ..., q + 1}, and each entry in turn
+        # made True, 1.5 or None, on metric spaces of up to 5 points (4 at
+        # q = 3)
+        rng = random.Random(q)
+        refusals = set()
+        for n in range(1, 6 if q <= 2 else 5):
+            for _ in range(3):
+                space = random_grid_space(n, q, rng.randrange(10 ** 6))
+                rows = list(product(range(q + 2), repeat=n))
+                rows += [(1,) * i + (bad,) + (1,) * (n - 1 - i)
+                         for i in range(n) for bad in (True, 1.5, None)]
+                for row in rows:
+                    report = assert_with_point_matches_full_scan(space, row, False)
+                    assert _new_row_fits(space.dist, q, row, False) == report.ok
+                    refusals.add(frozenset(v.kind for v in report.problems))
+        # a row refused by its triangles alone occurs at q = 3 only
+        assert (frozenset({"triangle"}) in refusals) == (q == 3)
+        assert {frozenset({"range"}), frozenset({"identity"})} <= refusals
+
+    def test_row_breaking_a_triangle_at_q3_is_refused(self):
+        # in range and zero-free, so only the triangle scan can refuse it
+        assert not _new_row_fits(((0, 3), (3, 0)), 3, (1, 1), False)
+        assert _new_row_fits(((0, 3), (3, 0)), 3, (1, 2), False)
 
     def test_pseudometric_turned_metric_takes_the_full_check(self):
         space = FiniteMetricSpace(("a", "b", "c"), 4,
