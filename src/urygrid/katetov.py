@@ -285,7 +285,7 @@ def injectivity_check(space: FiniteMetricSpace, max_subset: int) -> InjectivityR
     q, dist = space.denominator, space.dist
     unrealized = []
     checked = 0
-    for size in range(1, max_subset + 1):
+    for size in range(1, min(max_subset, space.n) + 1):
         for idx in combinations(range(space.n), size):
             # every point's distances to the support: column i is row i
             realized = set(zip(*(dist[i] for i in idx)))
@@ -294,6 +294,27 @@ def injectivity_check(space: FiniteMetricSpace, max_subset: int) -> InjectivityR
                 if prof not in realized:
                     unrealized.append((tuple(space.points[i] for i in idx), prof))
     return InjectivityReport(checked, tuple(unrealized))
+
+
+def _closed_pairs(sph, row, q: int) -> int:
+    """The mask of the points x whose pair (x, new) realizes every zero-free
+    profile, for a new point at distances ``row`` from the points with
+    sphere index ``sph`` (_spheres), where spaces._unit_grid holds.
+
+    There the pair's zero-free profiles are all of [1, q]^2 (_unit_profiles),
+    and (v, a) on it is realized exactly when some point p has d(p, x) = v
+    and d(p, new) = a. So cell (a, v) ORs sph[p][v] over the points p at
+    distance a from the new point, and a bit set in all q^2 cells is a
+    closed pair. Only bits below the new point's own are kept."""
+    mask = (1 << len(row)) - 1
+    for a in range(1, q + 1):
+        near = [s for d, s in zip(row, sph) if d == a]
+        for v in range(1, q + 1):
+            cell = 0
+            for s in near:
+                cell |= s[v]
+            mask &= cell
+    return mask
 
 
 class _ProfileFrontier:
@@ -321,7 +342,12 @@ class _ProfileFrontier:
     as if every support had been pushed. Adding a point never un-realizes
     a profile, so an entry only moves forward; it is rechecked when it
     reaches the top, and once its support has nothing left the next
-    support of its stream takes its place.
+    support of its stream takes its place. For the same reason a stream
+    may leave out supports already closed when it opens: where
+    spaces._unit_grid holds, an added point's pair stream skips the pairs
+    that _closed_pairs finds closed, in one pass over the points, so most
+    pairs are never scanned. No stream goes past the points it can hold,
+    however large max_subset is.
     """
 
     def __init__(self, space: FiniteMetricSpace, max_subset: int):
@@ -334,7 +360,7 @@ class _ProfileFrontier:
         # entries (size, idx, start, stream): (size, idx) differs between
         # streams, so the stream iterator is never compared
         self.heap = []
-        for size in range(1, max_subset + 1):
+        for size in range(1, min(max_subset, space.n) + 1):
             self._push(size, combinations(range(space.n), size))
 
     def _push(self, size: int, stream):
@@ -353,8 +379,16 @@ class _ProfileFrontier:
             sph[t][v] |= bit
         dist.append([*row, 0])
         sph += _spheres(dist[-1:], self.q)
-        for size in range(1, self.max_subset + 1):
-            self._push(size, (rest + (new,) for rest in combinations(range(new), size - 1)))
+        # a support ending in the new point has at most new + 1 points
+        for size in range(1, min(self.max_subset, new + 1) + 1):
+            if size == 2 and self.unit:
+                # a pair that already realizes every profile would only be
+                # scanned to find nothing, so the stream leaves it out
+                closed = _closed_pairs(sph, row, self.q)
+                stream = ((x, new) for x in range(new) if not closed >> x & 1)
+            else:
+                stream = (rest + (new,) for rest in combinations(range(new), size - 1))
+            self._push(size, stream)
 
     def first(self):
         """(idx, profile) of the first unrealized zero-free profile, or None."""
@@ -448,7 +482,7 @@ def _closed_through_zero(row, q: int, max_subset: int) -> bool:
     sph0 = _spheres([row], q)[0]
     # vertex s's spheres, filled as supports reach it
     sph = [sph0] + [None] * (n - 1)
-    for size in range(1, max_subset + 1):
+    for size in range(1, min(max_subset, n) + 1):
         for rest in combinations(range(1, n), size - 1):
             idx = (0, *rest)
             for s in rest:
@@ -694,9 +728,11 @@ def build_approximant(seed: FiniteMetricSpace, max_subset: int, q: int, cap: int
     q <= 2 (spaces._unit_grid), where no triangle can fail. A row that
     fails is refused with validate_space's report on the grown matrix. The
     same theorem keys the frontier's profile listings by support size
-    there. The space is built once, on return. A realizing point must carry
-    the profile on its support; its remaining distances are where the
-    strategies differ:
+    there, and lets an added point's stream of pairs leave out at once
+    those it already closes (_closed_pairs), which every later pick would
+    have passed over anyway. The space is built once, on return. A
+    realizing point must carry the profile on its support; its remaining
+    distances are where the strategies differ:
 
     "transitive" first finds a closed rotation-invariant template containing
     the seed (see find_transitive_template) and copies each realizing point
@@ -821,7 +857,7 @@ def homogeneity_check(space: FiniteMetricSpace, max_subset: int,
     dist, sph = _ranked(space.dist)
     bad = []
     checked = 0
-    for size in range(1, max_subset + 1):
+    for size in range(1, min(max_subset, space.n) + 1):
         for dom in combinations(range(space.n), size):
             restrictions = set(zip(*[columns[a] for a in dom]))
             pattern = [[dist[a][b] for b in dom] for a in dom]

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import re
+import time
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
@@ -13,7 +14,8 @@ from urygrid.errors import GuardError, ValidationError
 from urygrid.grid import MAX_DENOMINATOR, katetov_bounds
 from urygrid.isometry import _isometric_injections, _spheres, _stabilizer_chain, iso_group
 from urygrid.katetov import (PROFILE_LIMIT, KatetovFunction, TemplateTally,
-                             _circulant_row, _circulant_space, _closed_through_zero, _embed_seed,
+                             _circulant_row, _circulant_space, _closed_pairs, _closed_through_zero,
+                             _embed_seed,
                              _inside, _ProfileFrontier, _unit_profiles, _zero_free_profiles,
                              build_approximant, find_transitive_template,
                              homogeneity_check, injectivity_check, is_katetov,
@@ -299,6 +301,26 @@ class TestProfileFrontier:
                     idx, values = pick
                     assert tuple(built.dist[m][i] for i in idx) == values
 
+
+    def test_closed_pair_mask_matches_each_pairs_realized_profiles(self):
+        # bit x is set exactly when the pair (x, new) realizes all of
+        # [1, q]^2, read here off the distance rows, not the sphere index
+        rng = random.Random(27)
+        outcomes = set()
+        for q in (1, 2):
+            every = set(product(range(1, q + 1), repeat=2))
+            for _ in range(40):
+                space = random_grid_space(rng.randint(2, 9), q, rng.randrange(10 ** 6))
+                dist = space.dist
+                for new in range(1, space.n):
+                    grown = [row[:new + 1] for row in dist[:new + 1]]
+                    mask = _closed_pairs(_spheres(grown, q), dist[new][:new], q)
+                    assert mask >> new == 0
+                    for x in range(new):
+                        closed = {(dist[p][x], dist[p][new]) for p in range(new + 1)} >= every
+                        assert (mask >> x & 1) == closed
+                        outcomes.add((q, closed))
+        assert outcomes == {(1, True), (1, False), (2, True), (2, False)}
 
 class TestCirculantTemplate:
     def test_rotation_check_matches_full_scan(self):
@@ -833,6 +855,20 @@ def test_the_q1_pin_takes_the_unit_grid_route_and_the_pseudometric_pin_not(
     assert bool(calls) == unit
 
 
+@pytest.mark.parametrize("case,unit", [
+    (GOLDEN_BUILDS[-2][0], True), (GOLDEN_BUILDS[-1][0], False),
+    (("p2q3", "--subset", "3", "--cap", "12", "--strategy", "random"), False)],
+    ids=["q1", "pseudo", "q3"])
+def test_only_the_q1_pin_masks_its_closed_pairs(monkeypatch, case, unit):
+    masks = []
+    helper = katetov._closed_pairs
+    monkeypatch.setattr(katetov, "_closed_pairs",
+                        lambda *a: masks.append(helper(*a)) or masks[-1])
+    assert golden_build(case).added > 0
+    assert bool(masks) == unit
+    # on the q1 pin some added point closes pairs its stream then leaves out
+    assert any(masks) == unit
+
 def test_built_spaces_revalidate():
     # the builder checks each row on its own and trusts the final space:
     # the validating constructor must accept it as it stands
@@ -1077,3 +1113,59 @@ class TestTemplateSearch:
         # the closure is all of Paley 29, so it is point-transitive
         space = FiniteMetricSpace(out["points"], out["denominator"], out["dist"])
         assert homogeneity_check(space, 1, max_points=29).ok
+
+
+class TestSupportSizeBound:
+    """A max_subset past the point count buys no work: no support has more
+    points than the space, so every call equals the one at max_subset = n
+    (= cap for a build) and returns at once."""
+
+    HUGE = 10 ** 9
+
+    @staticmethod
+    def timed(call, *args, **kwargs):
+        start = time.perf_counter()
+        out = call(*args, **kwargs)
+        assert time.perf_counter() - start < 1.0
+        return out
+
+    @pytest.fixture
+    def path_q2(self):
+        return FiniteMetricSpace(("a", "b", "c"), 2, ((0, 1, 2), (1, 0, 1), (2, 1, 0)))
+
+    def test_checks(self, path_q2, triangle_q2):
+        for space in (path_q2, triangle_q2):
+            for check in (injectivity_check, homogeneity_check):
+                assert self.timed(check, space, self.HUGE) == check(space, 3)
+
+    def test_closure_through_zero(self):
+        for q, colors in [(1, (1,)), (2, (1,)), (2, (2,))]:
+            row = _circulant_row(3, colors)
+            assert (self.timed(_closed_through_zero, row, q, self.HUGE)
+                    == _closed_through_zero(row, q, 3))
+
+    def test_frontier(self, path_q2):
+        frontier = self.timed(_ProfileFrontier, path_q2, self.HUGE)
+        space = path_q2
+        for row in (None, (2, 1, 1), (1, 2, 1, 2)):
+            if row is not None:
+                self.timed(frontier.grow, row)
+                space = space.with_point(f"p{space.n}", row)
+            assert self.timed(frontier.first) == _ProfileFrontier(space, space.n).first()
+
+    @pytest.mark.parametrize("strategy", ["random", "auto"])
+    def test_build(self, path_q2, strategy):
+        cap = 8
+        assert (self.timed(build_approximant, path_q2, self.HUGE, 2, cap, strategy=strategy)
+                == build_approximant(path_q2, cap, 2, cap, strategy=strategy))
+
+    def test_cli(self, capsys, tmp_path, path_q2):
+        p = tmp_path / "path.json"
+        p.write_text(json.dumps(fileio.space_to_obj(path_q2)))
+        for action, at_n in (("verify", ["--subset", "3"]),
+                             ("build", ["--subset", "8", "--cap", "8"])):
+            runs = []
+            for args in (at_n, ["--subset", str(self.HUGE), *at_n[2:]]):
+                code = self.timed(main, ["--json", "approximant", action, str(p), *args])
+                runs.append((code, capsys.readouterr()))
+            assert runs[0] == runs[1]
