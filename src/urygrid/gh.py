@@ -4,12 +4,14 @@ The enumerated variant matches points by their given order: the distance is
 the infimum over common pseudometric extensions of the largest matched-point
 distance. It comes out as exactly half the largest entrywise distortion
 between the two matrices, a value on the half grid 1/(2q). The closed form
-is paired with a feasibility oracle that rediscovers the value by scanning
-cross-distances upward until the union graph's shortest-path closure stops
-contracting either side.
+is paired with a feasibility oracle that rediscovers the value by bisecting
+for the least cross distance at which the union graph's shortest-path
+closure stops contracting either side.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 from ._kernels import INF, floyd_warshall_capped
 from .errors import ValidationError
@@ -85,14 +87,14 @@ def feasible_at(inst: EnumeratedPair, t2: int):
 
 
 def gh_distance_oracle(inst: EnumeratedPair) -> tuple[int, int]:
-    """Scan the half grid upward for the first feasible cross distance.
-    Must equal the closed form exactly."""
+    """Bisect the half grid for the first feasible cross distance; a larger
+    one is feasible too, so one closure per halving finds it. Must equal the
+    closed form exactly."""
     q = inst.denominator
-    for t2 in range(0, 2 * q + 1):
-        ok, _ = feasible_at(inst, t2)
-        if ok:
-            return half_grid_value(t2, q)
-    raise ValidationError("no feasible cross distance up to the diameter")
+    t2 = bisect_left(range(2 * q + 1), True, key=lambda t: feasible_at(inst, t)[0])
+    if t2 > 2 * q:
+        raise ValidationError("no feasible cross distance up to the diameter")
+    return half_grid_value(t2, q)
 
 
 def realize_in_space(space: FiniteMetricSpace, anchors, target: FiniteMetricSpace,

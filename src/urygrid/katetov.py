@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations, count, product
 from math import gcd
@@ -507,9 +506,10 @@ def _multiplier_maps(n: int):
 
 class TemplateTally(Record):
     """How far one find_transitive_template call got: the canonical
-    colorings it tried, and the largest n whose canonical colorings it
-    tried every one of (0 when there is none). The search updates it in
-    place, so unlike the other records it is mutable and unhashable."""
+    colorings charged to its budget, and the largest n whose canonical
+    colorings it tried every one of (0 when there is none). The search
+    updates it in place, so unlike the other records it is mutable and
+    unhashable."""
 
     _fields = ("tried", "complete_n")
     __setattr__ = object.__setattr__
@@ -521,78 +521,36 @@ class TemplateTally(Record):
         self.complete_n = complete_n
 
 
-class _CirculantListing:
-    """The canonical gap colorings of Z_n for one (q, max_subset), in walk
-    order, each with its closed template (the circulant space) or None,
-    listed only as far as some search has asked.
+@lru_cache(maxsize=256)
+def _circulant_listing(q: int, max_subset: int, n: int):
+    """Z_n's canonical gap colorings for (q, max_subset), walked once:
+    (count, closed), the number of them and, in walk order, the position
+    and template (the circulant space) of each closed one.
 
     The walk is lexicographic over the colorings, one per orbit of the
-    units of Z_n modulo +-1: multiplying every gap by a unit gives an
-    isometric circulant, and closure and the seed are both invariant under
-    isometry, so the first hit is the least of its orbit and skipping the
-    others changes nothing. ``orbit`` bounds the size of such an orbit.
-    ``has(i)`` walks on to coloring i without judging it; ``template(i)``
-    judges it on first use, and ``closed`` keeps the indices of the closed
-    ones, so ``skip(i)`` can tell how far a search may pass over listed
-    colorings that hold no template. The triangles are decided on row 0
-    (_circulant_row), then closure on the supports through vertex 0
-    (_closed_through_zero); only a closed coloring is built as a space."""
-
-    def __init__(self, q: int, max_subset: int, n: int):
-        self.q, self.max_subset, self.n = q, max_subset, n
-        self._grid = set(range(1, q + 1))
-        maps = _multiplier_maps(n)
-        self.orbit = 1 + len(maps)
-        self.templates = []
-        self.closed = []
-        self._walk = (colors for colors in product(range(1, q + 1), repeat=n // 2)
-                      if not any(m(colors) < colors for m in maps))
-        self._next = None  # the coloring after the listed ones, once walked to
-
-    def has(self, i: int) -> bool:
-        """Whether coloring i exists, for i <= len(templates)."""
-        if i < len(self.templates):
-            return True
-        if self._next is None:
-            self._next = next(self._walk, None)
-        return self._next is not None
-
-    def template(self, i: int):
-        """Coloring i's closed template or None, once has(i) is True."""
-        if i == len(self.templates):
-            template = self._judge(self._next)
-            if template is not None:
-                self.closed.append(i)
-            self.templates.append(template)
-            self._next = None
-        return self.templates[i]
-
-    def skip(self, i: int) -> int:
-        """The first closed coloring at or after i, when one is listed; else
-        the last listed coloring, or i itself when i is not listed."""
-        k = bisect_left(self.closed, i)
-        if k < len(self.closed):
-            return self.closed[k]
-        return max(i, len(self.templates) - 1)
-
-    def _judge(self, colors):
-        # quick filter: realizing singleton profiles needs every grid
-        # value among the gap colors once n is big enough to matter
-        if not self._grid.issubset(colors):
-            return None
-        row = _circulant_row(self.n, colors)
-        # stops at the first missing profile; equals injectivity_check().ok
-        if row is None or not _closed_through_zero(row, self.q, self.max_subset):
-            return None
-        return _circulant_space(self.q, row)
-
-
-@lru_cache(maxsize=256)
-def _circulant_listing(q: int, max_subset: int, n: int) -> _CirculantListing:
-    """The one listing of Z_n's canonical colorings for (q, max_subset).
-    Searches extend it in place, so threads must not share it; the library
-    starts none."""
-    return _CirculantListing(q, max_subset, n)
+    units of Z_n modulo +-1 (_multiplier_maps): multiplying every gap by a
+    unit gives an isometric circulant, and closure and the seed are both
+    invariant under isometry, so the first hit is the least of its orbit
+    and skipping the others changes nothing. None is closed once max_subset
+    >= n: all of Z_n is then a support, and no point realizes the profile
+    f = q on it. Otherwise a coloring is judged only when it uses every grid
+    value, which realizing the singleton profiles needs once n is big
+    enough to matter; then its triangles are decided on row 0
+    (_circulant_row) and its closure on the supports through vertex 0
+    (_closed_through_zero), and only a closed one is built as a space."""
+    maps = _multiplier_maps(n)
+    count = 0
+    closed = []
+    for colors in product(range(1, q + 1), repeat=n // 2):
+        if any(m(colors) < colors for m in maps):
+            continue
+        if max_subset < n and len(set(colors)) == q:
+            row = _circulant_row(n, colors)
+            # stops at the first missing profile; equals injectivity_check().ok
+            if row is not None and _closed_through_zero(row, q, max_subset):
+                closed.append((count, _circulant_space(q, row)))
+        count += 1
+    return count, tuple(closed)
 
 
 def find_transitive_template(seed: FiniteMetricSpace, max_subset: int, q: int,
@@ -602,24 +560,23 @@ def find_transitive_template(seed: FiniteMetricSpace, max_subset: int, q: int,
 
     Such a space is vertex-transitive by construction, so every single point
     maps onto every other by a global isometry. For n = seed.n .. cap the
-    canonical gap colorings of Z_n are taken in turn from the listing of
-    (q, max_subset, n) (_CirculantListing), and the first closed one that
-    holds the seed is returned. The budget counts these colorings.
+    canonical gap colorings of Z_n are taken in walk order, and the first
+    closed one that holds the seed is returned. The budget counts these
+    colorings: a template at position i of its listing is charged i + 1, a
+    listing passed over whole is charged its count, and a search whose
+    budget ends inside a listing charges the rest of the budget and stops.
+    Before a listing is made, n is refused when q^(n // 2), which bounds its
+    colorings times the size of an orbit, is more than the budget has left.
 
-    Whether a coloring is closed does not depend on the seed, so the
-    listings are memoized (_circulant_listing, keyed on (q, max_subset, n))
-    and each coloring is walked to and judged once per process. A listing
-    is extended lazily: a search charges a coloring to the budget before it
-    judges one that is not listed yet, and stops where its budget ends, so a
-    cold call walks and judges exactly the colorings that a call without the
-    memo would. A warm one charges the listed colorings up to the next
-    closed one in one step (_CirculantListing.skip), as far as the budget
-    goes, and only embeds the seed in the closed ones.
-    The seed is first rescaled to q, which must be a multiple of its grid.
-    A seed with two distinct points at distance 0 (_merges_points) is never
-    embedded: no template holds a copy, and the injection search could try
-    every partial map before it found none. The walk and its tally are the
-    same as for any other seed that no template holds.
+    Whether a coloring is closed does not depend on the seed, so each
+    listing is memoized as its count and its closed templates
+    (_circulant_listing, keyed on (q, max_subset, n)) and is walked and
+    judged once per process; a search then only embeds the seed in the
+    closed templates its budget reaches. The seed is first rescaled to q,
+    which must be a multiple of its grid. A seed with two distinct points
+    at distance 0 (_merges_points) is never embedded: no template holds a
+    copy, and the injection search could try every partial map before it
+    found none. Its tally is that of any seed no template holds.
     Returns (template, embedded seed indices) or None when the bounded
     search finds nothing; ``tally``, when given, records how far it got,
     which the memo does not change."""
@@ -629,25 +586,24 @@ def find_transitive_template(seed: FiniteMetricSpace, max_subset: int, q: int,
         tally = TemplateTally()
     metric = not _merges_points(seed)
     for n in range(max(seed.n, 2), cap + 1):
-        listing = _circulant_listing(q, max_subset, n)
+        left = TEMPLATE_BUDGET - tally.tried
         # past this bound n has more canonical colorings than the budget
         # has left
-        if q ** (n // 2) > (TEMPLATE_BUDGET - tally.tried) * listing.orbit:
+        if q ** (n // 2) > left * (1 + len(_multiplier_maps(n))):
             break
-        i = 0
-        while listing.has(i):
-            if tally.tried == TEMPLATE_BUDGET:
-                return None
-            # colorings i..j are charged at once, as far as the budget goes:
-            # every listed one before the next closed one holds no template
-            j = min(listing.skip(i), i + TEMPLATE_BUDGET - tally.tried - 1)
-            tally.tried += j - i + 1
-            template = listing.template(j)
-            i = j + 1
-            if template is not None and metric:
+        count, closed = _circulant_listing(q, max_subset, n)
+        for i, template in closed:
+            if i >= left:
+                break
+            if metric:
                 embedded = _embed_seed(seed, template)
                 if embedded is not None:
+                    tally.tried += i + 1
                     return template, embedded
+        if count > left:
+            tally.tried = TEMPLATE_BUDGET
+            return None
+        tally.tried += count
         tally.complete_n = n
     return None
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -331,6 +332,17 @@ class TestGh:
         assert code1 == code2 == 0
         assert out1 == out2
         assert out1.strip() == "2/10"
+
+    def test_oracle_on_a_huge_grid_answers_at_once(self, capsys, tmp_path):
+        q = 2 ** 28
+        p = tmp_path / "instance.json"
+        p.write_text(json.dumps({
+            "X": {"points": ["x1", "x2"], "denominator": q, "dist": [[0, 1], [1, 0]]},
+            "Y": {"points": ["y1", "y2"], "denominator": q, "dist": [[0, q], [q, 0]]}}))
+        start = time.perf_counter()
+        assert run(capsys, "gh", "dist", str(p), "--oracle") == \
+            run(capsys, "gh", "dist", str(p)) == (0, f"{q - 1}/{2 * q}\n", "")
+        assert time.perf_counter() - start < 1.0
 
 
 class TestTheta:

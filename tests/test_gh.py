@@ -1,8 +1,10 @@
 import random
 import re
+import time
 
 import pytest
 
+from urygrid import gh
 from urygrid.errors import ValidationError
 from urygrid.gh import (EnumeratedPair, feasible_at, gh_distance,
                         gh_distance_oracle, realize_in_space)
@@ -111,6 +113,21 @@ class TestOracle:
             b = FiniteMetricSpace(tuple(f"y{i}" for i in range(n)), q, b.dist)
             inst = EnumeratedPair(a, b)
             assert gh_distance(inst) == gh_distance_oracle(inst)
+
+    def test_cost_does_not_grow_with_the_grid(self):
+        # the oracle bisects the 2q + 1 cross distances, one closure per
+        # halving; a scan of them took about a second at q = 10^5
+        q = 2 ** 28
+        inst = EnumeratedPair(FiniteMetricSpace(("x1", "x2"), q, ((0, 1), (1, 0))),
+                              FiniteMetricSpace(("y1", "y2"), q, ((0, q), (q, 0))))
+        start = time.perf_counter()
+        assert gh_distance_oracle(inst) == gh_distance(inst) == (q - 1, 2 * q)
+        assert time.perf_counter() - start < 1.0
+
+    def test_no_feasible_cross_distance_is_an_error(self, monkeypatch, worked_instance):
+        monkeypatch.setattr(gh, "feasible_at", lambda inst, t2: (False, None))
+        with pytest.raises(ValidationError, match="no feasible cross distance"):
+            gh_distance_oracle(worked_instance)
 
 
 class TestRealize:

@@ -3,6 +3,7 @@ import json
 import random
 import re
 import time
+import tracemalloc
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
@@ -1073,7 +1074,9 @@ class TestTemplateSearch:
 
     def test_subset_three_on_grid_two_finds_paley_29(self):
         seed = FiniteMetricSpace(("a",), 2, ((0,),))
-        template, embedded = find_transitive_template(seed, 3, 2, 64)
+        tally = TemplateTally()
+        template, embedded = find_transitive_template(seed, 3, 2, 64, tally=tally)
+        assert (tally.tried, tally.complete_n) == (10113, 28)
         squares = {g * g % 29 for g in range(1, 29)}
         assert template.dist[0] == tuple([0] + [1 if g in squares else 2
                                                 for g in range(1, 29)])
@@ -1083,6 +1086,61 @@ class TestTemplateSearch:
         assert homogeneity_check(template, 1, max_points=29).ok
         report = homogeneity_check(template, 2, max_points=29)
         assert (report.ok, report.checked) == (True, 165677)
+
+    @pytest.mark.parametrize("budget,m,k,q,cap,expected", [
+        (5000, 1, 2, 3, 24, (None, 5000, 16)), (5000, 1, 3, 2, 64, (None, 4909, 26)),
+        (108, 4, 2, 2, 16, (12, 108, 11)), (107, 4, 2, 2, 16, (None, 107, 11)),
+        (67, 4, 2, 2, 16, (None, 67, 11)), (66, 4, 2, 2, 16, (None, 66, 10))])
+    def test_search_under_a_small_budget_is_pinned(self, monkeypatch, budget, m, k, q, cap,
+                                                   expected):
+        # the seed is m points at distance 1. At (2, 3) the budget ends
+        # inside the listing of n = 17, which charges all of it; at (3, 2)
+        # the pre-check stops the search before n = 27. At (2, 2) Z_4 ..
+        # Z_11 hold 67 canonical colorings, and the first closed one holding
+        # 4 points is Z_12's at position 40: each budget sits on one side of
+        # those edges. Cold and warm alike.
+        monkeypatch.setattr(katetov, "TEMPLATE_BUDGET", budget)
+        katetov._circulant_listing.cache_clear()
+        seed = FiniteMetricSpace(tuple(f"p{i}" for i in range(m)), q,
+                                 tuple(tuple(int(i != j) for j in range(m)) for i in range(m)))
+        for _ in ("cold", "warm"):
+            tally = TemplateTally()
+            found = find_transitive_template(seed, k, q, cap, tally=tally)
+            assert (found and found[0].n, tally.tried, tally.complete_n) == expected
+
+    def test_huge_grid_is_refused_before_any_listing(self):
+        # q colorings of Z_2 alone are past the budget, so no listing is
+        # made and nothing q-sized is allocated
+        tally = TemplateTally()
+        tracemalloc.start()
+        try:
+            found = find_transitive_template(FiniteMetricSpace(("a",), 1, ((0,),)), 1, 10 ** 6,
+                                             24, tally=tally)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found is None
+        assert (tally.tried, tally.complete_n) == (0, 0)
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("strategy,refusal", [
+        ("transitive", "no transitive template within the search budget: 0 of 20000 "
+                       "canonical colorings tried, no n searched in full; "
+                       "use strategy='random'"),
+        ("auto", f"profile listing on a 1-point support at q={MAX_DENOMINATOR}: "
+                 f"used {MAX_DENOMINATOR + 1} candidates, limit {PROFILE_LIMIT}"),
+        ("random", f"profile listing on a 1-point support at q={MAX_DENOMINATOR}: "
+                   f"used {MAX_DENOMINATOR + 1} candidates, limit {PROFILE_LIMIT}")])
+    def test_build_on_the_largest_grid_is_refused_at_once(self, capsys, tmp_path, strategy,
+                                                          refusal):
+        seed = tmp_path / "seed.json"
+        seed.write_text(json.dumps({"points": ["a"], "denominator": 1, "dist": [[0]]}))
+        start = time.perf_counter()
+        code = main(["approximant", "build", str(seed), "--subset", "1",
+                     "--grid", str(MAX_DENOMINATOR), "--cap", "24", "--strategy", strategy])
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"refused: {refusal}\n")
 
     def test_transitive_refusal_reports_its_budget(self, capsys, tmp_path):
         # (q, k) = (3, 2) has no closed circulant within the budget; the
@@ -1152,6 +1210,15 @@ class TestSupportSizeBound:
                 self.timed(frontier.grow, row)
                 space = space.with_point(f"p{space.n}", row)
             assert self.timed(frontier.first) == _ProfileFrontier(space, space.n).first()
+
+    def test_template_search_on_grid_one(self):
+        # at q = 1 every support smaller than Z_n is realized, so only the
+        # whole of Z_n fails; the closure check listed all 2^(n - 1)
+        # supports through 0 before it reached that one
+        tally = TemplateTally()
+        assert self.timed(find_transitive_template, FiniteMetricSpace(("a",), 1, ((0,),)),
+                          self.HUGE, 1, 40, tally=tally) is None
+        assert (tally.tried, tally.complete_n) == (39, 40)
 
     @pytest.mark.parametrize("strategy", ["random", "auto"])
     def test_build(self, path_q2, strategy):
