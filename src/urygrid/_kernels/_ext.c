@@ -298,23 +298,23 @@ done:
    used) and the frames of the pairing enumeration. */
 typedef struct {
     int64_t *letters, *signs, *table;
-    int64_t *stack, *choice, *depths, *accs, *saved, *opened;
+    int64_t *choice, *depths, *accs, *tops, *below;
 } Word;
 
 static int
 alloc_word(Word *w, Py_ssize_t len)
 {
-    int64_t **rows[] = {&w->letters, &w->signs, &w->stack, &w->choice,
-                        &w->depths, &w->accs, &w->saved, &w->opened};
-    Py_ssize_t i, m = len + 2;
-    if (m > (PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(int64_t)) / (m + 8)) {
+    int64_t **rows[] = {&w->letters, &w->signs, &w->choice, &w->depths,
+                        &w->accs, &w->tops, &w->below};
+    Py_ssize_t i, k = sizeof(rows) / sizeof(rows[0]), m = len + 2;
+    if (m > (PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(int64_t)) / (m + k)) {
         PyErr_NoMemory();
         return -1;
     }
-    if ((w->table = alloc_ints(m * (m + 8))) == NULL)
+    if ((w->table = alloc_ints(m * (m + k))) == NULL)
         return -1;
-    memset(w->table, 0, (size_t)(m * (m + 8)) * sizeof(int64_t));
-    for (i = 0; i < 8; i++)
+    memset(w->table, 0, (size_t)(m * (m + k)) * sizeof(int64_t));
+    for (i = 0; i < k; i++)
         *rows[i] = w->table + m * (m + i);
     return 0;
 }
@@ -353,27 +353,28 @@ graev_dp(Py_ssize_t n, const Word *w, Py_ssize_t nl, const int64_t *dist,
 
    Positions are scanned left to right; each is skipped (pays its weight),
    closes the innermost open arc (pays the letter distance; opposite signs
-   only), or opens a new arc. The stack discipline walks exactly the
-   non-crossing pairings, one leaf per complete pairing, and the minimum is
-   taken over leaves only, starting from the first one; no interval value
-   is ever reused.
-
-   A frame that opens an arc overwrites one stack slot; sibling subtrees
-   explored later may reuse that slot at lower depth, so the previous value
-   is saved per frame and restored when the frame finally pops. */
+   only), or opens a new arc. The open arcs form a linked stack, as in the
+   pure graev_pairing_step: frame pos holds its next choice, its depth, its
+   cost and its innermost open arc (tops[pos], -1 for none), and below[p]
+   is the arc under the one opened at p. Only frame p writes below[p], and
+   only the frames under it read it, so nothing is ever restored. The walk
+   covers exactly the non-crossing pairings, one leaf per complete pairing,
+   and the minimum is taken over leaves only, starting from the first one;
+   no interval value is ever reused. */
 static int64_t
 graev_bf(Py_ssize_t n, const Word *w, Py_ssize_t nl, const int64_t *dist,
          const int64_t *weights)
 {
     const int64_t *letters = w->letters, *signs = w->signs;
-    int64_t *stack = w->stack, *choice = w->choice, *depths = w->depths;
-    int64_t *accs = w->accs, *saved = w->saved, *opened = w->opened;
+    int64_t *choice = w->choice, *depths = w->depths, *accs = w->accs;
+    int64_t *tops = w->tops, *below = w->below;
     int64_t best = 0, acc, depth, top;
     Py_ssize_t pos = 0;
     int found = 0;
     choice[0] = 0;
     accs[0] = 0;
     depths[0] = 0;
+    tops[0] = -1;
     while (pos >= 0) {
         if (pos == n) {
             if (depths[pos] == 0 && (!found || accs[pos] < best)) {
@@ -385,51 +386,34 @@ graev_bf(Py_ssize_t n, const Word *w, Py_ssize_t nl, const int64_t *dist,
         }
         depth = depths[pos];
         acc = accs[pos];
-        if (n - pos < depth) {      /* not enough room to close what is open */
+        top = tops[pos];
+        /* every choice tried, or not enough room to close what is open */
+        if (choice[pos] == 3 || n - pos < depth) {
             pos--;
             continue;
         }
-        if (choice[pos] == 0) {
-            choice[pos] = 1;
+        switch (choice[pos]++) {
+        case 0:
             accs[pos + 1] = acc + weights[letters[pos]];
             depths[pos + 1] = depth;
-            pos++;
-            if (pos < n)
-                choice[pos] = 0;
-            continue;
+            tops[pos + 1] = top;
+            break;
+        case 1:
+            if (top < 0 || signs[pos] != -signs[top])
+                continue;
+            accs[pos + 1] = acc + dist[letters[top] * nl + letters[pos]];
+            depths[pos + 1] = depth - 1;
+            tops[pos + 1] = below[top];
+            break;
+        default:
+            if (pos == n - 1)
+                continue;
+            below[pos] = top;
+            accs[pos + 1] = acc;
+            depths[pos + 1] = depth + 1;
+            tops[pos + 1] = pos;
         }
-        if (choice[pos] == 1) {
-            choice[pos] = 2;
-            if (depth > 0) {
-                top = stack[depth - 1];
-                if (signs[pos] == -signs[top]) {
-                    accs[pos + 1] = acc + dist[letters[top] * nl + letters[pos]];
-                    depths[pos + 1] = depth - 1;
-                    pos++;
-                    if (pos < n)
-                        choice[pos] = 0;
-                }
-            }
-            continue;
-        }
-        if (choice[pos] == 2) {
-            choice[pos] = 3;
-            if (pos < n - 1) {
-                saved[pos] = stack[depth];
-                opened[pos] = 1;
-                stack[depth] = pos;
-                accs[pos + 1] = acc;
-                depths[pos + 1] = depth + 1;
-                pos++;
-                choice[pos] = 0;
-            }
-            else
-                opened[pos] = 0;
-            continue;
-        }
-        if (opened[pos])
-            stack[depth] = saved[pos];
-        pos--;
+        choice[++pos] = 0;
     }
     return best;
 }
@@ -524,49 +508,40 @@ graev_agree_exhaustive(PyObject *Py_UNUSED(self), PyObject *const *args,
                        Py_ssize_t nargs)
 {
     PyObject *out = NULL;
-    Py_ssize_t nl, max_len, depth = 0, nsym;
-    int64_t *dist = NULL, *weights = NULL, *sym = NULL, max;
+    Py_ssize_t nl, max_len, depth = 0;
+    int64_t *dist = NULL, *weights = NULL, max;
     int64_t checked = 0, mismatches = 0;
-    int descending = 1;
     Word w;
     w.table = NULL;
     if (check_nargs("graev_agree_exhaustive", 4, nargs) < 0 ||
             size_arg(args[0], "nl", &nl) < 0 ||
             read_alphabet(nl, args[1], args[2], &dist, &weights, &max) < 0 ||
-            size_arg(args[3], "max_len", &max_len) < 0)
+            size_arg(args[3], "max_len", &max_len) < 0 ||
+            check_sums(max, max_len) < 0 || alloc_word(&w, max_len) < 0)
         goto done;
-    nsym = 2 * nl;
-    if (check_sums(max, max_len) < 0 || alloc_word(&w, max_len) < 0 ||
-            (sym = alloc_ints(max_len + 2)) == NULL)
-        goto done;
-    /* sym[i] encodes the choice at depth i: letter = sym >> 1, sign = +1
-       for even, -1 for odd */
+    /* the word is its own odometer: symbols run over letters in order, +1
+       before -1, and each word comes before its extensions */
     Py_BEGIN_ALLOW_THREADS
     for (;;) {
-        if (descending) {
-            checked++;
-            if (graev_dp(depth, &w, nl, dist, weights) != graev_bf(depth, &w, nl, dist, weights))
-                mismatches++;
-            if (depth < max_len && nsym > 0) {
-                sym[depth] = 0;
-                w.letters[depth] = 0;
-                w.signs[depth] = 1;
-                depth++;
-                continue;
-            }
-            descending = 0;
+        checked++;
+        if (graev_dp(depth, &w, nl, dist, weights) != graev_bf(depth, &w, nl, dist, weights))
+            mismatches++;
+        if (depth < max_len && nl > 0) {
+            w.letters[depth] = 0;
+            w.signs[depth] = 1;
+            depth++;
             continue;
         }
+        while (depth > 0 && w.letters[depth - 1] == nl - 1 && w.signs[depth - 1] == -1)
+            depth--;
         if (depth == 0)
             break;
-        depth--;
-        sym[depth]++;
-        if (sym[depth] >= nsym)
-            continue;
-        w.letters[depth] = sym[depth] >> 1;
-        w.signs[depth] = (sym[depth] & 1) == 0 ? 1 : -1;
-        depth++;
-        descending = 1;
+        if (w.signs[depth - 1] == 1)
+            w.signs[depth - 1] = -1;
+        else {
+            w.letters[depth - 1]++;
+            w.signs[depth - 1] = 1;
+        }
     }
     Py_END_ALLOW_THREADS
     out = Py_BuildValue("(LL)", (long long)checked, (long long)mismatches);
@@ -574,7 +549,6 @@ done:
     PyMem_Free(w.table);
     PyMem_Free(dist);
     PyMem_Free(weights);
-    PyMem_Free(sym);
     return out;
 }
 

@@ -573,18 +573,19 @@ def find_transitive_template(seed: FiniteMetricSpace, max_subset: int, q: int,
     (_circulant_listing, keyed on (q, max_subset, n)) and is walked and
     judged once per process; a search then only embeds the seed in the
     closed templates its budget reaches. The seed is first rescaled to q,
-    which must be a multiple of its grid. A seed with two distinct points
-    at distance 0 (_merges_points) is never embedded: no template holds a
-    copy, and the injection search could try every partial map before it
-    found none. Its tally is that of any seed no template holds.
-    Returns (template, embedded seed indices) or None when the bounded
-    search finds nothing; ``tally``, when given, records how far it got,
-    which the memo does not change."""
+    which must be a multiple of its grid. Where no template can exist it
+    returns None at once and charges nothing: for a seed with two distinct
+    points at distance 0 (_merges_points), since every template is a
+    metric, and when max_subset >= cap, since no Z_n with n <= max_subset
+    is closed. Returns (template, embedded seed indices) or None when the
+    bounded search finds nothing; ``tally``, when given, records how far it
+    got, which the memo does not change."""
     _require_build(max_subset, q, cap)
     seed = seed.rescaled(q)
+    if _merges_points(seed) or max_subset >= cap:
+        return None
     if tally is None:
         tally = TemplateTally()
-    metric = not _merges_points(seed)
     for n in range(max(seed.n, 2), cap + 1):
         left = TEMPLATE_BUDGET - tally.tried
         # past this bound n has more canonical colorings than the budget
@@ -595,11 +596,10 @@ def find_transitive_template(seed: FiniteMetricSpace, max_subset: int, q: int,
         for i, template in closed:
             if i >= left:
                 break
-            if metric:
-                embedded = _embed_seed(seed, template)
-                if embedded is not None:
-                    tally.tried += i + 1
-                    return template, embedded
+            embedded = _embed_seed(seed, template)
+            if embedded is not None:
+                tally.tried += i + 1
+                return template, embedded
         if count > left:
             tally.tried = TEMPLATE_BUDGET
             return None
@@ -705,9 +705,7 @@ def build_approximant(seed: FiniteMetricSpace, max_subset: int, q: int, cap: int
     and so the rows, are the same. (The deterministic extremes are poor
     policies: always taking the largest extension keeps every new point far
     from everything and pair-support closure never terminates.) "auto"
-    tries the template route and falls back to random; for a seed with two
-    distinct points at distance 0, which no template holds, it goes straight
-    to random.
+    tries the template route and falls back to random.
 
     Returns the final space, the status ("closed" when the frontier finds
     nothing unrealized, "capped" when the point budget ran out first), and
@@ -724,7 +722,7 @@ def build_approximant(seed: FiniteMetricSpace, max_subset: int, q: int, cap: int
     bits = random.Random(rng_seed).getrandbits
 
     template = None
-    if strategy == "transitive" or (strategy == "auto" and not _merges_points(space)):
+    if strategy != "random":
         tally = TemplateTally()
         found = find_transitive_template(space, max_subset, q, cap, tally=tally)
         if found is not None:

@@ -47,6 +47,18 @@ values either side computes, so handing them to both sides shares no
 computed value. A wrong table would mislead both sides alike, so
 ``tests/test_graev.py`` checks the tables each side gets against the input.
 
+**The compiled Graev pair.** The interval DP ``graev_dp`` and the pairing
+enumeration ``graev_bf`` in ``_kernels/_ext.c``, read as text: a regex finds
+each ``static`` function definition, and a function uses every static
+function its body names (comments and string literals left out):
+
+- the two routes meet only in the functions of ``C_SHARED``;
+- only ``graev_norm``, which runs one route chosen by its flag, and
+  ``graev_agree_exhaustive``, which compares them, are where the two
+  routes meet: each reaches both, and no one function it calls does. The
+  kernels ``graev_norm_dp`` and ``graev_norm_bruteforce`` reach both only
+  through ``graev_norm``.
+
 **The Python pairs** of ``PAIRS``, which the law registry compares: each
 route and its oracle reach in common only the names of ``ALLOWED``, and
 the walk stops at those. Every allowlisted name is shared by some pair, so
@@ -54,11 +66,13 @@ a name that stops being shared leaves the list too.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import urygrid
+from urygrid import _kernels
 
 
 def body_nodes(statements):
@@ -175,15 +189,16 @@ def package_graph(root: Path) -> dict[str, set[str]]:
 GRAPH = package_graph(Path(urygrid.__file__).parent)
 
 
-def reach(roots, stop=()) -> set[str]:
-    """Every node reachable from ``roots``, not walking on from ``stop``."""
+def reach(roots, stop=(), graph=GRAPH) -> set[str]:
+    """Every node of ``graph`` reachable from ``roots``, not walking on from
+    ``stop``."""
     seen, todo = set(), list(roots)
     while todo:
         name = todo.pop()
         if name not in seen:
             seen.add(name)
             if name not in stop:
-                todo.extend(GRAPH[name])
+                todo.extend(graph[name])
     return seen
 
 
@@ -226,6 +241,55 @@ def test_only_the_sweep_reaches_both_sides():
     both = {name for name in GRAPH if name.startswith(FALLBACK)
             and reach({name}) & dp and reach({name}) & enum}
     assert both == fallback(SWEEP)
+
+
+# --- the compiled Graev pair ---------------------------------------------
+
+def c_graph(source: str) -> dict[str, set[str]]:
+    """Each static function defined in the C ``source`` -> the static
+    functions its body names. A definition opens its body with ``{`` and
+    closes it with ``}``, each at the start of a line."""
+    code = re.sub(r'/\*.*?\*/|"(?:\\.|[^"\\])*"', " ", source, flags=re.S)
+    bodies = dict(re.findall(r"^static\b[^;{(=]*?(\w+)\([^{;]*?^\{(.*?)^\}", code,
+                             flags=re.M | re.S))
+    return {name: set(re.findall(r"\w+", body)) & bodies.keys() for name, body in bodies.items()}
+
+
+C_GRAPH = c_graph((Path(urygrid.__file__).parent / "_kernels" / "_ext.c").read_text())
+
+# the only static functions both C routes may reach, each with its reason.
+# None today: each kernel checks its input before either route runs, so
+# neither route calls a helper.
+C_SHARED: dict[str, str] = {}
+
+# where the two C routes meet: graev_norm runs one of them, chosen by its
+# flag, and the sweep compares them
+C_MEETINGS = {"graev_norm", "graev_agree_exhaustive"}
+
+
+def c_reach(root: str) -> set[str]:
+    return reach({root}, graph=C_GRAPH)
+
+
+def test_the_c_graph_holds_every_kernel():
+    kernels = set(_kernels.__all__) - {"BACKEND", "INF"}
+    assert kernels | {"graev_dp", "graev_bf"} | C_MEETINGS <= C_GRAPH.keys()
+
+
+def test_the_c_routes_meet_only_in_the_allowlist():
+    assert c_reach("graev_dp") & c_reach("graev_bf") == set(C_SHARED)
+
+
+def test_only_graev_norm_and_the_sweep_reach_both_c_routes():
+    dp = c_reach("graev_dp") - set(C_SHARED)
+    bf = c_reach("graev_bf") - set(C_SHARED)
+
+    def reaches_both(name):
+        return bool(c_reach(name) & dp and c_reach(name) & bf)
+
+    meetings = {name for name in C_GRAPH if reaches_both(name)
+                and not any(reaches_both(callee) for callee in C_GRAPH[name] - {name})}
+    assert meetings == C_MEETINGS
 
 
 # --- the Python pairs ------------------------------------------------------

@@ -1046,30 +1046,30 @@ class TestTemplateSearch:
             find_transitive_template(seed, 1, 2, 16)
 
     def test_seed_with_a_zero_distance_is_never_embedded(self):
-        # every template is a metric, so the walk finds nothing and charges
-        # one coloring per n (q = 1 has one), as for any seed no template
-        # holds; searching K_n for a copy of p0 = p8 would try every
-        # injection of the other points first
+        # every template is a metric, so the search returns at once and
+        # charges nothing; searching K_n for a copy of p0 = p8 would try
+        # every injection of the other points first
         seed = FiniteMetricSpace(tuple(f"p{i}" for i in range(9)), 1,
                                  tuple(tuple(int(i != j and {i, j} != {0, 8}) for j in range(9))
                                        for i in range(9)), True)
         tally = TemplateTally()
         assert find_transitive_template(seed, 1, 1, 24, tally=tally) is None
-        assert (tally.tried, tally.complete_n) == (16, 24)
+        assert (tally.tried, tally.complete_n) == (0, 0)
         built = build_approximant(seed, 1, 1, 24, strategy="auto")
         assert (built.status, built.strategy, built.added) == ("closed", "random", 0)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_auto_build_of_a_seed_with_a_zero_distance_skips_the_walk(self, monkeypatch, k):
-        # p0 = p1: no template holds the seed, so auto goes straight to the
-        # random route and builds what it builds
+        # p0 = p1: no template holds the seed, so the search lists no Z_n
+        # and auto goes straight to the random route and builds what it
+        # builds
         seed = FiniteMetricSpace(("p0", "p1", "p2"), 3, ((0, 0, 2), (0, 0, 2), (2, 2, 0)), True)
         random_built = build_approximant(seed, k, 3, 24, rng_seed=5, strategy="random")
 
         def no_walk(*args, **kwargs):
             raise AssertionError("the template walk ran")
 
-        monkeypatch.setattr(katetov, "find_transitive_template", no_walk)
+        monkeypatch.setattr(katetov, "_circulant_listing", no_walk)
         assert build_approximant(seed, k, 3, 24, rng_seed=5, strategy="auto") == random_built
 
     def test_subset_three_on_grid_two_finds_paley_29(self):
@@ -1212,13 +1212,33 @@ class TestSupportSizeBound:
             assert self.timed(frontier.first) == _ProfileFrontier(space, space.n).first()
 
     def test_template_search_on_grid_one(self):
-        # at q = 1 every support smaller than Z_n is realized, so only the
-        # whole of Z_n fails; the closure check listed all 2^(n - 1)
-        # supports through 0 before it reached that one
+        # no Z_n with n <= max_subset is closed, so a search up to cap <=
+        # max_subset returns at once and charges nothing
         tally = TemplateTally()
         assert self.timed(find_transitive_template, FiniteMetricSpace(("a",), 1, ((0,),)),
                           self.HUGE, 1, 40, tally=tally) is None
-        assert (tally.tried, tally.complete_n) == (39, 40)
+        assert (tally.tried, tally.complete_n) == (0, 0)
+
+    @pytest.mark.parametrize("seed,subset", [
+        (FiniteMetricSpace(("a", "b"), 1, ((0, 0), (0, 0)), pseudo=True), 1),
+        (FiniteMetricSpace(("a",), 1, ((0,),)), HUGE)], ids=["zero-distance", "subset-past-cap"])
+    def test_template_search_without_a_template_returns_at_once(self, capsys, tmp_path,
+                                                                 seed, subset):
+        # at q = 1 each Z_n has one coloring, so the budget alone would let
+        # the walk run to n = 20001
+        tally = TemplateTally()
+        assert self.timed(find_transitive_template, seed, subset, 1, self.HUGE,
+                          tally=tally) is None
+        assert (tally.tried, tally.complete_n) == (0, 0)
+        p = tmp_path / "seed.json"
+        p.write_text(json.dumps(fileio.space_to_obj(seed)))
+        code = self.timed(main, ["approximant", "build", str(p), "--subset", str(subset),
+                                 "--grid", "1", "--cap", str(self.HUGE),
+                                 "--strategy", "transitive"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            2, "", "refused: no transitive template within the search budget: 0 of 20000 "
+                   "canonical colorings tried, no n searched in full; use strategy='random'\n")
 
     @pytest.mark.parametrize("strategy", ["random", "auto"])
     def test_build(self, path_q2, strategy):

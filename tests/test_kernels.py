@@ -11,6 +11,8 @@ import pytest
 
 from urygrid import _kernels
 from urygrid._kernels import _fallback
+from urygrid.graev import PAIRING_ENUMERATION_MAX_LEN
+from urygrid.laws import acceptance_alphabet
 
 from conftest import LOAD_EXT, run_child
 
@@ -137,8 +139,15 @@ def test_floyd_warshall_matches_on_hard_inputs(compiled_ext):
 
 def test_graev_norms_match(compiled_ext):
     rng = random.Random(4)
-    for _ in range(1500):
-        nl, d, wts, letters, signs = random_word_inputs(rng)
+    inputs = [random_word_inputs(rng) for _ in range(1500)]
+    # and the longest words the library enumerates, the first alternating so
+    # that every symbol can close the arc before it
+    n = PAIRING_ENUMERATION_MAX_LEN
+    for t in range(4):
+        nl, d, wts, _, _ = random_word_inputs(rng, max_len=0)
+        signs = [(-1) ** i if t == 0 else rng.choice((1, -1)) for i in range(n)]
+        inputs.append((nl, d, wts, [rng.randrange(nl) for _ in range(n)], signs))
+    for nl, d, wts, letters, signs in inputs:
         assert compiled_ext.graev_norm_dp(letters, signs, nl, d, wts) == \
             _fallback.graev_norm_dp(letters, signs, nl, d, wts)
         assert compiled_ext.graev_norm_bruteforce(letters, signs, nl, d, wts) == \
@@ -183,6 +192,15 @@ def test_exhaustive_driver_matches_at_the_edges(compiled_ext):
     for _ in range(3):
         nl, d, wts, _, _ = random_word_inputs(rng, max_len=0)
         assert_exact_at_the_edges((compiled_ext, _fallback), nl, d, wts)
+
+
+def test_compiled_sweep_matches_the_pure_one_at_depth(compiled_ext):
+    # max_len 6, as 19 of criterion 1's 20 default-scope alphabets: the
+    # compiled sweep steps and pops its word at every depth up to 6
+    alphabet = acceptance_alphabet(0)
+    args = (alphabet.n, alphabet.flat(), alphabet.weights, 6)
+    assert compiled_ext.graev_agree_exhaustive(*args) == \
+        _fallback.graev_agree_exhaustive(*args) == (words_checked(alphabet.n, 6), 0)
 
 
 @pytest.mark.parametrize("nl", [1, 2, 4])
