@@ -60,9 +60,30 @@ def bench_product(mod, n, q, rounds):
     return timeit(run)
 
 
-def bench_floyd_warshall(mod, n, q, rounds):
-    rng = random.Random(2)
+def three_copy_edges(rng, n, q):
+    """The shape the amalgam oracle closes: three blocks of n // 3 points,
+    the block between the first and the last one missing (INF)."""
     w = random_metric_flat(rng, n, q)
+    for i in range(n // 3):
+        for j in range(n - n // 3, n):
+            w[i * n + j] = w[j * n + i] = _fallback.INF
+    return w
+
+
+def sparse_edges(rng, n, q):
+    """Each pair of points missing (INF) with probability 1/2, else at a
+    distance drawn from 1..q."""
+    w = [0] * (n * n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            w[i * n + j] = w[j * n + i] = (_fallback.INF if rng.random() < 0.5
+                                           else rng.randint(1, q))
+    return w
+
+
+def bench_floyd_warshall(mod, n, q, rounds, edges=random_metric_flat):
+    rng = random.Random(2)
+    w = edges(rng, n, q)
 
     def run():
         for _ in range(rounds):
@@ -108,6 +129,8 @@ def main():
         ("minplus_product n=12 x5k", bench_product, (12, 8, 5_000)),
         ("floyd_warshall n=12 x5k", bench_floyd_warshall, (12, 20, 5_000)),
         ("floyd_warshall n=18 x2k", bench_floyd_warshall, (18, 20, 2_000)),
+        ("floyd_warshall 3-copy n=18 x2k", bench_floyd_warshall, (18, 8, 2_000, three_copy_edges)),
+        ("floyd_warshall sparse n=18 x2k", bench_floyd_warshall, (18, 20, 2_000, sparse_edges)),
         ("graev dp+bf len=8 x2k", bench_graev_pair, (8, 2_000)),
         ("graev exhaustive len<=5", bench_exhaustive, (5,)),
         ("graev exhaustive len<=6", bench_exhaustive, (6,)),

@@ -6,8 +6,9 @@ bound first and the extension's kernels, when it imports, over them; set
 URYGRID_PURE=1 to keep the fallback even when the extension is built.
 ``BACKEND`` reports which implementation is live. Every name is the
 backend's own kernel, unwrapped, and takes positional arguments only (a
-keyword raises TypeError); the Graev kernels raise ValueError on malformed
-input.
+keyword raises TypeError); the Graev kernels and floyd_warshall_capped
+raise ValueError on malformed input, floyd_warshall_capped also on a cap
+of INF or more.
 """
 
 import os

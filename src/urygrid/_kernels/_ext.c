@@ -246,7 +246,7 @@ done:
 PyDoc_STRVAR(floyd_warshall_capped_doc,
 "floyd_warshall_capped($module, n, w, cap, /)\n--\n\n"
 "All-pairs shortest chains with saturating addition at cap; INF marks\n"
-"a missing edge and survives as unreachable.");
+"a missing edge and survives as unreachable. cap must be below INF.");
 
 static PyObject *
 floyd_warshall_capped(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
@@ -259,6 +259,13 @@ floyd_warshall_capped(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize
     if (read_matrices("floyd_warshall_capped", names, 1, args, nargs,
                       &n, &cap, &dist, &max) < 0)
         goto done;
+    /* at a cap of INF or more a chain saturating at INF would read as a
+       missing edge */
+    if (cap >= C_INF) {
+        PyErr_Format(PyExc_ValueError, "cap must be below INF = %lld, got %zd",
+                     (long long)C_INF, cap);
+        goto done;
+    }
     for (i = 0; i < n; i++)
         dist[i * n + i] = 0;
     for (k = 0; k < n; k++) {

@@ -4,14 +4,17 @@ Same contract as the compiled extension in ``_ext.c``: arguments are
 positional only, matrices come in as flat row-major lists of non-negative
 ints, words as parallel letter/sign lists. These are the reference
 implementations the compiled versions are tested against. The Graev
-kernels check their input, once per call, and raise ValueError on what
-the compiled kernels refuse as malformed. The matrix kernels assume
-well-formed input, as every caller in the library checks it first; the
-compiled kernels, which would otherwise read past their buffers, refuse
-malformed input themselves.
+kernels and floyd_warshall_capped check their input, once per call, and
+raise ValueError on what the compiled kernels refuse as malformed.
+minplus_product and is_bikatetov assume well-formed input, as every caller
+in the library checks it first; the compiled kernels, which would
+otherwise read past their buffers, refuse malformed input themselves.
 """
 
 from __future__ import annotations
+
+import sys
+from array import array
 
 BACKEND = "python"
 
@@ -56,29 +59,45 @@ def floyd_warshall_capped(n: int, w: list[int], cap: int, /) -> list[int]:
 
     Missing edges are INF; an entry still INF afterwards is unreachable.
     The result is the largest pseudometric below the specified entries.
+    Malformed input, or a cap of INF or more (where a chain saturating at
+    INF would read as missing), raises ValueError as in the compiled kernel.
 
-    One list per row; for each k the finite entries of row k are listed
-    once and every row relaxes through them. Row k changes during round k
-    only where row k itself relaxes through d(k, k) = 0, which caps entries
-    above cap at cap, and a sum through such an entry saturates at cap
-    either way, so the listing taken before the round gives the same sums.
-    """
-    rows = [w[i:i + n] for i in range(0, n * n, n)]
-    for i in range(n):
-        rows[i][i] = 0
+    The matrix is one int of n*n b-bit fields: 0 on the diagonal, min(e,
+    cap) for e < INF, else X = (n-1)*cap + 1 ("no chain"); capping once at
+    the end equals saturating every sum, and no chain exceeds (n-1)*cap.
+    Round k adds row k, repeated down, to column k, repeated across, and
+    keeps the fieldwise min: each sum is below 2**(b-1), so subtracting the
+    sums with every guard bit b-1 set borrows that bit only where the sum is
+    larger (Lamport, CACM 1975). Big-endian order relabels the points."""
+    if n < 0 or cap < 0:
+        raise ValueError(f"n must be non-negative, got {n}" if n < 0 else
+                         f"cap must be non-negative, got {cap}")
+    if len(w) != n * n:
+        raise ValueError(f"w has {len(w)} entries, expected {n * n}")
+    if w and min(w) < 0:
+        i = next(i for i, e in enumerate(w) if e < 0)
+        raise ValueError(f"w entry {i} is {w[i]}, outside [0, {(1 << 63) - 1}]")
+    if cap >= INF:
+        raise ValueError(f"cap must be below INF = {INF}, got {cap}")
+    if not n:
+        return []
+    x = (n - 1) * cap + 1
+    code, s = next((c, z) for c in "HIQ" for z in [array(c).itemsize] if 2 * x >> 8 * z - 1 == 0)
+    b, nb, fb = 8 * s, 8 * s * n, int.from_bytes
+    v = [x if e >= INF else e if e < cap else cap for e in w]
+    v[::n + 1] = [0] * n
+    d = fb(array(code, v).tobytes(), sys.byteorder)
+    one, rmask = (1).to_bytes(s, "little"), (1 << nb) - 1
+    rep, guard = fb(one * n, "little"), fb(one * (n * n), "little") << b - 1
+    col = fb((b"\xff" * s + bytes(s * (n - 1))) * n, "little")
     for k in range(n):
-        through = [(j, dkj) for j, dkj in enumerate(rows[k]) if dkj < INF]
-        for row in rows:
-            dik = row[k]
-            if dik >= INF:
-                continue
-            for j, dkj in through:
-                s = dik + dkj
-                if s > cap:
-                    s = cap
-                if s < row[j]:
-                    row[j] = s
-    return [e for row in rows for e in row]
+        c = fb(((d >> k * nb) & rmask).to_bytes(n * s, "little") * n, "little")
+        c += ((d >> k * b) & col) * rep
+        t = ((d | guard) - c) & guard
+        d ^= (d ^ c) & (t - (t >> b - 1))
+    out = array(code, d.to_bytes(n * n * s, sys.byteorder)).tolist()
+    return out if max(out) <= cap else [
+        e0 if e == x else e if e < cap else cap for e, e0 in zip(out, w)]
 
 
 def _dp_column(plan: list, letter: int, sign: int, weight: int) -> list[int]:

@@ -450,10 +450,17 @@ def _circulant_space(q: int, row) -> FiniteMetricSpace:
     return FiniteMetricSpace._trusted(tuple(f"v{i}" for i in range(n)), q, rows, False)
 
 
-def _merges_points(space: FiniteMetricSpace) -> bool:
-    """Whether two distinct points of the space lie at distance 0. Every
-    template is a metric, so none holds a copy of such a space."""
-    return any(0 in row[:i] for i, row in enumerate(space.dist))
+def _no_template(seed: FiniteMetricSpace, max_subset: int, cap: int) -> str | None:
+    """Why no transitive template of at most cap points can hold the seed,
+    or None when one might. Every template is a metric, so none holds two
+    distinct points at distance 0; and no Z_n with n <= max_subset is
+    closed (_circulant_listing), so none has n <= cap <= max_subset."""
+    if any(0 in row[:i] for i, row in enumerate(seed.dist)):
+        return "the seed has two distinct points at distance 0, and every template is a metric"
+    if max_subset >= cap:
+        return (f"the max profile support size {max_subset} is at least the point cap {cap}, "
+                f"and no Z_n with n up to the support size is closed")
+    return None
 
 
 def _embed_seed(seed: FiniteMetricSpace, target: FiniteMetricSpace):
@@ -475,8 +482,14 @@ def _closed_through_zero(row, q: int, max_subset: int) -> bool:
     distances inside it, so every support can be moved to one through 0.
     A profile with a zero is realized by its own support point. Vertex s's
     spheres are row 0's rotated by s, so each support's zero-free profiles
-    go through one _first_unrealized scan over the rotated spheres."""
+    go through one _first_unrealized scan over the rotated spheres.
+
+    At q = 1 the one zero-free profile is f = 1, which every vertex off
+    its support realizes, so the circulant is closed exactly when no
+    support is all of Z_n, with no support listed."""
     n = len(row)
+    if q == 1:
+        return max_subset < n
     full = (1 << n) - 1
     sph0 = _spheres([row], q)[0]
     # vertex s's spheres, filled as supports reach it
@@ -573,16 +586,15 @@ def find_transitive_template(seed: FiniteMetricSpace, max_subset: int, q: int,
     (_circulant_listing, keyed on (q, max_subset, n)) and is walked and
     judged once per process; a search then only embeds the seed in the
     closed templates its budget reaches. The seed is first rescaled to q,
-    which must be a multiple of its grid. Where no template can exist it
-    returns None at once and charges nothing: for a seed with two distinct
-    points at distance 0 (_merges_points), since every template is a
-    metric, and when max_subset >= cap, since no Z_n with n <= max_subset
-    is closed. Returns (template, embedded seed indices) or None when the
-    bounded search finds nothing; ``tally``, when given, records how far it
-    got, which the memo does not change."""
+    which must be a multiple of its grid. Where no template can exist
+    (_no_template: a seed with two distinct points at distance 0, or
+    max_subset >= cap) it returns None at once and charges nothing.
+    Returns (template, embedded seed indices) or None when the bounded
+    search finds nothing; ``tally``, when given, records how far it got,
+    which the memo does not change."""
     _require_build(max_subset, q, cap)
     seed = seed.rescaled(q)
-    if _merges_points(seed) or max_subset >= cap:
+    if _no_template(seed, max_subset, cap) is not None:
         return None
     if tally is None:
         tally = TemplateTally()
@@ -728,6 +740,10 @@ def build_approximant(seed: FiniteMetricSpace, max_subset: int, q: int, cap: int
         if found is not None:
             template, embedded = found
         elif strategy == "transitive":
+            why = _no_template(space, max_subset, cap)
+            if why is not None:
+                raise ValidationError(f"no transitive template can exist: {why}; "
+                                      "use strategy='random'")
             searched = (f"every n <= {tally.complete_n} searched in full"
                         if tally.complete_n else "no n searched in full")
             raise GuardError(f"no transitive template within the search budget: "

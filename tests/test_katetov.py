@@ -1219,11 +1219,26 @@ class TestSupportSizeBound:
                           self.HUGE, 1, 40, tally=tally) is None
         assert (tally.tried, tally.complete_n) == (0, 0)
 
-    @pytest.mark.parametrize("seed,subset", [
-        (FiniteMetricSpace(("a", "b"), 1, ((0, 0), (0, 0)), pseudo=True), 1),
-        (FiniteMetricSpace(("a",), 1, ((0,),)), HUGE)], ids=["zero-distance", "subset-past-cap"])
+    def test_template_search_on_grid_one_below_the_cap(self):
+        # at q = 1 the closure check of Z_31 answers without listing the
+        # 2**30 supports through 0; each Z_n with n <= 30 is only counted
+        katetov._circulant_listing.cache_clear()
+        tally = TemplateTally()
+        template, embedded = self.timed(find_transitive_template,
+                                        FiniteMetricSpace(("a",), 1, ((0,),)), 30, 1, 31,
+                                        tally=tally)
+        assert (tally.tried, tally.complete_n) == (30, 30)
+        assert (template.n, embedded) == (31, [0])
+
+    @pytest.mark.parametrize("seed,subset,why", [
+        (FiniteMetricSpace(("a", "b"), 1, ((0, 0), (0, 0)), pseudo=True), 1,
+         "the seed has two distinct points at distance 0, and every template is a metric"),
+        (FiniteMetricSpace(("a",), 1, ((0,),)), HUGE,
+         f"the max profile support size {HUGE} is at least the point cap {HUGE}, "
+         "and no Z_n with n up to the support size is closed")],
+        ids=["zero-distance", "subset-past-cap"])
     def test_template_search_without_a_template_returns_at_once(self, capsys, tmp_path,
-                                                                 seed, subset):
+                                                                 seed, subset, why):
         # at q = 1 each Z_n has one coloring, so the budget alone would let
         # the walk run to n = 20001
         tally = TemplateTally()
@@ -1236,9 +1251,9 @@ class TestSupportSizeBound:
                                  "--grid", "1", "--cap", str(self.HUGE),
                                  "--strategy", "transitive"])
         captured = capsys.readouterr()
+        # refused with the reason, not with a budget that was never spent
         assert (code, captured.out, captured.err) == (
-            2, "", "refused: no transitive template within the search budget: 0 of 20000 "
-                   "canonical colorings tried, no n searched in full; use strategy='random'\n")
+            1, "", f"error: no transitive template can exist: {why}; use strategy='random'\n")
 
     @pytest.mark.parametrize("strategy", ["random", "auto"])
     def test_build(self, path_q2, strategy):

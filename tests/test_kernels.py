@@ -6,6 +6,7 @@ import hashlib
 import inspect
 import json
 import random
+from itertools import chain
 
 import pytest
 
@@ -73,7 +74,7 @@ def test_floyd_warshall_matches(compiled_ext):
     rng = random.Random(3)
     INF = _fallback.INF
     for _ in range(300):
-        n = rng.randint(1, 6)
+        n = rng.randint(0, 6)
         cap = rng.randint(1, 12)
         w = [0] * (n * n)
         for i in range(n):
@@ -124,15 +125,48 @@ def hard_floyd_warshall_inputs(count, seed):
         yield n, w, cap
 
 
+def wide_floyd_warshall_inputs(count, seed):
+    """Flat edge lists for n from 0 to 18 at caps from 0 to INF - 1, so
+    that the pure kernel packs them into fields of every width: each
+    off-diagonal entry is missing (INF, INF + 5 or 2**62, all read as
+    missing), at most cap, or above cap."""
+    rng = random.Random(seed)
+    INF = _fallback.INF
+    for _ in range(count):
+        n = rng.randint(0, 18)
+        cap = rng.choice([0, rng.randint(1, 12), rng.randint(1000, 3000), 1 << 29, INF - 1])
+        p_missing = rng.random()
+        w = [rng.choice([INF, INF + 5, 1 << 62]) if rng.random() < p_missing
+             else rng.randint(0, cap) if rng.random() < 0.7
+             else rng.randint(cap + 1, 3 * cap + 1) for _ in range(n * n)]
+        yield n, w, cap
+
+
+def field_width(n, cap):
+    """The bits per entry the pure kernel needs: room for twice the
+    no-chain mark (n - 1) * cap + 1 below a guard bit."""
+    return next(b for b in (16, 32, 64) if (2 * ((n - 1) * cap + 1)).bit_length() < b)
+
+
+def floyd_warshall_inputs():
+    return chain(hard_floyd_warshall_inputs(600, 31), wide_floyd_warshall_inputs(1500, 32))
+
+
 def test_floyd_warshall_pure_equals_the_naive_loop():
-    for n, w, cap in hard_floyd_warshall_inputs(600, 31):
+    assert _fallback.floyd_warshall_capped(0, [], 5) == naive_floyd_warshall(0, [], 5) == []
+    widths = set()
+    for n, w, cap in floyd_warshall_inputs():
         kept = list(w)
         assert _fallback.floyd_warshall_capped(n, w, cap) == naive_floyd_warshall(n, w, cap)
         assert w == kept
+        widths.add(field_width(n, cap))
+    assert widths == {16, 32, 64}
 
 
 def test_floyd_warshall_matches_on_hard_inputs(compiled_ext):
-    for n, w, cap in hard_floyd_warshall_inputs(600, 31):
+    # every entry fits an int64_t and every cap is below INF, so the
+    # compiled kernel takes all of these
+    for n, w, cap in floyd_warshall_inputs():
         assert compiled_ext.floyd_warshall_capped(n, w, cap) == \
             _fallback.floyd_warshall_capped(n, w, cap)
 
@@ -229,11 +263,14 @@ def test_graev_kernels_take_tuples(compiled_ext):
 D2 = [0, 3, 3, 0]
 
 # malformed calls on which the pure kernels fail too: the pure Graev kernels
-# check their input, the pure matrix kernels read past a list
+# and floyd_warshall_capped check their input, the other pure matrix kernels
+# read past a list
 MALFORMED = [
     ("minplus_product", (3, [1], [1], 5)),  # f and g are not n*n
     ("is_bikatetov", (2, [0], D2, 1)),
     ("floyd_warshall_capped", (2, [0], 5)),
+    ("floyd_warshall_capped", (1, [0], -1)),  # a negative cap
+    ("floyd_warshall_capped", (1, [0], _fallback.INF)),  # a cap of INF
     ("graev_norm_dp", ([0, 5], [1, 1], 2, D2, [1, 1])),  # a letter past nl
     ("graev_norm_bruteforce", ([0, 5], [1, 1], 2, D2, [1, 1])),
     ("graev_norm_dp", ([0, 1], [1, -1], 2, [0], [1, 1])),  # dist is not nl*nl
@@ -264,7 +301,6 @@ MALFORMED_COMPILED_ONLY = [
     ("minplus_product", (1, [-1], [0], 5)),  # a negative entry
     ("minplus_product", (1, [1, 1], [0], 5)),  # f longer than n*n
     ("is_bikatetov", (1, [0], [-2], 1)),
-    ("floyd_warshall_capped", (1, [0], -1)),  # a negative cap
 ]
 
 # calls whose sums could pass 2**63 - 1: exact in the pure kernels, refused
@@ -281,9 +317,10 @@ OVERFLOWING = [
 
 @pytest.mark.parametrize("name, args", MALFORMED)
 def test_malformed_input_raises_on_both_backends(compiled_ext, name, args):
-    # the pure Graev kernels check their input; the pure matrix kernels
-    # fail by reading past a list
-    with pytest.raises(ValueError if name.startswith("graev") else (IndexError, ValueError)):
+    # the pure Graev kernels and floyd_warshall_capped check their input;
+    # the other pure matrix kernels fail by reading past a list
+    checked = name.startswith("graev") or name == "floyd_warshall_capped"
+    with pytest.raises(ValueError if checked else (IndexError, ValueError)):
         getattr(_fallback, name)(*args)
     with pytest.raises(ValueError):
         getattr(compiled_ext, name)(*args)
