@@ -3,12 +3,9 @@
 Same contract as the compiled extension in ``_ext.c``: arguments are
 positional only, matrices come in as flat row-major lists of non-negative
 ints, words as parallel letter/sign lists. These are the reference
-implementations the compiled versions are tested against. The Graev
-kernels and floyd_warshall_capped check their input, once per call, and
-raise ValueError on what the compiled kernels refuse as malformed.
-minplus_product and is_bikatetov assume well-formed input, as every caller
-in the library checks it first; the compiled kernels, which would
-otherwise read past their buffers, refuse malformed input themselves.
+implementations the compiled versions are tested against. Every kernel
+checks its input, once per call, and raises ValueError on what the
+compiled kernels refuse as malformed, in their order and words.
 """
 
 from __future__ import annotations
@@ -21,8 +18,25 @@ BACKEND = "python"
 INF = 1 << 30
 
 
+def _refuse_matrices(n, cap, **mats) -> None:
+    """Raise the compiled matrix kernels' ValueError, in their order and
+    words: n or cap below 0, then, matrix by matrix, other than n*n entries
+    or a negative one. A kernel calls this when its one-line test fails."""
+    if n < 0 or cap < 0:
+        raise ValueError(f"n must be non-negative, got {n}" if n < 0 else
+                         f"cap must be non-negative, got {cap}")
+    for name, m in mats.items():
+        if len(m) != n * n:
+            raise ValueError(f"{name} has {len(m)} entries, expected {n * n}")
+        if m and min(m) < 0:
+            i = next(i for i, e in enumerate(m) if e < 0)
+            raise ValueError(f"{name} entry {i} is {m[i]}, outside [0, {(1 << 63) - 1}]")
+
+
 def minplus_product(n: int, f: list[int], g: list[int], cap: int, /) -> list[int]:
     """Entrywise min over z of min(f[x][z] + g[z][y], cap)."""
+    if n < 0 or cap < 0 or len(f) != n * n or len(g) != n * n or n and min(min(f), min(g)) < 0:
+        _refuse_matrices(n, cap, f=f, g=g)
     out = [0] * (n * n)
     for x in range(n):
         row = x * n
@@ -40,6 +54,8 @@ def minplus_product(n: int, f: list[int], g: list[int], cap: int, /) -> list[int
 
 def is_bikatetov(n: int, f: list[int], d: list[int], cap: int, /) -> bool:
     """Rows and columns of f are both Katetov on (range(n), d)."""
+    if n < 0 or cap < 0 or len(f) != n * n or len(d) != n * n or n and min(min(f), min(d)) < 0:
+        _refuse_matrices(n, cap, f=f, d=d)
     for x in range(n):
         row = x * n
         for y in range(n):
@@ -69,14 +85,8 @@ def floyd_warshall_capped(n: int, w: list[int], cap: int, /) -> list[int]:
     keeps the fieldwise min: each sum is below 2**(b-1), so subtracting the
     sums with every guard bit b-1 set borrows that bit only where the sum is
     larger (Lamport, CACM 1975). Big-endian order relabels the points."""
-    if n < 0 or cap < 0:
-        raise ValueError(f"n must be non-negative, got {n}" if n < 0 else
-                         f"cap must be non-negative, got {cap}")
-    if len(w) != n * n:
-        raise ValueError(f"w has {len(w)} entries, expected {n * n}")
-    if w and min(w) < 0:
-        i = next(i for i, e in enumerate(w) if e < 0)
-        raise ValueError(f"w entry {i} is {w[i]}, outside [0, {(1 << 63) - 1}]")
+    if n < 0 or cap < 0 or len(w) != n * n or n and min(w) < 0:
+        _refuse_matrices(n, cap, w=w)
     if cap >= INF:
         raise ValueError(f"cap must be below INF = {INF}, got {cap}")
     if not n:
@@ -321,21 +331,24 @@ def _check_alphabet(nl, dist, weights) -> None:
             raise ValueError(f"{name} has {len(values)} entries, expected {want}")
         if values and min(values) < 0:
             i = next(i for i, v in enumerate(values) if v < 0)
-            raise ValueError(f"{name} entry {i} is {values[i]}, below 0")
+            raise ValueError(f"{name} entry {i} is {values[i]}, outside [0, {(1 << 63) - 1}]")
 
 
 def _check_word(letters, signs, nl, lname, sname) -> None:
-    """Raise ValueError unless signs has as many entries as letters, every
-    letter lies in [0, nl) and every sign is +1 or -1; in builtins unless
-    it raises."""
-    if len(signs) != len(letters):
-        raise ValueError(f"{sname} has {len(signs)} entries, expected {len(letters)}")
+    """Raise ValueError on what the compiled kernels refuse in a word, in
+    their order and words: a letter outside [0, nl), then signs not as many
+    as letters, a sign outside [-1, 1], a sign of 0; in builtins unless it
+    raises."""
     if letters and not 0 <= min(letters) <= max(letters) < nl:
         i = next(i for i, v in enumerate(letters) if not 0 <= v < nl)
         raise ValueError(f"{lname} entry {i} is {letters[i]}, outside [0, {nl - 1}]")
+    if len(signs) != len(letters):
+        raise ValueError(f"{sname} has {len(signs)} entries, expected {len(letters)}")
     if signs.count(1) + signs.count(-1) != len(signs):
-        i = next(i for i, v in enumerate(signs) if v != 1 and v != -1)
-        raise ValueError(f"{sname} entry {i} is {signs[i]}, not +1 or -1")
+        i = next((i for i, v in enumerate(signs) if not -1 <= v <= 1), None)
+        if i is not None:
+            raise ValueError(f"{sname} entry {i} is {signs[i]}, outside [-1, 1]")
+        raise ValueError(f"{sname} entry {signs.index(0)} is 0, not +1 or -1")
 
 
 def graev_agree_exhaustive(nl: int, dist: list[int], weights: list[int],

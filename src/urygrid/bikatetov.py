@@ -48,22 +48,6 @@ class BiKatetovMatrix(Record):
             w = bikatetov_witness(self.space, self.entries)
             raise ValidationError(f"matrix is not bi-Katetov, witness {w}", w)
 
-    @classmethod
-    def _trusted(cls, space: FiniteMetricSpace,
-                 entries: tuple[tuple[int, ...], ...]) -> "BiKatetovMatrix":
-        """A matrix from tuple-normalized entries that are bi-Katetov by
-        theorem (the product, star, Gibbs, unit, zero, isometry and routing
-        routes below); skips revalidation. The independent checks are
-        tests/test_bikatetov.py::TestTrustedRoutes, which runs
-        is_bikatetov_matrix, bikatetov_witness and the validating
-        constructor on every route, and laws.semigroup_laws (acceptance
-        criterion 3 and ``urygrid selftest``), which asserts
-        is_bikatetov_matrix on every product it draws."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "space", space)
-        object.__setattr__(m, "entries", entries)
-        return m
-
     def flat(self) -> list[int]:
         return [e for row in self.entries for e in row]
 
@@ -180,12 +164,19 @@ def _inverse(perm: tuple[int, ...]) -> list[int]:
     return inv
 
 
+def _relabel(space: FiniteMetricSpace, entries, rows, cols) -> BiKatetovMatrix:
+    """The matrix (x, y) -> entries[rows[x]][cols[y]], for a bi-Katetov
+    ``entries`` and isometries ``rows`` and ``cols`` given as sequences:
+    each row is a Katetov function relabelled by an isometry, and so is
+    each column."""
+    return BiKatetovMatrix._trusted(space, tuple(
+        tuple(row[y] for y in cols) for row in map(entries.__getitem__, rows)))
+
+
 def embed_isometry(space: FiniteMetricSpace, perm) -> BiKatetovMatrix:
     """The matrix (x, y) -> d(x, perm(y)). A monoid-with-involution morphism
     from the isometry group into the semigroup."""
-    perm = _check_isometry(space, perm)
-    return BiKatetovMatrix._trusted(space, tuple(
-        tuple(space.dist[x][perm[y]] for y in range(space.n)) for x in range(space.n)))
+    return _relabel(space, space.dist, range(space.n), _check_isometry(space, perm))
 
 
 def routing_idempotent(space: FiniteMetricSpace, subset) -> BiKatetovMatrix:
@@ -205,27 +196,20 @@ def routing_idempotent(space: FiniteMetricSpace, subset) -> BiKatetovMatrix:
 def inner_aut(perm, p: BiKatetovMatrix) -> BiKatetovMatrix:
     """Conjugation by an isometry: relabel both coordinates."""
     inv = _inverse(_check_isometry(p.space, perm))
-    n = p.space.n
-    return BiKatetovMatrix._trusted(p.space, tuple(
-        tuple(p.entries[inv[x]][inv[y]] for y in range(n)) for x in range(n)))
+    return _relabel(p.space, p.entries, inv, inv)
 
 
 def act_left(perm, p: BiKatetovMatrix) -> BiKatetovMatrix:
     """Closed form of multiplying by an embedded isometry on the left:
     (x, y) -> p(perm^{-1}(x), y). Equals product(embed_isometry(perm), p)."""
     inv = _inverse(_check_isometry(p.space, perm))
-    n = p.space.n
-    return BiKatetovMatrix._trusted(p.space, tuple(
-        tuple(p.entries[inv[x]][y] for y in range(n)) for x in range(n)))
+    return _relabel(p.space, p.entries, inv, range(p.space.n))
 
 
 def act_right(p: BiKatetovMatrix, perm) -> BiKatetovMatrix:
     """Closed form of multiplying by an embedded isometry on the right:
     (x, y) -> p(x, perm(y))."""
-    perm = _check_isometry(p.space, perm)
-    n = p.space.n
-    return BiKatetovMatrix._trusted(p.space, tuple(
-        tuple(p.entries[x][perm[y]] for y in range(n)) for x in range(n)))
+    return _relabel(p.space, p.entries, range(p.space.n), _check_isometry(p.space, perm))
 
 
 def invertible_isometry(f: BiKatetovMatrix):
@@ -314,8 +298,8 @@ def classify_idempotents(space: FiniteMetricSpace):
     q = space.denominator
     out = []
     for entries in _bikatetov_dfs(space, space.dist):
-        if any(min(min(entries[x][z] + entries[z][y] for z in range(n)), q)
-               != entries[x][y] for x in range(n) for y in range(n)):
+        flat = [e for row in entries for e in row]
+        if _kernels.minplus_product(n, flat, flat, q) != flat:
             continue
         p = BiKatetovMatrix(space, entries)
         subset = tuple(space.points[x] for x in range(n) if entries[x][x] == 0)

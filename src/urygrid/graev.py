@@ -11,6 +11,8 @@ position; they must agree exactly.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from . import _kernels
 from .errors import GuardError, ValidationError
 from .grid import Record, is_grid_int
@@ -29,15 +31,16 @@ class WeightedAlphabet(Record):
     diameter. So the matrix is checked as a pseudometric with entries in
     [0, 2q], by the same check as a space. Weights must lie in [0, 2q] too
     and change by at most the distance between letters. The row-major flat
-    distance tuple the kernels take is built once, outside the fields.
+    distance tuple the kernels take is built once, on first use.
     """
 
     _fields = ("letters", "denominator", "dist", "weights")
 
     def __init__(self, letters: tuple[str, ...], denominator: int,
                  dist: tuple[tuple[int, ...], ...], weights: tuple[int, ...]):
-        self._store(_as_tuple(letters, "letters"), denominator,
-                    _as_tuple(dist, "dist", rows=True), _as_tuple(weights, "weights"))
+        self.__dict__.update(letters=_as_tuple(letters, "letters"), denominator=denominator,
+                             dist=_as_tuple(dist, "dist", rows=True),
+                             weights=_as_tuple(weights, "weights"))
         self.__post_init__()
 
     def __post_init__(self):
@@ -57,26 +60,6 @@ class WeightedAlphabet(Record):
                         f"weights expand: |k({self.letters[i]}) - k({self.letters[j]})| "
                         f"> d", (self.letters[i], self.letters[j]))
 
-    @classmethod
-    def _trusted(cls, letters: tuple, denominator: int, dist: tuple,
-                 weights: tuple) -> "WeightedAlphabet":
-        """An alphabet from tuple-normalized parts that are valid by theorem;
-        skips revalidation. Its one caller, homog.relation_alphabet, checks
-        the letters itself and passes Hausdorff distances, which obey the
-        triangle inequality, and largest displacements, which are 1-Lipschitz
-        for them. The independent check is
-        tests/test_homog.py::TestTrustedAlphabet, which rebuilds every such
-        alphabet with the validating constructor."""
-        alphabet = object.__new__(cls)
-        alphabet._store(letters, denominator, dist, weights)
-        return alphabet
-
-    def _store(self, letters, denominator, dist, weights):
-        for key, value in (("letters", letters), ("denominator", denominator),
-                           ("dist", dist), ("weights", weights),
-                           ("_flat", tuple(e for row in dist for e in row))):
-            object.__setattr__(self, key, value)
-
     @property
     def n(self) -> int:
         return len(self.letters)
@@ -89,6 +72,10 @@ class WeightedAlphabet(Record):
 
     def flat(self) -> tuple[int, ...]:
         return self._flat
+
+    @cached_property
+    def _flat(self) -> tuple[int, ...]:
+        return tuple(e for row in self.dist for e in row)
 
     @classmethod
     def from_space(cls, space: FiniteMetricSpace, weights) -> "WeightedAlphabet":

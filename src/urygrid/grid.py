@@ -32,15 +32,16 @@ from .errors import GuardError
 class Record:
     """Base of the library's immutable records. A subclass names its fields
     in ``_fields``. Its ``__init__`` normalizes and checks its arguments,
-    then sets each field once with ``object.__setattr__``; a record that
-    is valid by construction comes from a ``_trusted`` classmethod, which
-    only stores. (BiKatetovMatrix and WeightedAlphabet store first and keep
-    their checks in a ``__post_init__``, so the benchmark's tracer can
-    count validated constructions by wrapping it.) A record compares (with
-    its own class only), hashes and prints by its fields in order, as a
-    frozen dataclass does; what else it keeps in its ``__dict__``, such as
-    a lookup table built once, stays out of all three. Assigning or
-    deleting an attribute raises AttributeError."""
+    then stores each field once; a record valid by an exact check or a
+    theorem comes from ``_trusted``, which only stores. tests/test_trusted.py
+    lists every call of it with its theorem and judge. BiKatetovMatrix and
+    WeightedAlphabet store first and keep their checks in a
+    ``__post_init__``, so the benchmark's tracer can count validated
+    constructions by wrapping it. A record compares (with its own class
+    only), hashes and prints by its fields in order, as a frozen dataclass
+    does; a lookup table derived from them is a ``cached_property``, kept
+    out of all three. Assigning or deleting an attribute raises
+    AttributeError."""
 
     _fields: tuple[str, ...] = ()
 
@@ -48,6 +49,15 @@ class Record:
         super().__init_subclass__(**kwargs)
         get = attrgetter(*cls._fields)
         cls._values = staticmethod(get if len(cls._fields) > 1 else lambda rec: (get(rec),))
+
+    @classmethod
+    def _trusted(cls, *values):
+        """The record whose fields, in order, are ``values``, unchecked, even
+        in number: zip(strict=True) costs a third of this hot call, and
+        tests/test_trusted.py rebuilds each call's record through __init__."""
+        rec = object.__new__(cls)
+        rec.__dict__.update(zip(cls._fields, values))
+        return rec
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -11,6 +11,8 @@ On the grid these two maps invert each other exactly.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .bikatetov import BiKatetovMatrix, _check_isometry, _inverse
 from .errors import ValidationError
 from .grid import Record, is_grid_int, lex_tuples
@@ -32,8 +34,11 @@ class GridFunctionSpace(Record):
     def __init__(self, space: FiniteMetricSpace, members: tuple[tuple[int, ...], ...]):
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "members", members)
-        # member -> its index, built once
-        object.__setattr__(self, "_position", {m: i for i, m in enumerate(members)})
+
+    @cached_property
+    def _position(self) -> dict:
+        """member -> its index"""
+        return {m: i for i, m in enumerate(self.members)}
 
     def index(self, values) -> int:
         values = tuple(values)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 import reprlib
 from collections.abc import Sequence
+from functools import cached_property
 from itertools import combinations
 
 from .errors import ValidationError
@@ -138,8 +139,7 @@ class FiniteMetricSpace(Record):
     """Named points with an exact grid distance matrix, diameter <= 1.
 
     ``pseudo`` permits zero distances between distinct points; with the
-    default False the constructor insists on a genuine metric. ``_index``,
-    point name -> position, is kept beside the fields.
+    default False the constructor insists on a genuine metric.
     """
 
     _fields = ("points", "denominator", "dist", "pseudo")
@@ -149,29 +149,12 @@ class FiniteMetricSpace(Record):
         points = _as_tuple(points, "points")
         dist = _as_tuple(dist, "dist", rows=True)
         _raise_unless_ok(validate_space(points, denominator, dist, pseudo))
-        self._store(points, denominator, dist, pseudo)
+        self.__dict__.update(points=points, denominator=denominator, dist=dist, pseudo=pseudo)
 
-    @classmethod
-    def _trusted(cls, points: tuple, denominator: int, dist: tuple,
-                 pseudo: bool) -> "FiniteMetricSpace":
-        """A space from tuple-normalized parts that is valid by an exact
-        check or by theorem; skips revalidation. The callers: the new-row
-        check of katetov's builder and the circulant rotation check in
-        katetov (checks; the row check's triangles hold by theorem where
-        _unit_grid does, judged by TestWithPoint's full-scan tests),
-        shortest_path_completion on a mirror-closed specification and
-        random_grid_space (theorems). The independent judge of those two
-        theorems is tests/test_spaces.py::TestTrustedSpaces, which rebuilds
-        their outputs with this class's validating constructor."""
-        space = object.__new__(cls)
-        space._store(points, denominator, dist, pseudo)
-        return space
-
-    def _store(self, points, denominator, dist, pseudo):
-        for key, value in (("points", points), ("denominator", denominator),
-                           ("dist", dist), ("pseudo", pseudo),
-                           ("_index", {p: i for i, p in enumerate(points)})):
-            object.__setattr__(self, key, value)
+    @cached_property
+    def _index(self) -> dict:
+        """point name -> its position"""
+        return {p: i for i, p in enumerate(self.points)}
 
     @property
     def n(self) -> int:

@@ -1,9 +1,12 @@
+import json
 import random
 import re
+import time
 
 import pytest
 
 from urygrid import homog
+from urygrid.cli import main
 from urygrid.errors import GuardError, ValidationError
 from urygrid.graev import WeightedAlphabet, graev_norm, reduce_word
 from urygrid.homog import (PartialIsometryRelation, composition_weight_bound,
@@ -258,6 +261,30 @@ class TestOrbitDistance:
         with pytest.raises(GuardError) as e:
             nu_truncated(stock, "p0", "p1", 3)
         assert e.value.partial.words_searched > 0
+
+    # few words, but each hit's norm costs O(L^3): a long max length must
+    # buy no more work than the budget, charged for the norms too
+    LONG_STOCK = {"space": {"points": ["a", "b", "c"], "denominator": 2,
+                            "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]},
+                  "relations": [{"name": "s", "pairs": [["a", "b"]]},
+                                {"name": "t", "pairs": [["b", "c"], ["a", "b"]]}]}
+
+    @pytest.mark.parametrize("max_len", [40, 10 ** 6])
+    def test_norm_work_is_charged_to_the_budget(self, tmp_path, capsys, max_len):
+        path = tmp_path / "stock.json"
+        path.write_text(json.dumps(self.LONG_STOCK))
+        start = time.perf_counter()
+        code = main(["homog", "nu", str(path), "--from", "a", "--to", "c",
+                     "--max-len", str(max_len)])
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        if max_len == 40:
+            assert (code, out, err) == (0, "2/2  via 't s'\n", "")
+        else:
+            assert code == 2 and out == ""
+            used = re.fullmatch(r"refused: word search used (\d+) steps \(\d+ words, \d+ "
+                                r"for norms\), limit 2000000\n", err)
+            assert used and int(used[1]) > homog.WORD_BUDGET
 
 
 def nu_by_word_images(rels, a, b, max_len):

@@ -15,7 +15,9 @@ own, named ``outer.inner``). A function uses:
   ``from .x import y`` is followed to the module that defines ``y``, and
   ``_kernels`` resolves to the pure fallback, which it binds first;
 - ``m.attr`` for a module ``m``, ``C.attr`` for a class ``C``, and
-  ``self.attr``/``cls.attr`` inside ``C``, when ``attr`` is a method;
+  ``self.attr``/``cls.attr`` inside ``C``, when ``attr`` is a method. A
+  method ``C`` inherits is looked up along its bases in the package, so
+  ``BiKatetovMatrix._trusted`` reaches ``grid.Record._trusted``;
 - nothing through an annotation, which is never evaluated.
 
 A class uses all its methods, so building a record counts as reaching all
@@ -113,15 +115,16 @@ def package_graph(root: Path) -> dict[str, set[str]]:
                     out.setdefault(alias.asname or alias.name, (src, alias.name))
         return out
 
-    tops, imports, classes = {}, {}, {}
+    tops, imports, classes, bases = {}, {}, {}, {}
     for mod, (tree, _) in modules.items():
         nodes, defs = body_nodes(tree.body)
         tops[mod] = {d.name for d in defs}
         imports[mod] = imported(mod, nodes)
         for d in defs:
             if isinstance(d, ast.ClassDef):
-                classes[f"{mod}.{d.name}".lstrip(".")] = {
-                    m.name for m in d.body if isinstance(m, ast.FunctionDef)}
+                name = f"{mod}.{d.name}".lstrip(".")
+                classes[name] = {m.name for m in d.body if isinstance(m, ast.FunctionDef)}
+                bases[name] = (mod, [b.id for b in d.bases if isinstance(b, ast.Name)])
 
     def resolve(mod, name):
         """("def", node), ("module", name) or None: a constant, or a name
@@ -135,6 +138,19 @@ def package_graph(root: Path) -> dict[str, set[str]]:
             if name not in imports.get(mod, ()):
                 return None
             mod, name = imports[mod][name]
+
+    def method(cls, attr):
+        """``cls.attr`` when it is a method of cls or of a package class
+        it derives from, searched depth first, or None."""
+        if attr in classes[cls]:
+            return f"{cls}.{attr}"
+        mod, names = bases[cls]
+        for name in names:
+            ref = resolve(mod, name)
+            found = ref and ref[1] in classes and method(ref[1], attr)
+            if found:
+                return found
+        return None
 
     graph: dict[str, set[str]] = {}
 
@@ -161,8 +177,9 @@ def package_graph(root: Path) -> dict[str, set[str]]:
                         uses.add(found[1])
                 elif ref and ref[1] in classes:
                     prefixes.add(node.value)
-                    if node.attr in classes[ref[1]]:
-                        uses.add(f"{ref[1]}.{node.attr}")
+                    found = method(ref[1], node.attr)
+                    if found:
+                        uses.add(found)
         for node in nodes:
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) \
                     and node not in prefixes:
@@ -301,11 +318,14 @@ PAIRS = [("bikatetov.product", "bikatetov.product_via_amalgam"),
 
 # the only names a route and its oracle may both reach, each with its reason
 ALLOWED = {
+    "_kernels._fallback._refuse_matrices": "input check: words the refusal of a "
+                                           "malformed matrix as the compiled kernels do "
+                                           "and computes no entry",
     "bikatetov._same_base": "input check: refuses two matrices over different bases "
                             "and computes no entry",
-    "bikatetov.BiKatetovMatrix._trusted": "stores the entries it is given; the oracle "
-                                          "reaches it only because it builds its block "
-                                          "through the validating constructor",
+    "grid.Record._trusted": "stores the fields it is given and computes nothing; the "
+                            "product wraps its entries with it, and the oracle reaches "
+                            "it through the completed layout, a space valid by theorem",
     "grid.half_grid_value": "output format: writes a count of half-grid steps as a "
                             "fraction; each side finds its count on its own",
     "katetov._require_subset": "input check: refuses a malformed max support size "

@@ -262,9 +262,7 @@ def test_graev_kernels_take_tuples(compiled_ext):
 
 D2 = [0, 3, 3, 0]
 
-# malformed calls on which the pure kernels fail too: the pure Graev kernels
-# and floyd_warshall_capped check their input, the other pure matrix kernels
-# read past a list
+# malformed calls, which every kernel of both backends refuses
 MALFORMED = [
     ("minplus_product", (3, [1], [1], 5)),  # f and g are not n*n
     ("is_bikatetov", (2, [0], D2, 1)),
@@ -293,14 +291,10 @@ MALFORMED = [
     ("graev_norm_dp", ([0], [1, 1], 2, D2, [1, 1])),  # more signs than letters
     ("graev_norm_bruteforce", ([0], [1], 2, [0, -3, -3, 0], [1, 1])),
     ("graev_norm_dp", ([], [], -1, [], [])),  # nl < 0
-]
-
-# malformed calls that the pure kernels answer all the same
-MALFORMED_COMPILED_ONLY = [
     ("minplus_product", (-1, [], [], 5)),  # n < 0
     ("minplus_product", (1, [-1], [0], 5)),  # a negative entry
     ("minplus_product", (1, [1, 1], [0], 5)),  # f longer than n*n
-    ("is_bikatetov", (1, [0], [-2], 1)),
+    ("is_bikatetov", (1, [0], [-2], 1)),  # a negative distance
 ]
 
 # calls whose sums could pass 2**63 - 1: exact in the pure kernels, refused
@@ -317,13 +311,11 @@ OVERFLOWING = [
 
 @pytest.mark.parametrize("name, args", MALFORMED)
 def test_malformed_input_raises_on_both_backends(compiled_ext, name, args):
-    # the pure Graev kernels and floyd_warshall_capped check their input;
-    # the other pure matrix kernels fail by reading past a list
-    checked = name.startswith("graev") or name == "floyd_warshall_capped"
-    with pytest.raises(ValueError if checked else (IndexError, ValueError)):
+    with pytest.raises(ValueError) as pure:
         getattr(_fallback, name)(*args)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as compiled:
         getattr(compiled_ext, name)(*args)
+    assert str(pure.value) == str(compiled.value)
 
 
 @pytest.mark.parametrize("args", [args for name, args in MALFORMED
@@ -331,12 +323,6 @@ def test_malformed_input_raises_on_both_backends(compiled_ext, name, args):
 def test_pure_sweep_checks_its_input(args):
     with pytest.raises(ValueError):
         _fallback.graev_agree_exhaustive(*args)
-
-
-@pytest.mark.parametrize("name, args", MALFORMED_COMPILED_ONLY)
-def test_compiled_kernels_check_their_inputs(compiled_ext, name, args):
-    with pytest.raises(ValueError):
-        getattr(compiled_ext, name)(*args)
 
 
 @pytest.mark.parametrize("name, args", OVERFLOWING)
@@ -422,7 +408,7 @@ print(sys.getallocatedblocks() - before - 1)  # 1: the int object holding before
 
 
 def test_compiled_kernels_leak_nothing_under_the_debug_allocator(compiled_ext):
-    calls = seeded_calls(300, 7) + MALFORMED + MALFORMED_COMPILED_ONLY + OVERFLOWING
+    calls = seeded_calls(300, 7) + MALFORMED + OVERFLOWING
     child = run_child(["-X", "dev", "-c", LOAD_EXT + REPEAT_CALLS, compiled_ext.__file__],
                       pure=False, stdin=json.dumps(calls).encode(),
                       env={"PYTHONMALLOC": "debug"})

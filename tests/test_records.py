@@ -2,17 +2,21 @@
 hashing, repr, immutability and pickling, class by class.
 
 Each record compares, hashes and prints by its fields, in order, and
-nothing else: the side caches some of them keep (``_index``, ``_position``,
-``_flat``) stay out of all three.
+nothing else: the lookup tables some of them derive from their fields on
+first use (``_index``, ``_position``, ``_flat``) stay out of all three.
 """
 
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
+import urygrid
 from urygrid.bikatetov import BiKatetovMatrix
 from urygrid.gh import EnumeratedPair
 from urygrid.graev import WeightedAlphabet
+from urygrid.grid import Record
 from urygrid.homog import OrbitDistance, PartialIsometryRelation
 from urygrid.katetov import (ApproximantResult, HomogeneityReport, InjectivityReport,
                              KatetovFunction, OnePointExtension, TemplateTally)
@@ -54,7 +58,7 @@ RECORDS = [
     (GridFunctionSpace, ("space", "members"), (AB, CARRIER.members), {}),
 ]
 
-# the caches kept beside the fields, with a value unlike the one built
+# the lookup tables derived from the fields, with a value unlike the one built
 SIDE_FIELDS = {FiniteMetricSpace: ("_index", {}), GridFunctionSpace: ("_position", {}),
                WeightedAlphabet: ("_flat", ())}
 
@@ -65,8 +69,15 @@ def values(rec, fields):
     return tuple(getattr(rec, f) for f in fields)
 
 
+def record_classes(cls=Record) -> set:
+    """Every subclass of ``cls``, at any depth, defined so far."""
+    return {c for sub in cls.__subclasses__() for c in {sub} | record_classes(sub)}
+
+
 def test_every_record_class_is_listed():
-    assert len({r[0] for r in RECORDS}) == 17
+    for module in pkgutil.walk_packages(urygrid.__path__, "urygrid."):
+        importlib.import_module(module.name)
+    assert record_classes() == {r[0] for r in RECORDS}
 
 
 @pytest.mark.parametrize("cls, fields, args, defaults", RECORDS, ids=ids)
