@@ -120,11 +120,6 @@ def concat(u: Word, v: Word) -> Word:
     return tuple(u) + tuple(v)
 
 
-def group_product(u: Word, v: Word) -> Word:
-    """Concatenate and reduce (the group product of reduced words)."""
-    return reduce_word(concat(u, v))
-
-
 def _check_enumerable(word) -> None:
     """The length guard of both pairing enumerations, super-exponential."""
     n, limit = len(word), PAIRING_ENUMERATION_MAX_LEN

@@ -15,7 +15,7 @@ from functools import cached_property
 
 from .bikatetov import BiKatetovMatrix, _check_isometry, _inverse
 from .errors import ValidationError
-from .grid import Record, is_grid_int, lex_tuples
+from .grid import Record, lex_tuples
 from .homog import compose, invert
 from .spaces import FiniteMetricSpace
 
@@ -72,31 +72,15 @@ def enumerate_carrier(space: FiniteMetricSpace) -> GridFunctionSpace:
         n, values, CARRIER_BUDGET, f"carrier listing on {n} points at q={q}")))
 
 
-def _mover(carrier: GridFunctionSpace, perm):
-    """f -> index of x -> f(perm^{-1}(x)) over the carrier, with perm checked
-    once to be an isometry of the base."""
-    inv = _inverse(_check_isometry(carrier.space, perm))
-    return lambda f: carrier.index(tuple(f[i] for i in inv))
-
-
-def act(carrier: GridFunctionSpace, perm, member_idx: int) -> int:
-    """Index of the function x -> f(perm^{-1}(x)); the left action of an
-    isometry on the carrier. perm must be an isometry of the base and
-    member_idx an index into the carrier's members."""
-    move = _mover(carrier, perm)
-    if not is_grid_int(member_idx, 0, carrier.size - 1):
-        raise ValidationError(f"member index must be an integer in [0, {carrier.size}), "
-                              f"got {member_idx!r}")
-    return move(carrier.members[member_idx])
-
-
 Relation = frozenset  # of (member index, member index) pairs
 
 
 def action_graph(carrier: GridFunctionSpace, perm) -> Relation:
-    """The graph {(f, perm.f)} of the action of an isometry on the carrier."""
-    move = _mover(carrier, perm)
-    return frozenset((i, move(f)) for i, f in enumerate(carrier.members))
+    """The graph {(f, perm.f)} of the action of an isometry of the base on
+    the carrier, where (perm.f)(x) = f(perm^{-1}(x))."""
+    inv = _inverse(_check_isometry(carrier.space, perm))
+    return frozenset((i, carrier.index(tuple(f[j] for j in inv)))
+                     for i, f in enumerate(carrier.members))
 
 
 def matrix_of_relation(carrier: GridFunctionSpace, r: Relation) -> tuple[tuple[int, ...], ...]:

@@ -1,4 +1,3 @@
-import hashlib
 import json
 import random
 import re
@@ -23,6 +22,8 @@ from urygrid.katetov import (PROFILE_LIMIT, KatetovFunction, TemplateTally,
                              katetov_extension, katetov_witness,
                              point_function, realize_one_point, sup_distance)
 from urygrid.spaces import FiniteMetricSpace, _unit_grid, random_grid_space, validate_space
+
+from test_golden import GOLDEN, build_cases
 
 
 def random_total_katetov(space, rng):
@@ -766,88 +767,34 @@ class TestHomogeneity:
         assert (("a", "b"), ("b", "c")) in report.non_extendable
 
 
-GOLDEN_SEEDS = {
-    "p1q2": {"points": ["a"], "denominator": 2, "dist": [[0]]},
-    "p1q3": {"points": ["a"], "denominator": 3, "dist": [[0]]},
-    "p2q2": {"points": ["a", "b"], "denominator": 2, "dist": [[0, 1], [1, 0]]},
-    "p2q3": {"points": ["a", "b"], "denominator": 3, "dist": [[0, 2], [2, 0]]},
-    "p1q1": {"points": ["a"], "denominator": 1, "dist": [[0]]},
-    # a pseudometric: a and b coincide
-    "z3q2": {"points": ["a", "b", "c"], "denominator": 2,
-             "dist": [[0, 0, 1], [0, 0, 1], [1, 1, 0]], "pseudo": True},
-}
-
-# sha256 of `approximant build --json` stdout, recorded with the builder
-# that rescanned every profile after each added point; the frontier must
-# reproduce the same picks, random draws and bytes
-GOLDEN_BUILDS = [
-    (("p1q2", "--subset", "1", "--cap", "32", "--strategy", "random"),
-     "7181f07028b82b8c113643e3397c2f53811c21665bd281b965fda16bf95d2e14"),
-    (("p1q3", "--subset", "1", "--cap", "32", "--strategy", "transitive"),
-     "0ee2477a64f47be9f9d939f53fd14a9f7d881e5beed8f57a43cc312e29bde0c2"),
-    (("p2q3", "--subset", "1", "--grid", "3", "--cap", "32", "--strategy", "auto"),
-     "fcc284ae1121f51c1ab892f8bee14ac5784b359a350462b682763571b7e29bf9"),
-    (("p1q2", "--subset", "2", "--cap", "64", "--strategy", "auto"),
-     "c71ae8749bc70202e2b032f3a1810b4d739b6e76d47827beb9003dd0a9fcd0ec"),
-    (("p2q2", "--subset", "2", "--cap", "64", "--strategy", "transitive"),
-     "5dfa88d02a700bf6863ccd0b56ca79f7878a30f1e1fcc23f098f07e273e28e8f"),
-    (("p2q2", "--subset", "2", "--cap", "64", "--strategy", "random", "--seed", "5"),
-     "c2850a0fae9526cabe11b4fbaba64ee9ecf66d687fd3722c8cf6259e071d7f31"),
-    (("p2q3", "--subset", "2", "--cap", "10", "--strategy", "auto"),
-     "a9e3f61ea42e0f93928800dd48fffc4f5efe0d5777aa5d62c0bd9b337fa556e9"),
-    (("p1q2", "--subset", "3", "--cap", "24", "--strategy", "random", "--seed", "3"),
-     "cc1ee7c3e94cdfd3fb9ea6bfe8753a2a6dcffd00a0a1bbef5fec37c17bf6924b"),
-    (("p2q3", "--subset", "3", "--cap", "12", "--strategy", "random"),
-     "808a6b9c392de7e4af4ea716092614d9365379ebb63249558bb1409fd13ceb83"),
-    (("p1q3", "--subset", "2", "--cap", "12", "--strategy", "auto", "--seed", "2"),
-     "b86c84b92173afdc68a4ef768012eb461694664fc23736e46db779b2fadec5d7"),
-    # the hot random recipes: capped at 32 points, and closed at 15
-    (("p2q2", "--subset", "3", "--cap", "32", "--strategy", "random", "--seed", "7"),
-     "adc72bfaa5dd935d3493436c8888dd7c95b07b97d0e7b5f2810700aad654d2a8"),
-    (("p1q2", "--subset", "2", "--cap", "64", "--strategy", "random", "--seed", "11"),
-     "08893bbec07543fcf54092c2810d977164c8ac84ad72d032f17a110fcf63fe4f"),
-    # recorded with the triangle scan on every added row and every profile
-    # listing keyed on the inside distances: a build where spaces._unit_grid
-    # holds (q = 1) and one where it does not (a q = 2 pseudometric)
-    (("p1q1", "--subset", "3", "--cap", "16", "--strategy", "random"),
-     "b4cfc0a871db167b1e1a95f96cb7bd6319af095d645f8ad3bb831a7b89d8de9b"),
-    (("z3q2", "--subset", "2", "--cap", "32", "--strategy", "random", "--seed", "4"),
-     "8ab685fd223cc39bca5e5aa06f844df3ad422f77278fae49b02e0958501e7c90"),
-]
-
-
-@pytest.mark.parametrize("case,digest", GOLDEN_BUILDS,
-                         ids=[" ".join(c) for c, _ in GOLDEN_BUILDS])
-def test_build_json_bytes_are_unchanged(capsys, tmp_path, case, digest):
-    seed = tmp_path / f"{case[0]}.json"
-    seed.write_text(json.dumps(GOLDEN_SEEDS[case[0]]))
-    code = main(["--json", "approximant", "build", str(seed), *case[1:]])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
 # the four recipes of the approximant_grow benchmark workload:
 # (strategy, max support, q, cap)
 BENCHMARK_RECIPES = [("random", 2, 2, 64), ("random", 3, 2, 32),
                      ("auto", 2, 2, 64), ("auto", 2, 3, 10)]
 
 
+# two manifest builds: where spaces._unit_grid holds (q = 1), and where it
+# does not (a q = 2 pseudometric, in which a and b coincide)
+Q1 = ("p1q1.json", "--subset", "3", "--cap", "16", "--strategy", "random")
+PSEUDO = ("z3q2.json", "--subset", "2", "--cap", "32", "--strategy", "random", "--seed", "4")
+
+
 def golden_build(case):
-    """build_approximant on a GOLDEN_BUILDS case, with the CLI's defaults."""
+    """build_approximant on the arguments after ``approximant build`` of a
+    golden manifest entry, with the CLI's defaults."""
+    assert case in build_cases(), case
     opts = dict(zip(case[1::2], case[2::2]))
-    seed = FiniteMetricSpace(**GOLDEN_SEEDS[case[0]])
+    seed = fileio.load_space(GOLDEN / case[0])
     return build_approximant(seed, int(opts["--subset"]),
                              int(opts.get("--grid", seed.denominator)),
                              int(opts.get("--cap", 64)), rng_seed=int(opts.get("--seed", 0)),
                              strategy=opts.get("--strategy", "auto"))
 
 
-@pytest.mark.parametrize("case,unit", [(GOLDEN_BUILDS[-2][0], True),
-                                       (GOLDEN_BUILDS[-1][0], False)], ids=["q1", "pseudo"])
+@pytest.mark.parametrize("case,unit", [(Q1, True), (PSEUDO, False)], ids=["q1", "pseudo"])
 def test_the_q1_pin_takes_the_unit_grid_route_and_the_pseudometric_pin_not(
         monkeypatch, case, unit):
-    seed = FiniteMetricSpace(**GOLDEN_SEEDS[case[0]])
+    seed = fileio.load_space(GOLDEN / case[0])
     assert _unit_grid(seed.denominator, seed.pseudo) == unit
     calls = []
     listing = katetov._unit_profiles
@@ -857,8 +804,8 @@ def test_the_q1_pin_takes_the_unit_grid_route_and_the_pseudometric_pin_not(
 
 
 @pytest.mark.parametrize("case,unit", [
-    (GOLDEN_BUILDS[-2][0], True), (GOLDEN_BUILDS[-1][0], False),
-    (("p2q3", "--subset", "3", "--cap", "12", "--strategy", "random"), False)],
+    (Q1, True), (PSEUDO, False),
+    (("p2q3.json", "--subset", "3", "--cap", "12", "--strategy", "random"), False)],
     ids=["q1", "pseudo", "q3"])
 def test_only_the_q1_pin_masks_its_closed_pairs(monkeypatch, case, unit):
     masks = []
@@ -873,7 +820,7 @@ def test_only_the_q1_pin_masks_its_closed_pairs(monkeypatch, case, unit):
 def test_built_spaces_revalidate():
     # the builder checks each row on its own and trusts the final space:
     # the validating constructor must accept it as it stands
-    results = [golden_build(case) for case, _ in GOLDEN_BUILDS]
+    results = [golden_build(case) for case in build_cases()]
     rng = random.Random(26)
     for points in (1, 2):
         for strategy, k, q, cap in BENCHMARK_RECIPES:
@@ -896,50 +843,6 @@ def test_built_spaces_revalidate():
         space = r.space
         assert FiniteMetricSpace(space.points, space.denominator, space.dist,
                                  space.pseudo) == space
-
-
-# sha256 of `--json isogroup` stdout, recorded with the sphere index of one
-# dict per point
-GOLDEN_ISOGROUP_SPACES = {
-    # Z_8 with gaps 1 and 4 at 1/2, gaps 2 and 3 at 1: point-transitive,
-    # order 16
-    "c8q2": ({"points": [f"v{i}" for i in range(8)], "denominator": 2,
-              "dist": [[(0, 1, 2, 2, 1, 2, 2, 1)[(j - i) % 8] for j in range(8)]
-                       for i in range(8)]},
-             "2b96fe12d267ac81419fa0e98b65d5903e2cb974558b533fe5fe8f7c62e85679"),
-    # a center at 1/2 from two triangles of side 1/2 that lie 1 apart:
-    # order 72, and the center is fixed
-    "star7q2": ({"points": ["c", "a0", "a1", "a2", "b0", "b1", "b2"], "denominator": 2,
-                 "dist": [[0] + [1] * 6] + [[1] + [0 if i == j else 1 if i // 3 == j // 3 else 2
-                                                   for j in range(6)] for i in range(6)]},
-                "5731ed33a7d8441a9c7c24b34e1d8d619f89e71104a7d7d90ca5de939f96d4c1"),
-}
-
-
-@pytest.mark.parametrize("name", GOLDEN_ISOGROUP_SPACES)
-def test_isogroup_json_bytes_are_unchanged(capsys, tmp_path, name):
-    obj, digest = GOLDEN_ISOGROUP_SPACES[name]
-    p = tmp_path / f"{name}.json"
-    p.write_text(json.dumps(obj))
-    code = main(["--json", "isogroup", str(p)])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-def test_verify_json_bytes_are_unchanged(capsys, tmp_path):
-    # the closed 19-point build of a GOLDEN_BUILDS case, recorded with the
-    # profile listing keyed on nested gaps
-    result = golden_build(("p2q2", "--subset", "2", "--cap", "64", "--strategy", "random",
-                           "--seed", "5"))
-    assert (result.status, result.space.n) == ("closed", 19)
-    p = tmp_path / "built.json"
-    p.write_text(json.dumps(fileio.space_to_obj(result.space)))
-    code = main(["--json", "approximant", "verify", str(p), "--subset", "2"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == \
-        "81925370c510c83c17e4c04bf69d0a51c400a90e35fb2d204405c8cbb191f06f"
 
 
 def circulant_rows(n, colors):
@@ -996,8 +899,9 @@ class TestTemplateSearch:
         # the first pass starts from empty listings, the second reads the
         # listings the first one left, and both count the same colorings
         rng = random.Random(40 + 10 * q + k)
-        seeds = [FiniteMetricSpace(**spec).rescaled(q) for spec in GOLDEN_SEEDS.values()
-                 if q % spec["denominator"] == 0]
+        seeds = [fileio.load_space(GOLDEN / name)
+                 for name in dict.fromkeys(case[0] for case in build_cases())]
+        seeds = [seed.rescaled(q) for seed in seeds if q % seed.denominator == 0]
         seeds += [random_grid_space(rng.randint(1, 3), q, rng.randrange(10 ** 6))
                   for _ in range(20)]
         katetov._circulant_listing.cache_clear()
@@ -1142,12 +1046,11 @@ class TestTemplateSearch:
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (2, "", f"refused: {refusal}\n")
 
-    def test_transitive_refusal_reports_its_budget(self, capsys, tmp_path):
+    def test_transitive_refusal_reports_its_budget(self, capsys):
         # (q, k) = (3, 2) has no closed circulant within the budget; the
         # pre-check stops the search before n = 20. The second run reads the
         # listings the first one left.
-        seed = tmp_path / "seed.json"
-        seed.write_text(json.dumps(GOLDEN_SEEDS["p1q3"]))
+        seed = GOLDEN / "p1q3.json"
         katetov._circulant_listing.cache_clear()
         for _ in ("cold", "warm"):
             code = main(["approximant", "build", str(seed), "--subset", "2", "--grid", "3",
@@ -1159,9 +1062,8 @@ class TestTemplateSearch:
                                     "budget: 13931 of 20000 canonical colorings tried, "
                                     "every n <= 19 searched in full; use strategy='random'\n")
 
-    def test_subset_three_on_grid_two_builds_closed(self, capsys, tmp_path):
-        seed = tmp_path / "seed.json"
-        seed.write_text(json.dumps(GOLDEN_SEEDS["p1q2"]))
+    def test_subset_three_on_grid_two_builds_closed(self, capsys):
+        seed = GOLDEN / "p1q2.json"
         code = main(["--json", "approximant", "build", str(seed), "--subset", "3",
                      "--grid", "2", "--cap", "64", "--strategy", "transitive"])
         assert code == 0

@@ -60,7 +60,7 @@ RECORDS = [
 
 # the lookup tables derived from the fields, with a value unlike the one built
 SIDE_FIELDS = {FiniteMetricSpace: ("_index", {}), GridFunctionSpace: ("_position", {}),
-               WeightedAlphabet: ("_flat", ())}
+               WeightedAlphabet: ("_flat", ()), BiKatetovMatrix: ("_flat", ())}
 
 ids = [r[0].__name__ for r in RECORDS]
 

@@ -12,11 +12,12 @@ invalid object, so this file holds every such call to account, twice:
   the site's outputs through the validating constructor. A site missing
   from the table fails, and so does a table row with no site or with a
   judge that does not exist.
-- **Re-validated.** One pass runs the law registry at ``QUICK`` and builds
-  every ``GOLDEN_BUILDS`` case with ``Record._trusted`` patched, here only,
-  to also build ``cls(*values)`` through the validating constructor and
-  assert that the two are equal; every listed site must build at least one
-  record in it. The library has no switch for this.
+- **Re-validated.** One pass runs the law registry at ``QUICK`` and every
+  entry of the golden manifest (tests/test_golden.py), the approximant
+  builds among them, with ``Record._trusted`` patched, here only, to also
+  build ``cls(*values)`` through the validating constructor and assert that
+  the two are equal; every listed site must build at least one record in
+  it. The library has no switch for this.
 """
 
 import ast
@@ -31,7 +32,7 @@ from urygrid.grid import Record
 from urygrid.laws import LAWS, QUICK
 
 from test_independence import GRAPH
-from test_katetov import GOLDEN_BUILDS, golden_build
+from test_golden import MANIFEST, current
 
 PACKAGE = Path(urygrid.__file__).parent
 TESTS = Path(__file__).parent
@@ -165,7 +166,8 @@ def test_every_trusted_build_equals_its_validated_twin(monkeypatch):
     katetov._circulant_listing.cache_clear()
     for _, law in LAWS:
         law(QUICK)
-    for case, _ in GOLDEN_BUILDS:
-        golden_build(case)
+    # the CLI reports a failed assertion as exit 3, so each entry must match
+    for entry in MANIFEST:
+        assert current(entry["argv"]) == entry
     katetov._circulant_listing.cache_clear()
     assert sites == set(TRUSTED)
