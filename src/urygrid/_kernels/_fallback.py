@@ -34,7 +34,8 @@ def _refuse_matrices(n, cap, **mats) -> None:
 
 
 def minplus_product(n: int, f: list[int], g: list[int], cap: int, /) -> list[int]:
-    """Entrywise min over z of min(f[x][z] + g[z][y], cap)."""
+    """Entrywise min over z of min(f[x][z] + g[z][y], cap). Each min starts
+    at cap, so a sum above cap is never taken and needs no clamp."""
     if n < 0 or cap < 0 or len(f) != n * n or len(g) != n * n or n and min(min(f), min(g)) < 0:
         _refuse_matrices(n, cap, f=f, g=g)
     out = [0] * (n * n)
@@ -44,8 +45,6 @@ def minplus_product(n: int, f: list[int], g: list[int], cap: int, /) -> list[int
             best = cap
             for z in range(n):
                 s = f[row + z] + g[z * n + y]
-                if s > cap:
-                    s = cap
                 if s < best:
                     best = s
             out[row + y] = best

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import random
 from functools import cached_property
+from itertools import repeat
 
 from . import _kernels
 from .errors import GuardError, InvariantError, ValidationError
 from .grid import Record, add_capped, is_grid_int, katetov_bounds, lex_tuples
-from .spaces import FiniteMetricSpace, PartialSpec, _as_tuple, shortest_path_completion
+from .spaces import FiniteMetricSpace, _as_tuple
 
 BIKATETOV_BUDGET = 1_000_000
 SATURATION_GUARD = 100_000
@@ -328,37 +329,39 @@ def enumerate_bikatetov(space: FiniteMetricSpace):
 
 def product_via_amalgam(p: BiKatetovMatrix, q_: BiKatetovMatrix) -> BiKatetovMatrix:
     """Independent geometric route to the product: lay out three copies of
-    the base, wire copy one to copy two by p and copy two to copy three by
-    q_, complete the missing outer block by capped shortest chains, and read
-    that block off. Must equal product(p, q_) exactly."""
+    the base, x, x' and x'', wire copy one to copy two by p and copy two to
+    copy three by q_, leave the outer block between copies one and three
+    unspecified, close the layout by capped shortest chains, and read that
+    block off. The closure is the largest pseudometric below the layout, so
+    it must keep every specified entry; one it contracts raises
+    InvariantError. Must equal product(p, q_) exactly."""
     _same_base(p, q_)
     space = p.space
     n = space.n
-    q = space.denominator
-    names = tuple(space.points) + tuple(f"{x}'" for x in space.points) \
-        + tuple(f"{x}''" for x in space.points)
     m = 3 * n
-    cells: list[list[int | None]] = [[None] * m for _ in range(m)]
-    for i in range(n):
-        for j in range(n):
-            d = space.dist[i][j]
-            cells[i][j] = d
-            cells[n + i][n + j] = d
-            cells[2 * n + i][2 * n + j] = d
-            cells[i][n + j] = p.entries[i][j]
-            cells[n + j][i] = p.entries[i][j]
-            cells[n + i][2 * n + j] = q_.entries[i][j]
-            cells[2 * n + j][n + i] = q_.entries[i][j]
-    spec = PartialSpec(names, q, tuple(tuple(r) for r in cells))
-    closed = shortest_path_completion(spec)
-    for i in range(m):
-        for j in range(m):
-            want = cells[i][j]
-            if want is not None and closed.dist[i][j] != want:
-                raise InvariantError(
-                    f"three-copy layout is not a pseudometric at ({names[i]},{names[j]})")
-    block = tuple(tuple(closed.dist[i][2 * n + j] for j in range(n)) for i in range(n))
-    return BiKatetovMatrix(space, block)
+    dist, a, b = space.dist, p.entries, q_.entries
+    hole = (_kernels.INF,) * n
+    # the rows of x, then of x', then of x'', flat: (x, y') is p(x, y) and
+    # (x', y'') is q_(x, y), each mirrored, and the outer block is missing
+    w: list[int] = []
+    for blocks in (zip(dist, a, repeat(hole)), zip(zip(*a), dist, b),
+                   zip(repeat(hole), zip(*b), dist)):
+        for left, mid, right in blocks:
+            w += left
+            w += mid
+            w += right
+    closed = _kernels.floyd_warshall_capped(m, w, space.denominator)
+    # row r specifies the columns lo..hi-1: all but copy three in copy one's
+    # rows, all but copy one in copy three's
+    for r in range(m):
+        lo = r * m + (n if r >= 2 * n else 0)
+        hi = r * m + (2 * n if r < n else m)
+        if closed[lo:hi] != w[lo:hi]:
+            j = next(k for k in range(lo, hi) if closed[k] != w[k]) - r * m
+            x, y = (f"{space.points[i % n]}" + "'" * (i // n) for i in (r, j))
+            raise InvariantError(f"three-copy layout is not a pseudometric at ({x},{y})")
+    return BiKatetovMatrix(space, tuple(tuple(closed[i * m + 2 * n:i * m + m])
+                                        for i in range(n)))
 
 
 def _gibbs(space: FiniteMetricSpace, start, ceiling, rng: random.Random,

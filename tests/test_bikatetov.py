@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from urygrid import _kernels
 from urygrid.bikatetov import (BiKatetovMatrix, _gibbs, act_left, act_right,
                                bikatetov_witness,
                                characterization_check, classify_idempotents,
@@ -447,11 +448,37 @@ class TestAmalgamOracle:
         sw = embed_isometry(two_point_q4, (1, 0))
         assert product_via_amalgam(sw, sw) == metric_unit(two_point_q4)
 
+    def test_primed_point_names_are_no_obstacle(self):
+        # the layout is unnamed, so a base point may be called x' itself
+        space = FiniteMetricSpace(("a", "a'"), 2, ((0, 1), (1, 0)))
+        f = embed_isometry(space, (1, 0))
+        assert product_via_amalgam(f, f) == product(f, f) == metric_unit(space)
+
     def test_matches_product_on_random_pairs(self):
         rng = random.Random(13)
         for _ in range(150):
             f, g = random_matrix_pair(rng)
             assert product_via_amalgam(f, g) == product(f, g)
+
+
+    @pytest.mark.parametrize("r, c, at", [(0, 1, "(a,b)"), (0, 3, "(a,b')"),
+                                          (3, 2, "(b',a')"), (5, 2, "(b'',a')")],
+                             ids=["copy one", "p", "copy two", "q_ transposed"])
+    def test_a_contracted_layout_entry_is_refused(self, monkeypatch, two_point_q4, r, c, at):
+        # the layout of a, b, a', b', a'', b'' (every specified entry 2 off
+        # the diagonal), closed, with entry (r, c) shrunk by one
+        closure = _kernels.floyd_warshall_capped
+
+        def contracted(m, w, cap):
+            out = closure(m, w, cap)
+            out[r * m + c] -= 1
+            return out
+
+        monkeypatch.setattr(_kernels, "floyd_warshall_capped", contracted)
+        d = metric_unit(two_point_q4)
+        with pytest.raises(InvariantError) as e:
+            product_via_amalgam(d, d)
+        assert str(e.value) == f"three-copy layout is not a pseudometric at {at}"
 
 
 class TestMTripleSoundness:

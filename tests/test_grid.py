@@ -117,6 +117,22 @@ def test_each_budgeted_walk_refuses_past_its_budget(monkeypatch, capsys, tmp_pat
     assert captured.err == f"refused: {e.value}\n"
 
 
+def test_saturation_refuses_past_its_guard(monkeypatch, capsys, tmp_path):
+    # the swap and its square, the metric, are two elements: one past a guard of 1
+    swap = bikatetov.embed_isometry(SPACE, (1, 0))
+    monkeypatch.setattr(bikatetov, "SATURATION_GUARD", 1)
+    with pytest.raises(GuardError) as e:
+        bikatetov.greatest_idempotent([swap])
+    assert e.value.used > e.value.limit == 1
+    assert f"{e.value.used} elements, limit 1" in str(e.value)
+    p = tmp_path / "swap.json"
+    p.write_text(json.dumps(fileio.matrix_to_obj(swap)))
+    assert main(["theta", "greatest", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"refused: {e.value}\n"
+
+
 def test_katetov_bounds_is_the_exact_interval():
     rng = random.Random(5)
     for _ in range(500):

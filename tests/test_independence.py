@@ -323,9 +323,6 @@ ALLOWED = {
                                            "and computes no entry",
     "bikatetov._same_base": "input check: refuses two matrices over different bases "
                             "and computes no entry",
-    "grid.Record._trusted": "stores the fields it is given and computes nothing; the "
-                            "product wraps its entries with it, and the oracle reaches "
-                            "it through the completed layout, a space valid by theorem",
     "grid.half_grid_value": "output format: writes a count of half-grid steps as a "
                             "fraction; each side finds its count on its own",
     "katetov._require_subset": "input check: refuses a malformed max support size "

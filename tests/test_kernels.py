@@ -48,15 +48,34 @@ def random_word_inputs(rng, max_len=10, nl=None):
     return nl, d, wts, letters, signs
 
 
+def random_minplus_inputs(rng):
+    """n from 0, cap from 0, and entries up to 3 above the cap."""
+    n = rng.randint(0, 6)
+    cap = rng.randint(0, 15)
+    f = [rng.randint(0, cap + 3) for _ in range(n * n)]
+    g = [rng.randint(0, cap + 3) for _ in range(n * n)]
+    return n, f, g, cap
+
+
 def test_minplus_product_matches(compiled_ext):
     rng = random.Random(1)
     for _ in range(300):
-        n = rng.randint(1, 6)
-        cap = rng.randint(1, 15)
-        f = [rng.randint(0, cap) for _ in range(n * n)]
-        g = [rng.randint(0, cap) for _ in range(n * n)]
+        n, f, g, cap = random_minplus_inputs(rng)
         assert compiled_ext.minplus_product(n, f, g, cap) == \
             _fallback.minplus_product(n, f, g, cap)
+
+
+def test_pure_minplus_product_is_its_definition():
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(300):
+        n, f, g, cap = random_minplus_inputs(rng)
+        want = [min(min(f[x * n + z] + g[z * n + y], cap) for z in range(n))
+                for x in range(n) for y in range(n)]
+        assert _fallback.minplus_product(n, f, g, cap) == want
+        seen |= {"n = 0" if not n else "cap = 0" if not cap else "n, cap > 0",
+                 "above cap" if max(f + g, default=0) > cap else "within cap"}
+    assert seen == {"n = 0", "cap = 0", "n, cap > 0", "above cap", "within cap"}
 
 
 def test_is_bikatetov_matches(compiled_ext):

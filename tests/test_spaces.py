@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from conftest import random_matrix_pair, with_doubled_point
-from urygrid import bikatetov
+from urygrid import _kernels, bikatetov
 from urygrid.bikatetov import BiKatetovMatrix
 from urygrid.errors import ValidationError
 from urygrid.graev import WeightedAlphabet
@@ -380,21 +380,30 @@ class TestTrustedSpaces:
             assert_judged_valid(amalgam(x, y, glue))
 
     def test_product_via_amalgam_layouts(self, monkeypatch):
+        # the oracle builds no space: each closure it computes of its
+        # three-copy layout, named x, x' and x'', is judged as one here
+        rng = random.Random(45)
+        pairs = [random_matrix_pair(rng, max_n=5, max_q=9) for _ in range(120)]
+        closure = _kernels.floyd_warshall_capped
         layouts = []
 
-        def recorded(spec, unreachable="error"):
-            layouts.append(shortest_path_completion(spec, unreachable))
-            return layouts[-1]
+        def recorded(m, w, cap):
+            out = closure(m, w, cap)
+            layouts.append((m, cap, out))
+            return out
 
-        monkeypatch.setattr(bikatetov, "shortest_path_completion", recorded)
-        rng = random.Random(45)
-        for _ in range(120):
-            f, g = random_matrix_pair(rng, max_n=5, max_q=9)
+        monkeypatch.setattr(_kernels, "floyd_warshall_capped", recorded)
+        for f, g in pairs:
             bikatetov.product_via_amalgam(f, g)
         assert len(layouts) == 120
-        for layout in layouts:
-            assert_judged_valid(layout)
-        assert {layout.pseudo for layout in layouts} == {False, True}
+        spaces = []
+        for (f, _), (m, cap, out) in zip(pairs, layouts):
+            names = tuple(f"{x}{mark}" for mark in ("", "'", "''") for x in f.space.points)
+            rows = tuple(tuple(out[i:i + m]) for i in range(0, m * m, m))
+            pseudo = any(rows[i][j] == 0 for i in range(m) for j in range(i))
+            spaces.append(FiniteMetricSpace._trusted(names, cap, rows, pseudo))
+            assert_judged_valid(spaces[-1])
+        assert {space.pseudo for space in spaces} == {False, True}
 
     def test_random_grid_space(self):
         for n in range(1, 9):
